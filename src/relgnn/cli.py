@@ -195,26 +195,28 @@ def _train_gnn(args, masked, plan, out: Path) -> list[dict]:
     return reports
 
 
-def _baseline_features(args, masked, fit_rows, specs):
-    """Single-table features, plus encoded relational aggregates for dfs-logreg; fit on fit_rows only."""
-    target_table, _ = masked.target
-    encoders = fit_encoders(masked, {target_table: list(fit_rows)})
+def _baseline_features(masked, encoders, specs, raw, dfs_encoders) -> np.ndarray:
+    """Single-table features, plus the encoded relational aggregates `raw` when dfs-logreg has specs."""
     features = single_table_features(masked, encoders)
-    dfs_encoders = None
-    if specs is not None:
-        n = masked.tables[target_table].nrows
-        raw = compute_features(masked, specs, range(n))
-        dfs_encoders = fit_feature_encoders(masked, specs, raw, fit_rows)
-        features = np.concatenate([features, apply_feature_encoders(specs, raw, dfs_encoders)], axis=1)
-    return features, encoders, dfs_encoders
+    if specs is None:
+        return features
+    return np.concatenate([features, apply_feature_encoders(specs, raw, dfs_encoders)], axis=1)
 
 
 def _train_baseline(args, masked, labels, plan, out: Path) -> list[dict]:
-    specs = enumerate_aggs(masked, args.depth) if args.model == "dfs-logreg" else None
+    target_table, _ = masked.target
+    specs = raw = dfs_encoders = None
+    if args.model == "dfs-logreg":
+        specs = enumerate_aggs(masked, args.depth)
+        raw = compute_features(masked, specs, range(masked.tables[target_table].nrows))
     dropout = 0.3 if args.dropout is None else args.dropout
     reports = []
     for fi, fold in enumerate(plan.folds):
-        features, encoders, dfs_encoders = _baseline_features(args, masked, fold.fit_ids, specs)
+        # every encoder is fit on the fold's fit rows only
+        encoders = fit_encoders(masked, {target_table: list(fold.fit_ids)})
+        if specs is not None:
+            dfs_encoders = fit_feature_encoders(masked, specs, raw, fold.fit_ids)
+        features = _baseline_features(masked, encoders, specs, raw, dfs_encoders)
         config = _train_config(args, args.seed + fi)
         if args.model == "mlp":
             net, result = baseline_mlp(features, labels, fold, config, dropout_p=dropout)
@@ -291,12 +293,12 @@ def cmd_eval(args) -> int:
         net = Model(ModelConfig(**meta["config"]), schema, seed=0)
         data = GraphDataset(masked, datapoints, encoders)
     else:
-        features = single_table_features(masked, encoders)
+        specs = raw = dfs_encoders = None
         if meta["model"] == "dfs-logreg":
             specs = aggspecs_from_json(json.dumps(meta["aggspecs"]))
             raw = compute_features(masked, specs, rows)
             dfs_encoders = feature_encoders_from_json((fold_dir / "dfs_encoders.json").read_text(encoding="utf-8"))
-            features = np.concatenate([features, apply_feature_encoders(specs, raw, dfs_encoders)], axis=1)
+        features = _baseline_features(masked, encoders, specs, raw, dfs_encoders)
         if meta["model"] == "mlp":
             net = MlpModel(features.shape[1], dropout_p=meta["dropout"])
         else:

@@ -20,7 +20,6 @@ __all__ = [
     "feature_names",
     "fit_feature_encoders",
     "apply_feature_encoders",
-    "encode_feature_matrix",
     "feature_encoders_to_json",
     "feature_encoders_from_json",
     "aggspecs_to_json",
@@ -249,10 +248,6 @@ def apply_feature_encoders(specs: list[AggSpec], raw: list[list], encoders: list
     if len(blocks) == 0:
         return np.zeros((n, 0))
     return np.concatenate(blocks, axis=1)
-
-
-def encode_feature_matrix(db: Database, specs: list[AggSpec], raw: list[list], fit_rows) -> np.ndarray:
-    return apply_feature_encoders(specs, raw, fit_feature_encoders(db, specs, raw, fit_rows))
 
 
 def feature_encoders_to_json(encoders: list) -> str:

@@ -14,7 +14,6 @@ __all__ = [
     "HeteroGraph",
     "database_to_graph",
     "add_reverse_edges",
-    "add_self_loops",
     "graph_stats",
     "GraphStats",
 ]
@@ -82,17 +81,6 @@ def add_reverse_edges(graph: HeteroGraph) -> HeteroGraph:
         rev = et.paired_reverse()
         if rev not in edges:
             edges[rev] = (dst_t, src_t, dst, src)
-    return HeteroGraph(graph.db, graph.node_counts, edges)
-
-
-def add_self_loops(graph: HeteroGraph) -> HeteroGraph:
-    """One self-loop edge per node, typed by the node's table; idempotent."""
-    edges = dict(graph.edges)
-    for ti, count in enumerate(graph.node_counts):
-        et = EdgeType(ti, -1, SELF_LOOP)
-        if et not in edges:
-            rows = np.arange(count, dtype=np.int64)
-            edges[et] = (ti, ti, rows, rows)
     return HeteroGraph(graph.db, graph.node_counts, edges)
 
 

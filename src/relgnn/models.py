@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,7 +118,6 @@ class GraphBatch:
     scatter: np.ndarray  # (N,) batch position -> row of the type-major concatenation
     edges: dict[EdgeType, tuple[np.ndarray, np.ndarray]]
     labels: np.ndarray  # (B,)
-    target_positions: np.ndarray  # (B,) batch position of each datapoint's target node
 
 
 def build_batch(datapoints: list[Datapoint], db: Database, encoders: list[NodeTypeEncoder],
@@ -166,10 +166,9 @@ def build_batch(datapoints: list[Datapoint], db: Database, encoders: list[NodeTy
         cats[t] = np.stack([e.cat_indices for e in encoded])
 
     labels = np.array([dp.label if dp.label is not None else 0 for dp in datapoints], dtype=np.int64)
-    target_positions = np.array([offsets[i] + dp.target_local for i, dp in enumerate(datapoints)], dtype=np.int64)
     return GraphBatch(
         int(len(node_type)), len(datapoints), node_type, graph_id, types_present, type_rows,
-        dense, cats, scatter, edges, labels, target_positions,
+        dense, cats, scatter, edges, labels,
     )
 
 
@@ -177,28 +176,24 @@ def _et_key(et: EdgeType) -> str:
     return f"et{et.table}_{et.column}_{et.direction}"
 
 
-def _union(batch: GraphBatch, include_self: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Type-erased edge arrays, concatenated in sorted edge-type order, multiplicity kept."""
-    srcs, dsts = [], []
-    for et in sorted(batch.edges):
-        if not include_self and et.direction == SELF_LOOP:
-            continue
-        src, dst = batch.edges[et]
-        srcs.append(src)
-        dsts.append(dst)
-    if not srcs:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(srcs), np.concatenate(dsts)
+def _cat(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
 
 
-def _gcn_coeff(batch: GraphBatch) -> dict[EdgeType, np.ndarray]:
-    """Symmetric normalization 1/sqrt(deg(u) deg(v)) with degrees from the full union incl self-loops."""
-    deg = np.zeros(batch.num_nodes)
-    for et, (_, dst) in batch.edges.items():
-        np.add.at(deg, dst, 1.0)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return {et: inv_sqrt[src] * inv_sqrt[dst] for et, (src, dst) in batch.edges.items()}
+class _EdgeGroup(NamedTuple):
+    key: str  # parameter-name infix; "" names weights that every edge type shares
+    src: np.ndarray
+    dst: np.ndarray
+    coeff: Tensor | None  # GCN normalization per edge, as a column
+    rows: np.ndarray | None  # the group's positions in the union; None when it is the whole union
+
+
+class _Plan(NamedTuple):
+    """What every layer of a forward pass reads from the batch; built once per pass."""
+
+    edges: list[_EdgeGroup]
+    dst: np.ndarray  # destinations of the union, groups concatenated in order
+    nodes: list[tuple[str, np.ndarray | None]]  # (parameter-name infix, batch positions; None for all)
 
 
 class Model:
@@ -209,6 +204,9 @@ class Model:
         self.schema = schema
         self.params: dict[str, Tensor] = {}
         self._root = RngStream(seed)
+        # gcn, gin and gat are their per-type "er" twins with every relation weight tied
+        self._family = config.variant.removeprefix("er")
+        self._tied = self._family == config.variant
         d = config.hidden
         for ti, width in enumerate(schema.input_widths):
             for ci, rows, dim in schema.cat_specs[ti]:
@@ -221,14 +219,14 @@ class Model:
                 self._param(f"init/t{ti}/b1", (hidden,), kind="zeros")
                 self._param(f"init/t{ti}/W2", (hidden, d))
                 self._param(f"init/t{ti}/b2", (d,), kind="zeros")
-        for layer in range(config.resolved_rounds):
-            self._layer_params(layer)
         if config.variant == "poolmlp":
             self._param("pool/W1", (d, d))
             self._param("pool/b1", (d,), kind="zeros")
             self._param("pool/W2", (d, config.classes))
             self._param("pool/b2", (config.classes,), kind="zeros")
         else:
+            for layer in range(config.resolved_rounds):
+                self._layer_params(layer)
             self._param("readout/gate_W", (d, d))
             self._param("readout/gate_b", (d,), kind="zeros")
             self._param("readout/proj_W", (d, d))
@@ -245,47 +243,43 @@ class Model:
         else:
             self.params[name] = init_weight(stream, *shape)
 
+    def _edge_key(self, et: EdgeType) -> str:
+        """Key map of the conv and attention layers: weights shared by all edge types, or one set per type."""
+        return "" if self._tied else f"/{_et_key(et)}"
+
+    def _node_key(self, node_type: int) -> str:
+        """Key map of the GIN layer: one MLP shared by all node types, or one per type."""
+        return "" if self._tied else f"/nt{node_type}"
+
     def _layer_params(self, layer: int) -> None:
         cfg = self.config
         d = cfg.hidden
         n_types = len(self.schema.input_widths)
         prefix = f"layer{layer}"
-        if cfg.variant == "gcn":
-            self._param(f"{prefix}/W", (d, d))
-            self._param(f"{prefix}/b", (d,), kind="zeros")
-        elif cfg.variant == "ergcn":
-            for et in self.schema.edge_types:
-                self._param(f"{prefix}/{_et_key(et)}/W", (d, d))
-            self._param(f"{prefix}/bias_table", (n_types, d), kind="zeros")
-        elif cfg.variant == "gin":
-            self.params[f"{prefix}/eps"] = Tensor(np.asarray(cfg.gin_eps), requires_grad=cfg.gin_train_eps)
-            self._param(f"{prefix}/W1", (d, d))
-            self._param(f"{prefix}/b1", (d,), kind="zeros")
-            self._param(f"{prefix}/W2", (d, d))
-            self._param(f"{prefix}/b2", (d,), kind="zeros")
-        elif cfg.variant == "ergin":
-            self.params[f"{prefix}/eps_table"] = Tensor(
-                np.full((n_types, 1), cfg.gin_eps), requires_grad=cfg.gin_train_eps
-            )
-            for ti in range(n_types):
-                self._param(f"{prefix}/nt{ti}/W1", (d, d))
-                self._param(f"{prefix}/nt{ti}/b1", (d,), kind="zeros")
-                self._param(f"{prefix}/nt{ti}/W2", (d, d))
-                self._param(f"{prefix}/nt{ti}/b2", (d,), kind="zeros")
-        elif cfg.variant == "gat":
+        if self._family == "gin":
+            eps = np.asarray(cfg.gin_eps) if self._tied else np.full((n_types, 1), cfg.gin_eps)
+            name = "eps" if self._tied else "eps_table"
+            self.params[f"{prefix}/{name}"] = Tensor(eps, requires_grad=cfg.gin_train_eps)
+            for key in dict.fromkeys(self._node_key(t) for t in range(n_types)):
+                self._param(f"{prefix}{key}/W1", (d, d))
+                self._param(f"{prefix}{key}/b1", (d,), kind="zeros")
+                self._param(f"{prefix}{key}/W2", (d, d))
+                self._param(f"{prefix}{key}/b2", (d,), kind="zeros")
+            return
+        edge_keys = dict.fromkeys(self._edge_key(et) for et in self.schema.edge_types)
+        if self._family == "gcn":
+            for key in edge_keys:
+                self._param(f"{prefix}{key}/W", (d, d))
+        else:
             dh = d // cfg.heads
             for head in range(cfg.heads):
-                self._param(f"{prefix}/h{head}/W", (d, dh))
-                self._param(f"{prefix}/h{head}/a1", (dh, 1))
-                self._param(f"{prefix}/h{head}/a2", (dh, 1))
+                for key in edge_keys:
+                    self._param(f"{prefix}/h{head}{key}/W", (d, dh))
+                    self._param(f"{prefix}/h{head}{key}/a1", (dh, 1))
+                    self._param(f"{prefix}/h{head}{key}/a2", (dh, 1))
+        if self._tied:
             self._param(f"{prefix}/b", (d,), kind="zeros")
-        elif cfg.variant == "ergat":
-            dh = d // cfg.heads
-            for head in range(cfg.heads):
-                for et in self.schema.edge_types:
-                    self._param(f"{prefix}/h{head}/{_et_key(et)}/W", (d, dh))
-                    self._param(f"{prefix}/h{head}/{_et_key(et)}/a1", (dh, 1))
-                    self._param(f"{prefix}/h{head}/{_et_key(et)}/a2", (dh, 1))
+        else:
             self._param(f"{prefix}/bias_table", (n_types, d), kind="zeros")
 
     # ----- forward pieces -------------------------------------------------
@@ -309,102 +303,94 @@ class Model:
         stacked = blocks[0] if len(blocks) == 1 else concat(blocks, axis=0)
         return embedding_lookup(stacked, batch.scatter)
 
-    def _node_type_rows(self, batch: GraphBatch, table: Tensor) -> Tensor:
-        return embedding_lookup(table, batch.node_type)
+    def _plan(self, batch: GraphBatch) -> _Plan:
+        """Split the batch's edges and nodes into the parameter groups that the key maps name.
 
-    def _gcn_layer(self, layer: int, h: Tensor, batch: GraphBatch) -> Tensor:
-        coeff = _gcn_coeff(batch)
-        src, dst = _union(batch, include_self=True)
-        coeff_all = np.concatenate([coeff[et] for et in sorted(batch.edges)])
-        y = matmul(h, self.params[f"layer{layer}/W"])
-        msg = multiply(embedding_lookup(y, src), Tensor(coeff_all[:, None]))
-        agg = segment_sum(msg, dst, batch.num_nodes)
-        return relu(add(agg, self.params[f"layer{layer}/b"]))
-
-    def _ergcn_layer(self, layer: int, h: Tensor, batch: GraphBatch) -> Tensor:
-        coeff = _gcn_coeff(batch)
-        agg = None
+        Edge types are taken in sorted order, and the union is the groups' edges
+        concatenated in that order, multiplicity kept. GIN sums over the union
+        without self-loops in both of its variants. GCN coefficients are
+        1/sqrt(deg(u) deg(v)), with degrees counted over every edge including
+        self-loops.
+        """
+        gin = self._family == "gin"
+        members: dict[str, list[EdgeType]] = {}
         for et in sorted(batch.edges):
-            src, dst = batch.edges[et]
-            y = matmul(h, self.params[f"layer{layer}/{_et_key(et)}/W"])
-            msg = multiply(embedding_lookup(y, src), Tensor(coeff[et][:, None]))
-            part = segment_sum(msg, dst, batch.num_nodes)
-            agg = part if agg is None else add(agg, part)
-        bias = self._node_type_rows(batch, self.params[f"layer{layer}/bias_table"])
-        return relu(add(agg, bias))
+            if not (gin and et.direction == SELF_LOOP):
+                members.setdefault("" if gin else self._edge_key(et), []).append(et)
+        if self._family == "gcn":
+            deg = np.bincount(_cat([dst for _, dst in batch.edges.values()]), minlength=batch.num_nodes)
+            inv_sqrt = 1.0 / np.sqrt(deg)
+        groups = []
+        start = 0
+        for key, ets in (members or {"": []}).items():
+            src = _cat([batch.edges[et][0] for et in ets])
+            dst = _cat([batch.edges[et][1] for et in ets])
+            coeff = Tensor((inv_sqrt[src] * inv_sqrt[dst])[:, None]) if self._family == "gcn" else None
+            rows = None if len(members) <= 1 else np.arange(start, start + len(src))
+            groups.append(_EdgeGroup(key, src, dst, coeff, rows))
+            start += len(src)
+        union_dst = groups[0].dst if len(groups) == 1 else np.concatenate([g.dst for g in groups])
+        node_keys = {t: self._node_key(t) for t in batch.types_present}
+        if len(set(node_keys.values())) == 1:
+            nodes = [(node_keys[batch.types_present[0]], None)]
+        else:
+            nodes = [(node_keys[t], batch.type_rows[t]) for t in batch.types_present]
+        return _Plan(groups, union_dst, nodes)
 
-    def _gin_layer(self, layer: int, h: Tensor, batch: GraphBatch) -> Tensor:
-        src, dst = _union(batch, include_self=False)
-        neigh = segment_sum(embedding_lookup(h, src), dst, batch.num_nodes)
-        scale = add(Tensor(1.0), self.params[f"layer{layer}/eps"])
+    def _per_node(self, layer: int, shared: str, table: str, batch: GraphBatch) -> Tensor:
+        """The layer's shared parameter when tied, else each node's row of its per-node-type table."""
+        if self._tied:
+            return self.params[f"layer{layer}/{shared}"]
+        return embedding_lookup(self.params[f"layer{layer}/{table}"], batch.node_type)
+
+    def _gcn_layer(self, layer: int, h: Tensor, batch: GraphBatch, plan: _Plan) -> Tensor:
+        agg = None
+        for group in plan.edges:
+            y = matmul(h, self.params[f"layer{layer}{group.key}/W"])
+            msg = multiply(embedding_lookup(y, group.src), group.coeff)
+            part = segment_sum(msg, group.dst, batch.num_nodes)
+            agg = part if agg is None else add(agg, part)
+        return relu(add(agg, self._per_node(layer, "b", "bias_table", batch)))
+
+    def _gin_layer(self, layer: int, h: Tensor, batch: GraphBatch, plan: _Plan) -> Tensor:
+        (union,) = plan.edges
+        neigh = segment_sum(embedding_lookup(h, union.src), union.dst, batch.num_nodes)
+        scale = add(Tensor(1.0), self._per_node(layer, "eps", "eps_table", batch))
         pre = add(multiply(h, scale), neigh)
         p = self.params
-        hidden = relu(add(matmul(pre, p[f"layer{layer}/W1"]), p[f"layer{layer}/b1"]))
-        return add(matmul(hidden, p[f"layer{layer}/W2"]), p[f"layer{layer}/b2"])
-
-    def _ergin_layer(self, layer: int, h: Tensor, batch: GraphBatch) -> Tensor:
-        src, dst = _union(batch, include_self=False)
-        neigh = segment_sum(embedding_lookup(h, src), dst, batch.num_nodes)
-        eps_rows = self._node_type_rows(batch, self.params[f"layer{layer}/eps_table"])
-        scale = add(Tensor(1.0), eps_rows)
-        pre = add(multiply(h, scale), neigh)
         blocks = []
-        for t in batch.types_present:
-            rows = batch.type_rows[t]
-            p = self.params
-            x = embedding_lookup(pre, rows)
-            hidden = relu(add(matmul(x, p[f"layer{layer}/nt{t}/W1"]), p[f"layer{layer}/nt{t}/b1"]))
-            blocks.append(add(matmul(hidden, p[f"layer{layer}/nt{t}/W2"]), p[f"layer{layer}/nt{t}/b2"]))
-        stacked = blocks[0] if len(blocks) == 1 else concat(blocks, axis=0)
-        return embedding_lookup(stacked, batch.scatter)
+        for key, rows in plan.nodes:
+            x = pre if rows is None else embedding_lookup(pre, rows)
+            prefix = f"layer{layer}{key}"
+            hidden = relu(add(matmul(x, p[f"{prefix}/W1"]), p[f"{prefix}/b1"]))
+            blocks.append(add(matmul(hidden, p[f"{prefix}/W2"]), p[f"{prefix}/b2"]))
+        if len(blocks) == 1:
+            return blocks[0]
+        return embedding_lookup(concat(blocks, axis=0), batch.scatter)  # type-major rows back to batch order
 
-    def _gat_layer(self, layer: int, h: Tensor, batch: GraphBatch) -> Tensor:
-        src, dst = _union(batch, include_self=True)
+    def _gat_layer(self, layer: int, h: Tensor, batch: GraphBatch, plan: _Plan) -> Tensor:
+        p = self.params
         heads = []
         for head in range(self.config.heads):
-            p = self.params
-            y = matmul(h, p[f"layer{layer}/h{head}/W"])
-            s1 = matmul(y, p[f"layer{layer}/h{head}/a1"])  # destination term
-            s2 = matmul(y, p[f"layer{layer}/h{head}/a2"])  # source term
-            logits = leaky_relu(add(embedding_lookup(s1, dst), embedding_lookup(s2, src)), 0.2)
-            alpha = segment_softmax(logits, dst, batch.num_nodes)
-            msg = multiply(alpha, embedding_lookup(y, src))
-            heads.append(segment_sum(msg, dst, batch.num_nodes))
-        agg = heads[0] if len(heads) == 1 else concat(heads, axis=1)
-        return sigmoid(add(agg, self.params[f"layer{layer}/b"]))
-
-    def _ergat_layer(self, layer: int, h: Tensor, batch: GraphBatch) -> Tensor:
-        types = sorted(batch.edges)
-        dst_all = np.concatenate([batch.edges[et][1] for et in types])
-        heads = []
-        for head in range(self.config.heads):
-            p = self.params
-            ys = {}
-            logit_parts = []
-            for et in types:
-                src, dst = batch.edges[et]
-                key = f"layer{layer}/h{head}/{_et_key(et)}"
+            ys, logit_parts = [], []
+            for group in plan.edges:
+                key = f"layer{layer}/h{head}{group.key}"
                 y = matmul(h, p[f"{key}/W"])
-                ys[et] = y
-                s1 = matmul(y, p[f"{key}/a1"])
-                s2 = matmul(y, p[f"{key}/a2"])
-                logit_parts.append(leaky_relu(add(embedding_lookup(s1, dst), embedding_lookup(s2, src)), 0.2))
+                s1 = matmul(y, p[f"{key}/a1"])  # destination term
+                s2 = matmul(y, p[f"{key}/a2"])  # source term
+                ys.append(y)
+                scores = add(embedding_lookup(s1, group.dst), embedding_lookup(s2, group.src))
+                logit_parts.append(leaky_relu(scores, 0.2))
             logits = logit_parts[0] if len(logit_parts) == 1 else concat(logit_parts, axis=0)
-            alpha = segment_softmax(logits, dst_all, batch.num_nodes)  # joint over the whole in-neighborhood
+            alpha = segment_softmax(logits, plan.dst, batch.num_nodes)  # joint over the whole in-neighborhood
             agg = None
-            start = 0
-            for et in types:
-                src, dst = batch.edges[et]
-                stop = start + len(src)
-                alpha_slice = embedding_lookup(alpha, np.arange(start, stop))
-                msg = multiply(alpha_slice, embedding_lookup(ys[et], src))
-                part = segment_sum(msg, dst, batch.num_nodes)
+            for group, y in zip(plan.edges, ys):
+                weight = alpha if group.rows is None else embedding_lookup(alpha, group.rows)
+                part = segment_sum(multiply(weight, embedding_lookup(y, group.src)), group.dst, batch.num_nodes)
                 agg = part if agg is None else add(agg, part)
-                start = stop
             heads.append(agg)
         agg = heads[0] if len(heads) == 1 else concat(heads, axis=1)
-        bias = self._node_type_rows(batch, self.params[f"layer{layer}/bias_table"])
-        return sigmoid(add(agg, bias))
+        return sigmoid(add(agg, self._per_node(layer, "b", "bias_table", batch)))
 
     def _readout(self, h: Tensor, batch: GraphBatch) -> Tensor:
         p = self.params
@@ -422,16 +408,10 @@ class Model:
             hidden = relu(add(matmul(mean, p["pool/W1"]), p["pool/b1"]))
             hidden = dropout(hidden, cfg.dropout, train, rng)
             return add(matmul(hidden, p["pool/W2"]), p["pool/b2"])
-        layer_fn = {
-            "gcn": self._gcn_layer,
-            "ergcn": self._ergcn_layer,
-            "gin": self._gin_layer,
-            "ergin": self._ergin_layer,
-            "gat": self._gat_layer,
-            "ergat": self._ergat_layer,
-        }[cfg.variant]
+        layer_fn = {"gcn": self._gcn_layer, "gin": self._gin_layer, "gat": self._gat_layer}[self._family]
+        plan = self._plan(batch)
         for layer in range(cfg.resolved_rounds):
-            h = layer_fn(layer, h, batch)
+            h = layer_fn(layer, h, batch, plan)
             h = dropout(h, cfg.dropout, train, rng)
         return self._readout(h, batch)
 

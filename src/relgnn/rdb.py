@@ -181,6 +181,9 @@ def load_database(root: str | Path, strict: bool = True) -> Database:
             header = next(reader, None)
             if header is None:
                 raise RdbError(f"{csv_path} has no header row")
+            repeated = [h for i, h in enumerate(header) if h in header[:i]]
+            if repeated:
+                raise RdbError(f"duplicate column {repeated[0]!r} in the header of {csv_path}")
             declared = {col.name for col in columns}
             undeclared = [h for h in header if h not in declared]
             if undeclared:

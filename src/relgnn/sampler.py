@@ -100,19 +100,25 @@ def _select_closure(index: _ForwardIndex, start: int, cap: int, target_row: int 
     return selected
 
 
-def _select_closure_edge_type_once(index: _ForwardIndex, start: int) -> np.ndarray:
+def _select_closure_edge_type_once(index: _ForwardIndex, start: int, cap: int,
+                                   target_row: int | None) -> np.ndarray:
     """Round-based expansion; an edge type that contributes in some round is spent for the whole run."""
     selected = np.zeros(index.graph.num_nodes, dtype=bool)
     selected[start] = True
+    count = 1
     used = np.zeros(len(index.types), dtype=bool)
     for adds_from, adds_to in ((index.dst, index.src), (index.src, index.dst)):
         # first pass grows ancestors (edges entering the set), second grows descendants
         while True:
+            if count > cap:
+                raise SizeCapError(count, cap, target_row)
             crossing = selected[adds_from] & ~selected[adds_to] & ~used[index.type_id]
             if not crossing.any():
                 break
             used[np.unique(index.type_id[crossing])] = True
-            selected[adds_to[crossing]] = True
+            added = np.unique(adds_to[crossing])
+            selected[added] = True
+            count += len(added)
     return selected
 
 
@@ -162,12 +168,13 @@ def rdb_to_graph(graph: HeteroGraph, target: tuple[int, int], *, size_cap: int =
 
 
 def rdb_to_graph_edge_type_once(graph: HeteroGraph, target: tuple[int, int], *,
-                                reverse_edges: bool = True, label: int | None = None,
+                                size_cap: int = DEFAULT_SIZE_CAP, reverse_edges: bool = True,
+                                label: int | None = None,
                                 _index: _ForwardIndex | None = None) -> Datapoint:
     """Closure variant that follows each edge type in at most one expansion round."""
     index = _index or _ForwardIndex(graph)
     start = int(index.offsets[target[0]] + target[1])
-    selected = _select_closure_edge_type_once(index, start)
+    selected = _select_closure_edge_type_once(index, start, size_cap, None)
     if label is None:
         label = _lookup_label(graph, target)
     return _induce(index, selected, target, label, reverse_edges)
@@ -183,8 +190,8 @@ def batch_sample(graph: HeteroGraph, target_rows: list[int], *, edge_type_once: 
     for row in target_rows:
         try:
             if edge_type_once:
-                dp = rdb_to_graph_edge_type_once(graph, (table, int(row)), reverse_edges=reverse_edges,
-                                                 label=int(labels[row]), _index=index)
+                dp = rdb_to_graph_edge_type_once(graph, (table, int(row)), size_cap=size_cap,
+                                                 reverse_edges=reverse_edges, label=int(labels[row]), _index=index)
             else:
                 dp = rdb_to_graph(graph, (table, int(row)), size_cap=size_cap,
                                   reverse_edges=reverse_edges, label=int(labels[row]), _index=index)

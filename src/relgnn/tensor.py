@@ -495,14 +495,20 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a relgnn checkpoint")
-        (version,) = struct.unpack("<I", f.read(4))
+        header = f.read(12)
+        if len(header) != 12:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        version, mlen = struct.unpack("<IQ", header)
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (mlen,) = struct.unpack("<Q", f.read(8))
         manifest = json.loads(f.read(mlen).decode("utf-8"))
         out: dict[str, np.ndarray] = {}
         for name, shape in manifest:
-            count = int(np.prod(shape)) if shape else 1
-            block = np.frombuffer(f.read(8 * count), dtype="<f8")
-            out[name] = block.reshape(shape).astype(np.float64)
+            size = 8 * (int(np.prod(shape)) if shape else 1)
+            block = f.read(size)
+            if len(block) != size:
+                raise ValueError(f"{path}: truncated checkpoint, parameter {name!r} has {len(block)} of {size} bytes")
+            out[name] = np.frombuffer(block, dtype="<f8").reshape(shape).astype(np.float64)
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last parameter")
         return out

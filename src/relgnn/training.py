@@ -119,15 +119,9 @@ class TrainResult:
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
     order = np.argsort(x, kind="stable")
+    _, first, counts = np.unique(x[order], return_index=True, return_counts=True, equal_nan=False)
     ranks = np.empty(len(x))
-    sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # ties share the average rank
-        i = j + 1
+    ranks[order] = np.repeat(first + 0.5 * (counts - 1) + 1.0, counts)  # ties share the average rank
     return ranks
 
 

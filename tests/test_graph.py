@@ -3,10 +3,8 @@ import numpy as np
 from relgnn.graph import (
     FORWARD,
     REVERSE,
-    SELF_LOOP,
     EdgeType,
     add_reverse_edges,
-    add_self_loops,
     database_to_graph,
     graph_stats,
 )
@@ -53,34 +51,6 @@ def test_reverse_edges_double_and_idempotent(fixtures_dir):
     assert list(src) == [0, 0, 1] and list(dst) == [0, 1, 2]
     again = add_reverse_edges(with_rev)
     assert again.num_edges() == with_rev.num_edges()
-
-
-def test_self_loops_one_per_node_and_idempotent(fixtures_dir):
-    graph = add_self_loops(database_to_graph(load_database(fixtures_dir / "patients_small")))
-    assert graph.num_edges([SELF_LOOP]) == 5
-    again = add_self_loops(graph)
-    assert again.num_edges() == graph.num_edges()
-
-
-def test_isolated_node_still_gets_self_loop(tmp_path):
-    (tmp_path / "schema.json").write_text(
-        '{"tables": [{"name": "T", "file": "T.csv", "columns": [{"name": "id", "kind": "primary_key"}]}]}'
-    )
-    (tmp_path / "T.csv").write_text("id\nonly\n")
-    graph = add_self_loops(database_to_graph(load_database(tmp_path)))
-    assert graph.num_edges([SELF_LOOP]) == 1
-
-
-def test_reverse_then_self_commutes_with_self_then_reverse(fixtures_dir):
-    base = database_to_graph(load_database(fixtures_dir / "clinic"))
-    a = add_self_loops(add_reverse_edges(base))
-    b = add_reverse_edges(add_self_loops(base))
-    assert set(a.edges) == set(b.edges)
-    for et in a.edges:
-        sa, da, src_a, dst_a = a.edges[et]
-        sb, db_, src_b, dst_b = b.edges[et]
-        assert (sa, da) == (sb, db_)
-        assert np.array_equal(src_a, src_b) and np.array_equal(dst_a, dst_b)
 
 
 def test_empty_graph_stats(tmp_path):

@@ -55,7 +55,7 @@ def _toy_batch(num_nodes, edges, node_type=None, num_graphs=1, graph_id=None):
         num_nodes, num_graphs, nt, gid, types, type_rows,
         {t: np.zeros((len(type_rows[t]), 0)) for t in types},
         {t: np.zeros((len(type_rows[t]), 0), dtype=np.int64) for t in types},
-        scatter, edges, np.zeros(num_graphs, dtype=np.int64), np.zeros(num_graphs, dtype=np.int64),
+        scatter, edges, np.zeros(num_graphs, dtype=np.int64),
     )
 
 
@@ -128,6 +128,82 @@ def test_schema_from_clinic(clinic):
     assert len(no_rev.edge_types) == 5
 
 
+# Parameter names seed their initial values and key the checkpoint, so they are pinned.
+_PINNED_SHARED = [
+    ("emb/t2c1", (2, 1)), ("init/t0/W1", (2, 8)), ("init/t0/W2", (8, 8)), ("init/t0/b1", (8,)),
+    ("init/t0/b2", (8,)), ("init/t1/W1", (2, 8)), ("init/t1/W2", (8, 8)), ("init/t1/b1", (8,)),
+    ("init/t1/b2", (8,)), ("init/t2/W1", (1, 4)), ("init/t2/W2", (4, 8)), ("init/t2/b1", (4,)),
+    ("init/t2/b2", (8,)), ("readout/gate_W", (8, 8)), ("readout/gate_b", (8,)), ("readout/out_W", (8, 2)),
+    ("readout/out_b", (2,)), ("readout/proj_W", (8, 8)), ("readout/proj_b", (8,)),
+]
+_PINNED_LAYERS = {
+    "gcn": [
+        ("layer0/W", (8, 8)), ("layer0/b", (8,)),
+    ],
+    "gin": [
+        ("layer0/W1", (8, 8)), ("layer0/W2", (8, 8)), ("layer0/b1", (8,)), ("layer0/b2", (8,)),
+        ("layer0/eps", ()), ("layer1/W1", (8, 8)), ("layer1/W2", (8, 8)), ("layer1/b1", (8,)),
+        ("layer1/b2", (8,)), ("layer1/eps", ()),
+    ],
+    "gat": [
+        ("layer0/b", (8,)), ("layer0/h0/W", (8, 8)), ("layer0/h0/a1", (8, 1)), ("layer0/h0/a2", (8, 1)),
+        ("layer1/b", (8,)), ("layer1/h0/W", (8, 8)), ("layer1/h0/a1", (8, 1)), ("layer1/h0/a2", (8, 1)),
+    ],
+    "ergcn": [
+        ("layer0/bias_table", (3, 8)), ("layer0/et0_-1_self_loop/W", (8, 8)),
+        ("layer0/et1_-1_self_loop/W", (8, 8)), ("layer0/et1_1_forward/W", (8, 8)),
+        ("layer0/et1_1_reverse/W", (8, 8)), ("layer0/et1_2_forward/W", (8, 8)),
+        ("layer0/et1_2_reverse/W", (8, 8)), ("layer0/et2_-1_self_loop/W", (8, 8)),
+    ],
+    "ergin": [
+        ("layer0/eps_table", (3, 1)), ("layer0/nt0/W1", (8, 8)), ("layer0/nt0/W2", (8, 8)),
+        ("layer0/nt0/b1", (8,)), ("layer0/nt0/b2", (8,)), ("layer0/nt1/W1", (8, 8)), ("layer0/nt1/W2", (8, 8)),
+        ("layer0/nt1/b1", (8,)), ("layer0/nt1/b2", (8,)), ("layer0/nt2/W1", (8, 8)), ("layer0/nt2/W2", (8, 8)),
+        ("layer0/nt2/b1", (8,)), ("layer0/nt2/b2", (8,)), ("layer1/eps_table", (3, 1)),
+        ("layer1/nt0/W1", (8, 8)), ("layer1/nt0/W2", (8, 8)), ("layer1/nt0/b1", (8,)), ("layer1/nt0/b2", (8,)),
+        ("layer1/nt1/W1", (8, 8)), ("layer1/nt1/W2", (8, 8)), ("layer1/nt1/b1", (8,)), ("layer1/nt1/b2", (8,)),
+        ("layer1/nt2/W1", (8, 8)), ("layer1/nt2/W2", (8, 8)), ("layer1/nt2/b1", (8,)), ("layer1/nt2/b2", (8,)),
+    ],
+    "ergat": [
+        ("layer0/bias_table", (3, 8)), ("layer0/h0/et0_-1_self_loop/W", (8, 8)),
+        ("layer0/h0/et0_-1_self_loop/a1", (8, 1)), ("layer0/h0/et0_-1_self_loop/a2", (8, 1)),
+        ("layer0/h0/et1_-1_self_loop/W", (8, 8)), ("layer0/h0/et1_-1_self_loop/a1", (8, 1)),
+        ("layer0/h0/et1_-1_self_loop/a2", (8, 1)), ("layer0/h0/et1_1_forward/W", (8, 8)),
+        ("layer0/h0/et1_1_forward/a1", (8, 1)), ("layer0/h0/et1_1_forward/a2", (8, 1)),
+        ("layer0/h0/et1_1_reverse/W", (8, 8)), ("layer0/h0/et1_1_reverse/a1", (8, 1)),
+        ("layer0/h0/et1_1_reverse/a2", (8, 1)), ("layer0/h0/et1_2_forward/W", (8, 8)),
+        ("layer0/h0/et1_2_forward/a1", (8, 1)), ("layer0/h0/et1_2_forward/a2", (8, 1)),
+        ("layer0/h0/et1_2_reverse/W", (8, 8)), ("layer0/h0/et1_2_reverse/a1", (8, 1)),
+        ("layer0/h0/et1_2_reverse/a2", (8, 1)), ("layer0/h0/et2_-1_self_loop/W", (8, 8)),
+        ("layer0/h0/et2_-1_self_loop/a1", (8, 1)), ("layer0/h0/et2_-1_self_loop/a2", (8, 1)),
+        ("layer1/bias_table", (3, 8)), ("layer1/h0/et0_-1_self_loop/W", (8, 8)),
+        ("layer1/h0/et0_-1_self_loop/a1", (8, 1)), ("layer1/h0/et0_-1_self_loop/a2", (8, 1)),
+        ("layer1/h0/et1_-1_self_loop/W", (8, 8)), ("layer1/h0/et1_-1_self_loop/a1", (8, 1)),
+        ("layer1/h0/et1_-1_self_loop/a2", (8, 1)), ("layer1/h0/et1_1_forward/W", (8, 8)),
+        ("layer1/h0/et1_1_forward/a1", (8, 1)), ("layer1/h0/et1_1_forward/a2", (8, 1)),
+        ("layer1/h0/et1_1_reverse/W", (8, 8)), ("layer1/h0/et1_1_reverse/a1", (8, 1)),
+        ("layer1/h0/et1_1_reverse/a2", (8, 1)), ("layer1/h0/et1_2_forward/W", (8, 8)),
+        ("layer1/h0/et1_2_forward/a1", (8, 1)), ("layer1/h0/et1_2_forward/a2", (8, 1)),
+        ("layer1/h0/et1_2_reverse/W", (8, 8)), ("layer1/h0/et1_2_reverse/a1", (8, 1)),
+        ("layer1/h0/et1_2_reverse/a2", (8, 1)), ("layer1/h0/et2_-1_self_loop/W", (8, 8)),
+        ("layer1/h0/et2_-1_self_loop/a1", (8, 1)), ("layer1/h0/et2_-1_self_loop/a2", (8, 1)),
+    ],
+}
+_PINNED_POOLMLP = [
+    ("emb/t2c1", (2, 1)), ("init/t0/W1", (2, 8)), ("init/t0/W2", (8, 8)), ("init/t0/b1", (8,)),
+    ("init/t0/b2", (8,)), ("init/t1/W1", (2, 8)), ("init/t1/W2", (8, 8)), ("init/t1/b1", (8,)),
+    ("init/t1/b2", (8,)), ("init/t2/W1", (1, 4)), ("init/t2/W2", (4, 8)), ("init/t2/b1", (4,)),
+    ("init/t2/b2", (8,)), ("pool/W1", (8, 8)), ("pool/W2", (8, 2)), ("pool/b1", (8,)), ("pool/b2", (2,)),
+]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_parameter_names_and_shapes_are_pinned(clinic, variant):
+    model = Model(ModelConfig(variant, hidden=8), clinic.schema)
+    expected = _PINNED_POOLMLP if variant == "poolmlp" else sorted(_PINNED_SHARED + _PINNED_LAYERS[variant])
+    assert sorted((name, tuple(t.shape)) for name, t in model.params.items()) == expected
+
+
 # ---------------------------------------------------------------------------
 # batch assembly
 
@@ -138,7 +214,6 @@ def test_build_batch_structure(clinic):
     assert list(b.node_type) == [0, 1, 1, 2, 0, 1, 2]
     assert list(b.graph_id) == [0, 0, 0, 0, 1, 1, 1]
     assert list(b.labels) == [1, 0]
-    assert list(b.target_positions) == [0, 4]
     assert list(b.type_rows[0]) == [0, 4]
     assert list(b.type_rows[1]) == [1, 2, 5]
     assert list(b.type_rows[2]) == [3, 6]
@@ -210,7 +285,7 @@ def test_gcn_mutual_pair_golden():
         EdgeType(0, 0, FORWARD): (np.array([0, 1]), np.array([1, 0])),
         EdgeType(0, -1, SELF_LOOP): (np.array([0, 1]), np.array([0, 1])),
     })
-    out = model._gcn_layer(0, Tensor(np.eye(2)), batch)
+    out = model._gcn_layer(0, Tensor(np.eye(2)), batch, model._plan(batch))
     # both degrees are 2, every coefficient is 1/2
     assert np.allclose(out.data, np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12, rtol=0)
 
@@ -220,7 +295,7 @@ def test_gcn_isolated_node_keeps_relu_of_self():
     model = Model(ModelConfig("gcn", hidden=2), schema)
     model.params["layer0/W"].data = np.eye(2)
     batch = _toy_batch(1, {EdgeType(0, -1, SELF_LOOP): (np.array([0]), np.array([0]))})
-    out = model._gcn_layer(0, Tensor(np.array([[-1.0, 2.0]])), batch)
+    out = model._gcn_layer(0, Tensor(np.array([[-1.0, 2.0]])), batch, model._plan(batch))
     assert np.array_equal(out.data, np.array([[0.0, 2.0]]))
 
 
@@ -237,7 +312,7 @@ def test_gin_neighbor_sum_golden():
         EdgeType(0, -1, SELF_LOOP): (np.arange(3), np.arange(3)),
     })
     h = Tensor(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    out = model._gin_layer(0, h, batch)
+    out = model._gin_layer(0, h, batch, model._plan(batch))
     # self loops are excluded from the neighbor sum; eps=0 keeps the own state once
     assert np.array_equal(out.data, np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
 
@@ -250,7 +325,7 @@ def test_gin_eps_minus_one_cancels_self():
         EdgeType(0, -1, SELF_LOOP): (np.arange(3), np.arange(3)),
     })
     h = Tensor(np.array([[2.0, -3.0], [1.0, 0.0], [0.0, 1.0]]))
-    out = model._gin_layer(0, h, batch)
+    out = model._gin_layer(0, h, batch, model._plan(batch))
     assert np.array_equal(out.data[0], np.array([1.0, 1.0]))  # own state dropped exactly
     assert np.array_equal(out.data[1], np.array([0.0, 0.0]))  # no in-neighbors, nothing left
 
@@ -261,12 +336,12 @@ def test_gat_self_loop_only_attention_is_one():
     h = np.array([[0.3, -0.7]])
     W = model.params["layer0/h0/W"].data
     expected = 1.0 / (1.0 + np.exp(-(h @ W)))
-    out = model._gat_layer(0, Tensor(h), batch)
+    out = model._gat_layer(0, Tensor(h), batch, model._plan(batch))
     assert np.allclose(out.data, expected, atol=1e-15)
     # with a single in-edge the softmax weight is exactly 1, whatever the scores are
     model.params["layer0/h0/a1"].data[:] = 7.0
     model.params["layer0/h0/a2"].data[:] = -3.0
-    out2 = model._gat_layer(0, Tensor(h), batch)
+    out2 = model._gat_layer(0, Tensor(h), batch, model._plan(batch))
     assert np.array_equal(out2.data, out.data)
 
 
@@ -279,7 +354,7 @@ def test_gat_equal_logits_split_attention_evenly():
     h = np.array([[0.5, -1.0], [0.5, -1.0]])  # identical states force equal logits
     W = model.params["layer0/h0/W"].data
     expected = 1.0 / (1.0 + np.exp(-(h @ W)))  # 0.5*y + 0.5*y = y
-    out = model._gat_layer(0, Tensor(h), batch)
+    out = model._gat_layer(0, Tensor(h), batch, model._plan(batch))
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -338,8 +413,9 @@ def test_er_single_edge_type_equals_homogeneous():
         homo = Model(ModelConfig(homo_v, hidden=2, rounds=rounds), schema, seed=9)
         er = Model(ModelConfig(er_v, hidden=2, rounds=rounds), schema, seed=9)
         _tie_er_params(er, homo)
-        layer_h = getattr(homo, f"_{homo_v}_layer")(0, h, batch)
-        layer_e = getattr(er, f"_{er_v}_layer")(0, h, batch)
+        layer = f"_{homo_v}_layer"  # one layer function serves both variants of a family
+        layer_h = getattr(homo, layer)(0, h, batch, homo._plan(batch))
+        layer_e = getattr(er, layer)(0, h, batch, er._plan(batch))
         assert np.max(np.abs(layer_h.data - layer_e.data)) <= 1e-12, homo_v
 
 
@@ -389,8 +465,7 @@ def test_edge_order_invariance(clinic):
         perm = rng.permutation(len(src))
         shuffled_edges[et] = (src[perm], dst[perm])
     shuffled = GraphBatch(b.num_nodes, b.num_graphs, b.node_type, b.graph_id, b.types_present,
-                          b.type_rows, b.dense, b.cats, b.scatter, shuffled_edges, b.labels,
-                          b.target_positions)
+                          b.type_rows, b.dense, b.cats, b.scatter, shuffled_edges, b.labels)
     for variant in VARIANTS:
         model = Model(ModelConfig(variant, hidden=8, dropout=0.0), clinic.schema, seed=7)
         a = model.forward(b)

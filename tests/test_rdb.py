@@ -53,6 +53,16 @@ def test_undeclared_column_errors(tmp_path):
         load_database(tmp_path)
 
 
+def test_duplicated_header_column_errors(tmp_path):
+    (tmp_path / "schema.json").write_text(
+        '{"tables": [{"name": "T", "file": "T.csv", "columns": ['
+        '{"name": "id", "kind": "primary_key"}, {"name": "x", "kind": "scalar"}]}]}'
+    )
+    (tmp_path / "T.csv").write_text("id,x,x\nr1,1,2\n")
+    with pytest.raises(RdbError, match=r"duplicate column 'x' in the header of .*T\.csv"):
+        load_database(tmp_path)
+
+
 def test_unparseable_cell_names_location(tmp_path):
     (tmp_path / "schema.json").write_text(
         '{"tables": [{"name": "T", "file": "T.csv", "columns": ['

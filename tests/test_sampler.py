@@ -133,6 +133,17 @@ def test_size_cap_aborts(fixtures_dir):
         batch_sample(graph, [0], size_cap=4)
 
 
+def test_size_cap_aborts_edge_type_once(fixtures_dir):
+    graph = database_to_graph(load_database(fixtures_dir / "clinic"))
+    sizes = [dp.num_nodes for dp in batch_sample(graph, [0, 1], edge_type_once=True)]
+    assert sizes == [4, 3]
+    with pytest.raises(SizeCapError, match="4 > 3 \\(target row 0\\)"):
+        batch_sample(graph, [0, 1], edge_type_once=True, size_cap=3)
+    with pytest.raises(SizeCapError, match="target row 1"):
+        batch_sample(graph, [1], edge_type_once=True, size_cap=2)
+    assert [dp.num_nodes for dp in batch_sample(graph, [0, 1], edge_type_once=True, size_cap=4)] == sizes
+
+
 def test_monotonicity_unreachable_table_is_inert(fixtures_dir):
     db = load_database(fixtures_dir / "clinic")
     base = rdb_to_graph(database_to_graph(db), (0, 0))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,26 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError, match="not a relgnn checkpoint"):
+        load_checkpoint(path)
+
+
+def _two_param_checkpoint(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, {"w": Tensor(np.arange(6.0).reshape(2, 3)), "b": Tensor(np.ones(3))})
+    return path
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = _two_param_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncated_block(tmp_path):
+    path = _two_param_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: truncated checkpoint, parameter 'b'"):
         load_checkpoint(path)
 
 
