@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 
@@ -206,15 +207,13 @@ def test_closure_time_scales_linearly():
     from relgnn.sampler import _ForwardIndex, _select_closure
 
     sizes = [1000, 10000, 100000]
-    times = []
-    for n in sizes:
-        graph = database_to_graph(_chain_db(n))
-        index = _ForwardIndex(graph)
-        best = min(
-            _timed(lambda: _select_closure(index, 0, 10**9, None))
-            for _ in range(3)
-        )
-        times.append(best)
+    indexes = [_ForwardIndex(database_to_graph(_chain_db(n))) for n in sizes]
+    # best of 7 rounds; every round times each size once, so that load from
+    # other processes on the host falls on all sizes alike
+    times = [float("inf")] * len(sizes)
+    for _ in range(7):
+        for i, index in enumerate(indexes):
+            times[i] = min(times[i], _timed(lambda: _select_closure(index, 0, 10**9, None)))
     coeffs = np.polyfit(np.asarray(sizes, dtype=float), np.asarray(times), 1)
     for n, t in zip(sizes, times):
         predicted = coeffs[0] * n + coeffs[1]
@@ -222,6 +221,13 @@ def test_closure_time_scales_linearly():
 
 
 def _timed(fn):
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    """CPU seconds of one call, with the garbage collector off as in `timeit`."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.process_time()
+        fn()
+        return time.process_time() - start
+    finally:
+        if gc_was_enabled:
+            gc.enable()
