@@ -5,7 +5,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +34,7 @@ from .training import (
     MlpModel,
     TableDataset,
     TrainConfig,
-    baseline_logreg,
-    baseline_mlp,
+    _baseline_config,
     evaluate,
     fold_encoder_rows,
     make_cv_plan,
@@ -106,12 +104,9 @@ def cmd_graph_stats(args) -> int:
 
 def cmd_sample(args) -> int:
     _write_manifest(args)
-    db = load_database(args.dataset)
-    masked = remove_target_column(db)
-    graph = database_to_graph(masked)
-    rows = list(range(masked.tables[masked.target[0]].nrows))
-    datapoints = batch_sample(graph, rows, edge_type_once=args.edge_type_once,
-                              size_cap=args.size_cap, reverse_edges=args.reverse_edges)
+    masked = remove_target_column(load_database(args.dataset))
+    graph, datapoints = _sample(masked, edge_type_once=args.edge_type_once, size_cap=args.size_cap,
+                                reverse_edges=args.reverse_edges)
     write_datapoints_jsonl(args.out / "datapoints.jsonl", datapoints, graph)
     sizes = [dp.num_nodes for dp in datapoints]
     payload = {
@@ -149,10 +144,77 @@ def cmd_dfs(args) -> int:
     return 0
 
 
-def _train_config(args, fold_seed: int) -> TrainConfig:
-    return TrainConfig(lr=args.lr, weight_decay=args.weight_decay, batch_size=args.batch,
-                       max_epochs=args.max_epochs, patience=args.patience,
-                       oversample=args.oversample, seed=fold_seed)
+def _sample(masked, rows=None, *, edge_type_once: bool = False, size_cap: int = DEFAULT_SIZE_CAP,
+            reverse_edges: bool = True):
+    """The database graph and one subgraph datapoint per target row (all of them when `rows` is None)."""
+    graph = database_to_graph(masked)
+    if rows is None:
+        rows = range(masked.tables[masked.target[0]].nrows)
+    return graph, batch_sample(graph, list(rows), edge_type_once=edge_type_once,
+                               size_cap=size_cap, reverse_edges=reverse_edges)
+
+
+def _describe(args, masked) -> dict:
+    """The run description that model.json holds: with a fold's artifacts, all that rebuilds its network."""
+    if args.model in VARIANTS:
+        config = ModelConfig(variant=args.model, hidden=args.hidden, rounds=args.rounds,
+                             dropout=0.5 if args.dropout is None else args.dropout)
+        return {"model": args.model, "config": config.to_json_dict(), "reverse_edges": args.reverse_edges,
+                "edge_type_once": args.edge_type_once, "size_cap": args.size_cap}
+    desc = {"model": args.model, "dropout": 0.3 if args.dropout is None else args.dropout}
+    if args.model == "dfs-logreg":
+        desc["depth"] = args.depth
+        desc["aggspecs"] = json.loads(aggspecs_to_json(enumerate_aggs(masked, args.depth)))
+    return desc
+
+
+def _read_description(path: Path) -> dict:
+    """model.json as `_describe` writes it; a malformed file fails naming itself and the key or value."""
+    try:
+        desc = json.loads(path.read_text(encoding="utf-8"))
+        model = desc["model"]
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}")
+        keys = ("config", "reverse_edges", "edge_type_once", "size_cap") if model in VARIANTS else ("dropout",)
+        for key in keys + (("aggspecs",) if model == "dfs-logreg" else ()):
+            if key not in desc:
+                raise KeyError(key)
+        if model in VARIANTS:
+            ModelConfig(**desc["config"])
+    except KeyError as exc:
+        raise RdbError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise RdbError(f"{path}: {exc}") from None
+    return desc
+
+
+def _shared_inputs(desc: dict, masked):
+    """What every fold shares: the sampled datapoints (GNNs), the DFS specs with their raw aggregates
+    (dfs-logreg), or None (logreg, mlp)."""
+    if desc["model"] in VARIANTS:
+        return _sample(masked, edge_type_once=desc["edge_type_once"], size_cap=desc["size_cap"],
+                       reverse_edges=desc["reverse_edges"])[1]
+    if "aggspecs" not in desc:
+        return None
+    specs = aggspecs_from_json(json.dumps(desc["aggspecs"]))
+    return specs, compute_features(masked, specs, range(masked.tables[masked.target[0]].nrows))
+
+
+def _build(desc: dict, masked, labels, shared, encoders, dfs_encoders=None, seed: int = 0):
+    """A fold's untrained network and its dataset, from the run description, the fold's encoders
+    and the shared inputs."""
+    if desc["model"] in VARIANTS:
+        schema = GraphSchema.from_database(masked, encoders, reverse_edges=desc["reverse_edges"])
+        return Model(ModelConfig(**desc["config"]), schema, seed=seed), GraphDataset(masked, shared, encoders)
+    features = single_table_features(masked, encoders)
+    if shared is not None:
+        specs, raw = shared
+        features = np.concatenate([features, apply_feature_encoders(specs, raw, dfs_encoders)], axis=1)
+    if desc["model"] == "mlp":
+        net = MlpModel(features.shape[1], dropout_p=desc["dropout"], seed=seed)
+    else:
+        net = LinearModel(features.shape[1], seed=seed)
+    return net, TableDataset(features, labels)
 
 
 def _fold_report(fi: int, result, metrics) -> dict:
@@ -164,80 +226,8 @@ def _fold_report(fi: int, result, metrics) -> dict:
         "test_auroc": metrics["auroc"],
         "test_accuracy": metrics["accuracy"],
         "test_n": metrics["n"],
+        "history": result.history,
     }
-
-
-def _train_gnn(args, masked, plan, out: Path) -> list[dict]:
-    graph = database_to_graph(masked)
-    rows = list(range(masked.tables[masked.target[0]].nrows))
-    datapoints = batch_sample(graph, rows, edge_type_once=args.edge_type_once,
-                              size_cap=args.size_cap, reverse_edges=args.reverse_edges)
-    config = ModelConfig(variant=args.model, hidden=args.hidden, rounds=args.rounds,
-                         dropout=0.5 if args.dropout is None else args.dropout)
-    reports = []
-    for fi, fold in enumerate(plan.folds):
-        encoders = fit_encoders(masked, fold_encoder_rows(datapoints, fold.fit_ids))
-        schema = GraphSchema.from_database(masked, encoders, reverse_edges=args.reverse_edges)
-        net = Model(config, schema, seed=args.seed + fi)
-        data = GraphDataset(masked, datapoints, encoders)
-        result = train(net, data, fold, _train_config(args, args.seed + fi))
-        metrics = evaluate(net, data, fold.test_ids)
-        fold_dir = out / f"fold{fi}"
-        fold_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(fold_dir / "checkpoint.bin", net.params)
-        (fold_dir / "encoders.json").write_text(encoders_to_json(encoders), encoding="utf-8")
-        reports.append(_fold_report(fi, result, metrics))
-        log.info("fold %d: val auroc %.4f (epoch %d), test auroc %.4f",
-                 fi, result.best_val_auroc, result.best_epoch, metrics["auroc"])
-    meta = {"model": args.model, "config": config.to_json_dict(), "reverse_edges": args.reverse_edges,
-            "edge_type_once": args.edge_type_once, "size_cap": args.size_cap}
-    (out / "model.json").write_text(_json_text(meta), encoding="utf-8")
-    return reports
-
-
-def _baseline_features(masked, encoders, specs, raw, dfs_encoders) -> np.ndarray:
-    """Single-table features, plus the encoded relational aggregates `raw` when dfs-logreg has specs."""
-    features = single_table_features(masked, encoders)
-    if specs is None:
-        return features
-    return np.concatenate([features, apply_feature_encoders(specs, raw, dfs_encoders)], axis=1)
-
-
-def _train_baseline(args, masked, labels, plan, out: Path) -> list[dict]:
-    target_table, _ = masked.target
-    specs = raw = dfs_encoders = None
-    if args.model == "dfs-logreg":
-        specs = enumerate_aggs(masked, args.depth)
-        raw = compute_features(masked, specs, range(masked.tables[target_table].nrows))
-    dropout = 0.3 if args.dropout is None else args.dropout
-    reports = []
-    for fi, fold in enumerate(plan.folds):
-        # every encoder is fit on the fold's fit rows only
-        encoders = fit_encoders(masked, {target_table: list(fold.fit_ids)})
-        if specs is not None:
-            dfs_encoders = fit_feature_encoders(masked, specs, raw, fold.fit_ids)
-        features = _baseline_features(masked, encoders, specs, raw, dfs_encoders)
-        config = _train_config(args, args.seed + fi)
-        if args.model == "mlp":
-            net, result = baseline_mlp(features, labels, fold, config, dropout_p=dropout)
-        else:
-            net, result = baseline_logreg(features, labels, fold, config)
-        metrics = evaluate(net, TableDataset(features, labels), fold.test_ids)
-        fold_dir = out / f"fold{fi}"
-        fold_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(fold_dir / "checkpoint.bin", net.params)
-        (fold_dir / "encoders.json").write_text(encoders_to_json(encoders), encoding="utf-8")
-        if dfs_encoders is not None:
-            (fold_dir / "dfs_encoders.json").write_text(feature_encoders_to_json(dfs_encoders), encoding="utf-8")
-        reports.append(_fold_report(fi, result, metrics))
-        log.info("fold %d: val auroc %.4f (epoch %d), test auroc %.4f",
-                 fi, result.best_val_auroc, result.best_epoch, metrics["auroc"])
-    meta = {"model": args.model, "dropout": dropout}
-    if specs is not None:
-        meta["depth"] = args.depth
-        meta["aggspecs"] = json.loads(aggspecs_to_json(specs))
-    (out / "model.json").write_text(_json_text(meta), encoding="utf-8")
-    return reports
 
 
 def cmd_train(args) -> int:
@@ -248,10 +238,31 @@ def cmd_train(args) -> int:
     labels = target_labels(db)
     masked = remove_target_column(db)
     plan = make_cv_plan(len(labels), args.seed, args.folds)
-    if args.model in VARIANTS:
-        folds = _train_gnn(args, masked, plan, args.out)
-    else:
-        folds = _train_baseline(args, masked, labels, plan, args.out)
+    desc = _describe(args, masked)
+    (args.out / "model.json").write_text(_json_text(desc), encoding="utf-8")
+    shared = _shared_inputs(desc, masked)
+    gnn = args.model in VARIANTS
+    folds = []
+    for fi, fold in enumerate(plan.folds):
+        # encoders see only the fold's fit rows: for a GNN, every row that their subgraphs reach
+        fit_rows = fold_encoder_rows(shared, fold.fit_ids) if gnn else {masked.target[0]: list(fold.fit_ids)}
+        encoders = fit_encoders(masked, fit_rows)
+        dfs_encoders = fit_feature_encoders(masked, *shared, fold.fit_ids) if "aggspecs" in desc else None
+        net, data = _build(desc, masked, labels, shared, encoders, dfs_encoders, seed=args.seed + fi)
+        config = TrainConfig(lr=args.lr, weight_decay=args.weight_decay, batch_size=args.batch,
+                             max_epochs=args.max_epochs, patience=args.patience,
+                             oversample=args.oversample, seed=args.seed + fi)
+        result = train(net, data, fold, config if gnn else _baseline_config(config))
+        metrics = evaluate(net, data, fold.test_ids)
+        fold_dir = args.out / f"fold{fi}"
+        fold_dir.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(fold_dir / "checkpoint.bin", net.params)
+        (fold_dir / "encoders.json").write_text(encoders_to_json(encoders), encoding="utf-8")
+        if dfs_encoders is not None:
+            (fold_dir / "dfs_encoders.json").write_text(feature_encoders_to_json(dfs_encoders), encoding="utf-8")
+        folds.append(_fold_report(fi, result, metrics))
+        log.info("fold %d: val auroc %.4f (epoch %d), test auroc %.4f",
+                 fi, result.best_val_auroc, result.best_epoch, metrics["auroc"])
     aurocs = [f["test_auroc"] for f in folds]
     payload = {
         "model": args.model,
@@ -276,37 +287,32 @@ def _load_params(net, arrays: dict[str, np.ndarray]) -> None:
         tensor.data = arrays[name]
 
 
+def _fold_test_rows(run: Path, fold: int, n: int):
+    """The test rows of `fold` in the run's own CV plan, or None when the run had other than `n` target rows."""
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    if sum(f["test_n"] for f in report["folds"]) != n:
+        return None
+    return make_cv_plan(n, manifest["seed"], manifest["folds"]).folds[fold].test_ids
+
+
 def cmd_eval(args) -> int:
-    meta = json.loads((args.run / "model.json").read_text(encoding="utf-8"))
+    desc = _read_description(args.run / "model.json")
     fold_dir = args.run / f"fold{args.fold}"
     arrays = load_checkpoint(fold_dir / "checkpoint.bin")
+    encoders = encoders_from_json((fold_dir / "encoders.json").read_text(encoding="utf-8"))
+    dfs_path = fold_dir / "dfs_encoders.json"
+    dfs_encoders = feature_encoders_from_json(dfs_path.read_text(encoding="utf-8")) if "aggspecs" in desc else None
     db = load_database(args.dataset)
     labels = target_labels(db)
     masked = remove_target_column(db)
-    rows = list(range(len(labels)))
-    encoders = encoders_from_json((fold_dir / "encoders.json").read_text(encoding="utf-8"))
-    if meta["model"] in VARIANTS:
-        graph = database_to_graph(masked)
-        datapoints = batch_sample(graph, rows, edge_type_once=meta["edge_type_once"],
-                                  size_cap=meta["size_cap"], reverse_edges=meta["reverse_edges"])
-        schema = GraphSchema.from_database(masked, encoders, reverse_edges=meta["reverse_edges"])
-        net = Model(ModelConfig(**meta["config"]), schema, seed=0)
-        data = GraphDataset(masked, datapoints, encoders)
-    else:
-        specs = raw = dfs_encoders = None
-        if meta["model"] == "dfs-logreg":
-            specs = aggspecs_from_json(json.dumps(meta["aggspecs"]))
-            raw = compute_features(masked, specs, rows)
-            dfs_encoders = feature_encoders_from_json((fold_dir / "dfs_encoders.json").read_text(encoding="utf-8"))
-        features = _baseline_features(masked, encoders, specs, raw, dfs_encoders)
-        if meta["model"] == "mlp":
-            net = MlpModel(features.shape[1], dropout_p=meta["dropout"])
-        else:
-            net = LinearModel(features.shape[1])
-        data = TableDataset(features, labels)
+    net, data = _build(desc, masked, labels, _shared_inputs(desc, masked), encoders, dfs_encoders)
     _load_params(net, arrays)
-    metrics = evaluate(net, data, rows)
-    payload = {"model": meta["model"], "dataset": str(args.dataset), "fold": args.fold, **metrics}
+    payload = {"model": desc["model"], "dataset": str(args.dataset), "fold": args.fold, "rows": "all",
+               **evaluate(net, data, list(range(len(labels))))}
+    test_rows = _fold_test_rows(args.run, args.fold, len(labels))
+    if test_rows is not None:
+        payload["fold_test"] = evaluate(net, data, test_rows)
     _emit(args, payload, "eval_report.json")
     return 0
 
@@ -333,8 +339,7 @@ def _gradcheck_db():
 def cmd_gradcheck(args) -> int:
     db = load_database(args.dataset) if args.dataset is not None else _gradcheck_db()
     masked = remove_target_column(db)
-    graph = database_to_graph(masked)
-    datapoints = batch_sample(graph, [0])
+    _, datapoints = _sample(masked, [0])
     encoders = fit_encoders(masked, fold_encoder_rows(datapoints, [0]))
     schema = GraphSchema.from_database(masked, encoders)
     data = GraphDataset(masked, datapoints, encoders)

@@ -41,8 +41,6 @@ __all__ = [
     "LinearModel",
     "MlpModel",
     "single_table_features",
-    "baseline_logreg",
-    "baseline_mlp",
 ]
 
 EVAL_CHUNK = 512
@@ -70,6 +68,8 @@ def make_cv_plan(n: int, seed: int, n_folds: int = 5) -> CvPlan:
     """Split ids into n_folds test blocks (largest-remainder sizes) with val carved from each train block."""
     if n < 10:
         raise ValueError(f"need at least 10 ids for a cross-validation plan, got {n}")
+    if not 2 <= n_folds <= n:
+        raise ValueError(f"fold count must be between 2 and {n} (the number of ids), got {n_folds}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     base, extra = divmod(n, n_folds)
@@ -358,22 +358,7 @@ def single_table_features(db: Database, encoders: list[NodeTypeEncoder]) -> np.n
 
 
 def _baseline_config(config: TrainConfig) -> TrainConfig:
+    """The single-table baselines' training config: weight decay 0.01 unless the config sets one."""
     if config.weight_decay is None:
         return replace(config, weight_decay=0.01)
     return config
-
-
-def baseline_logreg(features: np.ndarray, labels: np.ndarray, fold: CvFold,
-                    config: TrainConfig) -> tuple[LinearModel, TrainResult]:
-    config = _baseline_config(config)
-    net = LinearModel(features.shape[1], seed=config.seed)
-    result = train(net, TableDataset(features, labels), fold, config)
-    return net, result
-
-
-def baseline_mlp(features: np.ndarray, labels: np.ndarray, fold: CvFold,
-                 config: TrainConfig, dropout_p: float = 0.3) -> tuple[MlpModel, TrainResult]:
-    config = _baseline_config(config)
-    net = MlpModel(features.shape[1], dropout_p=dropout_p, seed=config.seed)
-    result = train(net, TableDataset(features, labels), fold, config)
-    return net, result

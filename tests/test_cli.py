@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,14 @@ def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "data"
     assert main(["synth", "--out", str(out), "--targets", "80", "--seed", "3"]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def gcn_run(synth_dir):
+    run = synth_dir.parent / "gcn_run"
+    assert main(["train", "--dataset", str(synth_dir), "--model", "gcn", "--hidden", "8", "--out", str(run),
+                 "--max-epochs", "4", "--patience", "2"]) == 0
+    return run
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -163,6 +174,75 @@ def test_train_mlp_runs(capsys, synth_dir, tmp_path):
                                      "--out", str(tmp_path / "run"), "--max-epochs", "5"])
     assert code == 0
     assert len(payload["folds"]) == 5
+
+
+def test_report_keeps_each_folds_history(gcn_run):
+    for fold in json.loads((gcn_run / "report.json").read_text())["folds"]:
+        history = fold["history"]
+        assert len(history) == fold["epochs_run"]
+        assert [h["epoch"] for h in history] == list(range(1, fold["epochs_run"] + 1))
+        assert history[fold["best_epoch"] - 1]["val_auroc"] == fold["val_auroc"]
+
+
+def test_eval_scores_the_folds_test_rows_as_train_did(capsys, synth_dir, gcn_run, tmp_path):
+    report = json.loads((gcn_run / "report.json").read_text())
+    code, metrics, _ = _run(capsys, ["eval", "--run", str(gcn_run), "--dataset", str(synth_dir), "--fold", "1"])
+    assert code == 0
+    assert metrics["rows"] == "all" and metrics["n"] == 80
+    assert metrics["fold_test"]["auroc"] == report["folds"][1]["test_auroc"]
+    assert metrics["fold_test"]["accuracy"] == report["folds"][1]["test_accuracy"]
+    assert metrics["fold_test"]["n"] == report["folds"][1]["test_n"]
+    # another dataset has no rows of the run's plan to score
+    other = tmp_path / "other"
+    assert main(["synth", "--out", str(other), "--targets", "60", "--seed", "4"]) == 0
+    code, metrics, _ = _run(capsys, ["eval", "--run", str(gcn_run), "--dataset", str(other), "--fold", "1"])
+    assert code == 0
+    assert metrics["rows"] == "all" and metrics["n"] == 60
+    assert "fold_test" not in metrics
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda meta: meta.pop("edge_type_once"), "'edge_type_once'"),
+    (lambda meta: meta["config"].update(bogus=1), "'bogus'"),
+    (lambda meta: meta.update(model="svm"), "'svm'"),
+], ids=["missing-key", "unknown-config-field", "unknown-model"])
+def test_eval_rejects_malformed_model_json(capsys, synth_dir, gcn_run, tmp_path, edit, named):
+    run = tmp_path / "run"
+    shutil.copytree(gcn_run, run)
+    meta = json.loads((run / "model.json").read_text())
+    edit(meta)
+    (run / "model.json").write_text(json.dumps(meta))
+    code, _, err = _run(capsys, ["eval", "--run", str(run), "--dataset", str(synth_dir)])
+    assert code == 1
+    assert "model.json" in err and named in err
+
+
+@pytest.mark.parametrize("folds", ["0", "1", "81"])
+def test_train_rejects_a_fold_count_the_plan_cannot_honour(capsys, synth_dir, tmp_path, folds):
+    code, _, err = _run(capsys, ["train", "--dataset", str(synth_dir), "--model", "logreg",
+                                 "--out", str(tmp_path / "run"), "--folds", folds])
+    assert code == 1
+    assert err.strip().splitlines()[-1] == f"error: fold count must be between 2 and 80 (the number of ids), got {folds}"
+
+
+@pytest.mark.parametrize("model, spans", [
+    ("gcn", {"sampler.batch_sample"}),
+    ("dfs-logreg", {"dfs.compute_features", "encode.single_table_features"}),
+])
+def test_benchmark_tracer_sees_every_layer_call(synth_dir, tmp_path, model, spans):
+    # perfbench/tracer.py times each layer by wrapping the names relgnn.cli imports; a call that
+    # bypasses them would read 0 in the benchmark instead of failing
+    repo = Path(__file__).resolve().parents[1]
+    paths = [str(repo / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    span_file = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(repo / "perfbench" / "tracer.py"), str(span_file), "--",
+                           "train", "--dataset", str(synth_dir), "--model", model, "--out", str(tmp_path / "run"),
+                           "--folds", "2", "--max-epochs", "1"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(span_file.read_text())
+    recorded = {trace["names"][span[0]] for span in trace["spans"]}
+    assert {"training.train", "encode.fit_encoders", "training.evaluate"} | spans <= recorded
 
 
 def test_train_single_class_fold_fails_cleanly(capsys, tmp_path):

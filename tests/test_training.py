@@ -18,9 +18,8 @@ from relgnn.training import (
     TableDataset,
     TrainConfig,
     accuracy,
+    _baseline_config,
     auroc,
-    baseline_logreg,
-    baseline_mlp,
     evaluate,
     fold_encoder_rows,
     make_cv_plan,
@@ -82,6 +81,10 @@ def test_cv_plan_minimum_size():
     make_cv_plan(10, seed=0)
     with pytest.raises(ValueError):
         make_cv_plan(9, seed=0)
+    assert len(make_cv_plan(10, seed=0, n_folds=10).folds) == 10
+    for n_folds in (-1, 0, 1, 11):
+        with pytest.raises(ValueError, match=f"got {n_folds}$"):
+            make_cv_plan(10, seed=0, n_folds=n_folds)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +391,9 @@ def _run_logreg_fold(path, fold, config):
     labels = target_labels(db)
     encoders = fit_encoders(db, {0: [int(i) for i in fold.fit_ids]})
     feats = single_table_features(db, encoders)
-    net, result = baseline_logreg(feats, labels, fold, config)
+    net = LinearModel(feats.shape[1], seed=config.seed)
     data = TableDataset(feats, labels)
+    train(net, data, fold, _baseline_config(config))
     return evaluate(net, data, fold.test_ids)
 
 
@@ -413,9 +417,8 @@ def test_baseline_weight_decay_defaults_to_regularized():
     fold = _plain_fold(40, 8)
     hist = {}
     for wd in (None, 0.01, 0.0):
-        net, result = baseline_logreg(features, labels, fold,
-                                      TrainConfig(lr=0.05, max_epochs=5, patience=5, weight_decay=wd, seed=0))
-        hist[wd] = result.history
+        config = _baseline_config(TrainConfig(lr=0.05, max_epochs=5, patience=5, weight_decay=wd, seed=0))
+        hist[wd] = train(LinearModel(2, seed=0), TableDataset(features, labels), fold, config).history
     assert hist[None] == hist[0.01]
     assert hist[None] != hist[0.0]
 
@@ -427,6 +430,8 @@ def test_baseline_mlp_trains(tmp_path):
     fold = make_cv_plan(60, seed=3).folds[0]
     encoders = fit_encoders(db, {0: [int(i) for i in fold.fit_ids]})
     feats = single_table_features(db, encoders)
-    net, result = baseline_mlp(feats, labels, fold, TrainConfig(lr=0.01, batch_size=16, max_epochs=40, patience=40, seed=3))
-    report = evaluate(net, TableDataset(feats, labels), fold.test_ids)
+    net = MlpModel(feats.shape[1], seed=3)
+    data = TableDataset(feats, labels)
+    train(net, data, fold, _baseline_config(TrainConfig(lr=0.01, batch_size=16, max_epochs=40, patience=40, seed=3)))
+    report = evaluate(net, data, fold.test_ids)
     assert report["auroc"] >= 0.9
