@@ -168,8 +168,9 @@ def _describe(args, masked) -> dict:
     return desc
 
 
-def _read_description(path: Path) -> dict:
-    """model.json as `_describe` writes it; a malformed file fails naming itself and the key or value."""
+def _read_description(path: Path, masked) -> dict:
+    """model.json as `_describe` writes it, checked against the masked database; a malformed file fails
+    naming itself and the key or value."""
     try:
         desc = json.loads(path.read_text(encoding="utf-8"))
         model = desc["model"]
@@ -181,6 +182,8 @@ def _read_description(path: Path) -> dict:
                 raise KeyError(key)
         if model in VARIANTS:
             ModelConfig(**desc["config"])
+        if model == "dfs-logreg":
+            aggspecs_from_json(json.dumps(desc["aggspecs"]), masked)
     except KeyError as exc:
         raise RdbError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -297,15 +300,15 @@ def _fold_test_rows(run: Path, fold: int, n: int):
 
 
 def cmd_eval(args) -> int:
-    desc = _read_description(args.run / "model.json")
+    db = load_database(args.dataset)
+    labels = target_labels(db)
+    masked = remove_target_column(db)
+    desc = _read_description(args.run / "model.json", masked)
     fold_dir = args.run / f"fold{args.fold}"
     arrays = load_checkpoint(fold_dir / "checkpoint.bin")
     encoders = encoders_from_json((fold_dir / "encoders.json").read_text(encoding="utf-8"))
     dfs_path = fold_dir / "dfs_encoders.json"
     dfs_encoders = feature_encoders_from_json(dfs_path.read_text(encoding="utf-8")) if "aggspecs" in desc else None
-    db = load_database(args.dataset)
-    labels = target_labels(db)
-    masked = remove_target_column(db)
     net, data = _build(desc, masked, labels, _shared_inputs(desc, masked), encoders, dfs_encoders)
     _load_params(net, arrays)
     payload = {"model": desc["model"], "dataset": str(args.dataset), "fold": args.fold, "rows": "all",

@@ -276,11 +276,19 @@ def aggspecs_to_json(specs: list[AggSpec]) -> str:
     )
 
 
-def aggspecs_from_json(text: str) -> list[AggSpec]:
-    return [
-        AggSpec(tuple((int(t), int(c), d) for t, c, d in item["path"]), item["aggregator"], item["source"])
-        for item in json.loads(text)
-    ]
+def aggspecs_from_json(text: str, db: Database | None = None) -> list[AggSpec]:
+    """Specs as `aggspecs_to_json` writes them; given `db`, each one is checked against it. A bad
+    entry fails naming its position."""
+    specs = []
+    for i, item in enumerate(json.loads(text)):
+        try:
+            spec = AggSpec(tuple((int(t), int(c), d) for t, c, d in item["path"]), item["aggregator"], item["source"])
+            if db is not None:
+                _checked_end(db, spec)
+        except RdbError as exc:
+            raise RdbError(f"aggspecs[{i}]: {exc}") from None
+        specs.append(spec)
+    return specs
 
 
 def _render(value) -> str:

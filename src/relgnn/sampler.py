@@ -46,7 +46,12 @@ class Datapoint:
 
 
 class _ForwardIndex:
-    """CSR adjacency over the forward edges, in global node ids, plus flat per-type edge arrays."""
+    """CSR adjacency over the forward edges, in global node ids, plus flat per-type edge arrays.
+
+    `selected` (the closure's visited set) and `local_of` (the induced subgraph's local ids) are
+    scratch arrays for one target at a time. Their users reset exactly the entries they set, so
+    the per-target cost depends on the subgraph's size, not the graph's.
+    """
 
     def __init__(self, graph: HeteroGraph):
         self.graph = graph
@@ -68,6 +73,8 @@ class _ForwardIndex:
         order_in = np.argsort(self.dst, kind="stable")
         self.in_sorted = order_in
         self.in_start = np.searchsorted(self.dst[order_in], np.arange(n + 1))
+        self.selected = np.zeros(n, dtype=bool)
+        self.local_of = np.full(n, -1, dtype=np.int64)
 
     def out_neighbors(self, node: int) -> np.ndarray:
         return self.dst[self.out_sorted[self.out_start[node] : self.out_start[node + 1]]]
@@ -76,33 +83,40 @@ class _ForwardIndex:
         return self.src[self.in_sorted[self.in_start[node] : self.in_start[node + 1]]]
 
 
-def _bfs(start: list[int], selected: np.ndarray, neighbors, cap: int, target_row: int | None) -> None:
-    frontier = list(start)
-    count = int(selected.sum())
+def _bfs(frontier: list[int], selected: np.ndarray, touched: list[int], neighbors, cap: int,
+         target_row: int | None) -> None:
+    """Select everything reachable from `frontier`, appending each newly selected node to `touched`."""
     while frontier:
-        next_frontier: list[int] = []
+        level = len(touched)
         for node in frontier:
-            for nb in neighbors(int(node)):
+            for nb in neighbors(node).tolist():
                 if not selected[nb]:
                     selected[nb] = True
-                    count += 1
-                    next_frontier.append(int(nb))
-        if count > cap:
-            raise SizeCapError(count, cap, target_row)
-        frontier = next_frontier
+                    touched.append(nb)
+        if len(touched) > cap:
+            raise SizeCapError(len(touched), cap, target_row)
+        frontier = touched[level:]
 
 
 def _select_closure(index: _ForwardIndex, start: int, cap: int, target_row: int | None) -> np.ndarray:
-    selected = np.zeros(index.graph.num_nodes, dtype=bool)
+    """Sorted global ids of the target's ancestors to fixpoint, then of their descendants."""
+    selected = index.selected
+    touched = [start]
     selected[start] = True
-    _bfs([start], selected, index.in_neighbors, cap, target_row)  # ancestors to fixpoint
-    _bfs(list(np.nonzero(selected)[0]), selected, index.out_neighbors, cap, target_row)  # then descendants
-    return selected
+    try:
+        _bfs([start], selected, touched, index.in_neighbors, cap, target_row)  # ancestors to fixpoint
+        _bfs(list(touched), selected, touched, index.out_neighbors, cap, target_row)  # then descendants
+    finally:
+        ids = np.asarray(touched, dtype=np.int64)
+        selected[ids] = False
+    return np.sort(ids)
 
 
 def _select_closure_edge_type_once(index: _ForwardIndex, start: int, cap: int,
                                    target_row: int | None) -> np.ndarray:
-    """Round-based expansion; an edge type that contributes in some round is spent for the whole run."""
+    """Round-based expansion; an edge type that contributes in some round is spent for the whole run.
+
+    Returns sorted global ids, like `_select_closure`; each round scans every edge of the graph."""
     selected = np.zeros(index.graph.num_nodes, dtype=bool)
     selected[start] = True
     count = 1
@@ -119,33 +133,45 @@ def _select_closure_edge_type_once(index: _ForwardIndex, start: int, cap: int,
             added = np.unique(adds_to[crossing])
             selected[added] = True
             count += len(added)
-    return selected
+    return np.nonzero(selected)[0]
 
 
-def _induce(index: _ForwardIndex, selected: np.ndarray, target: tuple[int, int], label: int | None,
+def _induce(index: _ForwardIndex, global_ids: np.ndarray, target: tuple[int, int], label: int | None,
             reverse_edges: bool) -> Datapoint:
-    graph = index.graph
-    global_ids = np.nonzero(selected)[0]  # ascending global id = canonical (table, row) order
-    local_of = np.full(graph.num_nodes, -1, dtype=np.int64)
+    """The datapoint of the nodes `global_ids` (sorted) with every forward edge between them."""
+    local_of = index.local_of
     local_of[global_ids] = np.arange(len(global_ids))
-    node_types = np.searchsorted(index.offsets, global_ids, side="right") - 1
-    nodes = [(int(t), int(g - index.offsets[t])) for t, g in zip(node_types, global_ids)]
+    try:
+        # out-edges of the selected nodes, by position in the CSR, then those that stay inside
+        starts = index.out_start[global_ids]
+        counts = index.out_start[global_ids + 1] - starts
+        first = np.cumsum(counts) - counts
+        positions = np.arange(int(counts.sum())) + np.repeat(starts - first, counts)
+        edge_ids = index.out_sorted[positions]
+        dst = local_of[index.dst[edge_ids]]
+        # ascending edge id = per-type blocks, each in the graph's edge order
+        edge_ids = np.sort(edge_ids[dst >= 0])
+        src = local_of[index.src[edge_ids]]
+        dst = local_of[index.dst[edge_ids]]
+        bounds = np.searchsorted(index.type_id[edge_ids], np.arange(len(index.types) + 1)).tolist()
+        target_local = int(local_of[index.offsets[target[0]] + target[1]])
+    finally:
+        local_of[global_ids] = -1
 
+    table_bounds = np.searchsorted(global_ids, index.offsets).tolist()  # first local id per table
+    node_types = np.repeat(np.arange(len(table_bounds) - 1, dtype=np.int64), np.diff(table_bounds))
+    nodes = list(zip(node_types.tolist(), (global_ids - index.offsets[node_types]).tolist()))
     edges: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
-    keep = selected[index.src] & selected[index.dst]
     for k, et in enumerate(index.types):
-        mask = keep & (index.type_id == k)
-        src = local_of[index.src[mask]]
-        dst = local_of[index.dst[mask]]
-        edges[et] = (src, dst)
+        src_k, dst_k = src[bounds[k] : bounds[k + 1]], dst[bounds[k] : bounds[k + 1]]
+        edges[et] = (src_k, dst_k)
         if reverse_edges:
-            edges[et.paired_reverse()] = (dst, src)
-    for ti in sorted(set(int(t) for t in node_types)):
-        rows = np.nonzero(node_types == ti)[0].astype(np.int64)
-        edges[EdgeType(ti, -1, SELF_LOOP)] = (rows, rows)
-
-    target_global = index.offsets[target[0]] + target[1]
-    return Datapoint(nodes, node_types.astype(np.int64), edges, int(local_of[target_global]), label, target)
+            edges[et.paired_reverse()] = (dst_k, src_k)
+    for ti, (lo, hi) in enumerate(zip(table_bounds, table_bounds[1:])):
+        if lo < hi:
+            rows = np.arange(lo, hi, dtype=np.int64)
+            edges[EdgeType(ti, -1, SELF_LOOP)] = (rows, rows)
+    return Datapoint(nodes, node_types, edges, target_local, label, target)
 
 
 def _lookup_label(graph: HeteroGraph, target: tuple[int, int]) -> int | None:
@@ -161,10 +187,10 @@ def rdb_to_graph(graph: HeteroGraph, target: tuple[int, int], *, size_cap: int =
     """Select every ancestor of the target node, then every descendant of the selected set."""
     index = _index or _ForwardIndex(graph)
     start = int(index.offsets[target[0]] + target[1])
-    selected = _select_closure(index, start, size_cap, None)
+    global_ids = _select_closure(index, start, size_cap, None)
     if label is None:
         label = _lookup_label(graph, target)
-    return _induce(index, selected, target, label, reverse_edges)
+    return _induce(index, global_ids, target, label, reverse_edges)
 
 
 def rdb_to_graph_edge_type_once(graph: HeteroGraph, target: tuple[int, int], *,
@@ -174,10 +200,10 @@ def rdb_to_graph_edge_type_once(graph: HeteroGraph, target: tuple[int, int], *,
     """Closure variant that follows each edge type in at most one expansion round."""
     index = _index or _ForwardIndex(graph)
     start = int(index.offsets[target[0]] + target[1])
-    selected = _select_closure_edge_type_once(index, start, size_cap, None)
+    global_ids = _select_closure_edge_type_once(index, start, size_cap, None)
     if label is None:
         label = _lookup_label(graph, target)
-    return _induce(index, selected, target, label, reverse_edges)
+    return _induce(index, global_ids, target, label, reverse_edges)
 
 
 def batch_sample(graph: HeteroGraph, target_rows: list[int], *, edge_type_once: bool = False,

@@ -53,7 +53,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: _Backward | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -89,11 +89,15 @@ class Tensor:
         return matmul(self, _as_tensor(other))
 
 
+_Grads = dict[Tensor, np.ndarray]  # gradient buffers of one backward pass
+_Backward = Callable[[np.ndarray, _Grads], None]  # accumulates an output's gradient into its inputs
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray], None] | None) -> Tensor:
+def _make(data: np.ndarray, parents: Sequence[Tensor], bwd: _Backward | None) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -126,9 +130,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise _shape_error("matmul", a.shape, b.shape)
     out_data = a.data @ b.data
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, a, g @ b.data.T)
+        _accum(grads, b, a.data.T @ g)
 
     return _make(out_data, (a, b), bwd)
 
@@ -139,9 +143,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise _shape_error("add", a.shape, b.shape) from None
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, a, _unbroadcast(g, a.shape))
+        _accum(grads, b, _unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), bwd)
 
@@ -152,9 +156,9 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise _shape_error("multiply", a.shape, b.shape) from None
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, a, _unbroadcast(g * b.data, a.shape))
+        _accum(grads, b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), bwd)
 
@@ -166,11 +170,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
+            _accum(grads, t, g[tuple(sl)])
 
     return _make(out_data, tuple(tensors), bwd)
 
@@ -178,8 +182,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(x, g * (x.data > 0.0))
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, x, g * (x.data > 0.0))
 
     return _make(out_data, (x,), bwd)
 
@@ -187,8 +191,8 @@ def relu(x: Tensor) -> Tensor:
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     out_data = np.where(x.data > 0.0, x.data, slope * x.data)
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(x, g * np.where(x.data > 0.0, 1.0, slope))
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, x, g * np.where(x.data > 0.0, 1.0, slope))
 
     return _make(out_data, (x,), bwd)
 
@@ -196,8 +200,8 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     out_data = _sigmoid(x.data)
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(x, g * out_data * (1.0 - out_data))
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, x, g * out_data * (1.0 - out_data))
 
     return _make(out_data, (x,), bwd)
 
@@ -215,8 +219,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def tanh(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(x, g * (1.0 - out_data * out_data))
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, x, g * (1.0 - out_data * out_data))
 
     return _make(out_data, (x,), bwd)
 
@@ -228,8 +232,8 @@ def log_softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     out_data = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(x, g - np.exp(out_data) * g.sum(axis=1, keepdims=True))
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, x, g - np.exp(out_data) * g.sum(axis=1, keepdims=True))
 
     return _make(out_data, (x,), bwd)
 
@@ -238,8 +242,8 @@ def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
     """Inverted dropout; identity (sharing the input buffer) when not training."""
     if not train or p == 0.0:
 
-        def bwd_id(g: np.ndarray) -> None:
-            _accum(x, g)
+        def bwd_id(g: np.ndarray, grads: _Grads) -> None:
+            _accum(grads, x, g)
 
         return _make(x.data, (x,), bwd_id)
     if rng is None:
@@ -247,8 +251,8 @@ def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
     keep = (rng.random(x.shape) >= p) / (1.0 - p)
     out_data = x.data * keep
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(x, g * keep)
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, x, g * keep)
 
     return _make(out_data, (x,), bwd)
 
@@ -259,10 +263,10 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
         raise ValueError(f"embedding_lookup: index out of range for table {table.shape}")
     out_data = table.data[idx]
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
         dt = np.zeros_like(table.data)
         np.add.at(dt, idx, g)
-        _accum(table, dt)
+        _accum(grads, table, dt)
 
     return _make(out_data, (table,), bwd)
 
@@ -279,8 +283,8 @@ def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     out_data = np.zeros((num_segments,) + values.shape[1:], dtype=np.float64)
     np.add.at(out_data, seg, values.data)
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(values, g[seg])
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, values, g[seg])
 
     return _make(out_data, (values,), bwd)
 
@@ -295,8 +299,8 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
     denom = counts.reshape((num_segments,) + (1,) * (values.data.ndim - 1))
     out_data = sums / denom
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(values, (g / denom)[seg])
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, values, (g / denom)[seg])
 
     return _make(out_data, (values,), bwd)
 
@@ -315,10 +319,10 @@ def segment_softmax(values: Tensor, segment_ids: np.ndarray, num_segments: int) 
     np.add.at(denom, seg, ex)
     out_data = ex / denom[seg]
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
         gy = np.zeros((num_segments,) + tail, dtype=np.float64)
         np.add.at(gy, seg, g * out_data)
-        _accum(values, out_data * (g - gy[seg]))
+        _accum(grads, values, out_data * (g - gy[seg]))
 
     return _make(out_data, (values,), bwd)
 
@@ -327,8 +331,8 @@ def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     out_data = np.asarray(x.data.sum())
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(x, np.broadcast_to(g, x.shape))
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
+        _accum(grads, x, np.broadcast_to(g, x.shape))
 
     return _make(out_data, (x,), bwd)
 
@@ -345,10 +349,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out_data = -logp[np.arange(n), y].mean()
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, grads: _Grads) -> None:
         soft = np.exp(logp)
         soft[np.arange(n), y] -= 1.0
-        _accum(logits, g * soft / n)
+        _accum(grads, logits, g * soft / n)
 
     return _make(np.asarray(out_data), (logits,), bwd)
 
@@ -357,15 +361,12 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # backward pass
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    buf = _GRAD_BUFFERS.get(id(t))
+def _accum(grads: _Grads, t: Tensor, g: np.ndarray) -> None:
+    buf = grads.get(t)
     if buf is None:
-        _GRAD_BUFFERS[id(t)] = np.array(g, dtype=np.float64, copy=True)
+        grads[t] = np.array(g, dtype=np.float64, copy=True)
     else:
         buf += g
-
-
-_GRAD_BUFFERS: dict[int, np.ndarray] = {}
 
 
 def backward(loss: Tensor) -> None:
@@ -390,20 +391,17 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             stack.append((p, False))
 
-    _GRAD_BUFFERS.clear()
-    _GRAD_BUFFERS[id(loss)] = np.ones_like(loss.data)
-    try:
-        for node in reversed(topo):
-            g = _GRAD_BUFFERS.get(id(node))
-            if g is None or node._backward is None:
-                continue
-            node._backward(g)
-        for node in topo:
-            g = _GRAD_BUFFERS.get(id(node))
-            if g is not None and node.requires_grad:
-                node.grad = node.grad + g if node.grad is not None else g.copy()
-    finally:
-        _GRAD_BUFFERS.clear()
+    # gradient buffers of this pass only, keyed by the tensor itself
+    grads: _Grads = {loss: np.ones_like(loss.data)}
+    for node in reversed(topo):
+        g = grads.get(node)
+        if g is None or node._backward is None:
+            continue
+        node._backward(g, grads)
+    for node in topo:
+        g = grads.get(node)
+        if g is not None and node.requires_grad:
+            node.grad = node.grad + g if node.grad is not None else g.copy()
 
 
 def gradcheck(fn: Callable[[Sequence[Tensor]], Tensor], inputs: Sequence[Tensor], h: float = 1e-5) -> float:

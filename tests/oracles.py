@@ -1,5 +1,11 @@
-"""Deliberately naive brute-force oracles, independent of the library's data structures."""
+"""Deliberately naive oracles: brute-force ones independent of the library's data structures, and a
+mask-based reference sampler."""
 from __future__ import annotations
+
+import numpy as np
+
+from relgnn.graph import SELF_LOOP, EdgeType
+from relgnn.sampler import Datapoint, SizeCapError
 
 
 def forward_edge_list(db):
@@ -63,6 +69,80 @@ def edge_type_once_oracle(db, target):
             used |= contributed
             vs |= new_nodes
     return vs
+
+
+def reference_datapoint(index, target, *, edge_type_once=False, cap=10**9, reverse_edges=True, label=None):
+    """The datapoint of `target` from full-size node masks and a scan of every edge of the graph.
+
+    O(database) per target, with the edge order the library's sampler must reproduce: per forward
+    type, the edges in the graph's order. `index` is a `relgnn.sampler._ForwardIndex`; only its
+    flat edge arrays and neighbor lists are read.
+    """
+    start = int(index.offsets[target[0]] + target[1])
+    closure = _reference_closure_edge_type_once if edge_type_once else _reference_closure
+    selected = closure(index, start, cap)
+
+    global_ids = np.nonzero(selected)[0]  # ascending global id = canonical (table, row) order
+    local_of = np.full(index.graph.num_nodes, -1, dtype=np.int64)
+    local_of[global_ids] = np.arange(len(global_ids))
+    node_types = np.searchsorted(index.offsets, global_ids, side="right") - 1
+    nodes = [(int(t), int(g - index.offsets[t])) for t, g in zip(node_types, global_ids)]
+    edges = {}
+    keep = selected[index.src] & selected[index.dst]
+    for k, et in enumerate(index.types):
+        mask = keep & (index.type_id == k)
+        src = local_of[index.src[mask]]
+        dst = local_of[index.dst[mask]]
+        edges[et] = (src, dst)
+        if reverse_edges:
+            edges[et.paired_reverse()] = (dst, src)
+    for ti in sorted(set(int(t) for t in node_types)):
+        rows = np.nonzero(node_types == ti)[0].astype(np.int64)
+        edges[EdgeType(ti, -1, SELF_LOOP)] = (rows, rows)
+    return Datapoint(nodes, node_types.astype(np.int64), edges, int(local_of[start]), label, target)
+
+
+def _reference_bfs(start, selected, neighbors, cap):
+    frontier = list(start)
+    count = int(selected.sum())
+    while frontier:
+        next_frontier = []
+        for node in frontier:
+            for nb in neighbors(int(node)):
+                if not selected[nb]:
+                    selected[nb] = True
+                    count += 1
+                    next_frontier.append(int(nb))
+        if count > cap:
+            raise SizeCapError(count, cap)
+        frontier = next_frontier
+
+
+def _reference_closure(index, start, cap):
+    selected = np.zeros(index.graph.num_nodes, dtype=bool)
+    selected[start] = True
+    _reference_bfs([start], selected, index.in_neighbors, cap)
+    _reference_bfs(list(np.nonzero(selected)[0]), selected, index.out_neighbors, cap)
+    return selected
+
+
+def _reference_closure_edge_type_once(index, start, cap):
+    selected = np.zeros(index.graph.num_nodes, dtype=bool)
+    selected[start] = True
+    count = 1
+    used = np.zeros(len(index.types), dtype=bool)
+    for adds_from, adds_to in ((index.dst, index.src), (index.src, index.dst)):
+        while True:
+            if count > cap:
+                raise SizeCapError(count, cap)
+            crossing = selected[adds_from] & ~selected[adds_to] & ~used[index.type_id]
+            if not crossing.any():
+                break
+            used[np.unique(index.type_id[crossing])] = True
+            added = np.unique(adds_to[crossing])
+            selected[added] = True
+            count += len(added)
+    return selected
 
 
 def auroc_pairwise(scores, labels):

@@ -201,14 +201,24 @@ def test_eval_scores_the_folds_test_rows_as_train_did(capsys, synth_dir, gcn_run
     assert "fold_test" not in metrics
 
 
-@pytest.mark.parametrize("edit, named", [
-    (lambda meta: meta.pop("edge_type_once"), "'edge_type_once'"),
-    (lambda meta: meta["config"].update(bogus=1), "'bogus'"),
-    (lambda meta: meta.update(model="svm"), "'svm'"),
-], ids=["missing-key", "unknown-config-field", "unknown-model"])
-def test_eval_rejects_malformed_model_json(capsys, synth_dir, gcn_run, tmp_path, edit, named):
+@pytest.fixture(scope="module")
+def dfs_run(synth_dir):
+    run = synth_dir.parent / "dfs_run"
+    assert main(["train", "--dataset", str(synth_dir), "--model", "dfs-logreg", "--out", str(run),
+                 "--folds", "2", "--max-epochs", "2"]) == 0
+    return run
+
+
+@pytest.mark.parametrize("trained, edit, named", [
+    ("gcn_run", lambda meta: meta.pop("edge_type_once"), "'edge_type_once'"),
+    ("gcn_run", lambda meta: meta["config"].update(bogus=1), "'bogus'"),
+    ("gcn_run", lambda meta: meta.update(model="svm"), "'svm'"),
+    ("dfs_run", lambda meta: meta["aggspecs"][0].update(aggregator="median"), "'median'"),
+    ("dfs_run", lambda meta: meta["aggspecs"][0].update(path=[[9, 9, "reverse"]]), "(9, 9)"),
+], ids=["missing-key", "unknown-config-field", "unknown-model", "unknown-aggregator", "hop-out-of-range"])
+def test_eval_rejects_malformed_model_json(capsys, request, synth_dir, tmp_path, trained, edit, named):
     run = tmp_path / "run"
-    shutil.copytree(gcn_run, run)
+    shutil.copytree(request.getfixturevalue(trained), run)
     meta = json.loads((run / "model.json").read_text())
     edit(meta)
     (run / "model.json").write_text(json.dumps(meta))

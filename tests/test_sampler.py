@@ -5,11 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import closure_oracle, edge_type_once_oracle
+from oracles import closure_oracle, edge_type_once_oracle, reference_datapoint
+from relgnn import sampler
 from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, database_to_graph
-from relgnn.rdb import Column, ColumnKind, Database, Table, load_database, _resolve_foreign_keys
+from relgnn.rdb import Column, ColumnKind, Database, Table, load_database, target_labels, _resolve_foreign_keys
 from relgnn.sampler import (
     SizeCapError,
+    _ForwardIndex,
     batch_sample,
     rdb_to_graph,
     rdb_to_graph_edge_type_once,
@@ -179,6 +181,108 @@ def test_edge_type_once_matches_oracle_and_is_subset(random_database):
         assert _node_set(restricted) == edge_type_once_oracle(db, (ti, ri))
         full = rdb_to_graph(graph, (ti, ri))
         assert _node_set(restricted) <= _node_set(full)
+
+
+def _assert_same_datapoint(dp, ref):
+    assert dp.nodes == ref.nodes
+    assert dp.node_types.dtype == ref.node_types.dtype and np.array_equal(dp.node_types, ref.node_types)
+    assert list(dp.edges) == list(ref.edges)
+    for et, pair in ref.edges.items():
+        for got, want in zip(dp.edges[et], pair):
+            assert got.dtype == want.dtype and np.array_equal(got, want), et
+    assert (dp.target_local, dp.label, dp.provenance) == (ref.target_local, ref.label, ref.provenance)
+
+
+@pytest.mark.parametrize("reverse_edges", [True, False], ids=["reverse", "forward-only"])
+@pytest.mark.parametrize("edge_type_once", [False, True], ids=["closure", "edge-type-once"])
+def test_datapoints_equal_mask_based_reference(random_database, edge_type_once, reverse_edges):
+    # the closure oracles compare sets; this pins every field, edge order included
+    sample = rdb_to_graph_edge_type_once if edge_type_once else rdb_to_graph
+    for seed in range(200):
+        db = random_database(seed + 9000, max_tables=5, max_rows=40)
+        graph = database_to_graph(db)
+        index = _ForwardIndex(graph)
+        labels = target_labels(db)
+        rows = list(range(db.tables[0].nrows))
+        dps = batch_sample(graph, rows, edge_type_once=edge_type_once, reverse_edges=reverse_edges)
+        for row, dp in zip(rows, dps):
+            ref = reference_datapoint(index, (0, row), edge_type_once=edge_type_once,
+                                      reverse_edges=reverse_edges, label=int(labels[row]))
+            _assert_same_datapoint(dp, ref)
+        rng = np.random.default_rng(seed)
+        ti = int(rng.integers(0, len(db.tables)))
+        ri = int(rng.integers(0, db.tables[ti].nrows))
+        ref = reference_datapoint(index, (ti, ri), edge_type_once=edge_type_once, reverse_edges=reverse_edges,
+                                  label=int(labels[ri]) if ti == 0 else None)
+        _assert_same_datapoint(sample(graph, (ti, ri), reverse_edges=reverse_edges, _index=index), ref)
+        if ref.num_nodes > 1:
+            # one node short of the closure: both stop with the same count
+            cap = ref.num_nodes - 1
+            with pytest.raises(SizeCapError) as want:
+                reference_datapoint(index, (ti, ri), edge_type_once=edge_type_once, cap=cap)
+            with pytest.raises(SizeCapError) as got:
+                sample(graph, (ti, ri), size_cap=cap, _index=index)
+            assert got.value.selected == want.value.selected
+
+
+@pytest.mark.parametrize("edge_type_once", [False, True], ids=["closure", "edge-type-once"])
+def test_size_cap_leaves_the_scratch_arrays_clean(monkeypatch, fixtures_dir, edge_type_once):
+    built = []
+
+    class RecordedIndex(_ForwardIndex):
+        def __init__(self, graph):
+            super().__init__(graph)
+            built.append(self)
+
+    monkeypatch.setattr(sampler, "_ForwardIndex", RecordedIndex)
+    graph = database_to_graph(load_database(fixtures_dir / "clinic"))
+    # p1's ancestors (p1, v1, v2) fit, its descendant d1 does not
+    with pytest.raises(SizeCapError, match="4 > 3"):
+        batch_sample(graph, [0], edge_type_once=edge_type_once, size_cap=3)
+    (index,) = built
+    assert not index.selected.any()
+    assert (index.local_of == -1).all()
+    sample = rdb_to_graph_edge_type_once if edge_type_once else rdb_to_graph
+    labels = target_labels(graph.db)
+    for row in (1, 0):
+        ref = reference_datapoint(index, (0, row), edge_type_once=edge_type_once, label=int(labels[row]))
+        _assert_same_datapoint(sample(graph, (0, row), _index=index), ref)
+    assert not index.selected.any()
+    assert (index.local_of == -1).all()
+
+
+def _targets_with_unrelated_rows(n_targets, n_unrelated):
+    """Targets with three children each, and a self-referencing table that no target reaches."""
+    keys = [f"t{i}" for i in range(n_targets)]
+    targets = Table("T", [
+        Column("id", ColumnKind("primary_key"), False, keys),
+        Column("label", ColumnKind("categorical"), True, ["1", "0"] * (n_targets // 2) + ["1"] * (n_targets % 2)),
+    ])
+    children = Table("C", [
+        Column("id", ColumnKind("primary_key"), False, [f"c{i}" for i in range(3 * n_targets)]),
+        Column("t", ColumnKind("foreign_key", ("T", "id")), False, [keys[i // 3] for i in range(3 * n_targets)]),
+    ])
+    other_keys = [f"o{i}" for i in range(n_unrelated)]
+    other = Table("O", [
+        Column("id", ColumnKind("primary_key"), False, other_keys),
+        Column("prev", ColumnKind("foreign_key", ("O", "id")), False, [None] + other_keys[:-1]),
+    ])
+    db = Database([targets, children, other], {}, [], [(0, 1)])
+    _resolve_foreign_keys(db, strict=True)
+    return db
+
+
+def test_sampling_cost_is_independent_of_graph_size():
+    rows = range(50)
+    small = 50 * 4  # rows of the database without the unrelated table
+    graphs = [database_to_graph(_targets_with_unrelated_rows(50, n)) for n in (1, 500 * small)]
+    indexes = [_ForwardIndex(graph) for graph in graphs]
+    # best of 7 rounds; every round times both graphs in turn
+    times = [float("inf")] * len(graphs)
+    for _ in range(7):
+        for i, (graph, index) in enumerate(zip(graphs, indexes)):
+            times[i] = min(times[i], _timed(lambda: [rdb_to_graph(graph, (0, r), _index=index) for r in rows]))
+    assert times[1] <= 3.0 * times[0], times
 
 
 def test_jsonl_output_format(fixtures_dir, tmp_path):
