@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import CategoricalEncoder, ScalarEncoder, encode_categorical, fit_categorical, fit_scalar
+from .encode import (
+    CategoricalEncoder,
+    ScalarEncoder,
+    categorical_indices,
+    encode_scalar_column,
+    fit_categorical,
+    fit_scalar,
+)
 from .graph import FORWARD, REVERSE
 from .rdb import Database, RdbError
 
@@ -240,10 +247,10 @@ def apply_feature_encoders(specs: list[AggSpec], raw: list[list], encoders: list
         column = [raw[i][j] for i in range(n)]
         if isinstance(enc, CategoricalEncoder):
             block = np.zeros((n, enc.cardinality + 1))
-            for i, cell in enumerate(column):
-                block[i, encode_categorical(cell, enc)] = 1.0
+            block[np.arange(n), categorical_indices(column, enc)] = 1.0
         else:
-            block = np.array([enc.encode(cell) for cell in column]).reshape(n, 2)
+            block = np.zeros((n, 2))
+            encode_scalar_column(column, enc, block)
         blocks.append(block)
     if len(blocks) == 0:
         return np.zeros((n, 0))

@@ -1,11 +1,10 @@
 """Per-column feature vectorizers; stateful encoders are fit on training-fold cells only."""
 from __future__ import annotations
 
-import calendar
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime
 
 import numpy as np
 
@@ -16,13 +15,14 @@ __all__ = [
     "DATETIME_WIDTH",
     "ScalarEncoder",
     "CategoricalEncoder",
-    "EncodedNode",
     "NodeTypeEncoder",
     "fit_scalar",
     "encode_latlong",
     "encode_datetime",
     "encode_text",
     "encode_categorical",
+    "encode_scalar_column",
+    "categorical_indices",
     "fit_encoders",
     "encode_node",
     "encoders_to_json",
@@ -45,9 +45,8 @@ class ScalarEncoder:
 
     def encode(self, value: float | None) -> tuple[float, float]:
         """Returns (scaled value, null flag)."""
-        if value is None or self.all_null:
-            return 0.0, 1.0
-        return (value - self.median) / self.iqr, 0.0
+        scaled, null = _one_cell("scalar", encode_scalar_column, value, self)
+        return float(scaled), float(null)
 
 
 def fit_scalar(cells) -> ScalarEncoder:
@@ -80,93 +79,136 @@ def fit_categorical(cells) -> CategoricalEncoder:
     return CategoricalEncoder({token: i for i, token in enumerate(vocab)})
 
 
-def encode_categorical(token: str | None, encoder: CategoricalEncoder) -> int:
-    if token is None:
-        return encoder.null_index
-    return encoder.vocabulary.get(token, encoder.null_index)
+def _nulls(cells: list) -> np.ndarray:
+    return np.array([cell is None for cell in cells], dtype=bool)
 
 
-def encode_latlong(cell: tuple[float, float] | None) -> np.ndarray:
-    """[cos(lat)cos(long), cos(lat)sin(long), sin(lat), lat/90, long/180] + null flag."""
-    if cell is None:
-        return np.array([0.0] * 5 + [1.0])
-    lat, long = cell
-    la, lo = math.radians(lat), math.radians(long)
-    return np.array([
-        math.cos(la) * math.cos(lo),
-        math.cos(la) * math.sin(lo),
-        math.sin(la),
-        lat / 90.0,
-        long / 180.0,
-        0.0,
-    ])
+def _scaled(values, enc: ScalarEncoder) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    return np.zeros_like(values) if enc.all_null else (values - enc.median) / enc.iqr
 
 
-def _one_hot(width: int, index: int) -> np.ndarray:
-    out = np.zeros(width)
-    out[index] = 1.0
-    return out
+# Column encoders: each writes the encoding of a list of cells, one row per cell, into a zeroed block.
 
 
-def _cyc(value: float, period: float) -> list[float]:
-    angle = 2.0 * math.pi * value / period
-    return [math.cos(angle), math.sin(angle)]
+def encode_scalar_column(cells: list, enc: ScalarEncoder, out: np.ndarray) -> None:
+    """(scaled value, null flag) per cell; every cell is null to an all-null encoder."""
+    null = _nulls(cells)
+    out[:, 1] = 1.0 if enc.all_null else null
+    if not enc.all_null:
+        out[~null, 0] = _scaled([cell for cell in cells if cell is not None], enc)
 
 
-def encode_datetime(stamp: datetime | None, year_encoder: ScalarEncoder) -> np.ndarray:
-    if stamp is None:
-        return np.concatenate([np.zeros(DATETIME_WIDTH), [1.0]])
-    date = stamp.date()
-    days_in_month = calendar.monthrange(date.year, date.month)[1]
-    days_in_year = 366 if calendar.isleap(date.year) else 365
-    doy = date.timetuple().tm_yday
-    weekday = date.isoweekday()  # Monday=1 .. Sunday=7
-    quarter_end_month = date.month in (3, 6, 9, 12)
-    quarter_start_month = date.month in (1, 4, 7, 10)
+def _encode_latlong_column(cells: list, out: np.ndarray) -> None:
+    null = _nulls(cells)
+    out[null, 5] = 1.0
+    lat = np.array([cell[0] for cell in cells if cell is not None], dtype=np.float64)
+    long = np.array([cell[1] for cell in cells if cell is not None], dtype=np.float64)
+    la, lo = np.radians(lat), np.radians(long)
+    present = ~null
+    out[present, 0] = np.cos(la) * np.cos(lo)
+    out[present, 1] = np.cos(la) * np.sin(lo)
+    out[present, 2] = np.sin(la)
+    out[present, 3] = lat / 90.0
+    out[present, 4] = long / 180.0
+
+
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # datetime64 counts days from 1970-01-01
+
+# offsets of the datetime block's groups
+_MONTH, _WEEK, _DAY, _WEEKDAY, _DOY, _FLAGS, _CYCLIC = 1, 13, 66, 97, 104, 105, 117
+
+
+def _days(months_or_years: np.ndarray) -> np.ndarray:
+    return months_or_years.astype("datetime64[D]")
+
+
+def _encode_datetime_column(cells: list, year_encoder: ScalarEncoder, out: np.ndarray) -> None:
+    """Calendar fields of each cell's date from numpy datetime64 arithmetic (proleptic Gregorian)."""
+    null = _nulls(cells)
+    out[null, DATETIME_WIDTH] = 1.0
+    rows = np.flatnonzero(~null)
+    ordinals = [cell.toordinal() for cell in cells if cell is not None]
+    dates = (np.array(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    year_of, month_of = dates.astype("datetime64[Y]"), dates.astype("datetime64[M]")
+    year = year_of.astype(np.int64) + 1970
+    month = (month_of - year_of).astype(np.int64) + 1
+    day = (dates - _days(month_of)).astype(np.int64) + 1
+    days_in_month = (_days(month_of + 1) - _days(month_of)).astype(np.int64)
+    doy = (dates - _days(year_of)).astype(np.int64) + 1
+    days_in_year = (_days(year_of + 1) - _days(year_of)).astype(np.int64)
+    weekday = (dates.astype(np.int64) + 3) % 7 + 1  # Monday=1 .. Sunday=7; 1970-01-01 was a Thursday
+    # ISO week: the week's Thursday fixes its year, and weeks count from that year's first Thursday
+    thursday = dates + (4 - weekday).astype("timedelta64[D]")
+    week = (thursday - _days(thursday.astype("datetime64[Y]"))).astype(np.int64) // 7 + 1
+    month_end = day == days_in_month
+    month_start = day == 1
     flags = [
-        date.day == days_in_month,                       # month end
-        date.day == 1,                                   # month start
-        quarter_end_month and date.day == days_in_month,  # quarter end
-        quarter_start_month and date.day == 1,           # quarter start
-        date.month == 12 and date.day == 31,             # year end
-        date.month == 1 and date.day == 1,               # year start
+        month_end,
+        month_start,
+        np.isin(month, (3, 6, 9, 12)) & month_end,  # quarter end
+        np.isin(month, (1, 4, 7, 10)) & month_start,  # quarter start
+        (month == 12) & (day == 31),  # year end
+        (month == 1) & (day == 1),  # year start
     ]
-    parts = [
-        np.array([year_encoder.encode(float(date.year))[0]]),
-        _one_hot(12, date.month - 1),
-        _one_hot(53, date.isocalendar().week - 1),
-        _one_hot(31, date.day - 1),
-        _one_hot(7, weekday - 1),
-        np.array([doy / 366.0]),
-    ]
-    for flag in flags:
-        parts.append(_one_hot(2, int(flag)))
-    cyclic = (
-        _cyc(weekday, 7)
-        + _cyc(date.day, days_in_month)
-        + _cyc(date.month, 12)
-        + _cyc(doy, days_in_year)
-    )
-    parts.append(np.array(cyclic))
-    parts.append(np.array([0.0]))  # null flag
-    return np.concatenate(parts)
+    out[rows, 0] = _scaled(year, year_encoder)
+    out[rows, _MONTH + month - 1] = 1.0
+    out[rows, _WEEK + week - 1] = 1.0
+    out[rows, _DAY + day - 1] = 1.0
+    out[rows, _WEEKDAY + weekday - 1] = 1.0
+    out[rows, _DOY] = doy / 366.0
+    for k, flag in enumerate(flags):
+        out[rows, _FLAGS + 2 * k + flag] = 1.0
+    for k, (value, period) in enumerate(((weekday, 7), (day, days_in_month), (month, 12), (doy, days_in_year))):
+        angle = 2.0 * math.pi * value / period
+        out[rows, _CYCLIC + 2 * k] = np.cos(angle)
+        out[rows, _CYCLIC + 2 * k + 1] = np.sin(angle)
 
 
 def text_counts(value: str) -> tuple[float, float]:
     return float(len(value.split())), float(len(value))
 
 
+def _encode_text_column(cells: list, word_encoder: ScalarEncoder, char_encoder: ScalarEncoder,
+                        out: np.ndarray) -> None:
+    """(scaled word count, scaled character count, null flag) per cell."""
+    null = _nulls(cells)
+    out[null, 2] = 1.0
+    counts = np.array([text_counts(cell) for cell in cells if cell is not None], dtype=np.float64).reshape(-1, 2)
+    out[~null, 0] = _scaled(counts[:, 0], word_encoder)
+    out[~null, 1] = _scaled(counts[:, 1], char_encoder)
+
+
+def categorical_indices(cells: list, encoder: CategoricalEncoder) -> np.ndarray:
+    """Vocabulary index per token; null and unseen tokens get the reserved index."""
+    vocabulary, null_index = encoder.vocabulary, encoder.null_index
+    return np.array([vocabulary.get(cell, null_index) for cell in cells], dtype=np.int64)
+
+
+# The one-cell forms are the column encoders applied to a single cell.
+
+
+def _one_cell(tag: str, column_encoder, cell, *encoders) -> np.ndarray:
+    out = np.zeros((1, COLUMN_DENSE_WIDTH[tag]))
+    column_encoder([cell], *encoders, out)
+    return out[0]
+
+
+def encode_categorical(token: str | None, encoder: CategoricalEncoder) -> int:
+    return int(categorical_indices([token], encoder)[0])
+
+
+def encode_latlong(cell: tuple[float, float] | None) -> np.ndarray:
+    """[cos(lat)cos(long), cos(lat)sin(long), sin(lat), lat/90, long/180] + null flag."""
+    return _one_cell("latlong", _encode_latlong_column, cell)
+
+
+def encode_datetime(stamp: datetime | None, year_encoder: ScalarEncoder) -> np.ndarray:
+    return _one_cell("datetime", _encode_datetime_column, stamp, year_encoder)
+
+
 def encode_text(value: str | None, word_encoder: ScalarEncoder, char_encoder: ScalarEncoder) -> np.ndarray:
-    if value is None:
-        return np.array([0.0, 0.0, 1.0])
-    words, chars = text_counts(value)
-    return np.array([word_encoder.encode(words)[0], char_encoder.encode(chars)[0], 0.0])
-
-
-@dataclass
-class EncodedNode:
-    dense: np.ndarray
-    cat_indices: np.ndarray  # one index per categorical feature column of the node type
+    return _one_cell("text", _encode_text_column, value, word_encoder, char_encoder)
 
 
 @dataclass
@@ -229,25 +271,33 @@ def fit_encoders(db: Database, train_rows: dict[int, list[int]]) -> list[NodeTyp
     return encoders
 
 
-def encode_node(db: Database, table: int, row: int, encoder: NodeTypeEncoder) -> EncodedNode:
+def encode_node(db: Database, table: int, rows, encoder: NodeTypeEncoder) -> tuple[np.ndarray, np.ndarray]:
+    """The given rows of one table as (dense (n, dense width), categorical indices (n, #categorical columns)).
+
+    Each column is encoded whole, straight into its block of the dense matrix.
+    """
+    rows = np.asarray(rows, dtype=np.int64).tolist()
     columns = db.tables[table].columns
-    parts = []
+    dense = np.zeros((len(rows), encoder.dense_width))
+    offset = 0
     for ci, tag in encoder.dense_columns:
-        value = columns[ci].values[row]
+        values = columns[ci].values
+        cells = [values[r] for r in rows]
+        block = dense[:, offset:offset + COLUMN_DENSE_WIDTH[tag]]
         if tag == "scalar":
-            parts.append(np.array(encoder.scalar[ci].encode(value)))
+            encode_scalar_column(cells, encoder.scalar[ci], block)
         elif tag == "latlong":
-            parts.append(encode_latlong(value))
+            _encode_latlong_column(cells, block)
         elif tag == "datetime":
-            parts.append(encode_datetime(value, encoder.year[ci]))
+            _encode_datetime_column(cells, encoder.year[ci], block)
         elif tag == "text":
-            parts.append(encode_text(value, *encoder.text[ci]))
-    dense = np.concatenate(parts) if parts else np.zeros(0)
-    cats = np.array(
-        [encode_categorical(columns[ci].values[row], encoder.categorical[ci]) for ci in encoder.cat_columns],
-        dtype=np.int64,
-    )
-    return EncodedNode(dense, cats)
+            _encode_text_column(cells, *encoder.text[ci], block)
+        offset += block.shape[1]
+    cats = np.empty((len(rows), len(encoder.cat_columns)), dtype=np.int64)
+    for j, ci in enumerate(encoder.cat_columns):
+        values = columns[ci].values
+        cats[:, j] = categorical_indices([values[r] for r in rows], encoder.categorical[ci])
+    return dense, cats
 
 
 def encoders_to_json(encoders: list[NodeTypeEncoder]) -> str:

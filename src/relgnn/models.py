@@ -30,7 +30,7 @@ from .tensor import (
     sigmoid,
 )
 
-__all__ = ["ModelConfig", "GraphSchema", "GraphBatch", "build_batch", "Model", "VARIANTS"]
+__all__ = ["ModelConfig", "GraphSchema", "GraphBatch", "encode_tables", "build_batch", "Model", "VARIANTS"]
 
 VARIANTS = ("gcn", "gin", "gat", "ergcn", "ergin", "ergat", "poolmlp")
 
@@ -120,14 +120,23 @@ class GraphBatch:
     labels: np.ndarray  # (B,)
 
 
+def encode_tables(db: Database, encoders: list[NodeTypeEncoder]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every row of every table encoded with one fold's encoders: the (dense, categorical) matrices
+    that `build_batch` gathers from."""
+    return [encode_node(db, t, np.arange(table.nrows), encoders[t]) for t, table in enumerate(db.tables)]
+
+
 def build_batch(datapoints: list[Datapoint], db: Database, encoders: list[NodeTypeEncoder],
-                cache: dict | None = None) -> GraphBatch:
+                tables: list[tuple[np.ndarray, np.ndarray]] | None = None) -> GraphBatch:
+    """The datapoints as one disjoint graph. Node features are gathered from `tables`, the output of
+    `encode_tables`; without them, the batch's own rows are encoded."""
     if not datapoints:
         raise ValueError("empty batch")
     node_type = np.concatenate([dp.node_types for dp in datapoints])
+    node_row = np.fromiter((r for dp in datapoints for _, r in dp.nodes), dtype=np.int64, count=len(node_type))
     sizes = [dp.num_nodes for dp in datapoints]
     offsets = np.cumsum([0] + sizes)
-    graph_id = np.concatenate([np.full(n, i, dtype=np.int64) for i, n in enumerate(sizes)])
+    graph_id = np.repeat(np.arange(len(datapoints), dtype=np.int64), sizes)
 
     edges: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
     pieces: dict[EdgeType, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -138,32 +147,22 @@ def build_batch(datapoints: list[Datapoint], db: Database, encoders: list[NodeTy
         srcs, dsts = zip(*pieces[et])
         edges[et] = (np.concatenate(srcs), np.concatenate(dsts))
 
-    types_present = sorted(set(int(t) for t in node_type))
-    type_rows = {t: np.nonzero(node_type == t)[0].astype(np.int64) for t in types_present}
+    # type-major order: the types ascending, each type's batch positions ascending
+    order = np.argsort(node_type, kind="stable")
+    present, starts = np.unique(node_type[order], return_index=True)
+    types_present = present.tolist()
+    type_rows = dict(zip(types_present, np.split(order, starts[1:])))
     scatter = np.empty(len(node_type), dtype=np.int64)
-    cursor = 0
-    for t in types_present:
-        rows = type_rows[t]
-        scatter[rows] = np.arange(cursor, cursor + len(rows))
-        cursor += len(rows)
+    scatter[order] = np.arange(len(node_type))
 
     dense: dict[int, np.ndarray] = {}
     cats: dict[int, np.ndarray] = {}
-    all_nodes = [nid for dp in datapoints for nid in dp.nodes]
-    def _encoded(t: int, row: int):
-        if cache is None:
-            return encode_node(db, t, row, encoders[t])
-        key = (t, row)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = encode_node(db, t, row, encoders[t])
-        return hit
-
     for t in types_present:
-        rows = type_rows[t]
-        encoded = [_encoded(t, all_nodes[p][1]) for p in rows]
-        dense[t] = np.stack([e.dense for e in encoded]) if encoded else np.zeros((0, 0))
-        cats[t] = np.stack([e.cat_indices for e in encoded])
+        rows = node_row[type_rows[t]]
+        if tables is None:
+            dense[t], cats[t] = encode_node(db, t, rows, encoders[t])
+        else:
+            dense[t], cats[t] = tables[t][0][rows], tables[t][1][rows]
 
     labels = np.array([dp.label if dp.label is not None else 0 for dp in datapoints], dtype=np.int64)
     return GraphBatch(

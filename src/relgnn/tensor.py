@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from typing import Callable, Sequence
 
@@ -489,24 +490,50 @@ def save_checkpoint(path, params: dict[str, Tensor]) -> None:
             f.write(np.ascontiguousarray(params[name].data, dtype="<f8").tobytes())
 
 
+def _manifest_entry(path, k: int, entry) -> tuple[str, tuple[int, ...]]:
+    """One [name, shape] entry of a checkpoint manifest."""
+    if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str) and isinstance(entry[1], list)
+            and all(type(d) is int and d >= 0 for d in entry[1])):
+        raise ValueError(f"{path}: checkpoint manifest entry {k} is {json.dumps(entry)}, "
+                         "not [name, [non-negative integer dims]]")
+    return entry[0], tuple(entry[1])
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The parameters `save_checkpoint` wrote; a malformed file raises ValueError naming it and the fault."""
     with open(path, "rb") as f:
-        if f.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path}: not a relgnn checkpoint")
-        header = f.read(12)
-        if len(header) != 12:
-            raise ValueError(f"{path}: truncated checkpoint header")
-        version, mlen = struct.unpack("<IQ", header)
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        manifest = json.loads(f.read(mlen).decode("utf-8"))
-        out: dict[str, np.ndarray] = {}
-        for name, shape in manifest:
-            size = 8 * (int(np.prod(shape)) if shape else 1)
-            block = f.read(size)
-            if len(block) != size:
-                raise ValueError(f"{path}: truncated checkpoint, parameter {name!r} has {len(block)} of {size} bytes")
-            out[name] = np.frombuffer(block, dtype="<f8").reshape(shape).astype(np.float64)
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last parameter")
-        return out
+        data = f.read()
+    start = len(_MAGIC) + 12
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: not a relgnn checkpoint")
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    version, mlen = struct.unpack_from("<IQ", data, len(_MAGIC))
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if mlen > len(data) - start:
+        raise ValueError(f"{path}: truncated checkpoint manifest, {len(data) - start} of {mlen} bytes")
+    text = data[start:start + mlen]
+    try:
+        manifest = json.loads(text.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ValueError(f"{path}: checkpoint manifest is not JSON text ({exc})") from None
+    if not isinstance(manifest, list):
+        raise ValueError(f"{path}: checkpoint manifest is not a list of [name, shape] entries")
+    if json.dumps(manifest).encode("utf-8") != text:
+        raise ValueError(f"{path}: checkpoint manifest is not as save_checkpoint writes it")
+    offset = start + mlen
+    out: dict[str, np.ndarray] = {}
+    for k, entry in enumerate(manifest):
+        name, shape = _manifest_entry(path, k, entry)
+        if name in out:
+            raise ValueError(f"{path}: checkpoint manifest entry {k} repeats parameter {name!r}")
+        size = 8 * math.prod(shape)
+        block = data[offset:offset + size]
+        if len(block) != size:
+            raise ValueError(f"{path}: truncated checkpoint, parameter {name!r} has {len(block)} of {size} bytes")
+        out[name] = np.frombuffer(block, dtype="<f8").reshape(shape).astype(np.float64)
+        offset += size
+    if offset != len(data):
+        raise ValueError(f"{path}: trailing bytes after the last parameter")
+    return out

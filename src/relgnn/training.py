@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .encode import NodeTypeEncoder, encode_node
-from .models import build_batch
+from .models import build_batch, encode_tables
 from .optim import AdamW
 from .rdb import Database
 from .sampler import Datapoint
@@ -168,17 +168,18 @@ def positive_scores(logits: np.ndarray) -> np.ndarray:
 
 
 class GraphDataset:
-    """Datapoints indexed by target row, re-encoded per fold with the given encoders."""
+    """Datapoints indexed by target row; every table is encoded once with the fold's encoders, and a
+    batch gathers its rows from those matrices."""
 
     def __init__(self, db: Database, datapoints: list[Datapoint], encoders: list[NodeTypeEncoder]):
         self.db = db
         self.datapoints = datapoints
         self.encoders = encoders
         self.labels = np.array([dp.label for dp in datapoints], dtype=np.int64)
-        self._cache: dict = {}
+        self.tables = encode_tables(db, encoders)
 
     def batch(self, ids):
-        return build_batch([self.datapoints[i] for i in ids], self.db, self.encoders, cache=self._cache)
+        return build_batch([self.datapoints[i] for i in ids], self.db, self.encoders, self.tables)
 
     def loss(self, net, ids, train: bool = False, rng=None) -> Tensor:
         return net.loss(self.batch(ids), train, rng)
@@ -345,15 +346,12 @@ def single_table_features(db: Database, encoders: list[NodeTypeEncoder]) -> np.n
     ti, _ = db.target
     enc = encoders[ti]
     n = db.tables[ti].nrows
-    width = enc.dense_width + sum(enc.categorical[ci].cardinality + 1 for ci in enc.cat_columns)
-    out = np.zeros((n, width))
-    for r in range(n):
-        node = encode_node(db, ti, r, enc)
-        out[r, :enc.dense_width] = node.dense
-        offset = enc.dense_width
-        for j, ci in enumerate(enc.cat_columns):
-            out[r, offset + node.cat_indices[j]] = 1.0
-            offset += enc.categorical[ci].cardinality + 1
+    dense, cats = encode_node(db, ti, np.arange(n), enc)
+    widths = [enc.categorical[ci].cardinality + 1 for ci in enc.cat_columns]
+    out = np.zeros((n, enc.dense_width + sum(widths)))
+    out[:, :enc.dense_width] = dense
+    starts = enc.dense_width + np.cumsum([0] + widths)[:-1]
+    out[np.arange(n)[:, None], starts + cats] = 1.0
     return out
 
 

@@ -1,6 +1,9 @@
-"""Deliberately naive oracles: brute-force ones independent of the library's data structures, and a
-mask-based reference sampler."""
+"""Deliberately naive oracles: brute-force ones independent of the library's data structures, a
+mask-based reference sampler, and a cell-by-cell reference encoder."""
 from __future__ import annotations
+
+import calendar
+import math
 
 import numpy as np
 
@@ -179,3 +182,96 @@ def groupby_oracle(db, child_table, fk_column, value_column):
         if value is not None:
             sums[parent] = sums.get(parent, 0.0) + value
     return counts, sums
+
+
+# ---------------------------------------------------------------------------
+# cell-by-cell reference encoder: one Python call per (row, column), as the library encoded before it
+# encoded whole columns with numpy
+
+
+def _reference_scaled(value, enc):
+    return 0.0 if enc.all_null else (value - enc.median) / enc.iqr
+
+
+def reference_encode_latlong(cell):
+    if cell is None:
+        return np.array([0.0] * 5 + [1.0])
+    lat, long = cell
+    la, lo = math.radians(lat), math.radians(long)
+    return np.array([math.cos(la) * math.cos(lo), math.cos(la) * math.sin(lo), math.sin(la),
+                     lat / 90.0, long / 180.0, 0.0])
+
+
+def _one_hot(width, index):
+    out = np.zeros(width)
+    out[index] = 1.0
+    return out
+
+
+def _cyc(value, period):
+    angle = 2.0 * math.pi * value / period
+    return [math.cos(angle), math.sin(angle)]
+
+
+def reference_encode_datetime(stamp, year_encoder):
+    """Year, month/ISO-week/day/weekday one-hots, day-of-year fraction, six flags, four cos/sin pairs, null flag."""
+    if stamp is None:
+        return np.concatenate([np.zeros(125), [1.0]])
+    date = stamp.date()
+    days_in_month = calendar.monthrange(date.year, date.month)[1]
+    days_in_year = 366 if calendar.isleap(date.year) else 365
+    doy = date.timetuple().tm_yday
+    weekday = date.isoweekday()
+    flags = [
+        date.day == days_in_month,
+        date.day == 1,
+        date.month in (3, 6, 9, 12) and date.day == days_in_month,
+        date.month in (1, 4, 7, 10) and date.day == 1,
+        date.month == 12 and date.day == 31,
+        date.month == 1 and date.day == 1,
+    ]
+    parts = [
+        np.array([_reference_scaled(float(date.year), year_encoder)]),
+        _one_hot(12, date.month - 1),
+        _one_hot(53, date.isocalendar().week - 1),
+        _one_hot(31, date.day - 1),
+        _one_hot(7, weekday - 1),
+        np.array([doy / 366.0]),
+    ]
+    parts += [_one_hot(2, int(flag)) for flag in flags]
+    cyclic = _cyc(weekday, 7) + _cyc(date.day, days_in_month) + _cyc(date.month, 12) + _cyc(doy, days_in_year)
+    parts.append(np.array(cyclic))
+    parts.append(np.array([0.0]))
+    return np.concatenate(parts)
+
+
+def reference_encode_text(value, word_encoder, char_encoder):
+    if value is None:
+        return np.array([0.0, 0.0, 1.0])
+    words, chars = float(len(value.split())), float(len(value))
+    return np.array([_reference_scaled(words, word_encoder), _reference_scaled(chars, char_encoder), 0.0])
+
+
+def reference_encode_row(db, table, row, encoder):
+    """(dense vector, categorical indices) of one row, built cell by cell."""
+    columns = db.tables[table].columns
+    parts = []
+    for ci, tag in encoder.dense_columns:
+        value = columns[ci].values[row]
+        if tag == "scalar":
+            enc = encoder.scalar[ci]
+            null = value is None or enc.all_null
+            parts.append(np.array([0.0, 1.0] if null else [_reference_scaled(value, enc), 0.0]))
+        elif tag == "latlong":
+            parts.append(reference_encode_latlong(value))
+        elif tag == "datetime":
+            parts.append(reference_encode_datetime(value, encoder.year[ci]))
+        elif tag == "text":
+            parts.append(reference_encode_text(value, *encoder.text[ci]))
+    dense = np.concatenate(parts) if parts else np.zeros(0)
+    cats = []
+    for ci in encoder.cat_columns:
+        cat = encoder.categorical[ci]
+        token = columns[ci].values[row]
+        cats.append(cat.null_index if token is None else cat.vocabulary.get(token, cat.null_index))
+    return dense, np.array(cats, dtype=np.int64)

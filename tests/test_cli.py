@@ -227,6 +227,18 @@ def test_eval_rejects_malformed_model_json(capsys, request, synth_dir, tmp_path,
     assert "model.json" in err and named in err
 
 
+def test_eval_rejects_a_malformed_checkpoint(capsys, gcn_run, synth_dir, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(gcn_run, run)
+    checkpoint = run / "fold0" / "checkpoint.bin"
+    raw = checkpoint.read_bytes()
+    blocks = raw[20 + int.from_bytes(raw[12:20], "little"):]  # after magic, version, length and manifest
+    checkpoint.write_bytes(raw[:12] + (3).to_bytes(8, "little") + b"[1]" + blocks)
+    code, _, err = _run(capsys, ["eval", "--run", str(run), "--dataset", str(synth_dir)])
+    assert code == 1
+    assert err.strip().splitlines()[-1].startswith(f"error: {checkpoint}: checkpoint manifest entry 0 is 1,")
+
+
 @pytest.mark.parametrize("folds", ["0", "1", "81"])
 def test_train_rejects_a_fold_count_the_plan_cannot_honour(capsys, synth_dir, tmp_path, folds):
     code, _, err = _run(capsys, ["train", "--dataset", str(synth_dir), "--model", "logreg",
@@ -236,12 +248,12 @@ def test_train_rejects_a_fold_count_the_plan_cannot_honour(capsys, synth_dir, tm
 
 
 @pytest.mark.parametrize("model, spans", [
-    ("gcn", {"sampler.batch_sample"}),
-    ("dfs-logreg", {"dfs.compute_features", "encode.single_table_features"}),
+    ("gcn", {"sampler.batch_sample", "models.build_batch", "encode.encode_node"}),
+    ("dfs-logreg", {"dfs.compute_features", "encode.single_table_features", "encode.encode_node.single_table"}),
 ])
 def test_benchmark_tracer_sees_every_layer_call(synth_dir, tmp_path, model, spans):
-    # perfbench/tracer.py times each layer by wrapping the names relgnn.cli imports; a call that
-    # bypasses them would read 0 in the benchmark instead of failing
+    # perfbench/tracer.py times each layer by wrapping the names that relgnn.cli, relgnn.models and
+    # relgnn.training look up; a call that bypasses them would read 0 in the benchmark instead of failing
     repo = Path(__file__).resolve().parents[1]
     paths = [str(repo / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))

@@ -1,5 +1,5 @@
 import math
-from datetime import datetime
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -20,7 +20,9 @@ from relgnn.encode import (
     fit_scalar,
     text_counts,
 )
-from relgnn.rdb import load_database, remove_target_column
+from relgnn.rdb import Column, ColumnKind, Database, Table, _resolve_foreign_keys, load_database, remove_target_column
+
+from oracles import reference_encode_datetime, reference_encode_row
 
 
 def test_fit_scalar_quantiles():
@@ -175,12 +177,12 @@ def test_fit_encoders_and_node_widths(fixtures_dir):
     assert patient.dense_width == 4  # age + weight, value+flag each
     assert visit.dense_width == 2 + 126  # scalar cost + datetime
     assert visit.cat_columns == []
-    node = encode_node(db, 1, 0, visit)
-    assert node.dense.shape == (128,)
-    assert node.cat_indices.shape == (0,)
+    dense, cats = encode_node(db, 1, np.array([0]), visit)
+    assert dense.shape == (1, 128)
+    assert cats.shape == (1, 0)
     # identical rows encode identically
-    again = encode_node(db, 1, 0, visit)
-    assert np.array_equal(node.dense, again.dense)
+    again, _ = encode_node(db, 1, np.array([0, 0]), visit)
+    assert np.array_equal(dense[0], again[0]) and np.array_equal(dense[0], again[1])
 
 
 def test_target_column_contributes_no_features(fixtures_dir):
@@ -206,8 +208,8 @@ def test_fk_only_table_has_zero_width(tmp_path):
     db = remove_target_column(load_database(tmp_path))
     encoders = fit_encoders(db, {0: [0, 1], 1: [0]})
     assert encoders[1].dense_width == 0
-    node = encode_node(db, 1, 0, encoders[1])
-    assert node.dense.shape == (0,) and len(node.cat_indices) == 0
+    dense, cats = encode_node(db, 1, np.array([0]), encoders[1])
+    assert dense.shape == (1, 0) and cats.shape == (1, 0)
 
 
 def test_no_leakage_from_test_rows(fixtures_dir):
@@ -249,8 +251,88 @@ def test_encoder_json_roundtrip(fixtures_dir, tmp_path):
     text = encoders_to_json(encoders)
     restored = encoders_from_json(text)
     assert encoders_to_json(restored) == text
-    a = encode_node(db, 0, 0, encoders[0])
-    b = encode_node(db, 0, 0, restored[0])
-    assert np.array_equal(a.dense, b.dense)
-    assert np.array_equal(a.cat_indices, b.cat_indices)
+    a_dense, a_cats = encode_node(db, 0, np.array([0, 1]), encoders[0])
+    b_dense, b_cats = encode_node(db, 0, np.array([0, 1]), restored[0])
+    assert np.array_equal(a_dense, b_dense)
+    assert np.array_equal(a_cats, b_cats)
     assert encoders[0].input_width == encoders[0].dense_width + 2  # color embeds at min(32, 2)
+
+
+# ---------------------------------------------------------------------------
+# whole-column encoding against the cell-by-cell reference
+
+
+def _random_feature_table(rng, nrows: int, name: str = "T") -> Table:
+    """Every feature kind with nulls, plus all-null scalar, text and datetime columns."""
+    def nulled(cells, rate):
+        return [None if rng.random() < rate else cell for cell in cells]
+
+    def stamp():
+        if rng.random() < 0.5:  # the days around New Year, where ISO weeks cross into the other year
+            day = date(int(rng.integers(1600, 2401)), 12, 28) + timedelta(days=int(rng.integers(0, 8)))
+        else:
+            day = date(1600, 1, 1) + timedelta(days=int(rng.integers(0, 292_000)))
+        return datetime(day.year, day.month, day.day, int(rng.integers(0, 24)), int(rng.integers(0, 60)))
+
+    words = ["a", "bb", "ccc", "dddd"]
+    text = [" ".join(rng.choice(words, size=int(rng.integers(0, 5)))) for _ in range(nrows)]
+    columns = [
+        Column("id", ColumnKind("primary_key"), False, [f"{name}{r}" for r in range(nrows)]),
+        Column("x", ColumnKind("scalar"), False, nulled([float(v) for v in rng.normal(0, 50, nrows)], 0.2)),
+        Column("pos", ColumnKind("latlong"), False,
+               nulled([(float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180))) for _ in range(nrows)], 0.2)),
+        Column("when", ColumnKind("datetime"), False, nulled([stamp() for _ in range(nrows)], 0.2)),
+        Column("note", ColumnKind("text"), False, nulled(text, 0.2)),
+        Column("color", ColumnKind("categorical"), False,
+               nulled([f"c{int(v)}" for v in rng.integers(0, 12, nrows)], 0.2)),
+        Column("none_x", ColumnKind("scalar"), False, [None] * nrows),
+        Column("none_note", ColumnKind("text"), False, [None] * nrows),
+        Column("none_when", ColumnKind("datetime"), False, [None] * nrows),
+    ]
+    return Table(name, columns)
+
+
+def _assert_matches_reference(db, table, rows, encoder):
+    dense, cats = encode_node(db, table, rows, encoder)
+    assert dense.shape == (len(rows), encoder.dense_width) and dense.dtype == np.float64
+    assert cats.shape == (len(rows), len(encoder.cat_columns)) and cats.dtype == np.int64
+    for i, row in enumerate(rows):
+        want_dense, want_cats = reference_encode_row(db, table, int(row), encoder)
+        assert dense[i].tobytes() == want_dense.tobytes(), (table, row)
+        assert cats[i].tobytes() == want_cats.tobytes(), (table, row)
+
+
+def test_encode_node_matches_cell_by_cell_reference():
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        features = _random_feature_table(rng, int(rng.integers(1, 60)))
+        keys_only = Table("K", [
+            Column("id", ColumnKind("primary_key"), False, ["k0", "k1"]),
+            Column("t", ColumnKind("foreign_key", ("T", "id")), False, ["T0", None]),
+        ])
+        db = Database([features, keys_only], {}, [], [])
+        _resolve_foreign_keys(db, strict=True)
+        n = features.nrows
+        # the encoders see a fold's rows only, so other rows hold unseen tokens and out-of-range values
+        fit_rows = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        encoders = fit_encoders(db, {0: fit_rows, 1: [0]})
+        assert encoders[1].dense_width == 0 and encoders[1].cat_columns == []
+        for rows in (np.arange(n), rng.integers(0, n, size=17), np.array([], dtype=np.int64)):
+            _assert_matches_reference(db, 0, rows, encoders[0])
+        _assert_matches_reference(db, 1, np.array([1, 0, 1]), encoders[1])
+
+
+@pytest.mark.parametrize("year", [ScalarEncoder(2014.0, 7.5), IDENTITY_YEAR, ScalarEncoder(0.0, 1.0, all_null=True)])
+def test_datetime_column_matches_reference_on_every_day(year):
+    days = [date(1999, 1, 1) + timedelta(days=k) for k in range((date(2031, 1, 1) - date(1999, 1, 1)).days)]
+    for y in range(1600, 2401, 7):
+        days += [date(y, 1, 1), date(y, 3, 1) - timedelta(days=1), date(y, 12, 31)]
+    cells = [datetime(d.year, d.month, d.day, 13, 5) for d in days] + [None]
+    db = Database([Table("D", [Column("when", ColumnKind("datetime"), False, cells)])], {}, [], [])
+    encoder = fit_encoders(db, {0: []})[0]
+    encoder.year[0] = year
+    dense, _ = encode_node(db, 0, np.arange(len(cells)), encoder)
+    want = np.stack([reference_encode_datetime(cell, year) for cell in cells])
+    assert dense.tobytes() == want.tobytes()
+    iso_weeks = [d.isocalendar().week for d in days]
+    assert np.array_equal(np.argmax(dense[:-1, WEEK_OFF:WEEK_OFF + 53], axis=1) + 1, iso_weeks)

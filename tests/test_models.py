@@ -14,6 +14,7 @@ from relgnn.models import (
     ModelConfig,
     _et_key,
     build_batch,
+    encode_tables,
 )
 from relgnn.optim import AdamW
 from relgnn.rdb import load_database, remove_target_column
@@ -229,14 +230,25 @@ def test_build_batch_structure(clinic):
     assert b.dense[2].shape[0] == 2 and b.cats[2].shape == (2, 1)
 
 
-def test_build_batch_cache(clinic):
-    cache = {}
-    first = build_batch(clinic.dps, clinic.db, clinic.encoders, cache=cache)
-    assert set(cache) == {(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 0)}
-    again = build_batch(clinic.dps, clinic.db, clinic.encoders, cache=cache)
-    for t in first.types_present:
-        assert np.array_equal(first.dense[t], again.dense[t])
-        assert np.array_equal(first.dense[t], clinic.batch.dense[t])
+def test_build_batch_gathers_what_it_would_encode(clinic, random_database):
+    # a batch gathered from whole encoded tables equals one whose rows are encoded on the fly
+    cases = [(clinic.db, clinic.dps, clinic.encoders)]
+    for seed in range(20):
+        db = remove_target_column(random_database(700 + seed, max_tables=4, max_rows=40))
+        graph = database_to_graph(db)
+        dps = batch_sample(graph, list(range(db.tables[db.target[0]].nrows)))
+        cases.append((db, dps, fit_encoders(db, {t: list(range(0, tb.nrows, 2)) for t, tb in enumerate(db.tables)})))
+    for db, dps, encoders in cases:
+        tables = encode_tables(db, encoders)
+        assert [d.shape[0] for d, _ in tables] == [t.nrows for t in db.tables]
+        for lo in range(0, len(dps), 3):
+            gathered = build_batch(dps[lo:lo + 3], db, encoders, tables)
+            encoded = build_batch(dps[lo:lo + 3], db, encoders)
+            assert gathered.types_present == encoded.types_present
+            for t in encoded.types_present:
+                for got, want in ((gathered.dense[t], encoded.dense[t]), (gathered.cats[t], encoded.cats[t])):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_build_batch_empty():

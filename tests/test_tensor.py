@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -314,6 +315,74 @@ def test_checkpoint_rejects_truncated_block(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: truncated checkpoint, parameter 'b'"):
         load_checkpoint(path)
+
+
+def _with_manifest(tmp_path, manifest: bytes, data: bytes = b"") -> str:
+    header = _two_param_checkpoint(tmp_path).read_bytes()[:12]  # magic and version
+    path = tmp_path / "edited.bin"
+    path.write_bytes(header + struct.pack("<Q", len(manifest)) + manifest + data)
+    return path
+
+
+@pytest.mark.parametrize("manifest, data, fault", [
+    (b"[1]", b"", "entry 0 is 1,"),
+    (b'[["w", [2, "a"]]]', b"", 'entry 0 is ["w", [2, "a"]],'),
+    (b'[["w", [1]], ["b", [-1]]]', bytes(8), 'entry 1 is ["b", [-1]],'),
+    (b'[["w", [true]]]', bytes(8), 'entry 0 is ["w", [true]],'),
+    (b'[[7, [1]]]', bytes(8), "entry 0 is [7, [1]],"),
+    (b'[["w", [1]], ["w", [1]]]', bytes(16), "entry 1 repeats parameter 'w'"),
+    (b'{"w": [1]}', bytes(8), "manifest is not a list"),
+    (b'[["w", [1]]', bytes(8), "manifest is not JSON text"),
+    (b'[["\xff", [1]]]', bytes(8), "manifest is not JSON text"),  # not UTF-8
+])
+def test_checkpoint_rejects_malformed_manifest(tmp_path, manifest, data, fault):
+    path = _with_manifest(tmp_path, manifest, data)
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: ") and fault in str(exc.value)
+
+
+def test_checkpoint_rejects_a_manifest_longer_than_the_file(tmp_path):
+    path = _two_param_checkpoint(tmp_path)
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = struct.pack("<Q", 2**60)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: truncated checkpoint manifest"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_fuzz_truncated_flipped_and_extended(tmp_path):
+    """Every truncation and every appended suffix of a real checkpoint fails naming the file. A flipped
+    byte either fails naming the file or leaves a well-formed checkpoint of other names or values, which
+    must then be read exactly: saving what was loaded gives back the flipped bytes."""
+    original = _two_param_checkpoint(tmp_path).read_bytes()
+    path = tmp_path / "fuzzed.bin"
+    rng = np.random.default_rng(20)
+
+    def outcome(raw: bytes):
+        path.write_bytes(raw)
+        try:
+            return load_checkpoint(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            return None
+
+    cases = [original[:n] for n in range(len(original))]
+    cases += [original + rng.bytes(int(rng.integers(1, 17))) for _ in range(50)]
+    assert all(outcome(raw) is None for raw in cases)
+    loaded = 0
+    flips = [(i, 1 << bit) for i in range(len(original)) for bit in range(8)]
+    flips += [(int(rng.integers(0, len(original))), int(rng.integers(1, 256))) for _ in range(500)]
+    for i, mask in flips:
+        raw = bytearray(original)
+        raw[i] ^= mask
+        params = outcome(bytes(raw))
+        if params is not None:
+            loaded += 1
+            save_checkpoint(tmp_path / "again.bin", {k: Tensor(v) for k, v in params.items()})
+            assert (tmp_path / "again.bin").read_bytes() == bytes(raw), (i, mask)
+    assert 0 < loaded < len(flips)
+    assert {k: v.tolist() for k, v in outcome(original).items()} == {"w": [[0, 1, 2], [3, 4, 5]], "b": [1, 1, 1]}
 
 
 def test_rng_streams_are_stable_and_split():
