@@ -22,7 +22,7 @@ from .dfs import (
     write_features_csv,
 )
 from .encode import encoders_from_json, encoders_to_json, fit_encoders
-from .graph import add_reverse_edges, database_to_graph, graph_stats
+from .graph import database_to_graph, graph_stats
 from .models import VARIANTS, GraphSchema, Model, ModelConfig
 from .rdb import RdbError, load_database, remove_target_column, target_labels, validate_schema
 from .sampler import DEFAULT_SIZE_CAP, SizeCapError, batch_sample, write_datapoints_jsonl
@@ -95,9 +95,7 @@ def cmd_validate(args) -> int:
 def cmd_graph_stats(args) -> int:
     db = load_database(args.dataset)
     graph = database_to_graph(remove_target_column(db))
-    if args.reverse_edges:
-        graph = add_reverse_edges(graph)
-    payload = json.loads(graph_stats(graph).to_json())
+    payload = json.loads(graph_stats(graph, reverse_edges=args.reverse_edges).to_json())
     _emit(args, payload, "graph_stats.json")
     return 0
 

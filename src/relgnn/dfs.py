@@ -15,7 +15,7 @@ from .encode import (
     fit_categorical,
     fit_scalar,
 )
-from .graph import FORWARD, REVERSE
+from .graph import FORWARD, REVERSE, EdgeType, database_to_graph, edge_types, referenced_table
 from .rdb import Database, RdbError
 
 __all__ = [
@@ -63,16 +63,6 @@ class AggSpec:
         return len(self.path)
 
 
-def _foreign_keys(db: Database) -> list[tuple[int, int, int]]:
-    """(table, column, referenced table) for every foreign-key column, in schema order."""
-    out = []
-    for ti, table in enumerate(db.tables):
-        for ci, col in enumerate(table.columns):
-            if col.kind.tag == "foreign_key":
-                out.append((ti, ci, db.table_index(col.kind.references[0])))
-    return out
-
-
 def _scalar_columns(table) -> list[int]:
     return [ci for ci, col in enumerate(table.columns) if col.kind.tag == "scalar" and not col.target]
 
@@ -90,7 +80,8 @@ def enumerate_aggs(db: Database, max_depth: int = 2) -> list[AggSpec]:
     if max_depth < 0:
         raise RdbError(f"max_depth must be non-negative, got {max_depth}")
     target_table, _ = db.target
-    fks = _foreign_keys(db)
+    fks = [(et.table, et.column, referenced_table(db, et))
+           for et in edge_types(db, reverse_edges=False) if et.direction == FORWARD]
     specs: list[AggSpec] = []
 
     def descend(table: int, path: tuple) -> None:
@@ -161,57 +152,76 @@ def _checked_end(db: Database, spec: AggSpec) -> int:
 
 
 def compute_features(db: Database, specs: list[AggSpec], target_rows) -> list[list]:
-    """Raw feature values (None for null), one row per requested target row, in request order."""
+    """Raw feature values (None for null), one row per requested target row, in request order.
+
+    Each distinct path is walked once for all targets through the graph's index, into (target
+    position, end row) pairs in the order that following the rows one target at a time visits them."""
     target_table, _ = db.target
-    nrows = db.tables[target_table].nrows
     ends = [_checked_end(db, spec) for spec in specs]
+    targets = np.fromiter((int(t) for t in target_rows), dtype=np.int64)
+    bad = (targets < 0) | (targets >= db.tables[target_table].nrows)
+    if bad.any():
+        raise RdbError(f"target row {targets[np.argmax(bad)]} is out of range")
+    graph = database_to_graph(db)
+    n = len(targets)
+    walks = {(): (np.arange(n), targets)}
 
-    children: dict[tuple[int, int], dict[int, list[int]]] = {}
+    def walk(path: tuple) -> tuple[np.ndarray, np.ndarray]:
+        if path not in walks:
+            seg, rows = walk(path[:-1])
+            ti, ci, direction = path[-1]
+            if direction == REVERSE:  # the children in the hop's type from each row's in-list, in row order
+                et = EdgeType(ti, ci, FORWARD)
+                edge_ids, counts = graph.in_edges(graph.offsets[referenced_table(db, et)] + rows)
+                keep = graph.type_id[edge_ids] == graph.types.index(et)
+                walks[path] = np.repeat(seg, counts)[keep], graph.src[edge_ids[keep]] - graph.offsets[ti]
+            else:
+                parents = db.fk_rows[(ti, ci)][rows]
+                walks[path] = seg[parents >= 0], parents[parents >= 0]
+        return walks[path]
 
-    def child_rows(ti: int, ci: int, parent: int) -> list[int]:
-        if (ti, ci) not in children:
-            index: dict[int, list[int]] = {}
-            for row, p in enumerate(db.fk_rows[(ti, ci)]):
-                if p >= 0:
-                    index.setdefault(int(p), []).append(row)
-            children[(ti, ci)] = index
-        return children[(ti, ci)].get(parent, [])
-
-    out = []
-    for target in target_rows:
-        target = int(target)
-        if not 0 <= target < nrows:
-            raise RdbError(f"target row {target} is out of range")
-        row_values = []
-        for spec, end in zip(specs, ends):
-            frontier = [target]
-            for ti, ci, direction in spec.path:
-                if direction == REVERSE:
-                    frontier = [r for p in frontier for r in child_rows(ti, ci, p)]
-                else:
-                    fk = db.fk_rows[(ti, ci)]
-                    frontier = [int(fk[r]) for r in frontier if fk[r] >= 0]
-            row_values.append(_evaluate(db, spec, end, frontier))
-        out.append(row_values)
-    return out
+    numeric: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}  # column -> (values, null mask)
+    columns = []
+    for spec, end in zip(specs, ends):
+        seg, rows = walk(spec.path)
+        if spec.aggregator == "count":
+            columns.append(np.bincount(seg, minlength=n).astype(np.float64).tolist())
+            continue
+        cells = db.tables[end].columns[spec.source].values
+        if spec.aggregator == COPY:  # the first end row's cell
+            columns.append([None] * n)
+            positions, firsts = np.unique(seg, return_index=True)
+            for position, row in zip(positions.tolist(), rows[firsts].tolist()):
+                columns[-1][position] = cells[row]
+            continue
+        if (end, spec.source) not in numeric:
+            numeric[end, spec.source] = (np.array([0.0 if v is None else v for v in cells], dtype=np.float64),
+                                         np.array([v is None for v in cells], dtype=bool))
+        values, null = numeric[end, spec.source]
+        keep = ~null[rows]
+        columns.append(_aggregate(spec.aggregator, seg[keep], values[rows[keep]], n))
+    return [list(values) for values in zip(*columns)] if columns else [[] for _ in targets]
 
 
-def _evaluate(db: Database, spec: AggSpec, end_table: int, rows: list[int]):
-    if spec.aggregator == "count":
-        return float(len(rows))
-    cells = [db.tables[end_table].cell(r, spec.source) for r in rows]
-    if spec.aggregator == COPY:
-        return cells[0] if cells else None
-    values = [v for v in cells if v is not None]
-    if len(values) == 0:
-        return None
-    if spec.aggregator == "sum":
-        return float(sum(values))
-    if spec.aggregator == "mean":
-        return float(sum(values)) / len(values)
-    if spec.aggregator == "max":
-        return float(max(values))
-    return float(min(values))
+def _aggregate(aggregator: str, seg: np.ndarray, values: np.ndarray, n: int) -> list:
+    """sum, mean, max or min of each target's non-null values, in walk order; None without one.
+
+    Sums add in walk order from 0.0 and the extremes keep the first extreme value, so every result is
+    the float that Python's `sum`, `max` and `min` give over the same values."""
+    counts = np.bincount(seg, minlength=n)
+    if aggregator in ("sum", "mean"):
+        out = np.bincount(seg, weights=values, minlength=n)
+        if aggregator == "mean":
+            out = out / np.maximum(counts, 1)
+    else:
+        ufunc, init = (np.maximum, -np.inf) if aggregator == "max" else (np.minimum, np.inf)
+        out = np.full(n, init)
+        ufunc.at(out, seg, values)
+        # 0.0 and -0.0 tie: keep each target's first extreme value, as Python's max and min do
+        hits = np.flatnonzero(values == out[seg])
+        firsts = hits[np.unique(seg[hits], return_index=True)[1]]
+        out[seg[firsts]] = values[firsts]
+    return [v if c else None for v, c in zip(out.tolist(), counts.tolist())]
 
 
 def feature_names(db: Database, specs: list[AggSpec]) -> list[str]:

@@ -271,14 +271,17 @@ def fit_encoders(db: Database, train_rows: dict[int, list[int]]) -> list[NodeTyp
     return encoders
 
 
-def encode_node(db: Database, table: int, rows, encoder: NodeTypeEncoder) -> tuple[np.ndarray, np.ndarray]:
+def encode_node(db: Database, table: int, rows, encoder: NodeTypeEncoder,
+                dense: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The given rows of one table as (dense (n, dense width), categorical indices (n, #categorical columns)).
 
-    Each column is encoded whole, straight into its block of the dense matrix.
+    Each column is encoded whole, straight into its block of the dense matrix. `dense`, when given, is
+    that matrix: zero-filled, possibly a view into a wider one.
     """
     rows = np.asarray(rows, dtype=np.int64).tolist()
     columns = db.tables[table].columns
-    dense = np.zeros((len(rows), encoder.dense_width))
+    if dense is None:
+        dense = np.zeros((len(rows), encoder.dense_width))
     offset = 0
     for ci, tag in encoder.dense_columns:
         values = columns[ci].values

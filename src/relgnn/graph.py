@@ -1,9 +1,9 @@
-"""Interpret a relational database as a typed directed multigraph: rows become nodes, FK cells become edges."""
+"""Interpret a relational database as a typed directed multigraph, the one index that the sampler, DFS
+and graph-stats read: rows become nodes, FK cells become edges."""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -12,8 +12,9 @@ from .rdb import Database
 __all__ = [
     "EdgeType",
     "HeteroGraph",
+    "edge_types",
+    "referenced_table",
     "database_to_graph",
-    "add_reverse_edges",
     "graph_stats",
     "GraphStats",
 ]
@@ -34,22 +35,68 @@ class EdgeType:
         return EdgeType(self.table, self.column, REVERSE)
 
 
+def edge_types(db: Database, reverse_edges: bool = True) -> list[EdgeType]:
+    """Every edge type of the database's graph, sorted: a forward type per foreign-key column, with
+    `reverse_edges` its reverse too, and one self loop per table."""
+    directions = (FORWARD, REVERSE) if reverse_edges else (FORWARD,)
+    fks = [(ti, ci) for ti, table in enumerate(db.tables) for ci, col in enumerate(table.columns)
+           if col.kind.tag == "foreign_key"]
+    return sorted([EdgeType(ti, ci, d) for ti, ci in fks for d in directions]
+                  + [EdgeType(ti, -1, SELF_LOOP) for ti in range(len(db.tables))])
+
+
+def referenced_table(db: Database, et: EdgeType) -> int:
+    """The table that the foreign-key column of `et` references."""
+    return db.table_index(db.tables[et.table].columns[et.column].kind.references[0])
+
+
+def _csr_lists(start: np.ndarray, order: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids of the nodes' CSR lists, concatenated in node order, and each list's length."""
+    lo = start[nodes]
+    counts = start[nodes + 1] - lo
+    first = np.cumsum(counts) - counts
+    positions = np.arange(int(counts.sum())) + np.repeat(lo - first, counts)
+    return order[positions], counts
+
+
 @dataclass
 class HeteroGraph:
-    """Immutable after build; edge arrays are per edge type with a fixed (src table, dst table)."""
+    """Rows as nodes with global ids (table offset + row); the forward edges as one flat list, one block
+    per type in `types` order and each block in row order, with CSR out- and in-lists over it.
+
+    Immutable after `database_to_graph` builds it. Reverse edges are the in-lists and self loops one
+    per node, so neither is stored."""
 
     db: Database
     node_counts: list[int]
-    # EdgeType -> (src table, dst table, src row array, dst row array)
-    edges: dict[EdgeType, tuple[int, int, np.ndarray, np.ndarray]]
+    offsets: np.ndarray  # first global id of each table, then the node count
+    types: list[EdgeType]  # forward edge types, sorted; `type_id` indexes this list
+    src: np.ndarray  # global id of each forward edge's referencing row
+    dst: np.ndarray  # global id of each forward edge's referenced row
+    type_id: np.ndarray
+    out_sorted: np.ndarray  # edge ids ordered by src, stable
+    out_start: np.ndarray  # node -> first position of its out-list in `out_sorted`; one past the end last
+    in_sorted: np.ndarray  # edge ids ordered by dst, stable
+    in_start: np.ndarray
 
     @property
     def num_nodes(self) -> int:
-        return sum(self.node_counts)
+        return int(self.offsets[-1])
 
-    def num_edges(self, directions: Iterable[str] = (FORWARD, REVERSE, SELF_LOOP)) -> int:
-        wanted = set(directions)
-        return sum(len(src) for et, (_, _, src, _) in self.edges.items() if et.direction in wanted)
+    def out_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the edges leaving each node, node by node, and how many leave each."""
+        return _csr_lists(self.out_start, self.out_sorted, nodes)
+
+    def in_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the edges entering each node, node by node, and how many enter each; each node's
+        are in the flat list's order, so per type in row order."""
+        return _csr_lists(self.in_start, self.in_sorted, nodes)
+
+    def out_neighbors(self, node: int) -> np.ndarray:
+        return self.dst[self.out_sorted[self.out_start[node] : self.out_start[node + 1]]]
+
+    def in_neighbors(self, node: int) -> np.ndarray:
+        return self.src[self.in_sorted[self.in_start[node] : self.in_start[node + 1]]]
 
     def edge_type_name(self, et: EdgeType) -> str:
         table = self.db.tables[et.table]
@@ -61,27 +108,20 @@ class HeteroGraph:
 def database_to_graph(db: Database) -> HeteroGraph:
     """One node per row; one forward edge per resolved non-null FK cell, referencing row -> referenced row."""
     node_counts = [t.nrows for t in db.tables]
-    edges: dict[EdgeType, tuple[int, int, np.ndarray, np.ndarray]] = {}
-    for (ti, ci), resolved in sorted(db.fk_rows.items()):
-        ref_table, _ = db.tables[ti].columns[ci].kind.references
-        dst_table = db.table_index(ref_table)
-        mask = resolved >= 0
-        src = np.nonzero(mask)[0].astype(np.int64)
-        dst = resolved[mask]
-        edges[EdgeType(ti, ci, FORWARD)] = (ti, dst_table, src, dst)
-    return HeteroGraph(db, node_counts, edges)
-
-
-def add_reverse_edges(graph: HeteroGraph) -> HeteroGraph:
-    """Pair every forward type with a reverse type carrying the swapped endpoints; idempotent."""
-    edges = dict(graph.edges)
-    for et, (src_t, dst_t, src, dst) in graph.edges.items():
-        if et.direction != FORWARD:
-            continue
-        rev = et.paired_reverse()
-        if rev not in edges:
-            edges[rev] = (dst_t, src_t, dst, src)
-    return HeteroGraph(graph.db, graph.node_counts, edges)
+    offsets = np.cumsum([0] + node_counts)
+    types = [et for et in edge_types(db, reverse_edges=False) if et.direction == FORWARD]
+    src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for et in types:
+        resolved = db.fk_rows[(et.table, et.column)]
+        rows = np.nonzero(resolved >= 0)[0]
+        src.append(offsets[et.table] + rows)
+        dst.append(offsets[referenced_table(db, et)] + resolved[rows])
+    type_id = np.repeat(np.arange(len(types), dtype=np.int64), [len(rows) for rows in src[1:]])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    out_sorted, in_sorted = np.argsort(src, kind="stable"), np.argsort(dst, kind="stable")
+    nodes = np.arange(offsets[-1] + 1)
+    return HeteroGraph(db, node_counts, offsets, types, src, dst, type_id, out_sorted,
+                       np.searchsorted(src[out_sorted], nodes), in_sorted, np.searchsorted(dst[in_sorted], nodes))
 
 
 @dataclass
@@ -89,18 +129,6 @@ class GraphStats:
     node_counts: dict[str, int]
     edge_counts: dict[str, int]
     in_degree_histogram: dict[int, int]  # over forward edges only
-
-    def render(self) -> str:
-        lines = [f"nodes: {sum(self.node_counts.values())}"]
-        for name, count in self.node_counts.items():
-            lines.append(f"  {name}: {count}")
-        lines.append(f"edges: {sum(self.edge_counts.values())}")
-        for name, count in self.edge_counts.items():
-            lines.append(f"  {name}: {count}")
-        lines.append("forward in-degree histogram:")
-        for degree in sorted(self.in_degree_histogram):
-            lines.append(f"  degree {degree}: {self.in_degree_histogram[degree]} nodes")
-        return "\n".join(lines)
 
     def to_json(self) -> str:
         payload = {
@@ -111,14 +139,14 @@ class GraphStats:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def graph_stats(graph: HeteroGraph) -> GraphStats:
+def graph_stats(graph: HeteroGraph, reverse_edges: bool = False) -> GraphStats:
+    """Nodes per table and edges per type; with `reverse_edges` each forward type's reverse counts too."""
     node_counts = {t.name: n for t, n in zip(graph.db.tables, graph.node_counts)}
-    edge_counts = {graph.edge_type_name(et): len(src) for et, (_, _, src, _) in sorted(graph.edges.items())}
-    offsets = np.cumsum([0] + graph.node_counts)
-    in_degree = np.zeros(graph.num_nodes, dtype=np.int64)
-    for et, (_, dst_t, _, dst) in graph.edges.items():
-        if et.direction == FORWARD:
-            np.add.at(in_degree, offsets[dst_t] + dst, 1)
-    degrees, counts = np.unique(in_degree, return_counts=True) if graph.num_nodes else ([], [])
+    edge_counts = {}
+    for et, count in zip(graph.types, np.bincount(graph.type_id, minlength=len(graph.types)).tolist()):
+        edge_counts[graph.edge_type_name(et)] = count
+        if reverse_edges:
+            edge_counts[graph.edge_type_name(et.paired_reverse())] = count
+    degrees, counts = np.unique(np.diff(graph.in_start), return_counts=True)
     histogram = {int(d): int(c) for d, c in zip(degrees, counts)}
     return GraphStats(node_counts, edge_counts, histogram)

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .encode import NodeTypeEncoder, encode_node
-from .graph import FORWARD, REVERSE, SELF_LOOP, EdgeType
+from .graph import SELF_LOOP, EdgeType, edge_types
 from .rdb import Database
 from .sampler import Datapoint
 from .tensor import (
@@ -94,15 +94,7 @@ class GraphSchema:
                 cat = enc.categorical[ci]
                 specs.append((ci, cat.cardinality + 1, cat.embedding_dim))
             cat_specs.append(specs)
-        edge_types = []
-        for ti, table in enumerate(db.tables):
-            for ci, col in enumerate(table.columns):
-                if col.kind.tag == "foreign_key":
-                    edge_types.append(EdgeType(ti, ci, FORWARD))
-                    if reverse_edges:
-                        edge_types.append(EdgeType(ti, ci, REVERSE))
-            edge_types.append(EdgeType(ti, -1, SELF_LOOP))
-        return cls(widths, cat_specs, sorted(edge_types))
+        return cls(widths, cat_specs, edge_types(db, reverse_edges))
 
 
 @dataclass

@@ -96,18 +96,55 @@ class Database:
         return self.tables[self.table_index(name)]
 
 
-def _parse_kind(spec: dict, table_names: set[str]) -> ColumnKind:
-    tag = spec.get("kind")
-    if tag not in KIND_TAGS:
-        raise RdbError(f"unknown column kind {tag!r}")
-    if tag == "foreign_key":
-        ref = spec.get("references")
-        if not ref or "table" not in ref or "column" not in ref:
-            raise RdbError(f"foreign_key column {spec.get('name')!r} lacks a references entry")
-        if ref["table"] not in table_names:
-            raise RdbError(f"foreign_key column {spec.get('name')!r} references unknown table {ref['table']!r}")
-        return ColumnKind(tag, (ref["table"], ref["column"]))
-    return ColumnKind(tag)
+def _field(obj, key: str, kind: type, where: str, path: Path):
+    """obj[key], which must exist and be of `kind`; fails naming the file and where in it."""
+    if not isinstance(obj, dict):
+        raise RdbError(f"{path}: {where} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise RdbError(f"{path}: {where} lacks key {key!r}")
+    if not isinstance(obj[key], kind):
+        raise RdbError(f"{path}: {where}: {key!r} must be a {kind.__name__}, got {type(obj[key]).__name__}")
+    return obj[key]
+
+
+def _read_schema(path: Path) -> list[tuple[Table, str]]:
+    """Each table of schema.json, its columns still empty, with its CSV file name. A malformed file
+    fails naming itself and the table, column or key."""
+    try:
+        schema = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise RdbError(f"{path}: invalid JSON: {exc}") from None
+    specs = _field(schema, "tables", list, "the schema", path)
+    names = [_field(spec, "name", str, f"tables[{ti}]", path) for ti, spec in enumerate(specs)]
+    if len(set(names)) != len(names):
+        raise RdbError(f"{path}: duplicate table names")
+    out = []
+    for name, spec in zip(names, specs):
+        file = _field(spec, "file", str, f"table {name}", path)
+        columns: list[Column] = []
+        for ci, col in enumerate(_field(spec, "columns", list, f"table {name}", path)):
+            col_name = _field(col, "name", str, f"table {name} columns[{ci}]", path)
+            where = f"table {name} column {col_name}"
+            if any(c.name == col_name for c in columns):
+                raise RdbError(f"{path}: duplicate column {col_name!r} in table {name}")
+            tag = _field(col, "kind", str, where, path)
+            if tag not in KIND_TAGS:
+                raise RdbError(f"{path}: {where}: unknown column kind {tag!r}")
+            references = None
+            if tag == "foreign_key":
+                ref = _field(col, "references", dict, where, path)
+                references = (_field(ref, "table", str, f"{where} references", path),
+                              _field(ref, "column", str, f"{where} references", path))
+                if references[0] not in names:
+                    raise RdbError(f"{path}: {where} references unknown table {references[0]!r}")
+            target = col.get("target", False)
+            if not isinstance(target, bool):
+                raise RdbError(f"{path}: {where}: 'target' must be true or false, got {target!r}")
+            if target and tag != "categorical":
+                raise RdbError(f"{path}: target column {name}.{col_name} must be categorical")
+            columns.append(Column(col_name, ColumnKind(tag, references), target, []))
+        out.append((Table(name, columns), file))
+    return out
 
 
 def _parse_cell(text: str, kind: ColumnKind, where: str):
@@ -146,62 +183,50 @@ def load_database(root: str | Path, strict: bool = True) -> Database:
     schema_path = root / "schema.json"
     if not schema_path.is_file():
         raise RdbError(f"missing file: {schema_path}")
-    schema = json.loads(schema_path.read_text(encoding="utf-8"))
-
-    table_specs = schema.get("tables", [])
-    table_names = [spec["name"] for spec in table_specs]
-    if len(set(table_names)) != len(table_names):
-        raise RdbError("duplicate table names in schema")
-    name_set = set(table_names)
-
     tables: list[Table] = []
-    target_flags: list[tuple[int, int]] = []
-    for ti, spec in enumerate(table_specs):
-        columns: list[Column] = []
-        seen = set()
-        for ci, col_spec in enumerate(spec["columns"]):
-            name = col_spec["name"]
-            if name in seen:
-                raise RdbError(f"duplicate column {name!r} in table {spec['name']}")
-            seen.add(name)
-            kind = _parse_kind(col_spec, name_set)
-            is_target = bool(col_spec.get("target", False))
-            if is_target:
-                if kind.tag != "categorical":
-                    raise RdbError(f"target column {spec['name']}.{name} must be categorical")
-                target_flags.append((ti, ci))
-            columns.append(Column(name, kind, is_target, []))
-        tables.append(Table(spec["name"], columns))
-
-        csv_path = root / spec["file"]
-        if not csv_path.is_file():
-            raise RdbError(f"missing file: {csv_path}")
-        with open(csv_path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise RdbError(f"{csv_path} has no header row")
-            repeated = [h for i, h in enumerate(header) if h in header[:i]]
-            if repeated:
-                raise RdbError(f"duplicate column {repeated[0]!r} in the header of {csv_path}")
-            declared = {col.name for col in columns}
-            undeclared = [h for h in header if h not in declared]
-            if undeclared:
-                raise RdbError(f"undeclared column {undeclared[0]!r} in {csv_path}")
-            missing = declared - set(header)
-            if missing:
-                raise RdbError(f"column {sorted(missing)[0]!r} missing from {csv_path}")
-            positions = [header.index(col.name) for col in columns]
-            for ri, row in enumerate(reader):
-                if len(row) != len(header):
-                    raise RdbError(f"{csv_path} row {ri}: expected {len(header)} fields, got {len(row)}")
-                for col, pos in zip(columns, positions):
-                    where = f"table {spec['name']} row {ri} column {col.name}"
-                    col.values.append(_parse_cell(row[pos], col.kind, where))
-
+    path = schema_path  # the file being read
+    try:
+        for table, file in _read_schema(schema_path):
+            tables.append(table)
+            path = root / file
+            if not path.is_file():
+                raise RdbError(f"missing file: {path}")
+            _read_csv(path, table)
+    except UnicodeDecodeError as exc:
+        raise RdbError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except csv.Error as exc:
+        raise RdbError(f"{path}: {exc}") from None
+    target_flags = [(ti, ci) for ti, t in enumerate(tables) for ci, col in enumerate(t.columns) if col.target]
     db = Database(tables, {}, [], target_flags)
     _resolve_foreign_keys(db, strict)
     return db
+
+
+def _read_csv(csv_path: Path, table: Table) -> None:
+    """Append each row's parsed cells to the table's columns, matching the header to the column names."""
+    columns = table.columns
+    with open(csv_path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise RdbError(f"{csv_path} has no header row")
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise RdbError(f"duplicate column {repeated[0]!r} in the header of {csv_path}")
+        declared = {col.name for col in columns}
+        undeclared = [h for h in header if h not in declared]
+        if undeclared:
+            raise RdbError(f"undeclared column {undeclared[0]!r} in {csv_path}")
+        missing = declared - set(header)
+        if missing:
+            raise RdbError(f"column {sorted(missing)[0]!r} missing from {csv_path}")
+        positions = [header.index(col.name) for col in columns]
+        for ri, row in enumerate(reader):
+            if len(row) != len(header):
+                raise RdbError(f"{csv_path} row {ri}: expected {len(header)} fields, got {len(row)}")
+            for col, pos in zip(columns, positions):
+                where = f"table {table.name} row {ri} column {col.name}"
+                col.values.append(_parse_cell(row[pos], col.kind, where))
 
 
 def _resolve_foreign_keys(db: Database, strict: bool) -> None:

@@ -346,10 +346,9 @@ def single_table_features(db: Database, encoders: list[NodeTypeEncoder]) -> np.n
     ti, _ = db.target
     enc = encoders[ti]
     n = db.tables[ti].nrows
-    dense, cats = encode_node(db, ti, np.arange(n), enc)
     widths = [enc.categorical[ci].cardinality + 1 for ci in enc.cat_columns]
     out = np.zeros((n, enc.dense_width + sum(widths)))
-    out[:, :enc.dense_width] = dense
+    _, cats = encode_node(db, ti, np.arange(n), enc, out[:, :enc.dense_width])
     starts = enc.dense_width + np.cumsum([0] + widths)[:-1]
     out[np.arange(n)[:, None], starts + cats] = 1.0
     return out

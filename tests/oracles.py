@@ -1,5 +1,5 @@
 """Deliberately naive oracles: brute-force ones independent of the library's data structures, a
-mask-based reference sampler, and a cell-by-cell reference encoder."""
+mask-based reference sampler, a per-target reference DFS and a cell-by-cell reference encoder."""
 from __future__ import annotations
 
 import calendar
@@ -7,7 +7,9 @@ import math
 
 import numpy as np
 
-from relgnn.graph import SELF_LOOP, EdgeType
+from relgnn.dfs import COPY, AggSpec, _checked_end
+from relgnn.graph import REVERSE, SELF_LOOP, EdgeType
+from relgnn.rdb import Database, RdbError
 from relgnn.sampler import Datapoint, SizeCapError
 
 
@@ -74,28 +76,28 @@ def edge_type_once_oracle(db, target):
     return vs
 
 
-def reference_datapoint(index, target, *, edge_type_once=False, cap=10**9, reverse_edges=True, label=None):
+def reference_datapoint(graph, target, *, edge_type_once=False, cap=10**9, reverse_edges=True, label=None):
     """The datapoint of `target` from full-size node masks and a scan of every edge of the graph.
 
     O(database) per target, with the edge order the library's sampler must reproduce: per forward
-    type, the edges in the graph's order. `index` is a `relgnn.sampler._ForwardIndex`; only its
-    flat edge arrays and neighbor lists are read.
+    type, the edges in the graph's order. `graph` is a `relgnn.graph.HeteroGraph`; only its flat
+    edge arrays and neighbor lists are read.
     """
-    start = int(index.offsets[target[0]] + target[1])
+    start = int(graph.offsets[target[0]] + target[1])
     closure = _reference_closure_edge_type_once if edge_type_once else _reference_closure
-    selected = closure(index, start, cap)
+    selected = closure(graph, start, cap)
 
     global_ids = np.nonzero(selected)[0]  # ascending global id = canonical (table, row) order
-    local_of = np.full(index.graph.num_nodes, -1, dtype=np.int64)
+    local_of = np.full(graph.num_nodes, -1, dtype=np.int64)
     local_of[global_ids] = np.arange(len(global_ids))
-    node_types = np.searchsorted(index.offsets, global_ids, side="right") - 1
-    nodes = [(int(t), int(g - index.offsets[t])) for t, g in zip(node_types, global_ids)]
+    node_types = np.searchsorted(graph.offsets, global_ids, side="right") - 1
+    nodes = [(int(t), int(g - graph.offsets[t])) for t, g in zip(node_types, global_ids)]
     edges = {}
-    keep = selected[index.src] & selected[index.dst]
-    for k, et in enumerate(index.types):
-        mask = keep & (index.type_id == k)
-        src = local_of[index.src[mask]]
-        dst = local_of[index.dst[mask]]
+    keep = selected[graph.src] & selected[graph.dst]
+    for k, et in enumerate(graph.types):
+        mask = keep & (graph.type_id == k)
+        src = local_of[graph.src[mask]]
+        dst = local_of[graph.dst[mask]]
         edges[et] = (src, dst)
         if reverse_edges:
             edges[et.paired_reverse()] = (dst, src)
@@ -121,27 +123,27 @@ def _reference_bfs(start, selected, neighbors, cap):
         frontier = next_frontier
 
 
-def _reference_closure(index, start, cap):
-    selected = np.zeros(index.graph.num_nodes, dtype=bool)
+def _reference_closure(graph, start, cap):
+    selected = np.zeros(graph.num_nodes, dtype=bool)
     selected[start] = True
-    _reference_bfs([start], selected, index.in_neighbors, cap)
-    _reference_bfs(list(np.nonzero(selected)[0]), selected, index.out_neighbors, cap)
+    _reference_bfs([start], selected, graph.in_neighbors, cap)
+    _reference_bfs(list(np.nonzero(selected)[0]), selected, graph.out_neighbors, cap)
     return selected
 
 
-def _reference_closure_edge_type_once(index, start, cap):
-    selected = np.zeros(index.graph.num_nodes, dtype=bool)
+def _reference_closure_edge_type_once(graph, start, cap):
+    selected = np.zeros(graph.num_nodes, dtype=bool)
     selected[start] = True
     count = 1
-    used = np.zeros(len(index.types), dtype=bool)
-    for adds_from, adds_to in ((index.dst, index.src), (index.src, index.dst)):
+    used = np.zeros(len(graph.types), dtype=bool)
+    for adds_from, adds_to in ((graph.dst, graph.src), (graph.src, graph.dst)):
         while True:
             if count > cap:
                 raise SizeCapError(count, cap)
-            crossing = selected[adds_from] & ~selected[adds_to] & ~used[index.type_id]
+            crossing = selected[adds_from] & ~selected[adds_to] & ~used[graph.type_id]
             if not crossing.any():
                 break
-            used[np.unique(index.type_id[crossing])] = True
+            used[np.unique(graph.type_id[crossing])] = True
             added = np.unique(adds_to[crossing])
             selected[added] = True
             count += len(added)
@@ -182,6 +184,65 @@ def groupby_oracle(db, child_table, fk_column, value_column):
         if value is not None:
             sums[parent] = sums.get(parent, 0.0) + value
     return counts, sums
+
+
+# ---------------------------------------------------------------------------
+# per-target reference DFS: a dict child index and one Python walk and aggregate per (target, spec), as
+# the library computed features before it walked each path once for all targets
+
+
+def reference_features(db: Database, specs: list[AggSpec], target_rows) -> list[list]:
+    """Raw feature values (None for null), one row per requested target row, in request order."""
+    target_table, _ = db.target
+    nrows = db.tables[target_table].nrows
+    ends = [_checked_end(db, spec) for spec in specs]
+
+    children: dict[tuple[int, int], dict[int, list[int]]] = {}
+
+    def child_rows(ti: int, ci: int, parent: int) -> list[int]:
+        if (ti, ci) not in children:
+            index: dict[int, list[int]] = {}
+            for row, p in enumerate(db.fk_rows[(ti, ci)]):
+                if p >= 0:
+                    index.setdefault(int(p), []).append(row)
+            children[(ti, ci)] = index
+        return children[(ti, ci)].get(parent, [])
+
+    out = []
+    for target in target_rows:
+        target = int(target)
+        if not 0 <= target < nrows:
+            raise RdbError(f"target row {target} is out of range")
+        row_values = []
+        for spec, end in zip(specs, ends):
+            frontier = [target]
+            for ti, ci, direction in spec.path:
+                if direction == REVERSE:
+                    frontier = [r for p in frontier for r in child_rows(ti, ci, p)]
+                else:
+                    fk = db.fk_rows[(ti, ci)]
+                    frontier = [int(fk[r]) for r in frontier if fk[r] >= 0]
+            row_values.append(_evaluate(db, spec, end, frontier))
+        out.append(row_values)
+    return out
+
+
+def _evaluate(db: Database, spec: AggSpec, end_table: int, rows: list[int]):
+    if spec.aggregator == "count":
+        return float(len(rows))
+    cells = [db.tables[end_table].cell(r, spec.source) for r in rows]
+    if spec.aggregator == COPY:
+        return cells[0] if cells else None
+    values = [v for v in cells if v is not None]
+    if len(values) == 0:
+        return None
+    if spec.aggregator == "sum":
+        return float(sum(values))
+    if spec.aggregator == "mean":
+        return float(sum(values)) / len(values)
+    if spec.aggregator == "max":
+        return float(max(values))
+    return float(min(values))
 
 
 # ---------------------------------------------------------------------------

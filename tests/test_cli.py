@@ -78,6 +78,90 @@ def test_graph_stats_clinic(capsys, fixtures_dir):
     assert all(name.endswith(":forward") for name in forward_only["edge_counts"])
 
 
+# graph_stats.json byte for byte, keyed by (fixture, reverse edges on)
+_GRAPH_STATS = {
+    ("clinic", True): (
+        '{\n'
+        '  "edge_counts": {\n'
+        '    "Visit.doctor_id:forward": 2,\n'
+        '    "Visit.doctor_id:reverse": 2,\n'
+        '    "Visit.patient_id:forward": 3,\n'
+        '    "Visit.patient_id:reverse": 3\n'
+        '  },\n'
+        '  "in_degree_histogram": {\n'
+        '    "0": 3,\n'
+        '    "1": 1,\n'
+        '    "2": 2\n'
+        '  },\n'
+        '  "node_counts": {\n'
+        '    "Doctor": 1,\n'
+        '    "Patient": 2,\n'
+        '    "Visit": 3\n'
+        '  }\n'
+        '}\n'
+    ),
+    ("clinic", False): (
+        '{\n'
+        '  "edge_counts": {\n'
+        '    "Visit.doctor_id:forward": 2,\n'
+        '    "Visit.patient_id:forward": 3\n'
+        '  },\n'
+        '  "in_degree_histogram": {\n'
+        '    "0": 3,\n'
+        '    "1": 1,\n'
+        '    "2": 2\n'
+        '  },\n'
+        '  "node_counts": {\n'
+        '    "Doctor": 1,\n'
+        '    "Patient": 2,\n'
+        '    "Visit": 3\n'
+        '  }\n'
+        '}\n'
+    ),
+    ("patients_small", True): (
+        '{\n'
+        '  "edge_counts": {\n'
+        '    "Visit.patient_id:forward": 3,\n'
+        '    "Visit.patient_id:reverse": 3\n'
+        '  },\n'
+        '  "in_degree_histogram": {\n'
+        '    "0": 3,\n'
+        '    "1": 1,\n'
+        '    "2": 1\n'
+        '  },\n'
+        '  "node_counts": {\n'
+        '    "Patient": 2,\n'
+        '    "Visit": 3\n'
+        '  }\n'
+        '}\n'
+    ),
+    ("patients_small", False): (
+        '{\n'
+        '  "edge_counts": {\n'
+        '    "Visit.patient_id:forward": 3\n'
+        '  },\n'
+        '  "in_degree_histogram": {\n'
+        '    "0": 3,\n'
+        '    "1": 1,\n'
+        '    "2": 1\n'
+        '  },\n'
+        '  "node_counts": {\n'
+        '    "Patient": 2,\n'
+        '    "Visit": 3\n'
+        '  }\n'
+        '}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture, reverse_edges", sorted(_GRAPH_STATS))
+def test_graph_stats_json_bytes(fixtures_dir, tmp_path, capsys, fixture, reverse_edges):
+    out = tmp_path / "stats"
+    argv = ["graph-stats", "--dataset", str(fixtures_dir / fixture), "--out", str(out)]
+    assert main(argv + ([] if reverse_edges else ["--no-reverse-edges"])) == 0
+    assert (out / "graph_stats.json").read_bytes() == _GRAPH_STATS[fixture, reverse_edges].encode()
+
+
 def test_synth_writes_dataset(synth_dir):
     for name in ("schema.json", "Target.csv", "Child.csv", "manifest.json", "synth_report.json"):
         assert (synth_dir / name).is_file(), name

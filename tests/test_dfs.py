@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import groupby_oracle
+from oracles import groupby_oracle, reference_features
 from relgnn.dfs import (
     COPY,
     AggSpec,
@@ -326,6 +326,64 @@ def test_depth1_mean_max_min_brute_force(random_database):
                 assert raw[r][j] == min(vals)
             else:
                 assert math.isclose(raw[r][j], float(np.mean(vals)), rel_tol=1e-12, abs_tol=0.0)
+
+
+# awkward scalars: signed zeros, magnitudes 24 orders apart (sums depend on the order of addition) and nulls
+_AWKWARD = (-0.0, 0.0, 1e12, -1e12, 1e-12, -1e-12, 3.5, -7.25, None)
+
+
+def _awkward_database(random_database, seed):
+    """A random database whose scalar cells come from _AWKWARD; some columns are all null."""
+    db = random_database(seed, max_tables=4, max_rows=60)
+    rng = np.random.default_rng(seed)
+    for table in db.tables:
+        for col in table.columns:
+            if col.kind.tag == "scalar":
+                picks = rng.integers(0, len(_AWKWARD), size=table.nrows)
+                col.values = [None if rng.random() < 0.2 else _AWKWARD[k] for k in picks.tolist()]
+                if rng.random() < 0.15:
+                    col.values = [None] * table.nrows
+    return db
+
+
+def _random_specs(db, rng, count):
+    """Specs on random mixed paths of 1-3 hops from the target table, with any aggregator."""
+    hops = []  # (hop, table it starts at, table it ends at)
+    for ti, table in enumerate(db.tables):
+        for ci, col in enumerate(table.columns):
+            if col.kind.tag == "foreign_key":
+                ref = db.table_index(col.kind.references[0])
+                hops += [((ti, ci, REVERSE), ref, ti), ((ti, ci, FORWARD), ti, ref)]
+    specs = []
+    for _ in range(count):
+        table, path = db.target[0], ()
+        for _ in range(int(rng.integers(1, 4))):
+            choices = [(hop, end) for hop, begin, end in hops if begin == table]
+            if not choices:
+                break
+            hop, table = choices[int(rng.integers(0, len(choices)))]
+            path += (hop,)
+        if path:
+            aggregator = ("count", "sum", "mean", "max", "min", COPY)[int(rng.integers(0, 6))]
+            source = None if aggregator == "count" else db.tables[table].column_index("amount")
+            specs.append(AggSpec(path, aggregator, source))
+    return specs
+
+
+def test_compute_features_equals_per_target_reference(random_database):
+    """Values and their reprs equal the per-target reference's, for every target order."""
+    awkward_sums = 0
+    for seed in range(240):
+        db = _awkward_database(random_database, seed + 300)
+        rng = np.random.default_rng(seed)
+        specs = enumerate_aggs(db, 1 + seed % 3) + _random_specs(db, rng, 6)
+        n = db.tables[0].nrows
+        rows = rng.permutation(n).tolist() + rng.integers(0, n, size=3).tolist()
+        got, want = compute_features(db, specs, rows), reference_features(db, specs, rows)
+        assert repr(got) == repr(want), seed
+        awkward_sums += sum(1 for row in want for spec, v in zip(specs, row)
+                            if spec.aggregator == "sum" and v is not None and v in (0.0, 1e12, -1e12))
+    assert awkward_sums > 100  # the signed-zero and large-magnitude cases did occur
 
 
 def test_encode_clinic_matrix(fixtures_dir):

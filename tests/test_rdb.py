@@ -1,8 +1,11 @@
+import json
+import shutil
 from datetime import datetime
 
 import numpy as np
 import pytest
 
+from relgnn.cli import main
 from relgnn.rdb import (
     RdbError,
     load_database,
@@ -235,3 +238,81 @@ def test_labels_never_in_masked_reads_property(fixtures_dir):
                 seen = {table.cell(r, ci) for r in range(table.nrows)}
                 assert seen <= {None} and not (seen & tokens)
     assert set(target_labels(masked)) == {0, 1}
+
+
+def _validate_error(capsys, dataset):
+    """stderr of `relgnn validate` on the dataset, which must fail with exit 1 and no traceback."""
+    capsys.readouterr()
+    assert main(["validate", "--dataset", str(dataset)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"tables": 5}', "'tables' must be a list, got int"),
+    ('{"tables": [{"file": "T.csv", "columns": []}]}', "tables[0] lacks key 'name'"),
+    ('{"tables": [{"name": "T", "file": "T.csv", "columns": [{"name": "id", "kind": 3}]}]}',
+     "table T column id: 'kind' must be a str"),
+    ('{"tables": [', "invalid JSON"),
+], ids=["tables-not-a-list", "table-without-name", "kind-not-a-string", "invalid-json"])
+def test_malformed_schema_names_file_and_place(capsys, tmp_path, text, where):
+    (tmp_path / "schema.json").write_text(text)
+    (tmp_path / "T.csv").write_text("id\nr1\n")
+    err = _validate_error(capsys, tmp_path)
+    assert str(tmp_path / "schema.json") in err and where in err
+
+
+def test_csv_not_utf8_names_file(capsys, fixtures_dir, tmp_path):
+    shutil.copytree(fixtures_dir / "clinic", tmp_path / "clinic")
+    (tmp_path / "clinic" / "Visit.csv").write_bytes(b"visit_id,patient_id,doctor_id,cost\nv1,p1,d1,1\xff\n")
+    err = _validate_error(capsys, tmp_path / "clinic")
+    assert str(tmp_path / "clinic" / "Visit.csv") in err and "not UTF-8" in err
+
+
+def _schema_slots(schema):
+    """(container, key, expected type, locator) of every value that loading requires, where the
+    locator is the text an error about that value must contain."""
+    slots = [(schema, "tables", list, "'tables'")]
+    for ti, table in enumerate(schema["tables"]):
+        slots.append((schema["tables"], ti, dict, f"tables[{ti}]"))
+        slots += [(table, key, kind, repr(key)) for key, kind in (("name", str), ("file", str), ("columns", list))]
+        for ci, col in enumerate(table["columns"]):
+            slots.append((table["columns"], ci, dict, f"columns[{ci}]"))
+            slots += [(col, "name", str, "'name'"), (col, "kind", str, "'kind'")]
+            if "target" in col:
+                slots.append((col, "target", bool, "'target'"))
+            if "references" in col:
+                slots.append((col, "references", dict, "'references'"))
+                slots += [(col["references"], key, str, repr(key)) for key in ("table", "column")]
+    return slots
+
+
+def test_schema_fuzz_fails_located(capsys, fixtures_dir, tmp_path):
+    """Seeded wrong types, missing keys and truncations of a valid schema.json: each fails with
+    exit 1, no traceback and a message naming the file and the bad value's place."""
+    shutil.copytree(fixtures_dir / "clinic", tmp_path / "db")
+    path = tmp_path / "db" / "schema.json"
+    valid = path.read_text()
+    wrong = (5, 2.5, None, True, [], {}, "x")
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        schema = json.loads(valid)
+        mutation = ("type", "missing", "truncate")[seed % 3]
+        if mutation == "truncate":
+            text, where = valid[: int(rng.integers(0, len(valid) - 1))], "invalid JSON"
+        else:
+            slots = _schema_slots(schema)
+            if mutation == "missing":
+                slots = [s for s in slots if isinstance(s[1], str) and s[1] != "target"]
+            container, key, kind, where = slots[int(rng.integers(0, len(slots)))]
+            if mutation == "missing":
+                del container[key]
+                where = f"lacks key {key!r}"
+            else:
+                choices = [v for v in wrong if not isinstance(v, kind)]
+                container[key] = choices[int(rng.integers(0, len(choices)))]
+            text = json.dumps(schema)
+        path.write_text(text)
+        err = _validate_error(capsys, tmp_path / "db")
+        assert str(path) in err and where in err, (seed, mutation, err)

@@ -11,10 +11,10 @@ from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, database_to_grap
 from relgnn.rdb import Column, ColumnKind, Database, Table, load_database, target_labels, _resolve_foreign_keys
 from relgnn.sampler import (
     SizeCapError,
-    _ForwardIndex,
+    _Scratch,
+    _select_closure,
     batch_sample,
     rdb_to_graph,
-    rdb_to_graph_edge_type_once,
     write_datapoints_jsonl,
 )
 
@@ -84,14 +84,14 @@ def test_employee_chain_selects_everything(fixtures_dir):
 
 def test_employee_chain_edge_type_once_stops_after_one_hop(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "employees"))
-    dp = rdb_to_graph_edge_type_once(graph, (0, 0))
+    dp = rdb_to_graph(graph, (0, 0), edge_type_once=True)
     assert _node_set(dp) == {(0, 0), (0, 1)}  # e2 joins, e3 does not
 
 
 def test_clinic_edge_type_once_matches_unrestricted(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     full = rdb_to_graph(graph, (0, 0))
-    once = rdb_to_graph_edge_type_once(graph, (0, 0))
+    once = rdb_to_graph(graph, (0, 0), edge_type_once=True)
     assert _node_set(once) == _node_set(full)
     assert _forward_multiset(once) == _forward_multiset(full)
 
@@ -177,7 +177,7 @@ def test_edge_type_once_matches_oracle_and_is_subset(random_database):
         rng = np.random.default_rng(seed)
         ti = int(rng.integers(0, len(db.tables)))
         ri = int(rng.integers(0, db.tables[ti].nrows))
-        restricted = rdb_to_graph_edge_type_once(graph, (ti, ri))
+        restricted = rdb_to_graph(graph, (ti, ri), edge_type_once=True)
         assert _node_set(restricted) == edge_type_once_oracle(db, (ti, ri))
         full = rdb_to_graph(graph, (ti, ri))
         assert _node_set(restricted) <= _node_set(full)
@@ -197,31 +197,31 @@ def _assert_same_datapoint(dp, ref):
 @pytest.mark.parametrize("edge_type_once", [False, True], ids=["closure", "edge-type-once"])
 def test_datapoints_equal_mask_based_reference(random_database, edge_type_once, reverse_edges):
     # the closure oracles compare sets; this pins every field, edge order included
-    sample = rdb_to_graph_edge_type_once if edge_type_once else rdb_to_graph
     for seed in range(200):
         db = random_database(seed + 9000, max_tables=5, max_rows=40)
         graph = database_to_graph(db)
-        index = _ForwardIndex(graph)
+        scratch = _Scratch(graph.num_nodes)
         labels = target_labels(db)
         rows = list(range(db.tables[0].nrows))
         dps = batch_sample(graph, rows, edge_type_once=edge_type_once, reverse_edges=reverse_edges)
         for row, dp in zip(rows, dps):
-            ref = reference_datapoint(index, (0, row), edge_type_once=edge_type_once,
+            ref = reference_datapoint(graph, (0, row), edge_type_once=edge_type_once,
                                       reverse_edges=reverse_edges, label=int(labels[row]))
             _assert_same_datapoint(dp, ref)
         rng = np.random.default_rng(seed)
         ti = int(rng.integers(0, len(db.tables)))
         ri = int(rng.integers(0, db.tables[ti].nrows))
-        ref = reference_datapoint(index, (ti, ri), edge_type_once=edge_type_once, reverse_edges=reverse_edges,
+        ref = reference_datapoint(graph, (ti, ri), edge_type_once=edge_type_once, reverse_edges=reverse_edges,
                                   label=int(labels[ri]) if ti == 0 else None)
-        _assert_same_datapoint(sample(graph, (ti, ri), reverse_edges=reverse_edges, _index=index), ref)
+        _assert_same_datapoint(rdb_to_graph(graph, (ti, ri), reverse_edges=reverse_edges,
+                                            edge_type_once=edge_type_once, _scratch=scratch), ref)
         if ref.num_nodes > 1:
             # one node short of the closure: both stop with the same count
             cap = ref.num_nodes - 1
             with pytest.raises(SizeCapError) as want:
-                reference_datapoint(index, (ti, ri), edge_type_once=edge_type_once, cap=cap)
+                reference_datapoint(graph, (ti, ri), edge_type_once=edge_type_once, cap=cap)
             with pytest.raises(SizeCapError) as got:
-                sample(graph, (ti, ri), size_cap=cap, _index=index)
+                rdb_to_graph(graph, (ti, ri), size_cap=cap, edge_type_once=edge_type_once, _scratch=scratch)
             assert got.value.selected == want.value.selected
 
 
@@ -229,26 +229,25 @@ def test_datapoints_equal_mask_based_reference(random_database, edge_type_once, 
 def test_size_cap_leaves_the_scratch_arrays_clean(monkeypatch, fixtures_dir, edge_type_once):
     built = []
 
-    class RecordedIndex(_ForwardIndex):
-        def __init__(self, graph):
-            super().__init__(graph)
+    class RecordedScratch(_Scratch):
+        def __init__(self, num_nodes):
+            super().__init__(num_nodes)
             built.append(self)
 
-    monkeypatch.setattr(sampler, "_ForwardIndex", RecordedIndex)
+    monkeypatch.setattr(sampler, "_Scratch", RecordedScratch)
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     # p1's ancestors (p1, v1, v2) fit, its descendant d1 does not
     with pytest.raises(SizeCapError, match="4 > 3"):
         batch_sample(graph, [0], edge_type_once=edge_type_once, size_cap=3)
-    (index,) = built
-    assert not index.selected.any()
-    assert (index.local_of == -1).all()
-    sample = rdb_to_graph_edge_type_once if edge_type_once else rdb_to_graph
+    (scratch,) = built
+    assert not scratch.selected.any()
+    assert (scratch.local_of == -1).all()
     labels = target_labels(graph.db)
     for row in (1, 0):
-        ref = reference_datapoint(index, (0, row), edge_type_once=edge_type_once, label=int(labels[row]))
-        _assert_same_datapoint(sample(graph, (0, row), _index=index), ref)
-    assert not index.selected.any()
-    assert (index.local_of == -1).all()
+        ref = reference_datapoint(graph, (0, row), edge_type_once=edge_type_once, label=int(labels[row]))
+        _assert_same_datapoint(rdb_to_graph(graph, (0, row), edge_type_once=edge_type_once, _scratch=scratch), ref)
+    assert not scratch.selected.any()
+    assert (scratch.local_of == -1).all()
 
 
 def _targets_with_unrelated_rows(n_targets, n_unrelated):
@@ -272,16 +271,18 @@ def _targets_with_unrelated_rows(n_targets, n_unrelated):
     return db
 
 
-def test_sampling_cost_is_independent_of_graph_size():
+@pytest.mark.parametrize("edge_type_once", [False, True], ids=["closure", "edge-type-once"])
+def test_sampling_cost_is_independent_of_graph_size(edge_type_once):
     rows = range(50)
     small = 50 * 4  # rows of the database without the unrelated table
     graphs = [database_to_graph(_targets_with_unrelated_rows(50, n)) for n in (1, 500 * small)]
-    indexes = [_ForwardIndex(graph) for graph in graphs]
+    scratches = [_Scratch(graph.num_nodes) for graph in graphs]
     # best of 7 rounds; every round times both graphs in turn
     times = [float("inf")] * len(graphs)
     for _ in range(7):
-        for i, (graph, index) in enumerate(zip(graphs, indexes)):
-            times[i] = min(times[i], _timed(lambda: [rdb_to_graph(graph, (0, r), _index=index) for r in rows]))
+        for i, (graph, scratch) in enumerate(zip(graphs, scratches)):
+            times[i] = min(times[i], _timed(lambda: [
+                rdb_to_graph(graph, (0, r), edge_type_once=edge_type_once, _scratch=scratch) for r in rows]))
     assert times[1] <= 3.0 * times[0], times
 
 
@@ -308,16 +309,15 @@ def test_jsonl_output_format(fixtures_dir, tmp_path):
 
 
 def test_closure_time_scales_linearly():
-    from relgnn.sampler import _ForwardIndex, _select_closure
-
     sizes = [1000, 10000, 100000]
-    indexes = [_ForwardIndex(database_to_graph(_chain_db(n))) for n in sizes]
+    graphs = [database_to_graph(_chain_db(n)) for n in sizes]
+    scratches = [_Scratch(graph.num_nodes) for graph in graphs]
     # best of 7 rounds; every round times each size once, so that load from
     # other processes on the host falls on all sizes alike
     times = [float("inf")] * len(sizes)
     for _ in range(7):
-        for i, index in enumerate(indexes):
-            times[i] = min(times[i], _timed(lambda: _select_closure(index, 0, 10**9, None)))
+        for i, (graph, scratch) in enumerate(zip(graphs, scratches)):
+            times[i] = min(times[i], _timed(lambda: _select_closure(graph, scratch, 0, 10**9)))
     # fit time = c * n through the origin, in log space so each size weighs alike; c > 0, so every
     # prediction is positive and a per-node cost that grows with n pushes the sizes apart
     per_node = np.asarray(times) / np.asarray(sizes, dtype=float)
