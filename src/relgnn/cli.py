@@ -103,9 +103,8 @@ def cmd_graph_stats(args) -> int:
 def cmd_sample(args) -> int:
     _write_manifest(args)
     masked = remove_target_column(load_database(args.dataset))
-    graph, datapoints = _sample(masked, edge_type_once=args.edge_type_once, size_cap=args.size_cap,
-                                reverse_edges=args.reverse_edges)
-    write_datapoints_jsonl(args.out / "datapoints.jsonl", datapoints, graph)
+    graph, datapoints = _sample(masked, edge_type_once=args.edge_type_once, size_cap=args.size_cap)
+    write_datapoints_jsonl(args.out / "datapoints.jsonl", datapoints, graph, args.reverse_edges)
     sizes = [dp.num_nodes for dp in datapoints]
     payload = {
         "datapoints": len(datapoints),
@@ -142,14 +141,12 @@ def cmd_dfs(args) -> int:
     return 0
 
 
-def _sample(masked, rows=None, *, edge_type_once: bool = False, size_cap: int = DEFAULT_SIZE_CAP,
-            reverse_edges: bool = True):
+def _sample(masked, rows=None, *, edge_type_once: bool = False, size_cap: int = DEFAULT_SIZE_CAP):
     """The database graph and one subgraph datapoint per target row (all of them when `rows` is None)."""
     graph = database_to_graph(masked)
     if rows is None:
         rows = range(masked.tables[masked.target[0]].nrows)
-    return graph, batch_sample(graph, list(rows), edge_type_once=edge_type_once,
-                               size_cap=size_cap, reverse_edges=reverse_edges)
+    return graph, batch_sample(graph, list(rows), edge_type_once=edge_type_once, size_cap=size_cap)
 
 
 def _describe(args, masked) -> dict:
@@ -193,8 +190,7 @@ def _shared_inputs(desc: dict, masked):
     """What every fold shares: the sampled datapoints (GNNs), the DFS specs with their raw aggregates
     (dfs-logreg), or None (logreg, mlp)."""
     if desc["model"] in VARIANTS:
-        return _sample(masked, edge_type_once=desc["edge_type_once"], size_cap=desc["size_cap"],
-                       reverse_edges=desc["reverse_edges"])[1]
+        return _sample(masked, edge_type_once=desc["edge_type_once"], size_cap=desc["size_cap"])[1]
     if "aggspecs" not in desc:
         return None
     specs = aggspecs_from_json(json.dumps(desc["aggspecs"]))

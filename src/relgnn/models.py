@@ -120,24 +120,15 @@ def encode_tables(db: Database, encoders: list[NodeTypeEncoder]) -> list[tuple[n
 
 def build_batch(datapoints: list[Datapoint], db: Database, encoders: list[NodeTypeEncoder],
                 tables: list[tuple[np.ndarray, np.ndarray]] | None = None) -> GraphBatch:
-    """The datapoints as one disjoint graph. Node features are gathered from `tables`, the output of
-    `encode_tables`; without them, the batch's own rows are encoded."""
+    """The datapoints as one disjoint graph, plus each forward edge's reverse and a self loop per node.
+    Node features are gathered from `tables`, the output of `encode_tables`; without them, encoded."""
     if not datapoints:
         raise ValueError("empty batch")
     node_type = np.concatenate([dp.node_types for dp in datapoints])
-    node_row = np.fromiter((r for dp in datapoints for _, r in dp.nodes), dtype=np.int64, count=len(node_type))
+    node_row = np.concatenate([dp.rows for dp in datapoints])
     sizes = [dp.num_nodes for dp in datapoints]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + sizes[:-1])
     graph_id = np.repeat(np.arange(len(datapoints), dtype=np.int64), sizes)
-
-    edges: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
-    pieces: dict[EdgeType, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for i, dp in enumerate(datapoints):
-        for et, (src, dst) in dp.edges.items():
-            pieces.setdefault(et, []).append((src + offsets[i], dst + offsets[i]))
-    for et in sorted(pieces):
-        srcs, dsts = zip(*pieces[et])
-        edges[et] = (np.concatenate(srcs), np.concatenate(dsts))
 
     # type-major order: the types ascending, each type's batch positions ascending
     order = np.argsort(node_type, kind="stable")
@@ -146,6 +137,21 @@ def build_batch(datapoints: list[Datapoint], db: Database, encoders: list[NodeTy
     type_rows = dict(zip(types_present, np.split(order, starts[1:])))
     scatter = np.empty(len(node_type), dtype=np.int64)
     scatter[order] = np.arange(len(node_type))
+
+    # forward edges at batch positions, grouped by type with each type's edges in datapoint order
+    forward_types = datapoints[0].types
+    edge_type = np.concatenate([dp.edge_type for dp in datapoints])
+    by_type = np.argsort(edge_type, kind="stable")
+    shift = np.repeat(offsets, [len(dp.src) for dp in datapoints])
+    src = (np.concatenate([dp.src for dp in datapoints]) + shift)[by_type]
+    dst = (np.concatenate([dp.dst for dp in datapoints]) + shift)[by_type]
+    cuts = np.searchsorted(edge_type[by_type], np.arange(1, len(forward_types)))
+    edges: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
+    for et, src_k, dst_k in zip(forward_types, np.split(src, cuts), np.split(dst, cuts)):
+        edges[et] = (src_k, dst_k)
+        edges[et.paired_reverse()] = (dst_k, src_k)
+    for t in types_present:
+        edges[EdgeType(t, -1, SELF_LOOP)] = (type_rows[t], type_rows[t])
 
     dense: dict[int, np.ndarray] = {}
     cats: dict[int, np.ndarray] = {}
@@ -159,7 +165,7 @@ def build_batch(datapoints: list[Datapoint], db: Database, encoders: list[NodeTy
     labels = np.array([dp.label if dp.label is not None else 0 for dp in datapoints], dtype=np.int64)
     return GraphBatch(
         int(len(node_type)), len(datapoints), node_type, graph_id, types_present, type_rows,
-        dense, cats, scatter, edges, labels,
+        dense, cats, scatter, dict(sorted(edges.items())), labels,
     )
 
 
@@ -297,19 +303,20 @@ class Model:
     def _plan(self, batch: GraphBatch) -> _Plan:
         """Split the batch's edges and nodes into the parameter groups that the key maps name.
 
-        Edge types are taken in sorted order, and the union is the groups' edges
-        concatenated in that order, multiplicity kept. GIN sums over the union
-        without self-loops in both of its variants. GCN coefficients are
-        1/sqrt(deg(u) deg(v)), with degrees counted over every edge including
-        self-loops.
+        Only the schema's edge types are read, in sorted order, and the union is
+        the groups' edges concatenated in that order, multiplicity kept. GIN sums
+        over the union without self-loops in both of its variants. GCN coefficients
+        are 1/sqrt(deg(u) deg(v)), with degrees counted over every edge read,
+        self-loops included.
         """
         gin = self._family == "gin"
+        used = sorted(et for et in self.schema.edge_types if et in batch.edges)
         members: dict[str, list[EdgeType]] = {}
-        for et in sorted(batch.edges):
+        for et in used:
             if not (gin and et.direction == SELF_LOOP):
                 members.setdefault("" if gin else self._edge_key(et), []).append(et)
         if self._family == "gcn":
-            deg = np.bincount(_cat([dst for _, dst in batch.edges.values()]), minlength=batch.num_nodes)
+            deg = np.bincount(_cat([batch.edges[et][1] for et in used]), minlength=batch.num_nodes)
             inv_sqrt = 1.0 / np.sqrt(deg)
         groups = []
         start = 0

@@ -144,35 +144,41 @@ def _read_schema(path: Path) -> list[tuple[Table, str]]:
                 raise RdbError(f"{path}: target column {name}.{col_name} must be categorical")
             columns.append(Column(col_name, ColumnKind(tag, references), target, []))
         out.append((Table(name, columns), file))
+    column_names = {table.name: {col.name for col in table.columns} for table, _ in out}
+    for table, _ in out:
+        for col in table.columns:
+            if col.kind.references is None:
+                continue
+            ref_table, ref_col = col.kind.references
+            if ref_col not in column_names[ref_table]:
+                raise RdbError(f"{path}: table {table.name} column {col.name} references unknown column "
+                               f"{ref_col!r} of table {ref_table}")
     return out
 
 
-def _parse_cell(text: str, kind: ColumnKind, where: str):
-    """Parse one CSV field; empty string is Null for every kind."""
+def _parse_cell(text: str, kind: ColumnKind):
+    """Parse one CSV field; empty string is Null for every kind. A malformed field raises ValueError."""
     if text == "":
         return None
     tag = kind.tag
-    try:
-        if tag == "scalar":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ValueError("non-finite scalar")
-            return value
-        if tag == "datetime":
-            stamp = datetime.fromisoformat(text)
-            if stamp.tzinfo is not None or stamp.microsecond != 0:
-                raise ValueError("expected naive timestamp at second precision")
-            return stamp
-        if tag == "latlong":
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ValueError("expected 'lat,long'")
-            lat, long = float(parts[0]), float(parts[1])
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= long <= 180.0):
-                raise ValueError(f"out-of-range latlong ({lat}, {long})")
-            return (lat, long)
-    except ValueError as exc:
-        raise RdbError(f"unparseable cell at {where}: {exc}") from None
+    if tag == "scalar":
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("non-finite scalar")
+        return value
+    if tag == "datetime":
+        stamp = datetime.fromisoformat(text)
+        if stamp.tzinfo is not None or stamp.microsecond != 0:
+            raise ValueError("expected naive timestamp at second precision")
+        return stamp
+    if tag == "latlong":
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError("expected 'lat,long'")
+        lat, long = float(parts[0]), float(parts[1])
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= long <= 180.0):
+            raise ValueError(f"out-of-range latlong ({lat}, {long})")
+        return (lat, long)
     # categorical, text, primary_key, foreign_key stay as exact strings
     return text
 
@@ -225,8 +231,11 @@ def _read_csv(csv_path: Path, table: Table) -> None:
             if len(row) != len(header):
                 raise RdbError(f"{csv_path} row {ri}: expected {len(header)} fields, got {len(row)}")
             for col, pos in zip(columns, positions):
-                where = f"table {table.name} row {ri} column {col.name}"
-                col.values.append(_parse_cell(row[pos], col.kind, where))
+                try:
+                    col.values.append(_parse_cell(row[pos], col.kind))
+                except ValueError as exc:
+                    raise RdbError(f"{csv_path}: unparseable cell at table {table.name} row {ri} "
+                                   f"column {col.name}: {exc}") from None
 
 
 def _resolve_foreign_keys(db: Database, strict: bool) -> None:

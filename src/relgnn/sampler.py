@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .graph import SELF_LOOP, EdgeType, HeteroGraph
+from .graph import FORWARD, SELF_LOOP, EdgeType, HeteroGraph, edge_types
 from .rdb import target_labels
 
 __all__ = [
@@ -30,18 +30,28 @@ class SizeCapError(RuntimeError):
         super().__init__(f"selected subgraph exceeds size cap: {selected} > {cap}{at}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Datapoint:
-    nodes: list[tuple[int, int]]  # original (table, row) ids in canonical order
-    node_types: np.ndarray  # table index per local node
-    edges: dict[EdgeType, tuple[np.ndarray, np.ndarray]]  # local src/dst indices
+    """One target's subgraph: its nodes and forward edges. Reverse edges and self loops are functions of
+    these, derived where they are read (`models.build_batch`, `write_datapoints_jsonl`)."""
+
+    node_types: np.ndarray  # table index per local node, int64; local ids in canonical (table, row) order
+    rows: np.ndarray  # row within its table per local node, int64
+    src: np.ndarray  # local id of each forward edge's referencing row, in ascending graph edge id
+    dst: np.ndarray  # local id of each forward edge's referenced row
+    edge_type: np.ndarray  # index of each forward edge's type in `types`
+    types: list[EdgeType]  # the graph's forward edge types, one list shared by all its datapoints
     target_local: int
     label: int | None
     provenance: tuple[int, int]
 
     @property
+    def nodes(self) -> list[tuple[int, int]]:  # original (table, row) ids
+        return list(zip(self.node_types.tolist(), self.rows.tolist()))
+
+    @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_types)
 
 
 class _Scratch:
@@ -99,7 +109,7 @@ def _select_closure(graph: HeteroGraph, scratch: _Scratch, start: int, cap: int,
 
 
 def _induce(graph: HeteroGraph, scratch: _Scratch, global_ids: np.ndarray, target: tuple[int, int],
-            label: int | None, reverse_edges: bool) -> Datapoint:
+            label: int | None) -> Datapoint:
     """The datapoint of the nodes `global_ids` (sorted) with every forward edge between them."""
     local_of = scratch.local_of
     local_of[global_ids] = np.arange(len(global_ids))
@@ -111,49 +121,29 @@ def _induce(graph: HeteroGraph, scratch: _Scratch, global_ids: np.ndarray, targe
         edge_ids = np.sort(edge_ids[dst >= 0])
         src = local_of[graph.src[edge_ids]]
         dst = local_of[graph.dst[edge_ids]]
-        bounds = np.searchsorted(graph.type_id[edge_ids], np.arange(len(graph.types) + 1)).tolist()
         target_local = int(local_of[graph.offsets[target[0]] + target[1]])
     finally:
         local_of[global_ids] = -1
-
-    table_bounds = np.searchsorted(global_ids, graph.offsets).tolist()  # first local id per table
-    node_types = np.repeat(np.arange(len(table_bounds) - 1, dtype=np.int64), np.diff(table_bounds))
-    nodes = list(zip(node_types.tolist(), (global_ids - graph.offsets[node_types]).tolist()))
-    edges: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
-    for k, et in enumerate(graph.types):
-        src_k, dst_k = src[bounds[k] : bounds[k + 1]], dst[bounds[k] : bounds[k + 1]]
-        edges[et] = (src_k, dst_k)
-        if reverse_edges:
-            edges[et.paired_reverse()] = (dst_k, src_k)
-    for ti, (lo, hi) in enumerate(zip(table_bounds, table_bounds[1:])):
-        if lo < hi:
-            rows = np.arange(lo, hi, dtype=np.int64)
-            edges[EdgeType(ti, -1, SELF_LOOP)] = (rows, rows)
-    return Datapoint(nodes, node_types, edges, target_local, label, target)
-
-
-def _lookup_label(graph: HeteroGraph, target: tuple[int, int]) -> int | None:
-    db = graph.db
-    if len(db.target_flags) == 1 and db.target[0] == target[0]:
-        return int(target_labels(db)[target[1]])
-    return None
+    node_types = np.searchsorted(graph.offsets, global_ids, side="right") - 1
+    return Datapoint(node_types, global_ids - graph.offsets[node_types], src, dst, graph.type_id[edge_ids],
+                     graph.types, target_local, label, target)
 
 
 def rdb_to_graph(graph: HeteroGraph, target: tuple[int, int], *, size_cap: int = DEFAULT_SIZE_CAP,
-                 reverse_edges: bool = True, edge_type_once: bool = False, label: int | None = None,
+                 edge_type_once: bool = False, label: int | None = None,
                  _scratch: _Scratch | None = None) -> Datapoint:
     """Select every ancestor of the target node, then every descendant of the selected set; with
     `edge_type_once`, each edge type is followed in at most one expansion round."""
     scratch = _scratch or _Scratch(graph.num_nodes)
     start = int(graph.offsets[target[0]] + target[1])
     global_ids = _select_closure(graph, scratch, start, size_cap, edge_type_once)
-    if label is None:
-        label = _lookup_label(graph, target)
-    return _induce(graph, scratch, global_ids, target, label, reverse_edges)
+    if label is None and len(graph.db.target_flags) == 1 and graph.db.target[0] == target[0]:
+        label = int(target_labels(graph.db)[target[1]])
+    return _induce(graph, scratch, global_ids, target, label)
 
 
 def batch_sample(graph: HeteroGraph, target_rows: list[int], *, edge_type_once: bool = False,
-                 size_cap: int = DEFAULT_SIZE_CAP, reverse_edges: bool = True) -> list[Datapoint]:
+                 size_cap: int = DEFAULT_SIZE_CAP) -> list[Datapoint]:
     """One datapoint per target row of the target table, in the requested order."""
     scratch = _Scratch(graph.num_nodes)
     table = graph.db.target[0]
@@ -161,27 +151,33 @@ def batch_sample(graph: HeteroGraph, target_rows: list[int], *, edge_type_once: 
     out = []
     for row in target_rows:
         try:
-            out.append(rdb_to_graph(graph, (table, int(row)), size_cap=size_cap, reverse_edges=reverse_edges,
+            out.append(rdb_to_graph(graph, (table, int(row)), size_cap=size_cap,
                                     edge_type_once=edge_type_once, label=int(labels[row]), _scratch=scratch))
         except SizeCapError as exc:
             raise SizeCapError(exc.selected, exc.cap, int(row)) from None
     return out
 
 
-def write_datapoints_jsonl(path: str | Path, datapoints: list[Datapoint], graph: HeteroGraph) -> None:
+def write_datapoints_jsonl(path: str | Path, datapoints: list[Datapoint], graph: HeteroGraph,
+                           reverse_edges: bool) -> None:
+    """One JSON record per datapoint, its edges listed per type of `edge_types(db, reverse_edges)`."""
+    names = [table.name for table in graph.db.tables]
+    kinds = [(graph.edge_type_name(et), et.direction,  # a self loop's table, else its forward type's index
+              et.table if et.direction == SELF_LOOP else graph.types.index(replace(et, direction=FORWARD)))
+             for et in edge_types(graph.db, reverse_edges)]
     with open(path, "w", encoding="utf-8") as handle:
         for dp in datapoints:
-            nodes = [{"id": list(nid), "type": graph.db.tables[nid[0]].name} for nid in dp.nodes]
+            ids = [[t, r] for t, r in zip(dp.node_types.tolist(), dp.rows.tolist())]
+            forward: list[list] = [[] for _ in graph.types]
+            for k, s, d in zip(dp.edge_type.tolist(), dp.src.tolist(), dp.dst.tolist()):
+                forward[k].append((ids[s], ids[d]))
             edges = []
-            for et in sorted(dp.edges):
-                src, dst = dp.edges[et]
-                name = graph.edge_type_name(et)
-                for s, d in zip(src, dst):
-                    edges.append({"src": list(dp.nodes[s]), "dst": list(dp.nodes[d]), "type": name})
-            record = {
-                "target": list(dp.provenance),
-                "label": dp.label,
-                "nodes": nodes,
-                "edges": edges,
-            }
+            for name, direction, k in kinds:
+                if direction == SELF_LOOP:
+                    pairs = [(nid, nid) for nid in ids if nid[0] == k]
+                else:
+                    pairs = forward[k] if direction == FORWARD else [(d, s) for s, d in forward[k]]
+                edges += [{"src": s, "dst": d, "type": name} for s, d in pairs]
+            record = {"target": list(dp.provenance), "label": dp.label, "edges": edges,
+                      "nodes": [{"id": nid, "type": names[nid[0]]} for nid in ids]}
             handle.write(json.dumps(record, sort_keys=True) + "\n")

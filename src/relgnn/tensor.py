@@ -102,7 +102,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], bwd: _Backward | None) ->
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.grad = np.zeros_like(out.data)
         out._parents = tuple(parents)
         out._backward = bwd
     return out
@@ -132,8 +131,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bwd(g: np.ndarray, grads: _Grads) -> None:
-        _accum(grads, a, g @ b.data.T)
-        _accum(grads, b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(grads, a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(grads, b, a.data.T @ g)
 
     return _make(out_data, (a, b), bwd)
 
@@ -145,8 +146,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise _shape_error("add", a.shape, b.shape) from None
 
     def bwd(g: np.ndarray, grads: _Grads) -> None:
-        _accum(grads, a, _unbroadcast(g, a.shape))
-        _accum(grads, b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(grads, a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(grads, b, _unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), bwd)
 
@@ -158,8 +161,10 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         raise _shape_error("multiply", a.shape, b.shape) from None
 
     def bwd(g: np.ndarray, grads: _Grads) -> None:
-        _accum(grads, a, _unbroadcast(g * b.data, a.shape))
-        _accum(grads, b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(grads, a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(grads, b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), bwd)
 
@@ -173,6 +178,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bwd(g: np.ndarray, grads: _Grads) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if not t.requires_grad:
+                continue
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             _accum(grads, t, g[tuple(sl)])
@@ -371,7 +378,9 @@ def _accum(grads: _Grads, t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every leaf tensor (one that no op produced) that requires a gradient and
+    is reachable from ``loss``. Op outputs keep ``grad`` None, and no gradient is computed for an
+    operand that requires none.
 
     Repeated calls without ``zero_grad`` accumulate.
     """
@@ -401,7 +410,7 @@ def backward(loss: Tensor) -> None:
         node._backward(g, grads)
     for node in topo:
         g = grads.get(node)
-        if g is not None and node.requires_grad:
+        if g is not None and node._backward is None:
             node.grad = node.grad + g if node.grad is not None else g.copy()
 
 

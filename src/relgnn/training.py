@@ -234,11 +234,10 @@ def oversample_ids(ids: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def fold_encoder_rows(datapoints: list[Datapoint], ids) -> dict[int, list[int]]:
     """Rows reachable from the given datapoints, grouped by table: the encoder fitting scope."""
-    rows: dict[int, set[int]] = {}
-    for i in ids:
-        for t, r in datapoints[i].nodes:
-            rows.setdefault(t, set()).add(r)
-    return {t: sorted(s) for t, s in rows.items()}
+    chosen = [datapoints[i] for i in ids]
+    node_types = np.concatenate([dp.node_types for dp in chosen])
+    rows = np.concatenate([dp.rows for dp in chosen])
+    return {t: np.unique(rows[node_types == t]).tolist() for t in np.unique(node_types).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import calendar
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from relgnn.dfs import COPY, AggSpec, _checked_end
 from relgnn.graph import REVERSE, SELF_LOOP, EdgeType
 from relgnn.rdb import Database, RdbError
-from relgnn.sampler import Datapoint, SizeCapError
+from relgnn.sampler import SizeCapError
 
 
 def forward_edge_list(db):
@@ -76,6 +77,22 @@ def edge_type_once_oracle(db, target):
     return vs
 
 
+@dataclass
+class ReferenceDatapoint:
+    """A target's subgraph with every edge stored: forward, reverse and self loops, keyed by type."""
+
+    nodes: list[tuple[int, int]]
+    node_types: np.ndarray
+    edges: dict[EdgeType, tuple[np.ndarray, np.ndarray]]
+    target_local: int
+    label: int | None
+    provenance: tuple[int, int]
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.nodes)
+
+
 def reference_datapoint(graph, target, *, edge_type_once=False, cap=10**9, reverse_edges=True, label=None):
     """The datapoint of `target` from full-size node masks and a scan of every edge of the graph.
 
@@ -104,7 +121,7 @@ def reference_datapoint(graph, target, *, edge_type_once=False, cap=10**9, rever
     for ti in sorted(set(int(t) for t in node_types)):
         rows = np.nonzero(node_types == ti)[0].astype(np.int64)
         edges[EdgeType(ti, -1, SELF_LOOP)] = (rows, rows)
-    return Datapoint(nodes, node_types.astype(np.int64), edges, int(local_of[start]), label, target)
+    return ReferenceDatapoint(nodes, node_types.astype(np.int64), edges, int(local_of[start]), label, target)
 
 
 def _reference_bfs(start, selected, neighbors, cap):

@@ -331,24 +331,34 @@ def test_train_rejects_a_fold_count_the_plan_cannot_honour(capsys, synth_dir, tm
     assert err.strip().splitlines()[-1] == f"error: fold count must be between 2 and 80 (the number of ids), got {folds}"
 
 
-@pytest.mark.parametrize("model, spans", [
-    ("gcn", {"sampler.batch_sample", "models.build_batch", "encode.encode_node"}),
-    ("dfs-logreg", {"dfs.compute_features", "encode.single_table_features", "encode.encode_node.single_table"}),
+_TRAIN_SPANS = {"training.train", "encode.fit_encoders", "training.evaluate"}
+
+
+@pytest.mark.parametrize("command, spans", [
+    ("gcn", _TRAIN_SPANS | {"sampler.batch_sample", "models.build_batch", "encode.encode_node"}),
+    ("dfs-logreg", _TRAIN_SPANS | {"dfs.compute_features", "encode.single_table_features",
+                                   "encode.encode_node.single_table"}),
+    ("sample", {"sampler.batch_sample", "sampler.write_datapoints_jsonl"}),
 ])
-def test_benchmark_tracer_sees_every_layer_call(synth_dir, tmp_path, model, spans):
+def test_benchmark_tracer_sees_every_layer_call(synth_dir, tmp_path, command, spans):
     # perfbench/tracer.py times each layer by wrapping the names that relgnn.cli, relgnn.models and
-    # relgnn.training look up; a call that bypasses them would read 0 in the benchmark instead of failing
+    # relgnn.training look up; a call that bypasses them would read 0 in the benchmark instead of failing.
+    # It also counts the sampled nodes through len() of batch_sample's result and each item's num_nodes.
     repo = Path(__file__).resolve().parents[1]
     paths = [str(repo / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     span_file = tmp_path / "spans.json"
-    proc = subprocess.run([sys.executable, str(repo / "perfbench" / "tracer.py"), str(span_file), "--",
-                           "train", "--dataset", str(synth_dir), "--model", model, "--out", str(tmp_path / "run"),
-                           "--folds", "2", "--max-epochs", "1"], capture_output=True, text=True, env=env)
+    out = tmp_path / "run"
+    argv = ["sample"] if command == "sample" else ["train", "--model", command, "--folds", "2", "--max-epochs", "1"]
+    proc = subprocess.run([sys.executable, str(repo / "perfbench" / "tracer.py"), str(span_file), "--", *argv,
+                           "--dataset", str(synth_dir), "--out", str(out)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(span_file.read_text())
     recorded = {trace["names"][span[0]] for span in trace["spans"]}
-    assert {"training.train", "encode.fit_encoders", "training.evaluate"} | spans <= recorded
+    assert spans <= recorded
+    if command == "sample":
+        report = json.loads((out / "sample_report.json").read_text())
+        assert trace["counters"]["sampler.nodes_out"] == report["total_nodes"] > 0
 
 
 def test_train_single_class_fold_fails_cleanly(capsys, tmp_path):

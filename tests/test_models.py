@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from relgnn.encode import fit_encoders
-from relgnn.graph import FORWARD, SELF_LOOP, EdgeType, database_to_graph
+from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, database_to_graph
 from relgnn.models import (
     VARIANTS,
     GraphBatch,
@@ -69,8 +69,7 @@ def _shuffled(dp, rng):
     perm = rng.permutation(dp.num_nodes)
     inv = np.empty(dp.num_nodes, dtype=np.int64)
     inv[perm] = np.arange(dp.num_nodes)
-    edges = {et: (inv[src], inv[dst]) for et, (src, dst) in dp.edges.items()}
-    return Datapoint([dp.nodes[j] for j in perm], dp.node_types[perm], edges,
+    return Datapoint(dp.node_types[perm], dp.rows[perm], inv[dp.src], inv[dp.dst], dp.edge_type, dp.types,
                      int(inv[dp.target_local]), dp.label, dp.provenance)
 
 
@@ -389,8 +388,8 @@ def test_readout_zero_hidden_gives_output_bias(clinic):
 
 def test_poolmlp_single_node_mean_is_state(clinic):
     dp = clinic.dps[0]
-    single = Datapoint([dp.nodes[0]], dp.node_types[:1],
-                       {EdgeType(0, -1, SELF_LOOP): (np.array([0]), np.array([0]))}, 0, dp.label, dp.provenance)
+    none = np.zeros(0, dtype=np.int64)
+    single = Datapoint(dp.node_types[:1], dp.rows[:1], none, none, none, dp.types, 0, dp.label, dp.provenance)
     model = Model(ModelConfig("poolmlp", hidden=8, dropout=0.0), clinic.schema, seed=6)
     batch = build_batch([single], clinic.db, clinic.encoders)
     h = model._init_hidden(batch)
@@ -401,8 +400,8 @@ def test_poolmlp_single_node_mean_is_state(clinic):
 
 def test_poolmlp_duplicated_nodes_leave_mean_unchanged(clinic):
     dp = clinic.dps[0]
-    doubled = Datapoint(dp.nodes + dp.nodes, np.concatenate([dp.node_types, dp.node_types]),
-                        dp.edges, dp.target_local, dp.label, dp.provenance)
+    doubled = Datapoint(np.concatenate([dp.node_types, dp.node_types]), np.concatenate([dp.rows, dp.rows]),
+                        dp.src, dp.dst, dp.edge_type, dp.types, dp.target_local, dp.label, dp.provenance)
     model = Model(ModelConfig("poolmlp", hidden=8, dropout=0.0), clinic.schema, seed=6)
     a = model.forward(build_batch([dp], clinic.db, clinic.encoders))
     b = model.forward(build_batch([doubled], clinic.db, clinic.encoders))
@@ -467,6 +466,19 @@ def test_permutation_invariance_all_variants(clinic):
             shuffled = _shuffled(clinic.dps[0], rng)
             out = model.forward(build_batch([shuffled], clinic.db, clinic.encoders))
             assert np.max(np.abs(out.data - reference.data)) <= 1e-9, variant
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_model_reads_only_its_schemas_edge_types(clinic, variant):
+    # batches always carry reverse edges; a model built without them must not read them
+    no_rev = GraphSchema.from_database(clinic.db, clinic.encoders, reverse_edges=False)
+    model = Model(ModelConfig(variant, hidden=8, dropout=0.0), no_rev, seed=3)
+    b = clinic.batch
+    assert any(et.direction == REVERSE for et in b.edges)
+    forward_only = {et: pair for et, pair in b.edges.items() if et.direction != REVERSE}
+    stripped = GraphBatch(b.num_nodes, b.num_graphs, b.node_type, b.graph_id, b.types_present,
+                          b.type_rows, b.dense, b.cats, b.scatter, forward_only, b.labels)
+    assert np.array_equal(model.forward(b).data, model.forward(stripped).data)
 
 
 def test_edge_order_invariance(clinic):

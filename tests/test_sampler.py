@@ -8,6 +8,7 @@ import pytest
 from oracles import closure_oracle, edge_type_once_oracle, reference_datapoint
 from relgnn import sampler
 from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, database_to_graph
+from relgnn.models import build_batch
 from relgnn.rdb import Column, ColumnKind, Database, Table, load_database, target_labels, _resolve_foreign_keys
 from relgnn.sampler import (
     SizeCapError,
@@ -24,12 +25,21 @@ def _node_set(dp):
 
 
 def _forward_multiset(dp):
-    out = []
-    for et, (src, dst) in dp.edges.items():
-        if et.direction == FORWARD:
-            for s, d in zip(src, dst):
-                out.append(((et.table, et.column), dp.nodes[s], dp.nodes[d]))
-    return sorted(out)
+    nodes = dp.nodes
+    return sorted(((dp.types[k].table, dp.types[k].column), nodes[s], nodes[d])
+                  for k, s, d in zip(dp.edge_type.tolist(), dp.src.tolist(), dp.dst.tolist()))
+
+
+def _forward_edges(dp, et):
+    """Local src and dst of the datapoint's forward edges of type `et`, in the datapoint's order."""
+    of_type = dp.edge_type == dp.types.index(et)
+    return dp.src[of_type], dp.dst[of_type]
+
+
+def _batch_of(datapoints, db):
+    """`build_batch` of the datapoints with featureless node blocks: its edges and node layout only."""
+    tables = [(np.zeros((t.nrows, 0)), np.zeros((t.nrows, 0), dtype=np.int64)) for t in db.tables]
+    return build_batch(datapoints, db, [], tables)
 
 
 def test_single_table_target_is_alone(tmp_path):
@@ -43,7 +53,8 @@ def test_single_table_target_is_alone(tmp_path):
     dp = rdb_to_graph(graph, (0, 0))
     assert dp.nodes == [(0, 0)]
     assert dp.target_local == 0
-    assert all(et.direction == SELF_LOOP for et in dp.edges)
+    assert dp.types == [] and len(dp.src) == len(dp.dst) == len(dp.edge_type) == 0
+    assert list(_batch_of([dp], graph.db).edges) == [EdgeType(0, -1, SELF_LOOP)]
 
 
 def test_clinic_target_p1_closure(fixtures_dir):
@@ -51,9 +62,9 @@ def test_clinic_target_p1_closure(fixtures_dir):
     dp = rdb_to_graph(graph, (0, 0))
     assert dp.nodes == [(0, 0), (1, 0), (1, 1), (2, 0)]  # p1, v1, v2, d1
     assert dp.label == 1
-    src, dst = dp.edges[EdgeType(1, 1, FORWARD)]
+    src, dst = _forward_edges(dp, EdgeType(1, 1, FORWARD))
     assert list(src) == [1, 2] and list(dst) == [0, 0]
-    src, dst = dp.edges[EdgeType(1, 2, FORWARD)]
+    src, dst = _forward_edges(dp, EdgeType(1, 2, FORWARD))
     assert list(src) == [1] and list(dst) == [3]
 
 
@@ -67,13 +78,13 @@ def test_clinic_target_p2_closure(fixtures_dir):
 def test_reverse_and_self_edges_rederived(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     dp = rdb_to_graph(graph, (0, 0))
-    fwd_src, fwd_dst = dp.edges[EdgeType(1, 1, FORWARD)]
-    rev_src, rev_dst = dp.edges[EdgeType(1, 1, REVERSE)]
+    assert all(et.direction == FORWARD for et in dp.types)  # the datapoint holds forward edges only
+    edges = _batch_of([dp], graph.db).edges
+    fwd_src, fwd_dst = edges[EdgeType(1, 1, FORWARD)]
+    rev_src, rev_dst = edges[EdgeType(1, 1, REVERSE)]
     assert np.array_equal(rev_src, fwd_dst) and np.array_equal(rev_dst, fwd_src)
-    loops = [dp.edges[et] for et in dp.edges if et.direction == SELF_LOOP]
+    loops = [edges[et] for et in edges if et.direction == SELF_LOOP]
     assert sum(len(src) for src, _ in loops) == dp.num_nodes
-    bare = rdb_to_graph(graph, (0, 0), reverse_edges=False)
-    assert not any(et.direction == REVERSE for et in bare.edges)
 
 
 def test_employee_chain_selects_everything(fixtures_dir):
@@ -108,10 +119,9 @@ def test_batch_sample_empty_and_duplicates(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     assert batch_sample(graph, []) == []
     a, b = batch_sample(graph, [1, 1])
-    assert a.nodes == b.nodes and a.label == b.label
-    for et in a.edges:
-        assert np.array_equal(a.edges[et][0], b.edges[et][0])
-        assert np.array_equal(a.edges[et][1], b.edges[et][1])
+    assert a.nodes == b.nodes and a.label == b.label and a.types is b.types
+    for field in ("node_types", "rows", "src", "dst", "edge_type"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 def _chain_db(n):
@@ -183,12 +193,21 @@ def test_edge_type_once_matches_oracle_and_is_subset(random_database):
         assert _node_set(restricted) <= _node_set(full)
 
 
-def _assert_same_datapoint(dp, ref):
+def _assert_same_datapoint(dp, ref, db, reverse_edges=True):
+    """The datapoint's forward edges equal the reference's directly; its reverse edges and self loops,
+    which the reference stores, equal those that `build_batch` derives for a batch of it alone."""
     assert dp.nodes == ref.nodes
     assert dp.node_types.dtype == ref.node_types.dtype and np.array_equal(dp.node_types, ref.node_types)
-    assert list(dp.edges) == list(ref.edges)
+    assert dp.rows.dtype == np.int64
+    assert dp.types == [et for et in ref.edges if et.direction == FORWARD]
+    assert np.all(np.diff(dp.edge_type) >= 0)  # one block per type, in `types` order
+    for et in dp.types:
+        for got, want in zip(_forward_edges(dp, et), ref.edges[et]):
+            assert got.dtype == want.dtype and np.array_equal(got, want), et
+    derived = _batch_of([dp], db).edges
+    assert [et for et in derived if reverse_edges or et.direction != REVERSE] == sorted(ref.edges)
     for et, pair in ref.edges.items():
-        for got, want in zip(dp.edges[et], pair):
+        for got, want in zip(derived[et], pair):
             assert got.dtype == want.dtype and np.array_equal(got, want), et
     assert (dp.target_local, dp.label, dp.provenance) == (ref.target_local, ref.label, ref.provenance)
 
@@ -203,18 +222,18 @@ def test_datapoints_equal_mask_based_reference(random_database, edge_type_once, 
         scratch = _Scratch(graph.num_nodes)
         labels = target_labels(db)
         rows = list(range(db.tables[0].nrows))
-        dps = batch_sample(graph, rows, edge_type_once=edge_type_once, reverse_edges=reverse_edges)
+        dps = batch_sample(graph, rows, edge_type_once=edge_type_once)
         for row, dp in zip(rows, dps):
             ref = reference_datapoint(graph, (0, row), edge_type_once=edge_type_once,
                                       reverse_edges=reverse_edges, label=int(labels[row]))
-            _assert_same_datapoint(dp, ref)
+            _assert_same_datapoint(dp, ref, db, reverse_edges)
         rng = np.random.default_rng(seed)
         ti = int(rng.integers(0, len(db.tables)))
         ri = int(rng.integers(0, db.tables[ti].nrows))
         ref = reference_datapoint(graph, (ti, ri), edge_type_once=edge_type_once, reverse_edges=reverse_edges,
                                   label=int(labels[ri]) if ti == 0 else None)
-        _assert_same_datapoint(rdb_to_graph(graph, (ti, ri), reverse_edges=reverse_edges,
-                                            edge_type_once=edge_type_once, _scratch=scratch), ref)
+        _assert_same_datapoint(rdb_to_graph(graph, (ti, ri), edge_type_once=edge_type_once, _scratch=scratch),
+                               ref, db, reverse_edges)
         if ref.num_nodes > 1:
             # one node short of the closure: both stop with the same count
             cap = ref.num_nodes - 1
@@ -245,7 +264,8 @@ def test_size_cap_leaves_the_scratch_arrays_clean(monkeypatch, fixtures_dir, edg
     labels = target_labels(graph.db)
     for row in (1, 0):
         ref = reference_datapoint(graph, (0, row), edge_type_once=edge_type_once, label=int(labels[row]))
-        _assert_same_datapoint(rdb_to_graph(graph, (0, row), edge_type_once=edge_type_once, _scratch=scratch), ref)
+        _assert_same_datapoint(rdb_to_graph(graph, (0, row), edge_type_once=edge_type_once, _scratch=scratch),
+                               ref, graph.db)
     assert not scratch.selected.any()
     assert (scratch.local_of == -1).all()
 
@@ -290,7 +310,7 @@ def test_jsonl_output_format(fixtures_dir, tmp_path):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     dps = batch_sample(graph, [0])
     path = tmp_path / "dp.jsonl"
-    write_datapoints_jsonl(path, dps, graph)
+    write_datapoints_jsonl(path, dps, graph, True)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
@@ -306,6 +326,11 @@ def test_jsonl_output_format(fixtures_dir, tmp_path):
     assert {tuple(e["src"]) for e in forward} == {(1, 0), (1, 1)}
     assert all(e["dst"] == [0, 0] for e in forward)
     assert any(e["type"] == "Patient:self" for e in record["edges"])
+    reverse = [e for e in record["edges"] if e["type"] == "Visit.patient_id:reverse"]
+    assert [(e["src"], e["dst"]) for e in reverse] == [(e["dst"], e["src"]) for e in forward]
+    write_datapoints_jsonl(path, dps, graph, False)
+    (bare,) = [json.loads(line) for line in path.read_text().splitlines()]
+    assert bare["edges"] == [e for e in record["edges"] if not e["type"].endswith(":reverse")]
 
 
 def test_closure_time_scales_linearly():

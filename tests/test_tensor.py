@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from relgnn import tensor
 from relgnn.optim import AdamW
 from relgnn.tensor import (
     RngStream,
@@ -113,6 +114,33 @@ def test_backward_accumulates_without_reset():
     for _ in range(2):
         backward(multiply(x, x))
     assert x.grad == pytest.approx(12.0)
+
+
+def test_backward_grads_only_the_leaves_that_need_them(monkeypatch):
+    # no gradient is computed for a constant operand, and op outputs keep no gradient
+    received = []
+    accum = tensor._accum
+
+    def recording_accum(grads, t, g):
+        received.append(t)
+        accum(grads, t, g)
+
+    monkeypatch.setattr(tensor, "_accum", recording_accum)
+    rng = np.random.default_rng(0)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    x, coeff = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 1)))
+    extra, one = Tensor(np.ones((4, 1))), Tensor(1.0)
+    hidden = add(matmul(x, w), b)
+    scaled = multiply(hidden, coeff)
+    joined = concat([scaled, extra], axis=1)
+    shifted = add(one, joined)
+    loss = tensor_sum(shifted)
+    backward(loss)
+    assert received and all(t.requires_grad for t in received)
+    assert all(t.grad is None for t in (x, coeff, extra, one, hidden, scaled, joined, shifted, loss))
+    assert np.array_equal(w.grad, x.data.T @ np.broadcast_to(coeff.data, (4, 2)))
+    assert np.array_equal(b.grad, coeff.data.sum(axis=0).repeat(2))
 
 
 def test_backward_requires_scalar_loss():
