@@ -25,7 +25,7 @@ from .encode import encoders_from_json, encoders_to_json, fit_encoders
 from .graph import database_to_graph, graph_stats
 from .models import VARIANTS, GraphSchema, Model, ModelConfig
 from .rdb import RdbError, load_database, remove_target_column, target_labels, validate_schema
-from .sampler import DEFAULT_SIZE_CAP, SizeCapError, batch_sample, write_datapoints_jsonl
+from .sampler import DEFAULT_SIZE_CAP, DatapointStore, SizeCapError, batch_sample, write_datapoints_jsonl
 from .synth import SIGNALS, TEMPLATES, SynthSpec, generate
 from .tensor import load_checkpoint, save_checkpoint, gradcheck as run_gradcheck
 from .training import (
@@ -105,7 +105,7 @@ def cmd_sample(args) -> int:
     masked = remove_target_column(load_database(args.dataset))
     graph, datapoints = _sample(masked, edge_type_once=args.edge_type_once, size_cap=args.size_cap)
     write_datapoints_jsonl(args.out / "datapoints.jsonl", datapoints, graph, args.reverse_edges)
-    sizes = [dp.num_nodes for dp in datapoints]
+    sizes = np.diff(datapoints.node_start)
     payload = {
         "datapoints": len(datapoints),
         "total_nodes": int(np.sum(sizes)),
@@ -147,6 +147,15 @@ def _sample(masked, rows=None, *, edge_type_once: bool = False, size_cap: int = 
     if rows is None:
         rows = range(masked.tables[masked.target[0]].nrows)
     return graph, batch_sample(graph, list(rows), edge_type_once=edge_type_once, size_cap=size_cap)
+
+
+def _subgraph_sizes(datapoints: DatapointStore) -> dict:
+    """Min, median, 99th percentile and max of the nodes and of the forward edges per datapoint. The
+    percentiles interpolate linearly between the two nearest order statistics, numpy's default."""
+    return {name: {"min": int(counts.min()), "median": float(np.median(counts)),
+                   "p99": float(np.percentile(counts, 99)), "max": int(counts.max())}
+            for name, counts in (("nodes", np.diff(datapoints.node_start)),
+                                 ("forward_edges", np.diff(datapoints.edge_start)))}
 
 
 def _describe(args, masked) -> dict:
@@ -271,6 +280,8 @@ def cmd_train(args) -> int:
         "sd_test_auroc": float(np.std(aurocs, ddof=1)) if len(aurocs) > 1 else 0.0,
         "mean_test_accuracy": float(np.mean([f["test_accuracy"] for f in folds])),
     }
+    if gnn:
+        payload["subgraphs"] = _subgraph_sizes(shared)
     _emit(args, payload, "report.json")
     return 0
 

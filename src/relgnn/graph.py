@@ -14,6 +14,7 @@ __all__ = [
     "HeteroGraph",
     "edge_types",
     "referenced_table",
+    "ranges",
     "database_to_graph",
     "graph_stats",
     "GraphStats",
@@ -50,12 +51,18 @@ def referenced_table(db: Database, et: EdgeType) -> int:
     return db.table_index(db.tables[et.table].columns[et.column].kind.references[0])
 
 
+def ranges(start: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions `start[i]` up to `start[i + 1]` of each id `i`, concatenated in id order, and each
+    range's length: one gather step for any number of ranges."""
+    lo = start[ids]
+    counts = start[ids + 1] - lo
+    first = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(lo - first, counts), counts
+
+
 def _csr_lists(start: np.ndarray, order: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge ids of the nodes' CSR lists, concatenated in node order, and each list's length."""
-    lo = start[nodes]
-    counts = start[nodes + 1] - lo
-    first = np.cumsum(counts) - counts
-    positions = np.arange(int(counts.sum())) + np.repeat(lo - first, counts)
+    positions, counts = ranges(start, nodes)
     return order[positions], counts
 
 

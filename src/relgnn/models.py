@@ -9,7 +9,7 @@ import numpy as np
 from .encode import NodeTypeEncoder, encode_node
 from .graph import SELF_LOOP, EdgeType, edge_types
 from .rdb import Database
-from .sampler import Datapoint
+from .sampler import Datapoint, DatapointStore
 from .tensor import (
     RngStream,
     Tensor,
@@ -118,17 +118,16 @@ def encode_tables(db: Database, encoders: list[NodeTypeEncoder]) -> list[tuple[n
     return [encode_node(db, t, np.arange(table.nrows), encoders[t]) for t, table in enumerate(db.tables)]
 
 
-def build_batch(datapoints: list[Datapoint], db: Database, encoders: list[NodeTypeEncoder],
+def build_batch(datapoints: DatapointStore | list[Datapoint], db: Database, encoders: list[NodeTypeEncoder],
                 tables: list[tuple[np.ndarray, np.ndarray]] | None = None) -> GraphBatch:
     """The datapoints as one disjoint graph, plus each forward edge's reverse and a self loop per node.
-    Node features are gathered from `tables`, the output of `encode_tables`; without them, encoded."""
-    if not datapoints:
+    A list of datapoints is packed into a store first. Node features are gathered from `tables`, the
+    output of `encode_tables`; without them, encoded."""
+    if not len(datapoints):
         raise ValueError("empty batch")
-    node_type = np.concatenate([dp.node_types for dp in datapoints])
-    node_row = np.concatenate([dp.rows for dp in datapoints])
-    sizes = [dp.num_nodes for dp in datapoints]
-    offsets = np.cumsum([0] + sizes[:-1])
-    graph_id = np.repeat(np.arange(len(datapoints), dtype=np.int64), sizes)
+    store = datapoints if isinstance(datapoints, DatapointStore) else DatapointStore.pack(datapoints)
+    node_type, node_row = store.node_types, store.rows
+    graph_id = np.repeat(np.arange(len(store), dtype=np.int64), np.diff(store.node_start))
 
     # type-major order: the types ascending, each type's batch positions ascending
     order = np.argsort(node_type, kind="stable")
@@ -139,15 +138,13 @@ def build_batch(datapoints: list[Datapoint], db: Database, encoders: list[NodeTy
     scatter[order] = np.arange(len(node_type))
 
     # forward edges at batch positions, grouped by type with each type's edges in datapoint order
-    forward_types = datapoints[0].types
-    edge_type = np.concatenate([dp.edge_type for dp in datapoints])
-    by_type = np.argsort(edge_type, kind="stable")
-    shift = np.repeat(offsets, [len(dp.src) for dp in datapoints])
-    src = (np.concatenate([dp.src for dp in datapoints]) + shift)[by_type]
-    dst = (np.concatenate([dp.dst for dp in datapoints]) + shift)[by_type]
-    cuts = np.searchsorted(edge_type[by_type], np.arange(1, len(forward_types)))
+    by_type = np.argsort(store.edge_type, kind="stable")
+    shift = np.repeat(store.node_start[:-1], np.diff(store.edge_start))
+    src = (store.src + shift)[by_type]
+    dst = (store.dst + shift)[by_type]
+    cuts = np.searchsorted(store.edge_type[by_type], np.arange(1, len(store.types)))
     edges: dict[EdgeType, tuple[np.ndarray, np.ndarray]] = {}
-    for et, src_k, dst_k in zip(forward_types, np.split(src, cuts), np.split(dst, cuts)):
+    for et, src_k, dst_k in zip(store.types, np.split(src, cuts), np.split(dst, cuts)):
         edges[et] = (src_k, dst_k)
         edges[et.paired_reverse()] = (dst_k, src_k)
     for t in types_present:
@@ -162,10 +159,9 @@ def build_batch(datapoints: list[Datapoint], db: Database, encoders: list[NodeTy
         else:
             dense[t], cats[t] = tables[t][0][rows], tables[t][1][rows]
 
-    labels = np.array([dp.label if dp.label is not None else 0 for dp in datapoints], dtype=np.int64)
     return GraphBatch(
-        int(len(node_type)), len(datapoints), node_type, graph_id, types_present, type_rows,
-        dense, cats, scatter, dict(sorted(edges.items())), labels,
+        int(len(node_type)), len(store), node_type, graph_id, types_present, type_rows,
+        dense, cats, scatter, dict(sorted(edges.items())), np.maximum(store.labels, 0),
     )
 
 

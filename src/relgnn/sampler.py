@@ -1,17 +1,20 @@
-"""Extract per-target datapoints: ancestor closure, then descendant closure, then the induced subgraph."""
+"""Extract per-target datapoints: ancestor closure, then descendant closure per target, then the induced
+subgraphs of all targets in one pass, held in one `DatapointStore`."""
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .graph import FORWARD, SELF_LOOP, EdgeType, HeteroGraph, edge_types
+from .graph import FORWARD, SELF_LOOP, EdgeType, HeteroGraph, edge_types, ranges
 from .rdb import target_labels
 
 __all__ = [
     "Datapoint",
+    "DatapointStore",
     "SizeCapError",
     "rdb_to_graph",
     "batch_sample",
@@ -54,14 +57,69 @@ class Datapoint:
         return len(self.node_types)
 
 
+@dataclass
+class DatapointStore:
+    """Many targets' subgraphs in flat arrays. Target i's nodes are `node_types`/`rows` from
+    `node_start[i]` to `node_start[i + 1]`, its forward edges `src`/`dst`/`edge_type` from
+    `edge_start[i]` to `edge_start[i + 1]`, with `src`/`dst` local ids within its nodes. `store[i]` is
+    target i's `Datapoint`, made of views of these arrays."""
+
+    node_types: np.ndarray
+    rows: np.ndarray
+    node_start: np.ndarray  # (targets + 1,)
+    src: np.ndarray
+    dst: np.ndarray
+    edge_type: np.ndarray
+    edge_start: np.ndarray  # (targets + 1,)
+    target_local: np.ndarray  # (targets,)
+    labels: np.ndarray  # (targets,) int64; -1 for a target outside the target table, which has no label
+    targets: np.ndarray  # (targets, 2): each target's (table, row)
+    types: list[EdgeType]
+
+    @classmethod
+    def pack(cls, datapoints: list[Datapoint]) -> "DatapointStore":
+        """The datapoints, which share one `types` list, copied into one store in list order."""
+        return cls(
+            np.concatenate([dp.node_types for dp in datapoints]), np.concatenate([dp.rows for dp in datapoints]),
+            np.cumsum([0] + [dp.num_nodes for dp in datapoints], dtype=np.int64),
+            np.concatenate([dp.src for dp in datapoints]), np.concatenate([dp.dst for dp in datapoints]),
+            np.concatenate([dp.edge_type for dp in datapoints]),
+            np.cumsum([0] + [len(dp.src) for dp in datapoints], dtype=np.int64),
+            np.array([dp.target_local for dp in datapoints], dtype=np.int64),
+            np.array([-1 if dp.label is None else dp.label for dp in datapoints], dtype=np.int64),
+            np.array([dp.provenance for dp in datapoints], dtype=np.int64), datapoints[0].types)
+
+    def __len__(self) -> int:
+        return len(self.target_local)
+
+    def __getitem__(self, i: int) -> Datapoint:
+        i = range(len(self))[i]
+        n0, n1, e0, e1 = self.node_start[i], self.node_start[i + 1], self.edge_start[i], self.edge_start[i + 1]
+        label = int(self.labels[i])
+        return Datapoint(self.node_types[n0:n1], self.rows[n0:n1], self.src[e0:e1], self.dst[e0:e1],
+                         self.edge_type[e0:e1], self.types, int(self.target_local[i]),
+                         None if label < 0 else label, tuple(self.targets[i].tolist()))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def take(self, ids) -> "DatapointStore":
+        """The store of the targets `ids`, in that order, gathered with one step per array."""
+        ids = np.asarray(ids, dtype=np.int64)
+        nodes, node_counts = ranges(self.node_start, ids)
+        edges, edge_counts = ranges(self.edge_start, ids)
+        return DatapointStore(
+            self.node_types[nodes], self.rows[nodes], np.concatenate(([0], np.cumsum(node_counts))),
+            self.src[edges], self.dst[edges], self.edge_type[edges], np.concatenate(([0], np.cumsum(edge_counts))),
+            self.target_local[ids], self.labels[ids], self.targets[ids], self.types)
+
+
 class _Scratch:
-    """Per-node work arrays for sampling one target at a time: `selected` (the closure's visited set)
-    and `local_of` (the induced subgraph's local ids). Their users reset exactly the entries they set,
-    so the per-target cost depends on the subgraph's size, not the graph's."""
+    """The closure's visited set, one flag per graph node. `_select_closure` resets exactly the flags it
+    sets, so the per-target cost depends on the subgraph's size, not the graph's."""
 
     def __init__(self, num_nodes: int):
         self.selected = np.zeros(num_nodes, dtype=bool)
-        self.local_of = np.full(num_nodes, -1, dtype=np.int64)
 
 
 def _select_closure(graph: HeteroGraph, scratch: _Scratch, start: int, cap: int,
@@ -108,76 +166,107 @@ def _select_closure(graph: HeteroGraph, scratch: _Scratch, start: int, cap: int,
     return np.sort(ids)
 
 
-def _induce(graph: HeteroGraph, scratch: _Scratch, global_ids: np.ndarray, target: tuple[int, int],
-            label: int | None) -> Datapoint:
-    """The datapoint of the nodes `global_ids` (sorted) with every forward edge between them."""
-    local_of = scratch.local_of
-    local_of[global_ids] = np.arange(len(global_ids))
-    try:
-        # out-edges of the selected nodes, then those that stay inside
-        edge_ids = graph.out_edges(global_ids)[0]
-        dst = local_of[graph.dst[edge_ids]]
-        # ascending edge id = per-type blocks, each in the graph's edge order
-        edge_ids = np.sort(edge_ids[dst >= 0])
-        src = local_of[graph.src[edge_ids]]
-        dst = local_of[graph.dst[edge_ids]]
-        target_local = int(local_of[graph.offsets[target[0]] + target[1]])
-    finally:
-        local_of[global_ids] = -1
-    node_types = np.searchsorted(graph.offsets, global_ids, side="right") - 1
-    return Datapoint(node_types, global_ids - graph.offsets[node_types], src, dst, graph.type_id[edge_ids],
-                     graph.types, target_local, label, target)
+def _induce(graph: HeteroGraph, ids: np.ndarray, sizes, targets: np.ndarray, labels: np.ndarray) -> DatapointStore:
+    """The store of subgraphs whose nodes are `ids`, each target's `sizes[i]` ids in a row and sorted,
+    with every forward edge between two nodes of the same target, all targets in one array pass. Each
+    temporary is dropped once spent; kept to the end, they raised the pass's peak memory by 40%."""
+    n = graph.num_nodes
+    node_start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    owner = np.repeat(np.arange(len(targets)), np.diff(node_start))
+    keys = owner * n
+    keys += ids  # ascending: targets in order, each target's ids sorted
+    target_keys = np.arange(len(targets)) * n + graph.offsets[targets[:, 0]] + targets[:, 1]
+    target_local = np.searchsorted(keys, target_keys) - node_start[:-1]
+    # out-edges of every selected node; an edge stays when its dst is selected for the same target
+    edge_ids, counts = graph.out_edges(ids)
+    src = np.repeat(np.arange(len(ids)), counts)  # position of each edge's source in `ids`
+    del counts
+    want = owner[src]
+    want *= n
+    want += graph.dst[edge_ids]
+    dst = np.searchsorted(keys, want)
+    inside = keys[np.minimum(dst, len(keys) - 1)] == want
+    del keys, want
+    src, dst, edge_ids = src[inside], dst[inside], edge_ids[inside]
+    del inside
+    # by target, then ascending edge id = per-type blocks, each in the graph's edge order
+    order = np.lexsort((edge_ids, owner[src]))
+    src, dst, edge_type = src[order], dst[order], graph.type_id[edge_ids[order]]
+    del order, edge_ids
+    edge_owner = owner[src]
+    del owner
+    shift = node_start[edge_owner]
+    src -= shift
+    dst -= shift
+    del shift
+    node_types = np.searchsorted(graph.offsets, ids, side="right") - 1
+    return DatapointStore(node_types, ids - graph.offsets[node_types], node_start, src, dst, edge_type,
+                          np.searchsorted(edge_owner, np.arange(len(targets) + 1)), target_local, labels, targets,
+                          graph.types)
 
 
 def rdb_to_graph(graph: HeteroGraph, target: tuple[int, int], *, size_cap: int = DEFAULT_SIZE_CAP,
-                 edge_type_once: bool = False, label: int | None = None,
-                 _scratch: _Scratch | None = None) -> Datapoint:
+                 edge_type_once: bool = False, _scratch: _Scratch | None = None) -> Datapoint:
     """Select every ancestor of the target node, then every descendant of the selected set; with
     `edge_type_once`, each edge type is followed in at most one expansion round."""
     scratch = _scratch or _Scratch(graph.num_nodes)
     start = int(graph.offsets[target[0]] + target[1])
-    global_ids = _select_closure(graph, scratch, start, size_cap, edge_type_once)
-    if label is None and len(graph.db.target_flags) == 1 and graph.db.target[0] == target[0]:
+    ids = _select_closure(graph, scratch, start, size_cap, edge_type_once)
+    label = -1
+    if len(graph.db.target_flags) == 1 and graph.db.target[0] == target[0]:
         label = int(target_labels(graph.db)[target[1]])
-    return _induce(graph, scratch, global_ids, target, label)
+    return _induce(graph, ids, [len(ids)], np.array([target], dtype=np.int64), np.array([label]))[0]
 
 
 def batch_sample(graph: HeteroGraph, target_rows: list[int], *, edge_type_once: bool = False,
-                 size_cap: int = DEFAULT_SIZE_CAP) -> list[Datapoint]:
-    """One datapoint per target row of the target table, in the requested order."""
+                 size_cap: int = DEFAULT_SIZE_CAP) -> DatapointStore:
+    """One subgraph per target row of the target table, in the requested order: a closure per target,
+    then one induce pass over all of them."""
     scratch = _Scratch(graph.num_nodes)
     table = graph.db.target[0]
-    labels = target_labels(graph.db)
-    out = []
-    for row in target_rows:
+    first = int(graph.offsets[table])
+    rows = np.asarray(target_rows, dtype=np.int64)
+    labels = target_labels(graph.db)[rows]
+    ids, sizes = bytearray(), []  # the closures' int64 bytes back to back, with no array object per target
+    for row in rows.tolist():
         try:
-            out.append(rdb_to_graph(graph, (table, int(row)), size_cap=size_cap,
-                                    edge_type_once=edge_type_once, label=int(labels[row]), _scratch=scratch))
+            closure = _select_closure(graph, scratch, first + row, size_cap, edge_type_once)
         except SizeCapError as exc:
-            raise SizeCapError(exc.selected, exc.cap, int(row)) from None
-    return out
+            raise SizeCapError(exc.selected, exc.cap, row) from None
+        ids += closure.tobytes()
+        sizes.append(len(closure))
+    targets = np.stack([np.full(len(rows), table, dtype=np.int64), rows], axis=1)
+    return _induce(graph, np.frombuffer(ids, dtype=np.int64), sizes, targets, labels)
 
 
-def write_datapoints_jsonl(path: str | Path, datapoints: list[Datapoint], graph: HeteroGraph,
+def write_datapoints_jsonl(path: str | Path, datapoints: DatapointStore, graph: HeteroGraph,
                            reverse_edges: bool) -> None:
-    """One JSON record per datapoint, its edges listed per type of `edge_types(db, reverse_edges)`."""
-    names = [table.name for table in graph.db.tables]
-    kinds = [(graph.edge_type_name(et), et.direction,  # a self loop's table, else its forward type's index
-              et.table if et.direction == SELF_LOOP else graph.types.index(replace(et, direction=FORWARD)))
-             for et in edge_types(graph.db, reverse_edges)]
+    """One JSON record per datapoint, its edges listed per type of `edge_types(db, reverse_edges)`:
+    the text `json.dumps(record, sort_keys=True)` would write, from templates filled per record."""
+    node_tail = [f', "type": {json.dumps(table.name)}}}' for table in graph.db.tables]
+    kinds = []  # (direction, a self loop's table or its forward type's index, the edge text's tail)
+    for et in edge_types(graph.db, reverse_edges):
+        k = et.table if et.direction == SELF_LOOP else graph.types.index(replace(et, direction=FORWARD))
+        kinds.append((et.direction, k, f', "type": {json.dumps(graph.edge_type_name(et))}}}'))
+    node_start, edge_start = datapoints.node_start.tolist(), datapoints.edge_start.tolist()
+    labels, (tables, target_rows) = datapoints.labels.tolist(), datapoints.targets.T.tolist()
     with open(path, "w", encoding="utf-8") as handle:
-        for dp in datapoints:
-            ids = [[t, r] for t, r in zip(dp.node_types.tolist(), dp.rows.tolist())]
-            forward: list[list] = [[] for _ in graph.types]
-            for k, s, d in zip(dp.edge_type.tolist(), dp.src.tolist(), dp.dst.tolist()):
-                forward[k].append((ids[s], ids[d]))
+        for i, (table, row) in enumerate(zip(tables, target_rows)):
+            n0, n1, e0, e1 = node_start[i], node_start[i + 1], edge_start[i], edge_start[i + 1]
+            types = datapoints.node_types[n0:n1].tolist()
+            ids = [f"[{t}, {r}]" for t, r in zip(types, datapoints.rows[n0:n1].tolist())]
+            edge_type = datapoints.edge_type[e0:e1].tolist()
+            src = [ids[s] for s in datapoints.src[e0:e1].tolist()]
+            dst = [ids[d] for d in datapoints.dst[e0:e1].tolist()]
             edges = []
-            for name, direction, k in kinds:
-                if direction == SELF_LOOP:
-                    pairs = [(nid, nid) for nid in ids if nid[0] == k]
+            for direction, k, tail in kinds:
+                if direction == SELF_LOOP:  # nodes are in table order, so each table's are one slice
+                    lo, hi, s, d = bisect_left(types, k), bisect_right(types, k), ids, ids
                 else:
-                    pairs = forward[k] if direction == FORWARD else [(d, s) for s, d in forward[k]]
-                edges += [{"src": s, "dst": d, "type": name} for s, d in pairs]
-            record = {"target": list(dp.provenance), "label": dp.label, "edges": edges,
-                      "nodes": [{"id": nid, "type": names[nid[0]]} for nid in ids]}
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+                    lo, hi = bisect_left(edge_type, k), bisect_right(edge_type, k)
+                    s, d = (src, dst) if direction == FORWARD else (dst, src)
+                edges += [f'{{"dst": {b}, "src": {a}{tail}' for a, b in zip(s[lo:hi], d[lo:hi])]
+            nodes = [f'{{"id": {x}{node_tail[t]}' for x, t in zip(ids, types)]
+            label = "null" if labels[i] < 0 else str(labels[i])
+            handle.write(f'{{"edges": [{", ".join(edges)}], "label": {label}, '
+                         f'"nodes": [{", ".join(nodes)}], "target": [{table}, {row}]}}\n')

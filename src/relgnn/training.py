@@ -9,7 +9,7 @@ from .encode import NodeTypeEncoder, encode_node
 from .models import build_batch, encode_tables
 from .optim import AdamW
 from .rdb import Database
-from .sampler import Datapoint
+from .sampler import DatapointStore
 from .tensor import (
     RngStream,
     Tensor,
@@ -171,15 +171,15 @@ class GraphDataset:
     """Datapoints indexed by target row; every table is encoded once with the fold's encoders, and a
     batch gathers its rows from those matrices."""
 
-    def __init__(self, db: Database, datapoints: list[Datapoint], encoders: list[NodeTypeEncoder]):
+    def __init__(self, db: Database, datapoints: DatapointStore, encoders: list[NodeTypeEncoder]):
         self.db = db
         self.datapoints = datapoints
         self.encoders = encoders
-        self.labels = np.array([dp.label for dp in datapoints], dtype=np.int64)
+        self.labels = datapoints.labels
         self.tables = encode_tables(db, encoders)
 
     def batch(self, ids):
-        return build_batch([self.datapoints[i] for i in ids], self.db, self.encoders, self.tables)
+        return build_batch(self.datapoints.take(ids), self.db, self.encoders, self.tables)
 
     def loss(self, net, ids, train: bool = False, rng=None) -> Tensor:
         return net.loss(self.batch(ids), train, rng)
@@ -232,11 +232,10 @@ def oversample_ids(ids: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.concatenate([majority, np.resize(minority, len(majority))])
 
 
-def fold_encoder_rows(datapoints: list[Datapoint], ids) -> dict[int, list[int]]:
+def fold_encoder_rows(datapoints: DatapointStore, ids) -> dict[int, list[int]]:
     """Rows reachable from the given datapoints, grouped by table: the encoder fitting scope."""
-    chosen = [datapoints[i] for i in ids]
-    node_types = np.concatenate([dp.node_types for dp in chosen])
-    rows = np.concatenate([dp.rows for dp in chosen])
+    chosen = datapoints.take(ids)
+    node_types, rows = chosen.node_types, chosen.rows
     return {t: np.unique(rows[node_types == t]).tolist() for t in np.unique(node_types).tolist()}
 
 

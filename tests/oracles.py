@@ -1,15 +1,17 @@
 """Deliberately naive oracles: brute-force ones independent of the library's data structures, a
-mask-based reference sampler, a per-target reference DFS and a cell-by-cell reference encoder."""
+mask-based reference sampler, a `json.dumps` reference datapoint writer, a per-target reference DFS
+and a cell-by-cell reference encoder."""
 from __future__ import annotations
 
 import calendar
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from relgnn.dfs import COPY, AggSpec, _checked_end
-from relgnn.graph import REVERSE, SELF_LOOP, EdgeType
+from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, edge_types
 from relgnn.rdb import Database, RdbError
 from relgnn.sampler import SizeCapError
 
@@ -122,6 +124,31 @@ def reference_datapoint(graph, target, *, edge_type_once=False, cap=10**9, rever
         rows = np.nonzero(node_types == ti)[0].astype(np.int64)
         edges[EdgeType(ti, -1, SELF_LOOP)] = (rows, rows)
     return ReferenceDatapoint(nodes, node_types.astype(np.int64), edges, int(local_of[start]), label, target)
+
+
+def reference_write_datapoints_jsonl(path, datapoints, graph, reverse_edges):
+    """One `json.dumps(record, sort_keys=True)` line per datapoint of the list, its edges listed per type
+    of `edge_types(db, reverse_edges)`: the writer that the template writer must match byte for byte."""
+    names = [table.name for table in graph.db.tables]
+    kinds = [(graph.edge_type_name(et), et.direction,  # a self loop's table, else its forward type's index
+              et.table if et.direction == SELF_LOOP else graph.types.index(replace(et, direction=FORWARD)))
+             for et in edge_types(graph.db, reverse_edges)]
+    with open(path, "w", encoding="utf-8") as handle:
+        for dp in datapoints:
+            ids = [[t, r] for t, r in zip(dp.node_types.tolist(), dp.rows.tolist())]
+            forward: list[list] = [[] for _ in graph.types]
+            for k, s, d in zip(dp.edge_type.tolist(), dp.src.tolist(), dp.dst.tolist()):
+                forward[k].append((ids[s], ids[d]))
+            edges = []
+            for name, direction, k in kinds:
+                if direction == SELF_LOOP:
+                    pairs = [(nid, nid) for nid in ids if nid[0] == k]
+                else:
+                    pairs = forward[k] if direction == FORWARD else [(d, s) for s, d in forward[k]]
+                edges += [{"src": s, "dst": d, "type": name} for s, d in pairs]
+            record = {"target": list(dp.provenance), "label": dp.label, "edges": edges,
+                      "nodes": [{"id": nid, "type": names[nid[0]]} for nid in ids]}
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _reference_bfs(start, selected, neighbors, cap):

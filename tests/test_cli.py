@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -8,8 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import relgnn
 from relgnn.cli import main
 
 
@@ -179,6 +182,56 @@ def test_sample_writes_datapoints(capsys, synth_dir, tmp_path):
     assert (out / "manifest.json").is_file()
 
 
+# sha256 of datapoints.jsonl from `relgnn sample` on `three_level_dir`, per flag set, as written by the
+# per-record `json.dumps` writer that tests/oracles.py keeps as the reference
+_SAMPLE_SHA256 = {
+    (): "1026a4995ab036b6937a4b4efe84987de9accaf3c2f49b75988992c918d06a00",
+    ("--edge-type-once",): "1026a4995ab036b6937a4b4efe84987de9accaf3c2f49b75988992c918d06a00",
+    ("--no-reverse-edges",): "fbf9a0577f1106d0cdce26716c503f0b620345ab92a140f2ee7557c107c93cd2",
+    ("--no-reverse-edges", "--edge-type-once"): "fbf9a0577f1106d0cdce26716c503f0b620345ab92a140f2ee7557c107c93cd2",
+}
+
+
+@pytest.fixture(scope="module")
+def three_level_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("three_level") / "data"
+    assert main(["synth", "--out", str(out), "--targets", "150", "--template", "three_level",
+                 "--signal", "grandchild_aggregate", "--children", "1", "4", "--seed", "5"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("flags", sorted(_SAMPLE_SHA256), ids=lambda flags: "".join(flags) or "default")
+def test_sample_output_bytes_are_pinned(capsys, three_level_dir, tmp_path, flags):
+    out = tmp_path / "samples"
+    assert main(["sample", "--dataset", str(three_level_dir), "--out", str(out), *flags]) == 0
+    assert hashlib.sha256((out / "datapoints.jsonl").read_bytes()).hexdigest() == _SAMPLE_SHA256[flags]
+
+
+def _linear_percentile(values, q):
+    """The q-th percentile, interpolating linearly between the two nearest order statistics."""
+    ordered = sorted(values)
+    position = q / 100 * (len(ordered) - 1)
+    lo = int(position)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (position - lo)
+
+
+def test_report_subgraph_sizes_match_the_sampled_datapoints(capsys, synth_dir, gcn_run, tmp_path):
+    out = tmp_path / "samples"
+    code, sampled, _ = _run(capsys, ["sample", "--dataset", str(synth_dir), "--out", str(out)])
+    assert code == 0
+    records = [json.loads(line) for line in (out / "datapoints.jsonl").read_text().splitlines()]
+    nodes = [len(record["nodes"]) for record in records]
+    forward = [sum(edge["type"].endswith(":forward") for edge in record["edges"]) for record in records]
+    assert (sum(nodes), max(nodes)) == (sampled["total_nodes"], sampled["max_nodes"])
+    sizes = json.loads((gcn_run / "report.json").read_text())["subgraphs"]
+    assert list(sizes) == ["forward_edges", "nodes"]
+    for name, counts in (("nodes", nodes), ("forward_edges", forward)):
+        assert sizes[name] == {"max": max(counts), "median": pytest.approx(_linear_percentile(counts, 50)),
+                               "min": min(counts), "p99": pytest.approx(_linear_percentile(counts, 99))}
+    assert sizes["nodes"]["max"] == sampled["max_nodes"]
+
+
 def test_dfs_writes_features(capsys, synth_dir, tmp_path):
     out = tmp_path / "feats"
     code, payload, _ = _run(capsys, ["dfs", "--dataset", str(synth_dir), "--out", str(out), "--depth", "1"])
@@ -199,6 +252,7 @@ def test_train_logreg_report(capsys, synth_dir, tmp_path):
     assert 0.0 <= payload["mean_test_auroc"] <= 1.0
     report = json.loads((out / "report.json").read_text())
     assert report == payload
+    assert "subgraphs" not in report  # a GNN run's only
     for fi in range(5):
         assert (out / f"fold{fi}" / "checkpoint.bin").is_file()
         assert (out / f"fold{fi}" / "encoders.json").is_file()
@@ -379,8 +433,11 @@ def test_gradcheck_subcommand(capsys):
 
 
 def test_module_invocation_subprocess(fixtures_dir):
+    # the child imports the same relgnn as this process, from wherever its source directory is
+    source = str(Path(relgnn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "relgnn.cli", "validate",
                            "--dataset", str(fixtures_dir / "patients_small")],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_tables"] == 2

@@ -241,8 +241,9 @@ def test_build_batch_gathers_what_it_would_encode(clinic, random_database):
         tables = encode_tables(db, encoders)
         assert [d.shape[0] for d, _ in tables] == [t.nrows for t in db.tables]
         for lo in range(0, len(dps), 3):
-            gathered = build_batch(dps[lo:lo + 3], db, encoders, tables)
-            encoded = build_batch(dps[lo:lo + 3], db, encoders)
+            ids = range(len(dps))[lo:lo + 3]
+            gathered = build_batch(dps.take(ids), db, encoders, tables)
+            encoded = build_batch(dps.take(ids), db, encoders)
             assert gathered.types_present == encoded.types_present
             for t in encoded.types_present:
                 for got, want in ((gathered.dense[t], encoded.dense[t]), (gathered.cats[t], encoded.cats[t])):

@@ -5,12 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import closure_oracle, edge_type_once_oracle, reference_datapoint
+from oracles import closure_oracle, edge_type_once_oracle, reference_datapoint, reference_write_datapoints_jsonl
 from relgnn import sampler
 from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, database_to_graph
 from relgnn.models import build_batch
 from relgnn.rdb import Column, ColumnKind, Database, Table, load_database, target_labels, _resolve_foreign_keys
 from relgnn.sampler import (
+    DatapointStore,
     SizeCapError,
     _Scratch,
     _select_closure,
@@ -117,7 +118,7 @@ def test_batch_sample_sizes_and_order(fixtures_dir):
 
 def test_batch_sample_empty_and_duplicates(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
-    assert batch_sample(graph, []) == []
+    assert len(batch_sample(graph, [])) == 0 and list(batch_sample(graph, [])) == []
     a, b = batch_sample(graph, [1, 1])
     assert a.nodes == b.nodes and a.label == b.label and a.types is b.types
     for field in ("node_types", "rows", "src", "dst", "edge_type"):
@@ -193,12 +194,28 @@ def test_edge_type_once_matches_oracle_and_is_subset(random_database):
         assert _node_set(restricted) <= _node_set(full)
 
 
+def _assert_same_batch(got, want):
+    """Every array of the two batches equal, dtypes and dict key order included."""
+    assert (got.num_nodes, got.num_graphs, got.types_present) == (want.num_nodes, want.num_graphs, want.types_present)
+    pairs = [(got.node_type, want.node_type), (got.graph_id, want.graph_id), (got.scatter, want.scatter),
+             (got.labels, want.labels)]
+    for name in ("type_rows", "dense", "cats", "edges"):
+        got_d, want_d = getattr(got, name), getattr(want, name)
+        assert list(got_d) == list(want_d), name
+        for key in want_d:
+            pairs += zip(got_d[key], want_d[key]) if name == "edges" else [(got_d[key], want_d[key])]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
 def _assert_same_datapoint(dp, ref, db, reverse_edges=True):
     """The datapoint's forward edges equal the reference's directly; its reverse edges and self loops,
     which the reference stores, equal those that `build_batch` derives for a batch of it alone."""
     assert dp.nodes == ref.nodes
     assert dp.node_types.dtype == ref.node_types.dtype and np.array_equal(dp.node_types, ref.node_types)
-    assert dp.rows.dtype == np.int64
+    for field in ("rows", "src", "dst", "edge_type"):
+        assert getattr(dp, field).dtype == np.int64, field
+    assert type(dp.target_local) is int and type(dp.provenance[1]) is int
     assert dp.types == [et for et in ref.edges if et.direction == FORWARD]
     assert np.all(np.diff(dp.edge_type) >= 0)  # one block per type, in `types` order
     for et in dp.types:
@@ -221,13 +238,28 @@ def test_datapoints_equal_mask_based_reference(random_database, edge_type_once, 
         graph = database_to_graph(db)
         scratch = _Scratch(graph.num_nodes)
         labels = target_labels(db)
+        rng, extra = np.random.default_rng(seed), np.random.default_rng([seed, 1])
         rows = list(range(db.tables[0].nrows))
-        dps = batch_sample(graph, rows, edge_type_once=edge_type_once)
-        for row, dp in zip(rows, dps):
-            ref = reference_datapoint(graph, (0, row), edge_type_once=edge_type_once,
-                                      reverse_edges=reverse_edges, label=int(labels[row]))
-            _assert_same_datapoint(dp, ref, db, reverse_edges)
-        rng = np.random.default_rng(seed)
+        rows += extra.choice(rows, size=3).tolist()  # duplicates
+        store = batch_sample(graph, rows, edge_type_once=edge_type_once)
+        assert len(store) == len(rows)
+        refs = [reference_datapoint(graph, (0, row), edge_type_once=edge_type_once, reverse_edges=reverse_edges,
+                                    label=int(labels[row])) for row in rows]
+        for i, ref in enumerate(refs):
+            _assert_same_datapoint(store[i], ref, db, reverse_edges)
+        assert len(batch_sample(graph, [], edge_type_once=edge_type_once)) == 0
+        # a batch gathered from the store equals the batch of its views, packed
+        ids = extra.choice(len(store), size=min(len(store), 6)).tolist()
+        _assert_same_batch(_batch_of(store.take(ids), db), _batch_of([store[i] for i in ids], db))
+        # the first row whose closure exceeds the cap is named, with the count the reference stops at
+        cap = max(ref.num_nodes for ref in refs) - 1
+        if cap:
+            row = next(row for row, ref in zip(rows, refs) if ref.num_nodes > cap)
+            with pytest.raises(SizeCapError) as want:
+                reference_datapoint(graph, (0, row), edge_type_once=edge_type_once, cap=cap)
+            with pytest.raises(SizeCapError) as got:
+                batch_sample(graph, rows, edge_type_once=edge_type_once, size_cap=cap)
+            assert (got.value.target_row, got.value.selected, got.value.cap) == (row, want.value.selected, cap)
         ti = int(rng.integers(0, len(db.tables)))
         ri = int(rng.integers(0, db.tables[ti].nrows))
         ref = reference_datapoint(graph, (ti, ri), edge_type_once=edge_type_once, reverse_edges=reverse_edges,
@@ -260,14 +292,12 @@ def test_size_cap_leaves_the_scratch_arrays_clean(monkeypatch, fixtures_dir, edg
         batch_sample(graph, [0], edge_type_once=edge_type_once, size_cap=3)
     (scratch,) = built
     assert not scratch.selected.any()
-    assert (scratch.local_of == -1).all()
     labels = target_labels(graph.db)
     for row in (1, 0):
         ref = reference_datapoint(graph, (0, row), edge_type_once=edge_type_once, label=int(labels[row]))
         _assert_same_datapoint(rdb_to_graph(graph, (0, row), edge_type_once=edge_type_once, _scratch=scratch),
                                ref, graph.db)
     assert not scratch.selected.any()
-    assert (scratch.local_of == -1).all()
 
 
 def _targets_with_unrelated_rows(n_targets, n_unrelated):
@@ -331,6 +361,35 @@ def test_jsonl_output_format(fixtures_dir, tmp_path):
     write_datapoints_jsonl(path, dps, graph, False)
     (bare,) = [json.loads(line) for line in path.read_text().splitlines()]
     assert bare["edges"] == [e for e in record["edges"] if not e["type"].endswith(":reverse")]
+
+
+# names that JSON must escape: a quote, a backslash, non-ASCII, a control character, and format syntax
+_AWKWARD = 'q"b\\é\x01%s{}'
+
+
+@pytest.mark.parametrize("reverse_edges", [True, False], ids=["reverse", "forward-only"])
+@pytest.mark.parametrize("edge_type_once", [False, True], ids=["closure", "edge-type-once"])
+def test_writer_matches_json_dumps_reference(random_database, tmp_path, edge_type_once, reverse_edges):
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    for seed in range(200):
+        db = random_database(seed + 13000, max_tables=5, max_rows=40)
+        graph = database_to_graph(db)
+        store = batch_sample(graph, list(range(db.tables[0].nrows)), edge_type_once=edge_type_once)
+        if seed % 2:  # names are read only where they are written, so the graph built above stays valid
+            for ti, table in enumerate(db.tables):
+                table.name = f"{_AWKWARD}{ti}"
+                for column in table.columns:
+                    column.name = f"{column.name}{_AWKWARD}"
+        write_datapoints_jsonl(got, store, graph, reverse_edges)
+        reference_write_datapoints_jsonl(want, list(store), graph, reverse_edges)
+        assert got.read_bytes() == want.read_bytes(), seed
+        # a datapoint of a row outside the target table has no label
+        ti = len(db.tables) - 1
+        dp = rdb_to_graph(graph, (ti, db.tables[ti].nrows - 1), edge_type_once=edge_type_once)
+        assert (dp.label is None) == (ti != 0)
+        write_datapoints_jsonl(got, DatapointStore.pack([dp, store[0]]), graph, reverse_edges)
+        reference_write_datapoints_jsonl(want, [dp, store[0]], graph, reverse_edges)
+        assert got.read_bytes() == want.read_bytes(), seed
 
 
 def test_closure_time_scales_linearly():

@@ -296,8 +296,7 @@ def test_evaluate_report():
 def _clinic_dataset():
     db = remove_target_column(load_database(FIXTURES / "clinic"))
     graph = database_to_graph(db)
-    dps = batch_sample(graph, [0, 1])
-    dps = dps + dps  # four datapoints, two per class
+    dps = batch_sample(graph, [0, 1, 0, 1])  # four datapoints, two per class
     encoders = fit_encoders(db, fold_encoder_rows(dps, range(len(dps))))
     return db, dps, encoders
 
