@@ -95,8 +95,7 @@ def cmd_validate(args) -> int:
 def cmd_graph_stats(args) -> int:
     db = load_database(args.dataset)
     graph = database_to_graph(remove_target_column(db))
-    payload = json.loads(graph_stats(graph, reverse_edges=args.reverse_edges).to_json())
-    _emit(args, payload, "graph_stats.json")
+    _emit(args, graph_stats(graph, reverse_edges=args.reverse_edges), "graph_stats.json")
     return 0
 
 
@@ -142,10 +141,14 @@ def cmd_dfs(args) -> int:
 
 
 def _sample(masked, rows=None, *, edge_type_once: bool = False, size_cap: int = DEFAULT_SIZE_CAP):
-    """The database graph and one subgraph datapoint per target row (all of them when `rows` is None)."""
+    """The database graph and one subgraph datapoint per target row (all of them when `rows` is None);
+    a target table without rows fails naming it."""
+    table = masked.tables[masked.target[0]]
+    if not table.nrows:
+        raise RdbError(f"target table {table.name} has no rows to sample")
     graph = database_to_graph(masked)
     if rows is None:
-        rows = range(masked.tables[masked.target[0]].nrows)
+        rows = range(table.nrows)
     return graph, batch_sample(graph, list(rows), edge_type_once=edge_type_once, size_cap=size_cap)
 
 
@@ -351,7 +354,7 @@ def cmd_gradcheck(args) -> int:
     encoders = fit_encoders(masked, fold_encoder_rows(datapoints, [0]))
     schema = GraphSchema.from_database(masked, encoders)
     data = GraphDataset(masked, datapoints, encoders)
-    batch = data.batch([0])
+    batch = data.inputs([0])
     variants = [args.model] if args.model else list(VARIANTS)
     nudge = np.random.default_rng(args.seed)
     results = {}

@@ -323,7 +323,7 @@ def write_features_csv(path, db: Database, specs: list[AggSpec], target_rows) ->
     pk = next((ci for ci, col in enumerate(table.columns) if col.kind.tag == "primary_key"), None)
     raw = compute_features(db, specs, target_rows)
     header = [table.columns[pk].name if pk is not None else "row"] + feature_names(db, specs)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row, values in zip(target_rows, raw):

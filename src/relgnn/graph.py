@@ -2,12 +2,12 @@
 and graph-stats read: rows become nodes, FK cells become edges."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .rdb import Database
+from .rdb import Database, target_labels
 
 __all__ = [
     "EdgeType",
@@ -17,7 +17,6 @@ __all__ = [
     "ranges",
     "database_to_graph",
     "graph_stats",
-    "GraphStats",
 ]
 
 FORWARD = "forward"
@@ -90,6 +89,16 @@ class HeteroGraph:
     def num_nodes(self) -> int:
         return int(self.offsets[-1])
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Each node's label, int64, read from the database on first use: -1 outside the target table,
+        and everywhere when the database has not exactly one target column."""
+        labels = np.full(self.num_nodes, -1, dtype=np.int64)
+        if len(self.db.target_flags) == 1:
+            table = self.db.target[0]
+            labels[self.offsets[table] : self.offsets[table + 1]] = target_labels(self.db)
+        return labels
+
     def out_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of the edges leaving each node, node by node, and how many leave each."""
         return _csr_lists(self.out_start, self.out_sorted, nodes)
@@ -131,23 +140,9 @@ def database_to_graph(db: Database) -> HeteroGraph:
                        np.searchsorted(src[out_sorted], nodes), in_sorted, np.searchsorted(dst[in_sorted], nodes))
 
 
-@dataclass
-class GraphStats:
-    node_counts: dict[str, int]
-    edge_counts: dict[str, int]
-    in_degree_histogram: dict[int, int]  # over forward edges only
-
-    def to_json(self) -> str:
-        payload = {
-            "node_counts": self.node_counts,
-            "edge_counts": self.edge_counts,
-            "in_degree_histogram": {str(k): v for k, v in sorted(self.in_degree_histogram.items())},
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def graph_stats(graph: HeteroGraph, reverse_edges: bool = False) -> GraphStats:
-    """Nodes per table and edges per type; with `reverse_edges` each forward type's reverse counts too."""
+def graph_stats(graph: HeteroGraph, reverse_edges: bool = False) -> dict:
+    """Nodes per table, edges per type (with `reverse_edges` each forward type's reverse counts too)
+    and the histogram of forward in-degrees, keyed by degree as text: the `graph-stats` report."""
     node_counts = {t.name: n for t, n in zip(graph.db.tables, graph.node_counts)}
     edge_counts = {}
     for et, count in zip(graph.types, np.bincount(graph.type_id, minlength=len(graph.types)).tolist()):
@@ -155,5 +150,5 @@ def graph_stats(graph: HeteroGraph, reverse_edges: bool = False) -> GraphStats:
         if reverse_edges:
             edge_counts[graph.edge_type_name(et.paired_reverse())] = count
     degrees, counts = np.unique(np.diff(graph.in_start), return_counts=True)
-    histogram = {int(d): int(c) for d, c in zip(degrees, counts)}
-    return GraphStats(node_counts, edge_counts, histogram)
+    histogram = {str(d): c for d, c in zip(degrees.tolist(), counts.tolist())}
+    return {"node_counts": node_counts, "edge_counts": edge_counts, "in_degree_histogram": histogram}

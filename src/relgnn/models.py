@@ -9,7 +9,7 @@ import numpy as np
 from .encode import NodeTypeEncoder, encode_node
 from .graph import SELF_LOOP, EdgeType, edge_types
 from .rdb import Database
-from .sampler import Datapoint, DatapointStore
+from .sampler import DatapointStore
 from .tensor import (
     RngStream,
     Tensor,
@@ -118,14 +118,16 @@ def encode_tables(db: Database, encoders: list[NodeTypeEncoder]) -> list[tuple[n
     return [encode_node(db, t, np.arange(table.nrows), encoders[t]) for t, table in enumerate(db.tables)]
 
 
-def build_batch(datapoints: DatapointStore | list[Datapoint], db: Database, encoders: list[NodeTypeEncoder],
+def build_batch(datapoints: DatapointStore | list[DatapointStore], db: Database, encoders: list[NodeTypeEncoder],
                 tables: list[tuple[np.ndarray, np.ndarray]] | None = None) -> GraphBatch:
     """The datapoints as one disjoint graph, plus each forward edge's reverse and a self loop per node.
-    A list of datapoints is packed into a store first. Node features are gathered from `tables`, the
-    output of `encode_tables`; without them, encoded."""
+    A list of stores is concatenated first. Node features are gathered from `tables`, the output of
+    `encode_tables`, which is computed here when not given."""
     if not len(datapoints):
         raise ValueError("empty batch")
-    store = datapoints if isinstance(datapoints, DatapointStore) else DatapointStore.pack(datapoints)
+    store = datapoints if isinstance(datapoints, DatapointStore) else DatapointStore.concat(datapoints)
+    if tables is None:
+        tables = encode_tables(db, encoders)
     node_type, node_row = store.node_types, store.rows
     graph_id = np.repeat(np.arange(len(store), dtype=np.int64), np.diff(store.node_start))
 
@@ -154,10 +156,7 @@ def build_batch(datapoints: DatapointStore | list[Datapoint], db: Database, enco
     cats: dict[int, np.ndarray] = {}
     for t in types_present:
         rows = node_row[type_rows[t]]
-        if tables is None:
-            dense[t], cats[t] = encode_node(db, t, rows, encoders[t])
-        else:
-            dense[t], cats[t] = tables[t][0][rows], tables[t][1][rows]
+        dense[t], cats[t] = tables[t][0][rows], tables[t][1][rows]
 
     return GraphBatch(
         int(len(node_type)), len(store), node_type, graph_id, types_present, type_rows,

@@ -281,19 +281,6 @@ class ValidationReport:
     categorical_cardinality: dict[str, int]
     target: str
 
-    def render(self) -> str:
-        lines = [f"tables: {len(self.table_rows)}"]
-        for name, rows in self.table_rows.items():
-            lines.append(f"  {name}: {rows} rows")
-        lines.append(f"target: {self.target}")
-        for col, (res, total) in self.fk_resolution.items():
-            lines.append(f"fk {col}: resolved {res}/{total}")
-        for col, rate in self.null_rate.items():
-            lines.append(f"nulls {col}: {rate:.4f}")
-        for col, card in self.categorical_cardinality.items():
-            lines.append(f"cardinality {col}: {card}")
-        return "\n".join(lines)
-
 
 def validate_schema(db: Database) -> ValidationReport:
     """Summarize FK resolution, null rates, and cardinalities; require one target column."""

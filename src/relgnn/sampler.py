@@ -1,4 +1,4 @@
-"""Extract per-target datapoints: ancestor closure, then descendant closure per target, then the induced
+"""Extract per-target subgraphs: ancestor closure, then descendant closure per target, then the induced
 subgraphs of all targets in one pass, held in one `DatapointStore`."""
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .graph import FORWARD, SELF_LOOP, EdgeType, HeteroGraph, edge_types, ranges
-from .rdb import target_labels
 
 __all__ = [
-    "Datapoint",
     "DatapointStore",
     "SizeCapError",
     "rdb_to_graph",
@@ -33,20 +31,40 @@ class SizeCapError(RuntimeError):
         super().__init__(f"selected subgraph exceeds size cap: {selected} > {cap}{at}")
 
 
-@dataclass(slots=True)
-class Datapoint:
-    """One target's subgraph: its nodes and forward edges. Reverse edges and self loops are functions of
-    these, derived where they are read (`models.build_batch`, `write_datapoints_jsonl`)."""
+@dataclass
+class DatapointStore:
+    """The subgraphs of one or more targets in flat arrays: the one type of sampled subgraph. Target i's
+    nodes are `node_types`/`rows` from `node_start[i]` to `node_start[i + 1]`, its forward edges
+    `src`/`dst`/`edge_type` from `edge_start[i]` to `edge_start[i + 1]`, with `src`/`dst` local ids
+    within its nodes. Reverse edges and self loops are functions of these, derived where they are read
+    (`models.build_batch`, `write_datapoints_jsonl`). `store[i]` is target i's one-target store, made of
+    views of these arrays."""
 
-    node_types: np.ndarray  # table index per local node, int64; local ids in canonical (table, row) order
-    rows: np.ndarray  # row within its table per local node, int64
-    src: np.ndarray  # local id of each forward edge's referencing row, in ascending graph edge id
+    node_types: np.ndarray  # table index per node, int64; each target's nodes in (table, row) order
+    rows: np.ndarray  # row within its table per node, int64
+    node_start: np.ndarray  # (targets + 1,)
+    src: np.ndarray  # local id of each forward edge's referencing row; each target's in ascending graph edge id
     dst: np.ndarray  # local id of each forward edge's referenced row
     edge_type: np.ndarray  # index of each forward edge's type in `types`
-    types: list[EdgeType]  # the graph's forward edge types, one list shared by all its datapoints
-    target_local: int
-    label: int | None
-    provenance: tuple[int, int]
+    edge_start: np.ndarray  # (targets + 1,)
+    target_local: np.ndarray  # (targets,)
+    labels: np.ndarray  # (targets,) int64; -1 for a target outside the target table, which has no label
+    targets: np.ndarray  # (targets, 2): each target's (table, row)
+    types: list[EdgeType]  # the graph's forward edge types, one list shared by all its stores
+
+    @classmethod
+    def concat(cls, stores: list["DatapointStore"]) -> "DatapointStore":
+        """The stores, which share one `types` list, copied into one store in list order."""
+        def joined(name):
+            return np.concatenate([getattr(store, name) for store in stores])
+
+        def offsets(name):  # each store's per-target counts, continued past the stores before it
+            counts = np.concatenate([np.diff(getattr(store, name)) for store in stores])
+            return np.concatenate(([0], np.cumsum(counts)))
+
+        return cls(joined("node_types"), joined("rows"), offsets("node_start"), joined("src"), joined("dst"),
+                   joined("edge_type"), offsets("edge_start"), joined("target_local"), joined("labels"),
+                   joined("targets"), stores[0].types)
 
     @property
     def nodes(self) -> list[tuple[int, int]]:  # original (table, row) ids
@@ -56,49 +74,16 @@ class Datapoint:
     def num_nodes(self) -> int:
         return len(self.node_types)
 
-
-@dataclass
-class DatapointStore:
-    """Many targets' subgraphs in flat arrays. Target i's nodes are `node_types`/`rows` from
-    `node_start[i]` to `node_start[i + 1]`, its forward edges `src`/`dst`/`edge_type` from
-    `edge_start[i]` to `edge_start[i + 1]`, with `src`/`dst` local ids within its nodes. `store[i]` is
-    target i's `Datapoint`, made of views of these arrays."""
-
-    node_types: np.ndarray
-    rows: np.ndarray
-    node_start: np.ndarray  # (targets + 1,)
-    src: np.ndarray
-    dst: np.ndarray
-    edge_type: np.ndarray
-    edge_start: np.ndarray  # (targets + 1,)
-    target_local: np.ndarray  # (targets,)
-    labels: np.ndarray  # (targets,) int64; -1 for a target outside the target table, which has no label
-    targets: np.ndarray  # (targets, 2): each target's (table, row)
-    types: list[EdgeType]
-
-    @classmethod
-    def pack(cls, datapoints: list[Datapoint]) -> "DatapointStore":
-        """The datapoints, which share one `types` list, copied into one store in list order."""
-        return cls(
-            np.concatenate([dp.node_types for dp in datapoints]), np.concatenate([dp.rows for dp in datapoints]),
-            np.cumsum([0] + [dp.num_nodes for dp in datapoints], dtype=np.int64),
-            np.concatenate([dp.src for dp in datapoints]), np.concatenate([dp.dst for dp in datapoints]),
-            np.concatenate([dp.edge_type for dp in datapoints]),
-            np.cumsum([0] + [len(dp.src) for dp in datapoints], dtype=np.int64),
-            np.array([dp.target_local for dp in datapoints], dtype=np.int64),
-            np.array([-1 if dp.label is None else dp.label for dp in datapoints], dtype=np.int64),
-            np.array([dp.provenance for dp in datapoints], dtype=np.int64), datapoints[0].types)
-
     def __len__(self) -> int:
         return len(self.target_local)
 
-    def __getitem__(self, i: int) -> Datapoint:
+    def __getitem__(self, i: int) -> "DatapointStore":
         i = range(len(self))[i]
-        n0, n1, e0, e1 = self.node_start[i], self.node_start[i + 1], self.edge_start[i], self.edge_start[i + 1]
-        label = int(self.labels[i])
-        return Datapoint(self.node_types[n0:n1], self.rows[n0:n1], self.src[e0:e1], self.dst[e0:e1],
-                         self.edge_type[e0:e1], self.types, int(self.target_local[i]),
-                         None if label < 0 else label, tuple(self.targets[i].tolist()))
+        (n0, n1), (e0, e1) = self.node_start[i:i + 2].tolist(), self.edge_start[i:i + 2].tolist()
+        one = slice(i, i + 1)
+        return DatapointStore(self.node_types[n0:n1], self.rows[n0:n1], np.array([0, n1 - n0]), self.src[e0:e1],
+                              self.dst[e0:e1], self.edge_type[e0:e1], np.array([0, e1 - e0]), self.target_local[one],
+                              self.labels[one], self.targets[one], self.types)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -114,24 +99,17 @@ class DatapointStore:
             self.target_local[ids], self.labels[ids], self.targets[ids], self.types)
 
 
-class _Scratch:
-    """The closure's visited set, one flag per graph node. `_select_closure` resets exactly the flags it
-    sets, so the per-target cost depends on the subgraph's size, not the graph's."""
-
-    def __init__(self, num_nodes: int):
-        self.selected = np.zeros(num_nodes, dtype=bool)
-
-
-def _select_closure(graph: HeteroGraph, scratch: _Scratch, start: int, cap: int,
+def _select_closure(graph: HeteroGraph, selected: np.ndarray, start: int, cap: int,
                     edge_type_once: bool = False) -> np.ndarray:
     """Sorted global ids of the target's ancestors to fixpoint, then of their descendants.
 
-    Each round expands the frontier, the nodes the last round added, through the graph's CSR lists.
-    With `edge_type_once`, a round skips the edge types that earlier rounds spent, then spends each
-    type that crossed into the set as it stood before the round. Only the frontier can have crossing
-    edges of unspent types: an older node's crossed in the round after it joined, which spent their
-    types. So both modes cost O(subgraph) per target."""
-    selected = scratch.selected
+    `selected` is the visited set, one flag per graph node, all clear; the closure clears exactly the
+    flags it sets, so the per-target cost depends on the subgraph's size, not the graph's. Each round
+    expands the frontier, the nodes the last round added, through the graph's CSR lists. With
+    `edge_type_once`, a round skips the edge types that earlier rounds spent, then spends each type
+    that crossed into the set as it stood before the round. Only the frontier can have crossing edges
+    of unspent types: an older node's crossed in the round after it joined, which spent their types.
+    So both modes cost O(subgraph) per target."""
     spent = set() if edge_type_once else None
     touched = [start]
     selected[start] = True
@@ -205,38 +183,36 @@ def _induce(graph: HeteroGraph, ids: np.ndarray, sizes, targets: np.ndarray, lab
                           graph.types)
 
 
-def rdb_to_graph(graph: HeteroGraph, target: tuple[int, int], *, size_cap: int = DEFAULT_SIZE_CAP,
-                 edge_type_once: bool = False, _scratch: _Scratch | None = None) -> Datapoint:
-    """Select every ancestor of the target node, then every descendant of the selected set; with
-    `edge_type_once`, each edge type is followed in at most one expansion round."""
-    scratch = _scratch or _Scratch(graph.num_nodes)
-    start = int(graph.offsets[target[0]] + target[1])
-    ids = _select_closure(graph, scratch, start, size_cap, edge_type_once)
-    label = -1
-    if len(graph.db.target_flags) == 1 and graph.db.target[0] == target[0]:
-        label = int(target_labels(graph.db)[target[1]])
-    return _induce(graph, ids, [len(ids)], np.array([target], dtype=np.int64), np.array([label]))[0]
-
-
-def batch_sample(graph: HeteroGraph, target_rows: list[int], *, edge_type_once: bool = False,
-                 size_cap: int = DEFAULT_SIZE_CAP) -> DatapointStore:
-    """One subgraph per target row of the target table, in the requested order: a closure per target,
-    then one induce pass over all of them."""
-    scratch = _Scratch(graph.num_nodes)
-    table = graph.db.target[0]
-    first = int(graph.offsets[table])
-    rows = np.asarray(target_rows, dtype=np.int64)
-    labels = target_labels(graph.db)[rows]
+def _sample(graph: HeteroGraph, targets: np.ndarray, edge_type_once: bool, size_cap: int) -> DatapointStore:
+    """One subgraph per `(table, row)` row of `targets`, in that order: a closure per target with one
+    visited array, then one induce pass over all of them, with labels from `graph.labels`."""
+    selected = np.zeros(graph.num_nodes, dtype=bool)
+    starts = graph.offsets[targets[:, 0]] + targets[:, 1]
     ids, sizes = bytearray(), []  # the closures' int64 bytes back to back, with no array object per target
-    for row in rows.tolist():
+    for start, row in zip(starts.tolist(), targets[:, 1].tolist()):
         try:
-            closure = _select_closure(graph, scratch, first + row, size_cap, edge_type_once)
+            closure = _select_closure(graph, selected, start, size_cap, edge_type_once)
         except SizeCapError as exc:
             raise SizeCapError(exc.selected, exc.cap, row) from None
         ids += closure.tobytes()
         sizes.append(len(closure))
-    targets = np.stack([np.full(len(rows), table, dtype=np.int64), rows], axis=1)
-    return _induce(graph, np.frombuffer(ids, dtype=np.int64), sizes, targets, labels)
+    return _induce(graph, np.frombuffer(ids, dtype=np.int64), sizes, targets, graph.labels[starts])
+
+
+def rdb_to_graph(graph: HeteroGraph, target: tuple[int, int], *, size_cap: int = DEFAULT_SIZE_CAP,
+                 edge_type_once: bool = False) -> DatapointStore:
+    """The one-target store of `target`, a `(table, row)` pair: every ancestor of its node, then every
+    descendant of the selected set; with `edge_type_once`, each edge type is followed in at most one
+    expansion round."""
+    return _sample(graph, np.array([target], dtype=np.int64), edge_type_once, size_cap)
+
+
+def batch_sample(graph: HeteroGraph, target_rows: list[int], *, edge_type_once: bool = False,
+                 size_cap: int = DEFAULT_SIZE_CAP) -> DatapointStore:
+    """One subgraph per target row of the target table, in the requested order."""
+    rows = np.asarray(target_rows, dtype=np.int64)
+    targets = np.stack([np.full(len(rows), graph.db.target[0], dtype=np.int64), rows], axis=1)
+    return _sample(graph, targets, edge_type_once, size_cap)
 
 
 def write_datapoints_jsonl(path: str | Path, datapoints: DatapointStore, graph: HeteroGraph,

@@ -74,28 +74,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return multiply(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return multiply(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
 
 _Grads = dict[Tensor, np.ndarray]  # gradient buffers of one backward pass
 _Backward = Callable[[np.ndarray, _Grads], None]  # accumulates an output's gradient into its inputs
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], bwd: _Backward | None) -> Tensor:

@@ -167,7 +167,32 @@ def positive_scores(logits: np.ndarray) -> np.ndarray:
 # datasets the loop can train on
 
 
-class GraphDataset:
+class _Dataset:
+    """Labelled examples by id. `inputs(ids)` is what the network's forward pass reads for those ids;
+    the loss and the chunked scores go through it."""
+
+    labels: np.ndarray
+
+    def inputs(self, ids: np.ndarray):
+        raise NotImplementedError
+
+    def loss(self, net, ids, train: bool = False, rng=None) -> Tensor:
+        ids = np.asarray(ids)
+        return cross_entropy(net.forward(self.inputs(ids), train, rng), self.labels[ids])
+
+    def scores(self, net, ids) -> np.ndarray:
+        ids = np.asarray(ids)
+        parts = [
+            positive_scores(net.forward(self.inputs(ids[lo:lo + EVAL_CHUNK])).data)
+            for lo in range(0, len(ids), EVAL_CHUNK)
+        ]
+        return np.concatenate(parts)
+
+    def labels_of(self, ids) -> np.ndarray:
+        return self.labels[np.asarray(ids)]
+
+
+class GraphDataset(_Dataset):
     """Datapoints indexed by target row; every table is encoded once with the fold's encoders, and a
     batch gathers its rows from those matrices."""
 
@@ -178,46 +203,19 @@ class GraphDataset:
         self.labels = datapoints.labels
         self.tables = encode_tables(db, encoders)
 
-    def batch(self, ids):
+    def inputs(self, ids):
         return build_batch(self.datapoints.take(ids), self.db, self.encoders, self.tables)
 
-    def loss(self, net, ids, train: bool = False, rng=None) -> Tensor:
-        return net.loss(self.batch(ids), train, rng)
 
-    def scores(self, net, ids) -> np.ndarray:
-        ids = np.asarray(ids)
-        parts = [
-            positive_scores(net.forward(self.batch(ids[lo:lo + EVAL_CHUNK])).data)
-            for lo in range(0, len(ids), EVAL_CHUNK)
-        ]
-        return np.concatenate(parts)
-
-    def labels_of(self, ids) -> np.ndarray:
-        return self.labels[np.asarray(ids)]
-
-
-class TableDataset:
+class TableDataset(_Dataset):
     """A plain feature matrix with labels, for the single-table baselines."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
         self.features = np.asarray(features, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.int64)
 
-    def loss(self, net, ids, train: bool = False, rng=None) -> Tensor:
-        ids = np.asarray(ids)
-        logits = net.forward(Tensor(self.features[ids]), train, rng)
-        return cross_entropy(logits, self.labels[ids])
-
-    def scores(self, net, ids) -> np.ndarray:
-        ids = np.asarray(ids)
-        parts = [
-            positive_scores(net.forward(Tensor(self.features[ids[lo:lo + EVAL_CHUNK]])).data)
-            for lo in range(0, len(ids), EVAL_CHUNK)
-        ]
-        return np.concatenate(parts)
-
-    def labels_of(self, ids) -> np.ndarray:
-        return self.labels[np.asarray(ids)]
+    def inputs(self, ids):
+        return Tensor(self.features[ids])
 
 
 def oversample_ids(ids: np.ndarray, labels: np.ndarray) -> np.ndarray:

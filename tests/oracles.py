@@ -127,8 +127,9 @@ def reference_datapoint(graph, target, *, edge_type_once=False, cap=10**9, rever
 
 
 def reference_write_datapoints_jsonl(path, datapoints, graph, reverse_edges):
-    """One `json.dumps(record, sort_keys=True)` line per datapoint of the list, its edges listed per type
-    of `edge_types(db, reverse_edges)`: the writer that the template writer must match byte for byte."""
+    """One `json.dumps(record, sort_keys=True)` line per one-target store of the list, its edges listed
+    per type of `edge_types(db, reverse_edges)`: the writer that the template writer must match byte
+    for byte."""
     names = [table.name for table in graph.db.tables]
     kinds = [(graph.edge_type_name(et), et.direction,  # a self loop's table, else its forward type's index
               et.table if et.direction == SELF_LOOP else graph.types.index(replace(et, direction=FORWARD)))
@@ -146,7 +147,8 @@ def reference_write_datapoints_jsonl(path, datapoints, graph, reverse_edges):
                 else:
                     pairs = forward[k] if direction == FORWARD else [(d, s) for s, d in forward[k]]
                 edges += [{"src": s, "dst": d, "type": name} for s, d in pairs]
-            record = {"target": list(dp.provenance), "label": dp.label, "edges": edges,
+            label = int(dp.labels[0])
+            record = {"target": dp.targets[0].tolist(), "label": None if label < 0 else label, "edges": edges,
                       "nodes": [{"id": nid, "type": names[nid[0]]} for nid in ids]}
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 

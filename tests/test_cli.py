@@ -165,6 +165,26 @@ def test_graph_stats_json_bytes(fixtures_dir, tmp_path, capsys, fixture, reverse
     assert (out / "graph_stats.json").read_bytes() == _GRAPH_STATS[fixture, reverse_edges].encode()
 
 
+# sha256 of graph-stats' stdout and graph_stats.json on a dataset with in-degrees of two digits, whose
+# histogram keys sort as text ("10" before "6"), per flag set
+_GRAPH_STATS_SHA256 = {
+    (): "cd27d420813ce79d9c60c1da009688448c1358bc4857fe036277d667e7ab6dcd",
+    ("--no-reverse-edges",): "dc798edd08f8a3d1b70e4caabdafc395bccc535afdb7c58750ad6823e7c88c3c",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(_GRAPH_STATS_SHA256), ids=lambda flags: "".join(flags) or "default")
+def test_graph_stats_output_bytes_are_pinned(capsys, tmp_path, flags):
+    data, out = tmp_path / "data", tmp_path / "stats"
+    assert main(["synth", "--out", str(data), "--targets", "60", "--template", "three_level",
+                 "--children", "6", "14", "--seed", "4"]) == 0
+    capsys.readouterr()
+    assert main(["graph-stats", "--dataset", str(data), "--out", str(out), *flags]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert printed == (out / "graph_stats.json").read_bytes()
+    assert hashlib.sha256(printed).hexdigest() == _GRAPH_STATS_SHA256[flags]
+
+
 def test_synth_writes_dataset(synth_dir):
     for name in ("schema.json", "Target.csv", "Child.csv", "manifest.json", "synth_report.json"):
         assert (synth_dir / name).is_file(), name
@@ -240,6 +260,44 @@ def test_dfs_writes_features(capsys, synth_dir, tmp_path):
     assert len(lines) == 81
     assert lines[0].startswith("target_id,Child.target_id<__COUNT__*,Child.target_id<__SUM__amount")
     assert payload["rows"] == 80
+
+
+def _write_parent_child(root, parent_rows, child_rows):
+    """A dataset of a target table P (key, label) and a table C whose rows reference it."""
+    root.mkdir()
+    (root / "schema.json").write_text(json.dumps({"tables": [
+        {"name": "P", "file": "P.csv", "columns": [{"name": "id", "kind": "primary_key"},
+                                                   {"name": "label", "kind": "categorical", "target": True}]},
+        {"name": "C", "file": "C.csv", "columns": [{"name": "id", "kind": "primary_key"},
+                                                   {"name": "p", "kind": "foreign_key",
+                                                    "references": {"table": "P", "column": "id"}},
+                                                   {"name": "x", "kind": "scalar"}]},
+    ]}), encoding="utf-8")
+    (root / "P.csv").write_text("id,label\n" + "".join(f"{row}\n" for row in parent_rows), encoding="utf-8")
+    (root / "C.csv").write_text("id,p,x\n" + "".join(f"{row}\n" for row in child_rows), encoding="utf-8")
+
+
+def test_dfs_csv_is_utf8_under_an_ascii_locale(tmp_path):
+    # a C locale without UTF-8 mode makes the platform's default text encoding ASCII
+    data, out = tmp_path / "data", tmp_path / "feats"
+    _write_parent_child(data, ["é,1", "b,0"], ["c1,é,2.5", "c2,b,1.0"])
+    source = str(Path(relgnn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])),
+           "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-m", "relgnn.cli", "dfs", "--dataset", str(data), "--out", str(out),
+                           "--depth", "1"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "features.csv").read_text(encoding="utf-8").splitlines()[1].startswith("é,")
+
+
+def test_sample_empty_target_table_fails_naming_it(capsys, tmp_path):
+    data, out = tmp_path / "data", tmp_path / "samples"
+    _write_parent_child(data, [], [])
+    code, _, err = _run(capsys, ["sample", "--dataset", str(data), "--out", str(out)])
+    assert code == 1
+    assert err == "error: target table P has no rows to sample\n"
+    assert not (out / "datapoints.jsonl").exists()
 
 
 def test_train_logreg_report(capsys, synth_dir, tmp_path):

@@ -69,8 +69,8 @@ def test_reverse_edges_are_the_in_lists(fixtures_dir):
     assert (graph.src[edge_ids] - graph.offsets[1]).tolist() == [0, 1, 2]  # reverse destinations: Visit rows
     assert [(graph.in_neighbors(p) - graph.offsets[1]).tolist() for p in patients] == [[0, 1], [2]]
     stats = graph_stats(graph, reverse_edges=True)
-    assert stats.edge_counts == {"Visit.patient_id:forward": 3, "Visit.patient_id:reverse": 3}
-    assert stats.in_degree_histogram == graph_stats(graph).in_degree_histogram  # forward edges only
+    assert stats["edge_counts"] == {"Visit.patient_id:forward": 3, "Visit.patient_id:reverse": 3}
+    assert stats["in_degree_histogram"] == graph_stats(graph)["in_degree_histogram"]  # forward edges only
 
 
 def test_empty_graph_stats(tmp_path):
@@ -79,22 +79,21 @@ def test_empty_graph_stats(tmp_path):
     )
     (tmp_path / "T.csv").write_text("id\n")
     stats = graph_stats(database_to_graph(load_database(tmp_path)))
-    assert stats.node_counts == {"T": 0}
-    assert sum(stats.edge_counts.values()) == 0
-    assert stats.in_degree_histogram == {}
+    assert stats["node_counts"] == {"T": 0}
+    assert sum(stats["edge_counts"].values()) == 0
+    assert stats["in_degree_histogram"] == {}
 
 
 def test_patients_stats_counts(fixtures_dir):
     stats = graph_stats(database_to_graph(load_database(fixtures_dir / "patients_small")))
-    assert stats.node_counts == {"Patient": 2, "Visit": 3}
-    assert stats.edge_counts == {"Visit.patient_id:forward": 3}
-    assert '"Visit": 3' in stats.to_json()
+    assert stats["node_counts"] == {"Patient": 2, "Visit": 3}
+    assert stats["edge_counts"] == {"Visit.patient_id:forward": 3}
 
 
 def test_employee_chain_in_degree_histogram(fixtures_dir):
     # chain e3 -> e2 -> e1: forward in-degrees are [1, 1, 0]
     stats = graph_stats(database_to_graph(load_database(fixtures_dir / "employees")))
-    assert stats.in_degree_histogram == {0: 1, 1: 2}
+    assert stats["in_degree_histogram"] == {"0": 1, "1": 2}
 
 
 def test_row_node_bijection_random_dbs(random_database):

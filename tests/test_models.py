@@ -18,7 +18,7 @@ from relgnn.models import (
 )
 from relgnn.optim import AdamW
 from relgnn.rdb import load_database, remove_target_column
-from relgnn.sampler import Datapoint, batch_sample
+from relgnn.sampler import DatapointStore, batch_sample
 from relgnn.tensor import Tensor, gradcheck
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -66,11 +66,12 @@ def _toy_schema(width=2, edge_types=None):
 
 
 def _shuffled(dp, rng):
+    """The one-target store `dp` with its nodes in a random order."""
     perm = rng.permutation(dp.num_nodes)
     inv = np.empty(dp.num_nodes, dtype=np.int64)
     inv[perm] = np.arange(dp.num_nodes)
-    return Datapoint(dp.node_types[perm], dp.rows[perm], inv[dp.src], inv[dp.dst], dp.edge_type, dp.types,
-                     int(inv[dp.target_local]), dp.label, dp.provenance)
+    return DatapointStore(dp.node_types[perm], dp.rows[perm], dp.node_start, inv[dp.src], inv[dp.dst], dp.edge_type,
+                          dp.edge_start, inv[dp.target_local], dp.labels, dp.targets, dp.types)
 
 
 def _tie_er_params(er, homo):
@@ -390,7 +391,8 @@ def test_readout_zero_hidden_gives_output_bias(clinic):
 def test_poolmlp_single_node_mean_is_state(clinic):
     dp = clinic.dps[0]
     none = np.zeros(0, dtype=np.int64)
-    single = Datapoint(dp.node_types[:1], dp.rows[:1], none, none, none, dp.types, 0, dp.label, dp.provenance)
+    single = DatapointStore(dp.node_types[:1], dp.rows[:1], np.array([0, 1]), none, none, none, np.array([0, 0]),
+                            np.array([0]), dp.labels, dp.targets, dp.types)
     model = Model(ModelConfig("poolmlp", hidden=8, dropout=0.0), clinic.schema, seed=6)
     batch = build_batch([single], clinic.db, clinic.encoders)
     h = model._init_hidden(batch)
@@ -401,8 +403,9 @@ def test_poolmlp_single_node_mean_is_state(clinic):
 
 def test_poolmlp_duplicated_nodes_leave_mean_unchanged(clinic):
     dp = clinic.dps[0]
-    doubled = Datapoint(np.concatenate([dp.node_types, dp.node_types]), np.concatenate([dp.rows, dp.rows]),
-                        dp.src, dp.dst, dp.edge_type, dp.types, dp.target_local, dp.label, dp.provenance)
+    doubled = DatapointStore(np.concatenate([dp.node_types, dp.node_types]), np.concatenate([dp.rows, dp.rows]),
+                             dp.node_start * 2, dp.src, dp.dst, dp.edge_type, dp.edge_start, dp.target_local,
+                             dp.labels, dp.targets, dp.types)
     model = Model(ModelConfig("poolmlp", hidden=8, dropout=0.0), clinic.schema, seed=6)
     a = model.forward(build_batch([dp], clinic.db, clinic.encoders))
     b = model.forward(build_batch([doubled], clinic.db, clinic.encoders))

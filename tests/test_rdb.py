@@ -119,7 +119,7 @@ def test_validate_patients_fixture(fixtures_dir):
     assert report.null_rate["Patient.weight"] == 0.5
     assert report.null_rate["Visit.cost"] == 0.0
     assert report.categorical_cardinality["Patient.label"] == 2
-    assert "tables: 2" in report.render()
+    assert report.table_rows == {"Patient": 2, "Visit": 3}
 
 
 def test_validate_requires_target(fixtures_dir):

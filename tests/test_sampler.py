@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import closure_oracle, edge_type_once_oracle, reference_datapoint, reference_write_datapoints_jsonl
-from relgnn import sampler
+from relgnn import graph as graph_module, sampler
 from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, database_to_graph
 from relgnn.models import build_batch
 from relgnn.rdb import Column, ColumnKind, Database, Table, load_database, target_labels, _resolve_foreign_keys
 from relgnn.sampler import (
     DatapointStore,
     SizeCapError,
-    _Scratch,
     _select_closure,
     batch_sample,
     rdb_to_graph,
@@ -37,6 +36,18 @@ def _forward_edges(dp, et):
     return dp.src[of_type], dp.dst[of_type]
 
 
+_STORE_ARRAYS = ("node_types", "rows", "node_start", "src", "dst", "edge_type", "edge_start", "target_local",
+                 "labels", "targets")
+
+
+def _assert_same_store(got, want):
+    """Every array of the two stores equal, dtypes and shapes included, and one `types` list."""
+    assert got.types is want.types
+    for field in _STORE_ARRAYS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), field
+
+
 def _batch_of(datapoints, db):
     """`build_batch` of the datapoints with featureless node blocks: its edges and node layout only."""
     tables = [(np.zeros((t.nrows, 0)), np.zeros((t.nrows, 0), dtype=np.int64)) for t in db.tables]
@@ -53,7 +64,7 @@ def test_single_table_target_is_alone(tmp_path):
     graph = database_to_graph(load_database(tmp_path))
     dp = rdb_to_graph(graph, (0, 0))
     assert dp.nodes == [(0, 0)]
-    assert dp.target_local == 0
+    assert dp.target_local.tolist() == [0]
     assert dp.types == [] and len(dp.src) == len(dp.dst) == len(dp.edge_type) == 0
     assert list(_batch_of([dp], graph.db).edges) == [EdgeType(0, -1, SELF_LOOP)]
 
@@ -62,7 +73,7 @@ def test_clinic_target_p1_closure(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     dp = rdb_to_graph(graph, (0, 0))
     assert dp.nodes == [(0, 0), (1, 0), (1, 1), (2, 0)]  # p1, v1, v2, d1
-    assert dp.label == 1
+    assert dp.labels.tolist() == [1]
     src, dst = _forward_edges(dp, EdgeType(1, 1, FORWARD))
     assert list(src) == [1, 2] and list(dst) == [0, 0]
     src, dst = _forward_edges(dp, EdgeType(1, 2, FORWARD))
@@ -73,7 +84,7 @@ def test_clinic_target_p2_closure(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     dp = rdb_to_graph(graph, (0, 1))
     assert dp.nodes == [(0, 1), (1, 2), (2, 0)]  # p2, v3, d1
-    assert dp.label == 0
+    assert dp.labels.tolist() == [0]
 
 
 def test_reverse_and_self_edges_rederived(fixtures_dir):
@@ -112,17 +123,52 @@ def test_batch_sample_sizes_and_order(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     dps = batch_sample(graph, [0, 1])
     assert [dp.num_nodes for dp in dps] == [4, 3]
-    assert [dp.provenance for dp in dps] == [(0, 0), (0, 1)]
-    assert [dp.label for dp in dps] == [1, 0]
+    assert dps.targets.tolist() == [[0, 0], [0, 1]]
+    assert dps.labels.tolist() == [1, 0]
 
 
 def test_batch_sample_empty_and_duplicates(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     assert len(batch_sample(graph, [])) == 0 and list(batch_sample(graph, [])) == []
     a, b = batch_sample(graph, [1, 1])
-    assert a.nodes == b.nodes and a.label == b.label and a.types is b.types
-    for field in ("node_types", "rows", "src", "dst", "edge_type"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.nodes == b.nodes and a.types is b.types
+    _assert_same_store(a, b)
+
+
+@pytest.mark.parametrize("edge_type_once", [False, True], ids=["closure", "edge-type-once"])
+def test_one_target_stores_are_slices_of_the_store(random_database, edge_type_once):
+    for seed in range(100):
+        db = random_database(seed + 17000, max_tables=5, max_rows=40)
+        graph = database_to_graph(db)
+        rows = list(range(db.tables[0].nrows))
+        store = batch_sample(graph, rows + rows[:2], edge_type_once=edge_type_once)
+        _assert_same_store(DatapointStore.concat(list(store)), store)
+        for i in range(len(store)):
+            _assert_same_store(store[i], store.take([i]))
+            assert store[i].num_nodes == store.node_start[i + 1] - store.node_start[i]
+        _assert_same_store(store[-1], store.take([len(store) - 1]))
+        for row in rows:
+            _assert_same_store(rdb_to_graph(graph, (0, row), edge_type_once=edge_type_once),
+                               batch_sample(graph, [row], edge_type_once=edge_type_once)[0])
+
+
+def test_labels_are_read_once_per_graph(monkeypatch, random_database):
+    calls = []
+
+    def counted(db):
+        calls.append(db)
+        return target_labels(db)
+
+    monkeypatch.setattr(graph_module, "target_labels", counted)
+    db = random_database(22, max_tables=4, max_rows=40)
+    graph = database_to_graph(db)
+    assert len(db.tables) == 4
+    for ti, table in enumerate(db.tables):
+        for row in range(table.nrows):
+            dp = rdb_to_graph(graph, (ti, row))
+            assert dp.labels.tolist() == [int(target_labels(db)[row]) if ti == 0 else -1]
+    batch_sample(graph, list(range(db.tables[0].nrows)))
+    assert len(calls) == 1
 
 
 def _chain_db(n):
@@ -141,7 +187,7 @@ def _chain_db(n):
 
 def test_size_cap_aborts(fixtures_dir):
     graph = database_to_graph(_chain_db(10))
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match="target row 0"):
         rdb_to_graph(graph, (0, 0), size_cap=4)
     with pytest.raises(SizeCapError, match="target row 0"):
         batch_sample(graph, [0], size_cap=4)
@@ -213,9 +259,8 @@ def _assert_same_datapoint(dp, ref, db, reverse_edges=True):
     which the reference stores, equal those that `build_batch` derives for a batch of it alone."""
     assert dp.nodes == ref.nodes
     assert dp.node_types.dtype == ref.node_types.dtype and np.array_equal(dp.node_types, ref.node_types)
-    for field in ("rows", "src", "dst", "edge_type"):
+    for field in _STORE_ARRAYS:
         assert getattr(dp, field).dtype == np.int64, field
-    assert type(dp.target_local) is int and type(dp.provenance[1]) is int
     assert dp.types == [et for et in ref.edges if et.direction == FORWARD]
     assert np.all(np.diff(dp.edge_type) >= 0)  # one block per type, in `types` order
     for et in dp.types:
@@ -226,7 +271,9 @@ def _assert_same_datapoint(dp, ref, db, reverse_edges=True):
     for et, pair in ref.edges.items():
         for got, want in zip(derived[et], pair):
             assert got.dtype == want.dtype and np.array_equal(got, want), et
-    assert (dp.target_local, dp.label, dp.provenance) == (ref.target_local, ref.label, ref.provenance)
+    label = -1 if ref.label is None else ref.label
+    assert (dp.target_local.tolist(), dp.labels.tolist(), dp.targets.tolist()) == (
+        [ref.target_local], [label], [list(ref.provenance)])
 
 
 @pytest.mark.parametrize("reverse_edges", [True, False], ids=["reverse", "forward-only"])
@@ -236,7 +283,6 @@ def test_datapoints_equal_mask_based_reference(random_database, edge_type_once, 
     for seed in range(200):
         db = random_database(seed + 9000, max_tables=5, max_rows=40)
         graph = database_to_graph(db)
-        scratch = _Scratch(graph.num_nodes)
         labels = target_labels(db)
         rng, extra = np.random.default_rng(seed), np.random.default_rng([seed, 1])
         rows = list(range(db.tables[0].nrows))
@@ -248,7 +294,7 @@ def test_datapoints_equal_mask_based_reference(random_database, edge_type_once, 
         for i, ref in enumerate(refs):
             _assert_same_datapoint(store[i], ref, db, reverse_edges)
         assert len(batch_sample(graph, [], edge_type_once=edge_type_once)) == 0
-        # a batch gathered from the store equals the batch of its views, packed
+        # a batch gathered from the store equals the batch of its one-target stores, concatenated
         ids = extra.choice(len(store), size=min(len(store), 6)).tolist()
         _assert_same_batch(_batch_of(store.take(ids), db), _batch_of([store[i] for i in ids], db))
         # the first row whose closure exceeds the cap is named, with the count the reference stops at
@@ -264,40 +310,37 @@ def test_datapoints_equal_mask_based_reference(random_database, edge_type_once, 
         ri = int(rng.integers(0, db.tables[ti].nrows))
         ref = reference_datapoint(graph, (ti, ri), edge_type_once=edge_type_once, reverse_edges=reverse_edges,
                                   label=int(labels[ri]) if ti == 0 else None)
-        _assert_same_datapoint(rdb_to_graph(graph, (ti, ri), edge_type_once=edge_type_once, _scratch=scratch),
-                               ref, db, reverse_edges)
+        _assert_same_datapoint(rdb_to_graph(graph, (ti, ri), edge_type_once=edge_type_once), ref, db, reverse_edges)
         if ref.num_nodes > 1:
             # one node short of the closure: both stop with the same count
             cap = ref.num_nodes - 1
             with pytest.raises(SizeCapError) as want:
                 reference_datapoint(graph, (ti, ri), edge_type_once=edge_type_once, cap=cap)
             with pytest.raises(SizeCapError) as got:
-                rdb_to_graph(graph, (ti, ri), size_cap=cap, edge_type_once=edge_type_once, _scratch=scratch)
-            assert got.value.selected == want.value.selected
+                rdb_to_graph(graph, (ti, ri), size_cap=cap, edge_type_once=edge_type_once)
+            assert (got.value.target_row, got.value.selected) == (ri, want.value.selected)
 
 
 @pytest.mark.parametrize("edge_type_once", [False, True], ids=["closure", "edge-type-once"])
 def test_size_cap_leaves_the_scratch_arrays_clean(monkeypatch, fixtures_dir, edge_type_once):
-    built = []
+    visited = []
 
-    class RecordedScratch(_Scratch):
-        def __init__(self, num_nodes):
-            super().__init__(num_nodes)
-            built.append(self)
+    def recorded(graph, selected, *args):
+        visited.append(selected)
+        return _select_closure(graph, selected, *args)
 
-    monkeypatch.setattr(sampler, "_Scratch", RecordedScratch)
+    monkeypatch.setattr(sampler, "_select_closure", recorded)
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     # p1's ancestors (p1, v1, v2) fit, its descendant d1 does not
     with pytest.raises(SizeCapError, match="4 > 3"):
         batch_sample(graph, [0], edge_type_once=edge_type_once, size_cap=3)
-    (scratch,) = built
-    assert not scratch.selected.any()
-    labels = target_labels(graph.db)
-    for row in (1, 0):
-        ref = reference_datapoint(graph, (0, row), edge_type_once=edge_type_once, label=int(labels[row]))
-        _assert_same_datapoint(rdb_to_graph(graph, (0, row), edge_type_once=edge_type_once, _scratch=scratch),
-                               ref, graph.db)
-    assert not scratch.selected.any()
+    (selected,) = visited
+    assert not selected.any()
+    for row in (1, 0):  # the array serves the next closures as a fresh one would
+        ref = reference_datapoint(graph, (0, row), edge_type_once=edge_type_once)
+        ids = _select_closure(graph, selected, int(graph.offsets[0]) + row, 10**9, edge_type_once)
+        assert ids.tolist() == [int(graph.offsets[t]) + r for t, r in ref.nodes]
+    assert not selected.any()
 
 
 def _targets_with_unrelated_rows(n_targets, n_unrelated):
@@ -323,16 +366,14 @@ def _targets_with_unrelated_rows(n_targets, n_unrelated):
 
 @pytest.mark.parametrize("edge_type_once", [False, True], ids=["closure", "edge-type-once"])
 def test_sampling_cost_is_independent_of_graph_size(edge_type_once):
-    rows = range(50)
+    rows = list(range(50))
     small = 50 * 4  # rows of the database without the unrelated table
     graphs = [database_to_graph(_targets_with_unrelated_rows(50, n)) for n in (1, 500 * small)]
-    scratches = [_Scratch(graph.num_nodes) for graph in graphs]
     # best of 7 rounds; every round times both graphs in turn
     times = [float("inf")] * len(graphs)
     for _ in range(7):
-        for i, (graph, scratch) in enumerate(zip(graphs, scratches)):
-            times[i] = min(times[i], _timed(lambda: [
-                rdb_to_graph(graph, (0, r), edge_type_once=edge_type_once, _scratch=scratch) for r in rows]))
+        for i, graph in enumerate(graphs):
+            times[i] = min(times[i], _timed(lambda: batch_sample(graph, rows, edge_type_once=edge_type_once)))
     assert times[1] <= 3.0 * times[0], times
 
 
@@ -386,8 +427,8 @@ def test_writer_matches_json_dumps_reference(random_database, tmp_path, edge_typ
         # a datapoint of a row outside the target table has no label
         ti = len(db.tables) - 1
         dp = rdb_to_graph(graph, (ti, db.tables[ti].nrows - 1), edge_type_once=edge_type_once)
-        assert (dp.label is None) == (ti != 0)
-        write_datapoints_jsonl(got, DatapointStore.pack([dp, store[0]]), graph, reverse_edges)
+        assert (dp.labels[0] < 0) == (ti != 0)
+        write_datapoints_jsonl(got, DatapointStore.concat([dp, store[0]]), graph, reverse_edges)
         reference_write_datapoints_jsonl(want, [dp, store[0]], graph, reverse_edges)
         assert got.read_bytes() == want.read_bytes(), seed
 
@@ -395,13 +436,13 @@ def test_writer_matches_json_dumps_reference(random_database, tmp_path, edge_typ
 def test_closure_time_scales_linearly():
     sizes = [1000, 10000, 100000]
     graphs = [database_to_graph(_chain_db(n)) for n in sizes]
-    scratches = [_Scratch(graph.num_nodes) for graph in graphs]
+    visited = [np.zeros(graph.num_nodes, dtype=bool) for graph in graphs]
     # best of 7 rounds; every round times each size once, so that load from
     # other processes on the host falls on all sizes alike
     times = [float("inf")] * len(sizes)
     for _ in range(7):
-        for i, (graph, scratch) in enumerate(zip(graphs, scratches)):
-            times[i] = min(times[i], _timed(lambda: _select_closure(graph, scratch, 0, 10**9)))
+        for i, (graph, selected) in enumerate(zip(graphs, visited)):
+            times[i] = min(times[i], _timed(lambda: _select_closure(graph, selected, 0, 10**9)))
     # fit time = c * n through the origin, in log space so each size weighs alike; c > 0, so every
     # prediction is positive and a per-node cost that grows with n pushes the sizes apart
     per_node = np.asarray(times) / np.asarray(sizes, dtype=float)
