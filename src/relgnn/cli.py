@@ -99,7 +99,14 @@ def cmd_graph_stats(args) -> int:
     return 0
 
 
+def _check_size_cap(args) -> None:
+    """Every subgraph holds its target, so a size cap below 1 can never be honoured."""
+    if args.size_cap < 1:
+        raise ValueError(f"--size-cap must be at least 1, got {args.size_cap}: every subgraph holds its target")
+
+
 def cmd_sample(args) -> int:
+    _check_size_cap(args)
     _write_manifest(args)
     masked = remove_target_column(load_database(args.dataset))
     graph, datapoints = _sample(masked, edge_type_once=args.edge_type_once, size_cap=args.size_cap)
@@ -240,6 +247,7 @@ def _fold_report(fi: int, result, metrics) -> dict:
 
 
 def cmd_train(args) -> int:
+    _check_size_cap(args)
     args.out.mkdir(parents=True, exist_ok=True)
     _setup_logging(args.out)
     _write_manifest(args)

@@ -285,10 +285,7 @@ class ValidationReport:
 def validate_schema(db: Database) -> ValidationReport:
     """Summarize FK resolution, null rates, and cardinalities; require one target column."""
     kt, kc = db.target  # raises on zero or multiple targets
-    target_col = db.tables[kt].columns[kc]
-    distinct = {v for v in (db._raw_labels if db.masked else target_col.values) if v is not None}
-    if len(distinct) > 2:
-        raise RdbError(f"target column must be binary, found {len(distinct)} distinct tokens")
+    _target_tokens(db, nulls_allowed=True)
 
     table_rows = {t.name: t.nrows for t in db.tables}
     fk_resolution: dict[str, tuple[int, int]] = {}
@@ -327,15 +324,30 @@ def remove_target_column(db: Database) -> Database:
     return Database(tables, db.fk_rows, db.dangling, db.target_flags, masked=True, _raw_labels=raw)
 
 
-def target_labels(db: Database) -> np.ndarray:
-    """Binary labels of the target column as 0/1 ints, tokens mapped in sorted order."""
+def _target_tokens(db: Database, nulls_allowed: bool) -> tuple[list, list]:
+    """The target column's cells and their distinct non-null tokens, sorted. A null (unless allowed), or
+    a third distinct token, fails naming the table, the row and the column of the first."""
     kt, kc = db.target
-    raw = db._raw_labels if db.masked else db.tables[kt].columns[kc].values
-    if any(v is None for v in raw):
-        raise RdbError("null label in target column")
-    vocab = sorted(set(raw))
+    table = db.tables[kt]
+    raw = db._raw_labels if db.masked else table.columns[kc].values
+    tokens = set(raw)
+    vocab = sorted(tokens - {None})
+
+    def at(token) -> str:  # where the token first appears
+        return f"at table {table.name} row {raw.index(token)} column {table.columns[kc].name}"
+
+    if None in tokens and not nulls_allowed:
+        raise RdbError(f"null label {at(None)}")
     if len(vocab) > 2:
-        raise RdbError(f"target column must be binary, found {len(vocab)} distinct tokens")
+        third = [token for token in dict.fromkeys(raw) if token is not None][2]
+        raise RdbError(f"target column must be binary, found {len(vocab)} distinct tokens; the third, {third!r}, "
+                       f"{at(third)}")
+    return raw, vocab
+
+
+def target_labels(db: Database) -> np.ndarray:
+    """Binary labels of the target column as 0/1 ints, tokens mapped in sorted order; a null label fails."""
+    raw, vocab = _target_tokens(db, nulls_allowed=False)
     mapping = {token: i for i, token in enumerate(vocab)}
     return np.array([mapping[v] for v in raw], dtype=np.int64)
 

@@ -1,5 +1,5 @@
-"""Extract per-target subgraphs: ancestor closure, then descendant closure per target, then the induced
-subgraphs of all targets in one pass, held in one `DatapointStore`."""
+"""Extract per-target subgraphs: ancestor closure, then descendant closure, for chunks of targets in
+lockstep, then the induced subgraphs of all targets in one pass, held in one `DatapointStore`."""
 from __future__ import annotations
 
 import json
@@ -99,60 +99,196 @@ class DatapointStore:
             self.target_local[ids], self.labels[ids], self.targets[ids], self.types)
 
 
-def _select_closure(graph: HeteroGraph, selected: np.ndarray, start: int, cap: int,
-                    edge_type_once: bool = False) -> np.ndarray:
-    """Sorted global ids of the target's ancestors to fixpoint, then of their descendants.
+_CHUNK = 4096  # targets whose closures run in lockstep; it bounds the round arrays and so the peak memory
+_NARROW = 32  # a frontier of fewer keys expands in plain Python: an array round costs tens of µs, however narrow
 
-    `selected` is the visited set, one flag per graph node, all clear; the closure clears exactly the
-    flags it sets, so the per-target cost depends on the subgraph's size, not the graph's. Each round
-    expands the frontier, the nodes the last round added, through the graph's CSR lists. With
-    `edge_type_once`, a round skips the edge types that earlier rounds spent, then spends each type
-    that crossed into the set as it stood before the round. Only the frontier can have crossing edges
-    of unspent types: an older node's crossed in the round after it joined, which spent their types.
-    So both modes cost O(subgraph) per target."""
-    spent = set() if edge_type_once else None
-    touched = [start]
-    selected[start] = True
-    try:
-        frontier = [start]
-        for starts, order, ends in ((graph.in_start, graph.in_sorted, graph.src),
-                                    (graph.out_start, graph.out_sorted, graph.dst)):  # ancestors, then descendants
-            while frontier:
-                if len(touched) > cap:
-                    raise SizeCapError(len(touched), cap)
-                level = len(touched)
-                followed = []  # (reached node, edge type) of each edge the round follows; edge-type-once only
-                for node in frontier:
-                    edge_ids = order[starts[node] : starts[node + 1]]
-                    reached = ends[edge_ids].tolist()
-                    if spent is not None:
-                        pairs = [(nb, t) for nb, t in zip(reached, graph.type_id[edge_ids].tolist()) if t not in spent]
-                        followed += pairs
-                        reached = [nb for nb, _ in pairs]
-                    for nb in reached:
-                        if not selected[nb]:
-                            selected[nb] = True
-                            touched.append(nb)
-                frontier = touched[level:]
+
+class _Lockstep:
+    """The closures of a chunk of targets, ancestors to fixpoint and then descendants, run together over
+    the keys `i * n + node` of the chunk's i-th target.
+
+    A round expands every target's frontier, the keys the last round added, through the graph's CSR lists.
+    A reached key is new when `held` has no flag for its node: the flags mark the nodes that some target
+    of the chunk holds, so only shared nodes are searched, in `blocks`. Those are sorted key arrays, each
+    more than twice the size of the next, merged like a binary counter, so a round searches a logarithmic
+    number of them. A frontier narrower than `_NARROW` expands key by key in plain Python, and its keys wait in
+    `pending` until an array round or the phase's end sorts them into a block. So a chain, one key per
+    round, costs no array round per level.
+
+    With `edge_type_once`, a target's round skips the edge types its earlier rounds spent, then spends
+    each type that crossed into its set as the set stood before the round: a (target, type) matrix.
+
+    The size cap is checked where the per-target closure checks it, at the start of each round with a
+    frontier: after every round that adds a node. The first target over the cap is `live`; its keys and
+    every later target's leave the frontier, so the chunk finishes only the targets before it."""
+
+    def __init__(self, graph: HeteroGraph, starts: np.ndarray, cap: int, edge_type_once: bool, held: np.ndarray):
+        self.graph, self.n, self.cap, self.held = graph, graph.num_nodes, cap, held
+        self.spent = np.zeros((len(starts), len(graph.types)), dtype=bool) if edge_type_once else None
+        self.counts = np.ones(len(starts), dtype=np.int64)  # each target's selected nodes
+        self.live = len(starts)
+        self.blocks, self.pending = [], set()
+        held[starts] = True
+        self._push(np.arange(len(starts)) * self.n + starts)
+        self._check()
+
+    def run(self) -> np.ndarray:
+        """The chunk's closures as sorted keys; those of targets from `live` on are partial."""
+        g = self.graph
+        frontier = self._live(self._selected())
+        for starts, order, ends in ((g.in_start, g.in_sorted, g.src), (g.out_start, g.out_sorted, g.dst)):
+            while len(frontier):
+                if len(frontier) < _NARROW:
+                    frontier = self._python_rounds(np.asarray(frontier).tolist(), starts, order, ends)
+                else:
+                    frontier = self._array_round(np.asarray(frontier, dtype=np.int64), starts, order, ends)
+            frontier = self._live(self._selected())
+        return self._selected()
+
+    def _array_round(self, frontier, starts, order, ends) -> np.ndarray:
+        self._flush()
+        n = self.n
+        owner = frontier // n
+        positions, counts = ranges(starts, frontier - owner * n)
+        edge_ids = order[positions]
+        owner = np.repeat(owner, counts)
+        if self.spent is not None:
+            types = self.graph.type_id[edge_ids]
+            keep = ~self.spent[owner, types]
+            edge_ids, owner, types = edge_ids[keep], owner[keep], types[keep]
+        keys = owner * n + ends[edge_ids]
+        # deduplicated by sort and a neighbour mask: `np.unique` would import numpy.ma on first use
+        by_key = np.argsort(keys) if self.spent is not None else None
+        keys = np.sort(keys) if by_key is None else keys[by_key]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        new = ~self._seen(keys)
+        if by_key is not None:  # an edge crossed if its key is new
+            crossed = by_key[new[np.cumsum(first) - 1]]
+            self.spent[owner[crossed], types[crossed]] = True
+        added = keys[new]
+        owner = added // n
+        self.held[added - owner * n] = True
+        self.counts += np.bincount(owner, minlength=len(self.counts))
+        self._push(added)
+        self._check()
+        return self._live(added)
+
+    def _python_rounds(self, frontier: list[int], starts, order, ends) -> list[int]:
+        """Rounds a key at a time, as long as the frontier stays narrow."""
+        n, cap, held, pending, spent, counts = self.n, self.cap, self.held, self.pending, self.spent, self.counts
+        type_id = self.graph.type_id
+        while frontier and len(frontier) < _NARROW:
+            added, shared, followed = [], set(), []  # `shared`: reached keys whose node the chunk holds
+            for key in frontier:
+                i, node = divmod(key, n)
+                base = key - node
+                edge_ids = order[starts[node] : starts[node + 1]]
+                reached = ends[edge_ids].tolist()
                 if spent is not None:
-                    fresh = set(frontier)
-                    spent.update(t for nb, t in followed if nb in fresh)
-            frontier = list(touched)
-    finally:
-        ids = np.asarray(touched, dtype=np.int64)
-        selected[ids] = False
-    return np.sort(ids)
+                    pairs = [(nb, t) for nb, t in zip(reached, type_id[edge_ids].tolist()) if not spent[i, t]]
+                    followed += [(base + nb, i, t) for nb, t in pairs]
+                    reached = [nb for nb, _ in pairs]
+                for nb in reached:
+                    k = base + nb
+                    if k in pending or k in shared:
+                        continue
+                    if held[nb]:
+                        shared.add(k)
+                    else:
+                        held[nb] = True
+                        pending.add(k)
+                        added.append(k)
+            if shared:
+                keys = np.fromiter(shared, dtype=np.int64, count=len(shared))
+                new = keys[~self._in_blocks(keys)].tolist()
+                pending.update(new)
+                added += new
+            if spent is not None:
+                fresh = set(added)
+                for k, i, t in followed:
+                    if k in fresh:
+                        spent[i, t] = True
+            live = self.live
+            for k in added:
+                i = k // n
+                counts[i] += 1
+                if i < self.live and counts[i] > cap:
+                    self.live = i
+            frontier = added if self.live == live else [k for k in added if k // n < self.live]
+        return frontier
+
+    def _seen(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each sorted key is selected already; pending keys are flushed."""
+        seen = np.zeros(len(keys), dtype=bool)
+        shared = np.flatnonzero(self.held[keys % self.n])
+        if len(shared):
+            seen[shared] = self._in_blocks(keys[shared])
+        return seen
+
+    def _in_blocks(self, keys: np.ndarray) -> np.ndarray:
+        found = np.zeros(len(keys), dtype=bool)
+        for block in self.blocks:
+            at = np.searchsorted(block, keys)
+            found |= block[np.minimum(at, len(block) - 1)] == keys
+        return found
+
+    def _push(self, block: np.ndarray) -> None:
+        blocks = self.blocks
+        if len(block):
+            blocks.append(block)
+        while len(blocks) > 1 and len(blocks[-2]) <= 2 * len(blocks[-1]):
+            top = blocks.pop()
+            blocks[-1] = np.sort(np.concatenate((blocks[-1], top)), kind="stable")  # merges the two runs
+
+    def _flush(self) -> None:
+        if self.pending:
+            self._push(np.sort(np.fromiter(self.pending, dtype=np.int64, count=len(self.pending))))
+            self.pending.clear()
+
+    def _selected(self) -> np.ndarray:
+        """Every selected key, sorted, in one block."""
+        self._flush()
+        if len(self.blocks) > 1:
+            self.blocks = [np.sort(np.concatenate(self.blocks), kind="stable")]
+        return self.blocks[0]
+
+    def _live(self, keys: np.ndarray) -> np.ndarray:
+        return keys[: np.searchsorted(keys, self.live * self.n)]
+
+    def _check(self) -> None:
+        over = np.flatnonzero(self.counts[: self.live] > self.cap)
+        if len(over):
+            self.live = int(over[0])
 
 
-def _induce(graph: HeteroGraph, ids: np.ndarray, sizes, targets: np.ndarray, labels: np.ndarray) -> DatapointStore:
-    """The store of subgraphs whose nodes are `ids`, each target's `sizes[i]` ids in a row and sorted,
+def _closures(graph: HeteroGraph, targets: np.ndarray, edge_type_once: bool, size_cap: int) -> np.ndarray:
+    """Sorted keys `i * n + node` of the nodes of target i's closure, for each `(table, row)` row i of
+    `targets`: `_CHUNK` targets at a time in lockstep. Raises for the first target, in order, whose
+    closure exceeds `size_cap`, with the count the per-target closure stops at."""
+    n = graph.num_nodes
+    starts = graph.offsets[targets[:, 0]] + targets[:, 1]
+    held = np.zeros(n, dtype=bool)  # serves every chunk: each clears the flags it set
+    keys = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(targets), _CHUNK):
+        chunk = _Lockstep(graph, starts[lo : lo + _CHUNK], size_cap, edge_type_once, held)
+        selected = chunk.run()
+        if chunk.live < len(chunk.counts):
+            raise SizeCapError(int(chunk.counts[chunk.live]), size_cap, int(targets[lo + chunk.live, 1]))
+        held[selected % n] = False
+        keys.append(selected + lo * n)
+    return np.concatenate(keys)
+
+
+def _induce(graph: HeteroGraph, keys: np.ndarray, targets: np.ndarray, labels: np.ndarray) -> DatapointStore:
+    """The store of subgraphs whose nodes are given by the sorted keys `i * n + node` of each target i,
     with every forward edge between two nodes of the same target, all targets in one array pass. Each
     temporary is dropped once spent; kept to the end, they raised the pass's peak memory by 40%."""
     n = graph.num_nodes
-    node_start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-    owner = np.repeat(np.arange(len(targets)), np.diff(node_start))
-    keys = owner * n
-    keys += ids  # ascending: targets in order, each target's ids sorted
+    owner = keys // n
+    ids = keys - owner * n
+    node_start = np.searchsorted(owner, np.arange(len(targets) + 1))
     target_keys = np.arange(len(targets)) * n + graph.offsets[targets[:, 0]] + targets[:, 1]
     target_local = np.searchsorted(keys, target_keys) - node_start[:-1]
     # out-edges of every selected node; an edge stays when its dst is selected for the same target
@@ -184,19 +320,10 @@ def _induce(graph: HeteroGraph, ids: np.ndarray, sizes, targets: np.ndarray, lab
 
 
 def _sample(graph: HeteroGraph, targets: np.ndarray, edge_type_once: bool, size_cap: int) -> DatapointStore:
-    """One subgraph per `(table, row)` row of `targets`, in that order: a closure per target with one
-    visited array, then one induce pass over all of them, with labels from `graph.labels`."""
-    selected = np.zeros(graph.num_nodes, dtype=bool)
-    starts = graph.offsets[targets[:, 0]] + targets[:, 1]
-    ids, sizes = bytearray(), []  # the closures' int64 bytes back to back, with no array object per target
-    for start, row in zip(starts.tolist(), targets[:, 1].tolist()):
-        try:
-            closure = _select_closure(graph, selected, start, size_cap, edge_type_once)
-        except SizeCapError as exc:
-            raise SizeCapError(exc.selected, exc.cap, row) from None
-        ids += closure.tobytes()
-        sizes.append(len(closure))
-    return _induce(graph, np.frombuffer(ids, dtype=np.int64), sizes, targets, graph.labels[starts])
+    """One subgraph per `(table, row)` row of `targets`, in that order: the closures of all targets, then
+    one induce pass over all of them, with labels from `graph.labels`."""
+    labels = graph.labels[graph.offsets[targets[:, 0]] + targets[:, 1]]
+    return _induce(graph, _closures(graph, targets, edge_type_once, size_cap), targets, labels)
 
 
 def rdb_to_graph(graph: HeteroGraph, target: tuple[int, int], *, size_cap: int = DEFAULT_SIZE_CAP,

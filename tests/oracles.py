@@ -1,6 +1,6 @@
 """Deliberately naive oracles: brute-force ones independent of the library's data structures, a
-mask-based reference sampler, a `json.dumps` reference datapoint writer, a per-target reference DFS
-and a cell-by-cell reference encoder."""
+mask-based reference sampler, a per-target reference closure, a `json.dumps` reference datapoint writer,
+a per-target reference DFS and a cell-by-cell reference encoder."""
 from __future__ import annotations
 
 import calendar
@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from relgnn.dfs import COPY, AggSpec, _checked_end
-from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, edge_types
+from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, HeteroGraph, edge_types
 from relgnn.rdb import Database, RdbError
 from relgnn.sampler import SizeCapError
 
@@ -151,6 +151,51 @@ def reference_write_datapoints_jsonl(path, datapoints, graph, reverse_edges):
             record = {"target": dp.targets[0].tolist(), "label": None if label < 0 else label, "edges": edges,
                       "nodes": [{"id": nid, "type": names[nid[0]]} for nid in ids]}
             handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _select_closure(graph: HeteroGraph, selected: np.ndarray, start: int, cap: int,
+                    edge_type_once: bool = False) -> np.ndarray:
+    """Sorted global ids of the target's ancestors to fixpoint, then of their descendants.
+
+    `selected` is the visited set, one flag per graph node, all clear; the closure clears exactly the
+    flags it sets, so the per-target cost depends on the subgraph's size, not the graph's. Each round
+    expands the frontier, the nodes the last round added, through the graph's CSR lists. With
+    `edge_type_once`, a round skips the edge types that earlier rounds spent, then spends each type
+    that crossed into the set as it stood before the round. Only the frontier can have crossing edges
+    of unspent types: an older node's crossed in the round after it joined, which spent their types.
+    So both modes cost O(subgraph) per target."""
+    spent = set() if edge_type_once else None
+    touched = [start]
+    selected[start] = True
+    try:
+        frontier = [start]
+        for starts, order, ends in ((graph.in_start, graph.in_sorted, graph.src),
+                                    (graph.out_start, graph.out_sorted, graph.dst)):  # ancestors, then descendants
+            while frontier:
+                if len(touched) > cap:
+                    raise SizeCapError(len(touched), cap)
+                level = len(touched)
+                followed = []  # (reached node, edge type) of each edge the round follows; edge-type-once only
+                for node in frontier:
+                    edge_ids = order[starts[node] : starts[node + 1]]
+                    reached = ends[edge_ids].tolist()
+                    if spent is not None:
+                        pairs = [(nb, t) for nb, t in zip(reached, graph.type_id[edge_ids].tolist()) if t not in spent]
+                        followed += pairs
+                        reached = [nb for nb, _ in pairs]
+                    for nb in reached:
+                        if not selected[nb]:
+                            selected[nb] = True
+                            touched.append(nb)
+                frontier = touched[level:]
+                if spent is not None:
+                    fresh = set(frontier)
+                    spent.update(t for nb, t in followed if nb in fresh)
+            frontier = list(touched)
+    finally:
+        ids = np.asarray(touched, dtype=np.int64)
+        selected[ids] = False
+    return np.sort(ids)
 
 
 def _reference_bfs(start, selected, neighbors, cap):

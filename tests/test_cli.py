@@ -291,6 +291,37 @@ def test_dfs_csv_is_utf8_under_an_ascii_locale(tmp_path):
     assert (out / "features.csv").read_text(encoding="utf-8").splitlines()[1].startswith("é,")
 
 
+_NULL_LABEL = (["p0,1", "p1,", "p2,0"], "null label at table P row 1 column label")
+_THIRD_LABEL = (["p0,1", "p1,0", "p2,1", "p3,x", "p4,y"],
+                "target column must be binary, found 4 distinct tokens; the third, 'x', at table P row 3 column label")
+
+
+# `validate` reports null rates, so only a third token fails it
+@pytest.mark.parametrize("command, label_rows, message", [
+    ("sample", *_NULL_LABEL), ("train", *_NULL_LABEL),
+    ("sample", *_THIRD_LABEL), ("train", *_THIRD_LABEL), ("validate", *_THIRD_LABEL),
+], ids=["sample-null", "train-null", "sample-third-token", "train-third-token", "validate-third-token"])
+def test_bad_label_fails_naming_table_row_and_column(capsys, tmp_path, command, label_rows, message):
+    data = tmp_path / "data"
+    _write_parent_child(data, label_rows, ["c0,p0,1.0"])
+    argv = [command, "--dataset", str(data), "--out", str(tmp_path / "out")]
+    code, _, err = _run(capsys, argv + (["--model", "logreg"] if command == "train" else []))
+    assert (code, err.splitlines()[-1]) == (1, f"error: {message}")
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("command", ["sample", "train"])
+def test_size_cap_below_one_is_rejected_before_any_output(capsys, tmp_path, cap, command):
+    # every subgraph holds its target, so no such cap can be honoured, whatever the data
+    data, out = tmp_path / "data", tmp_path / "out"
+    _write_parent_child(data, ["p0,1", "p1,0"], ["c0,p0,1.0"])
+    argv = [command, "--dataset", str(data), "--out", str(out), "--size-cap", str(cap)]
+    code, payload, err = _run(capsys, argv + (["--model", "gcn"] if command == "train" else []))
+    assert (code, payload) == (1, None)
+    assert err == f"error: --size-cap must be at least 1, got {cap}: every subgraph holds its target\n"
+    assert not out.exists()
+
+
 def test_sample_empty_target_table_fails_naming_it(capsys, tmp_path):
     data, out = tmp_path / "data", tmp_path / "samples"
     _write_parent_child(data, [], [])

@@ -1,11 +1,21 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import closure_oracle, edge_type_once_oracle, reference_datapoint, reference_write_datapoints_jsonl
+from oracles import (
+    _select_closure,
+    closure_oracle,
+    edge_type_once_oracle,
+    reference_datapoint,
+    reference_write_datapoints_jsonl,
+)
 from relgnn import graph as graph_module, sampler
 from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, database_to_graph
 from relgnn.models import build_batch
@@ -13,11 +23,12 @@ from relgnn.rdb import Column, ColumnKind, Database, Table, load_database, targe
 from relgnn.sampler import (
     DatapointStore,
     SizeCapError,
-    _select_closure,
+    _closures,
     batch_sample,
     rdb_to_graph,
     write_datapoints_jsonl,
 )
+from relgnn.synth import SynthSpec, generate
 
 
 def _node_set(dp):
@@ -321,26 +332,67 @@ def test_datapoints_equal_mask_based_reference(random_database, edge_type_once, 
             assert (got.value.target_row, got.value.selected) == (ri, want.value.selected)
 
 
+@pytest.mark.parametrize("narrow", [0, 10**9], ids=["array-rounds", "python-rounds"])
+@pytest.mark.parametrize("chunk", [1, 3, sampler._CHUNK], ids=["chunk-1", "chunk-3", "chunk-default"])
+@pytest.mark.parametrize("edge_type_once", [False, True], ids=["closure", "edge-type-once"])
+def test_batched_closure_equals_per_target_reference(monkeypatch, random_database, edge_type_once, chunk, narrow):
+    # a narrow width of 0 runs every round as array passes, a huge one every round key by key
+    monkeypatch.setattr(sampler, "_CHUNK", chunk)
+    monkeypatch.setattr(sampler, "_NARROW", narrow)
+    for seed in range(100):
+        db = random_database(seed + 17000, max_tables=5, max_rows=60)
+        graph = database_to_graph(db)
+        n = graph.num_nodes
+        rng = np.random.default_rng(seed)
+        starts = rng.integers(0, n, size=25)  # any table's rows, duplicates included
+        tables = np.searchsorted(graph.offsets, starts, side="right") - 1
+        targets = np.stack([tables, starts - graph.offsets[tables]], axis=1)
+        selected = np.zeros(n, dtype=bool)
+        want = [_select_closure(graph, selected, start, 10**9, edge_type_once) for start in starts.tolist()]
+        keys = _closures(graph, targets, edge_type_once, 10**9)
+        owner = keys // n
+        assert np.array_equal(owner, np.repeat(np.arange(len(starts)), [len(ids) for ids in want])), seed
+        assert np.array_equal(keys - owner * n, np.concatenate(want)), seed
+        # the first target over the cap is named, with the count its per-target closure stops at
+        sizes = [len(ids) for ids in want]
+        for cap in sorted({0, 1, min(sizes), max(sizes) - 1, int(rng.integers(1, max(sizes) + 1))}):
+            expected = None
+            for start, row in zip(starts.tolist(), targets[:, 1].tolist()):
+                try:
+                    _select_closure(graph, selected, start, cap, edge_type_once)
+                except SizeCapError as exc:
+                    expected = (row, exc.selected)
+                    break
+            if expected is None:
+                assert np.array_equal(_closures(graph, targets, edge_type_once, cap), keys)
+                continue
+            with pytest.raises(SizeCapError) as got:
+                _closures(graph, targets, edge_type_once, cap)
+            assert (got.value.target_row, got.value.selected, got.value.cap) == (*expected, cap), (seed, cap)
+
+
 @pytest.mark.parametrize("edge_type_once", [False, True], ids=["closure", "edge-type-once"])
 def test_size_cap_leaves_the_scratch_arrays_clean(monkeypatch, fixtures_dir, edge_type_once):
-    visited = []
+    flags = []
 
-    def recorded(graph, selected, *args):
-        visited.append(selected)
-        return _select_closure(graph, selected, *args)
+    class Recorded(sampler._Lockstep):
+        def __init__(self, graph, starts, cap, edge_type_once, held):
+            assert not held.any()  # each chunk finds the node flags clear
+            flags.append(held)
+            super().__init__(graph, starts, cap, edge_type_once, held)
 
-    monkeypatch.setattr(sampler, "_select_closure", recorded)
+    monkeypatch.setattr(sampler, "_Lockstep", Recorded)
+    monkeypatch.setattr(sampler, "_CHUNK", 1)  # a chunk per target, all of them on one flag array
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     # p1's ancestors (p1, v1, v2) fit, its descendant d1 does not
     with pytest.raises(SizeCapError, match="4 > 3"):
         batch_sample(graph, [0], edge_type_once=edge_type_once, size_cap=3)
-    (selected,) = visited
-    assert not selected.any()
-    for row in (1, 0):  # the array serves the next closures as a fresh one would
-        ref = reference_datapoint(graph, (0, row), edge_type_once=edge_type_once)
-        ids = _select_closure(graph, selected, int(graph.offsets[0]) + row, 10**9, edge_type_once)
-        assert ids.tolist() == [int(graph.offsets[t]) + r for t, r in ref.nodes]
-    assert not selected.any()
+    flags.clear()
+    rows = [1, 0, 1, 0]
+    store = batch_sample(graph, rows, edge_type_once=edge_type_once)
+    assert len(flags) == len(rows) and all(held is flags[0] for held in flags) and not flags[0].any()
+    for dp, row in zip(store, rows):
+        assert dp.nodes == reference_datapoint(graph, (0, row), edge_type_once=edge_type_once).nodes
 
 
 def _targets_with_unrelated_rows(n_targets, n_unrelated):
@@ -436,13 +488,13 @@ def test_writer_matches_json_dumps_reference(random_database, tmp_path, edge_typ
 def test_closure_time_scales_linearly():
     sizes = [1000, 10000, 100000]
     graphs = [database_to_graph(_chain_db(n)) for n in sizes]
-    visited = [np.zeros(graph.num_nodes, dtype=bool) for graph in graphs]
+    target = np.zeros((1, 2), dtype=np.int64)  # the chain's head: its ancestors are every row, one level a round
     # best of 7 rounds; every round times each size once, so that load from
     # other processes on the host falls on all sizes alike
     times = [float("inf")] * len(sizes)
     for _ in range(7):
-        for i, (graph, selected) in enumerate(zip(graphs, visited)):
-            times[i] = min(times[i], _timed(lambda: _select_closure(graph, selected, 0, 10**9)))
+        for i, graph in enumerate(graphs):
+            times[i] = min(times[i], _timed(lambda: _closures(graph, target, False, 10**9)))
     # fit time = c * n through the origin, in log space so each size weighs alike; c > 0, so every
     # prediction is positive and a per-node cost that grows with n pushes the sizes apart
     per_node = np.asarray(times) / np.asarray(sizes, dtype=float)
@@ -450,6 +502,36 @@ def test_closure_time_scales_linearly():
     for n, t in zip(sizes, times):
         predicted = c * n
         assert max(predicted / t, t / predicted) <= 2.0, (sizes, times)
+
+
+_COLD_SAMPLE = """
+import sys
+from relgnn.graph import database_to_graph
+from relgnn.rdb import load_database, remove_target_column
+from relgnn.sampler import batch_sample, write_datapoints_jsonl
+graph = database_to_graph(remove_target_column(load_database(sys.argv[1])))
+store = batch_sample(graph, list(range(graph.node_counts[graph.db.target[0]])))
+write_datapoints_jsonl(sys.argv[2], store, graph, True)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cold_sample_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs a cold process about 15 ms to import; np.unique's first call imports it. 300 targets
+    # run array rounds, and the narrow rounds of their last levels in plain Python.
+    generate(SynthSpec(0, 300, template="three_level", signal="grandchild_aggregate", children=(1, 4)), tmp_path / "db")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(sampler.__file__).parents[1]),
+                                                                     os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()[-1]
+
+    if run("-c", "import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("a bare `import numpy` loads numpy.ma here")
+    assert run("-c", _COLD_SAMPLE, str(tmp_path / "db"), str(tmp_path / "dp.jsonl")) == "False"
+    assert (tmp_path / "dp.jsonl").read_text(encoding="utf-8").count("\n") == 300
 
 
 def _timed(fn):
