@@ -111,9 +111,9 @@ class _Lockstep:
     A reached key is new when `held` has no flag for its node: the flags mark the nodes that some target
     of the chunk holds, so only shared nodes are searched, in `blocks`. Those are sorted key arrays, each
     more than twice the size of the next, merged like a binary counter, so a round searches a logarithmic
-    number of them. A frontier narrower than `_NARROW` expands key by key in plain Python, and its keys wait in
-    `pending` until an array round or the phase's end sorts them into a block. So a chain, one key per
-    round, costs no array round per level.
+    number of them. A frontier narrower than `_NARROW` expands key by key in plain Python, and its keys
+    wait in `pending` until an array round or the phase's end sorts them into a block. So a chain, one
+    key per round, costs no array round per level.
 
     With `edge_type_once`, a target's round skips the edge types its earlier rounds spent, then spends
     each type that crossed into its set as the set stood before the round: a (target, type) matrix.
@@ -139,7 +139,7 @@ class _Lockstep:
         for starts, order, ends in ((g.in_start, g.in_sorted, g.src), (g.out_start, g.out_sorted, g.dst)):
             while len(frontier):
                 if len(frontier) < _NARROW:
-                    frontier = self._python_rounds(np.asarray(frontier).tolist(), starts, order, ends)
+                    frontier = self._python_rounds(frontier.tolist(), starts, order, ends)
                 else:
                     frontier = self._array_round(np.asarray(frontier, dtype=np.int64), starts, order, ends)
             frontier = self._live(self._selected())
