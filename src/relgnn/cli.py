@@ -99,14 +99,16 @@ def cmd_graph_stats(args) -> int:
     return 0
 
 
-def _check_size_cap(args) -> None:
-    """Every subgraph holds its target, so a size cap below 1 can never be honoured."""
+def _check_flags(args) -> None:
+    """Reject a flag that can never be honoured, before anything is written."""
     if args.size_cap < 1:
         raise ValueError(f"--size-cap must be at least 1, got {args.size_cap}: every subgraph holds its target")
+    if getattr(args, "dropout", None) is not None and not 0.0 <= args.dropout < 1.0:
+        raise ValueError(f"--dropout must be in [0, 1), got {args.dropout}: it is the probability of dropping a unit")
 
 
 def cmd_sample(args) -> int:
-    _check_size_cap(args)
+    _check_flags(args)
     _write_manifest(args)
     masked = remove_target_column(load_database(args.dataset))
     graph, datapoints = _sample(masked, edge_type_once=args.edge_type_once, size_cap=args.size_cap)
@@ -194,8 +196,9 @@ def _read_description(path: Path, masked) -> dict:
         for key in keys + (("aggspecs",) if model == "dfs-logreg" else ()):
             if key not in desc:
                 raise KeyError(key)
-        if model in VARIANTS:
-            ModelConfig(**desc["config"])
+        dropout = ModelConfig(**desc["config"]).dropout if model in VARIANTS else desc["dropout"]
+        if not (isinstance(dropout, (int, float)) and 0.0 <= dropout < 1.0):
+            raise ValueError(f"dropout must be in [0, 1), got {dropout!r}")
         if model == "dfs-logreg":
             aggspecs_from_json(json.dumps(desc["aggspecs"]), masked)
     except KeyError as exc:
@@ -203,6 +206,16 @@ def _read_description(path: Path, masked) -> dict:
     except (TypeError, ValueError) as exc:
         raise RdbError(f"{path}: {exc}") from None
     return desc
+
+
+def _read_fold_file(path: Path, reader, *context):
+    """`reader` applied to the text of one of a fold's files and `context`; a fault fails naming the file."""
+    try:
+        return reader(path.read_text(encoding="utf-8"), *context)
+    except json.JSONDecodeError as exc:
+        raise RdbError(f"{path}: not JSON text ({exc})") from None
+    except ValueError as exc:  # RdbError and bad UTF-8 among them
+        raise RdbError(f"{path}: {exc}") from None
 
 
 def _shared_inputs(desc: dict, masked):
@@ -247,7 +260,7 @@ def _fold_report(fi: int, result, metrics) -> dict:
 
 
 def cmd_train(args) -> int:
-    _check_size_cap(args)
+    _check_flags(args)
     args.out.mkdir(parents=True, exist_ok=True)
     _setup_logging(args.out)
     _write_manifest(args)
@@ -322,10 +335,12 @@ def cmd_eval(args) -> int:
     desc = _read_description(args.run / "model.json", masked)
     fold_dir = args.run / f"fold{args.fold}"
     arrays = load_checkpoint(fold_dir / "checkpoint.bin")
-    encoders = encoders_from_json((fold_dir / "encoders.json").read_text(encoding="utf-8"))
-    dfs_path = fold_dir / "dfs_encoders.json"
-    dfs_encoders = feature_encoders_from_json(dfs_path.read_text(encoding="utf-8")) if "aggspecs" in desc else None
-    net, data = _build(desc, masked, labels, _shared_inputs(desc, masked), encoders, dfs_encoders)
+    encoders = _read_fold_file(fold_dir / "encoders.json", encoders_from_json, masked)
+    shared = _shared_inputs(desc, masked)
+    dfs_encoders = None
+    if "aggspecs" in desc:
+        dfs_encoders = _read_fold_file(fold_dir / "dfs_encoders.json", feature_encoders_from_json, masked, shared[0])
+    net, data = _build(desc, masked, labels, shared, encoders, dfs_encoders)
     _load_params(net, arrays)
     payload = {"model": desc["model"], "dataset": str(args.dataset), "fold": args.fold, "rows": "all",
                **evaluate(net, data, list(range(len(labels))))}

@@ -9,11 +9,12 @@ import numpy as np
 
 from .encode import (
     CategoricalEncoder,
-    ScalarEncoder,
+    categorical_from_json,
     categorical_indices,
     encode_scalar_column,
     fit_categorical,
     fit_scalar,
+    scalar_from_json,
 )
 from .graph import FORWARD, REVERSE, EdgeType, database_to_graph, edge_types, referenced_table
 from .rdb import Database, RdbError
@@ -238,14 +239,16 @@ def feature_names(db: Database, specs: list[AggSpec]) -> list[str]:
     return names
 
 
+def _copies_categorical(db: Database, spec: AggSpec) -> bool:
+    return spec.aggregator == COPY and db.tables[_checked_end(db, spec)].columns[spec.source].kind.tag == "categorical"
+
+
 def fit_feature_encoders(db: Database, specs: list[AggSpec], raw: list[list], fit_rows) -> list:
     """One scalar or categorical encoder per spec column, fit on fit_rows of the raw matrix only."""
     encoders = []
     for j, spec in enumerate(specs):
         fit_cells = [raw[i][j] for i in fit_rows]
-        end = _checked_end(db, spec)
-        categorical = spec.aggregator == COPY and db.tables[end].columns[spec.source].kind.tag == "categorical"
-        encoders.append(fit_categorical(fit_cells) if categorical else fit_scalar(fit_cells))
+        encoders.append(fit_categorical(fit_cells) if _copies_categorical(db, spec) else fit_scalar(fit_cells))
     return encoders
 
 
@@ -277,13 +280,26 @@ def feature_encoders_to_json(encoders: list) -> str:
     return json.dumps(out, sort_keys=True)
 
 
-def feature_encoders_from_json(text: str) -> list:
+def feature_encoders_from_json(text: str, db: Database, specs: list[AggSpec]) -> list:
+    """Encoders as `feature_encoders_to_json` writes them, checked against the specs: one per spec, of the
+    kind that `fit_feature_encoders` fits for it. A fault raises ValueError naming the entry."""
+    payload = json.loads(text)
+    if not isinstance(payload, list):
+        raise RdbError("not a list of feature encoders")
+    if len(payload) != len(specs):
+        raise RdbError(f"{len(payload)} feature encoders for {len(specs)} aggspecs")
     out = []
-    for item in json.loads(text):
-        if item["kind"] == "categorical":
-            out.append(CategoricalEncoder(dict(item["vocabulary"])))
-        else:
-            out.append(ScalarEncoder(item["median"], item["iqr"], item["all_null"]))
+    for j, (spec, item) in enumerate(zip(specs, payload)):
+        kind = "categorical" if _copies_categorical(db, spec) else "scalar"
+        try:
+            if not isinstance(item, dict) or item.get("kind") != kind:
+                raise ValueError(f"is not a {kind} encoder")
+            if kind == "categorical":
+                out.append(categorical_from_json(item.get("vocabulary")))
+            else:
+                out.append(scalar_from_json([item.get("median"), item.get("iqr"), item.get("all_null")]))
+        except ValueError as exc:
+            raise RdbError(f"entry {j} {exc}") from None
     return out
 
 

@@ -8,7 +8,7 @@ from datetime import date, datetime
 
 import numpy as np
 
-from .rdb import Database
+from .rdb import Database, RdbError, Table
 
 __all__ = [
     "IQR_FLOOR",
@@ -236,37 +236,35 @@ class NodeTypeEncoder:
         return self.dense_width + sum(self.embedding_dims)
 
 
+def _encoded_columns(table: Table) -> tuple[list[tuple[int, str]], list[int]]:
+    """The columns a table's encoder covers, in column order: (column index, kind tag) of the dense ones
+    and the indices of the categorical ones. Key and target columns contribute nothing."""
+    dense = [(ci, col.kind.tag) for ci, col in enumerate(table.columns)
+             if col.kind.tag in COLUMN_DENSE_WIDTH and not col.target]
+    cats = [ci for ci, col in enumerate(table.columns) if col.kind.tag == "categorical" and not col.target]
+    return dense, cats
+
+
 def fit_encoders(db: Database, train_rows: dict[int, list[int]]) -> list[NodeTypeEncoder]:
     """Fit one NodeTypeEncoder per table on the given training rows only."""
     encoders = []
     for ti, table in enumerate(db.tables):
         rows = train_rows.get(ti, [])
-        dense_columns: list[tuple[int, str]] = []
-        cat_columns: list[int] = []
-        enc = NodeTypeEncoder(ti, dense_columns, cat_columns)
-        for ci, col in enumerate(table.columns):
-            tag = col.kind.tag
-            if tag in ("primary_key", "foreign_key") or col.target:
-                continue
-            cells = [col.values[r] for r in rows]
+        enc = NodeTypeEncoder(ti, *_encoded_columns(table))
+        for ci, tag in enc.dense_columns:
+            cells = [table.columns[ci].values[r] for r in rows]
             if tag == "scalar":
-                dense_columns.append((ci, tag))
                 enc.scalar[ci] = fit_scalar(cells)
-            elif tag == "latlong":
-                dense_columns.append((ci, tag))
             elif tag == "datetime":
-                dense_columns.append((ci, tag))
                 enc.year[ci] = fit_scalar([float(v.year) for v in cells if v is not None])
             elif tag == "text":
-                dense_columns.append((ci, tag))
                 counts = [text_counts(v) for v in cells if v is not None]
                 enc.text[ci] = (
                     fit_scalar([w for w, _ in counts]),
                     fit_scalar([c for _, c in counts]),
                 )
-            elif tag == "categorical":
-                cat_columns.append(ci)
-                enc.categorical[ci] = fit_categorical(cells)
+        for ci in enc.cat_columns:
+            enc.categorical[ci] = fit_categorical([table.columns[ci].values[r] for r in rows])
         encoders.append(enc)
     return encoders
 
@@ -321,17 +319,88 @@ def encoders_to_json(encoders: list[NodeTypeEncoder]) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def encoders_from_json(text: str) -> list[NodeTypeEncoder]:
-    out = []
-    for item in json.loads(text):
-        enc = NodeTypeEncoder(
-            item["table"],
-            [(ci, tag) for ci, tag in item["dense_columns"]],
-            list(item["cat_columns"]),
-        )
-        enc.scalar = {int(k): ScalarEncoder(*v) for k, v in item["scalar"].items()}
-        enc.year = {int(k): ScalarEncoder(*v) for k, v in item["year"].items()}
-        enc.text = {int(k): (ScalarEncoder(*w), ScalarEncoder(*c)) for k, (w, c) in item["text"].items()}
-        enc.categorical = {int(k): CategoricalEncoder(dict(v)) for k, v in item["categorical"].items()}
-        out.append(enc)
-    return out
+def scalar_from_json(fields) -> ScalarEncoder:
+    """A ScalarEncoder from its JSON form [median, iqr, all_null]; ValueError unless the median is a
+    finite float, the iqr a finite positive float and all_null a bool, as `fit_scalar` makes them."""
+    if not (isinstance(fields, list) and len(fields) == 3
+            and all(type(v) is float and math.isfinite(v) for v in fields[:2]) and fields[1] > 0
+            and type(fields[2]) is bool):
+        raise ValueError("does not hold a finite median, a finite positive iqr and an all_null flag")
+    return ScalarEncoder(*fields)
+
+
+def categorical_from_json(vocabulary) -> CategoricalEncoder:
+    """A CategoricalEncoder from its JSON vocabulary; ValueError unless it numbers its tokens 0 to n - 1."""
+    if not (isinstance(vocabulary, dict) and all(type(i) is int for i in vocabulary.values())
+            and set(vocabulary.values()) == set(range(len(vocabulary)))):
+        raise ValueError("is not a vocabulary that numbers its tokens 0 to n - 1")
+    return CategoricalEncoder(vocabulary)
+
+
+_FITTED_FIELD = {"scalar": "scalar", "datetime": "year", "text": "text", "categorical": "categorical"}
+
+
+def encoders_from_json(text: str, db: Database) -> list[NodeTypeEncoder]:
+    """Encoders as `encoders_to_json` writes them, checked against `db`: one per table, in table order,
+    each covering the columns that `fit_encoders` covers with well-formed fitted parameters. A fault
+    raises ValueError naming the table and the column or field."""
+    payload = json.loads(text)
+    if not isinstance(payload, list):
+        raise RdbError("not a list of table encoders")
+    if len(payload) != len(db.tables):
+        raise RdbError(f"{len(payload)} table encoders for the {len(db.tables)} tables of the database")
+    return [_table_encoder_from_json(item, ti, db.tables[ti]) for ti, item in enumerate(payload)]
+
+
+def _table_encoder_from_json(item, ti: int, table: Table) -> NodeTypeEncoder:
+    where = f"table {table.name}"
+    if not isinstance(item, dict):
+        raise RdbError(f"{where}: encoder {ti} is not an object")
+    for key in ("table", "dense_columns", "cat_columns") + tuple(_FITTED_FIELD.values()):
+        if key not in item:
+            raise RdbError(f"{where}: missing key {key!r}")
+    if type(item["table"]) is not int or item["table"] != ti:
+        raise RdbError(f"{where}: encoder {ti} is for table {json.dumps(item['table'])}")
+    for field in _FITTED_FIELD.values():
+        if not isinstance(item[field], dict):
+            raise RdbError(f"{where}: {field} is not an object")
+    enc = NodeTypeEncoder(ti, *_encoded_columns(table))
+    _check_listed(table, "dense_columns", item["dense_columns"], [[ci, tag] for ci, tag in enc.dense_columns])
+    _check_listed(table, "cat_columns", item["cat_columns"], enc.cat_columns)
+    for ci, tag in enc.dense_columns + [(ci, "categorical") for ci in enc.cat_columns]:
+        if tag == "latlong":
+            continue  # nothing fitted
+        field = _FITTED_FIELD[tag]
+        entry = item[field].get(str(ci))
+        try:
+            if tag == "scalar":
+                enc.scalar[ci] = scalar_from_json(entry)
+            elif tag == "datetime":
+                enc.year[ci] = scalar_from_json(entry)
+            elif tag == "text":
+                if not (isinstance(entry, list) and len(entry) == 2):
+                    raise ValueError("is not a pair of [median, iqr, all_null]")
+                enc.text[ci] = (scalar_from_json(entry[0]), scalar_from_json(entry[1]))
+            else:
+                enc.categorical[ci] = categorical_from_json(entry)
+        except ValueError as exc:
+            raise RdbError(f"{where} column {table.columns[ci].name}: {field} entry {exc}") from None
+    return enc
+
+
+def _check_listed(table: Table, field: str, listed, expected: list) -> None:
+    """A column list of encoders.json must be the table's encoded columns in order; the first
+    difference fails naming its entry and the column expected there. Values compare as JSON text, so
+    that 1.0 or true never stands for the column index 1."""
+    if json.dumps(listed) == json.dumps(expected):
+        return
+    where = f"table {table.name}"
+    if not isinstance(listed, list):
+        raise RdbError(f"{where}: {field} is {json.dumps(listed)}, not a list")
+    k = next((k for k, (a, b) in enumerate(zip(listed, expected)) if json.dumps(a) != json.dumps(b)),
+             min(len(listed), len(expected)))
+    found = json.dumps(listed[k]) if k < len(listed) else "missing"
+    if k == len(expected):
+        raise RdbError(f"{where}: {field}[{k}] is {found}, but the table has no further encoded column")
+    ci = expected[k][0] if field == "dense_columns" else expected[k]
+    raise RdbError(f"{where}: {field}[{k}] is {found}, not {json.dumps(expected[k])} (column {table.columns[ci].name})")

@@ -196,13 +196,8 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -229,6 +224,8 @@ def log_softmax(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout; identity (sharing the input buffer) when not training."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout: p must be in [0, 1), got {p}")
     if not train or p == 0.0:
 
         def bwd_id(g: np.ndarray, grads: _Grads) -> None:
@@ -253,9 +250,8 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     out_data = table.data[idx]
 
     def bwd(g: np.ndarray, grads: _Grads) -> None:
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, idx, g)
-        _accum(grads, table, dt)
+        rows = g.reshape((idx.size,) + table.shape[1:])
+        _accum(grads, table, _segment_add(idx.ravel(), rows, table.shape[0]))
 
     return _make(out_data, (table,), bwd)
 
@@ -267,10 +263,18 @@ def _check_segments(seg: np.ndarray, num_segments: int, op: str) -> np.ndarray:
     return seg
 
 
+def _segment_add(seg: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Row i of `values` added into row seg[i] of n zero rows: one flat bincount over the output cells,
+    which adds each cell's rows in row order from 0.0, bit for bit as adding them one by one does."""
+    w = math.prod(values.shape[1:])
+    cells = (seg[:, None] * w + np.arange(w)).ravel()
+    out = np.bincount(cells, weights=values.ravel(), minlength=n * w)
+    return out.astype(np.float64, copy=False).reshape((n,) + values.shape[1:])  # bincount of no cells is int64
+
+
 def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     seg = _check_segments(segment_ids, num_segments, "segment_sum")
-    out_data = np.zeros((num_segments,) + values.shape[1:], dtype=np.float64)
-    np.add.at(out_data, seg, values.data)
+    out_data = _segment_add(seg, values.data, num_segments)
 
     def bwd(g: np.ndarray, grads: _Grads) -> None:
         _accum(grads, values, g[seg])
@@ -283,10 +287,8 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
     counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
     if (counts == 0).any():
         raise ValueError("segment_mean: empty segment")
-    sums = np.zeros((num_segments,) + values.shape[1:], dtype=np.float64)
-    np.add.at(sums, seg, values.data)
     denom = counts.reshape((num_segments,) + (1,) * (values.data.ndim - 1))
-    out_data = sums / denom
+    out_data = _segment_add(seg, values.data, num_segments) / denom
 
     def bwd(g: np.ndarray, grads: _Grads) -> None:
         _accum(grads, values, (g / denom)[seg])
@@ -300,18 +302,13 @@ def segment_softmax(values: Tensor, segment_ids: np.ndarray, num_segments: int) 
     counts = np.bincount(seg, minlength=num_segments)
     if (counts == 0).any():
         raise ValueError("segment_softmax: empty segment")
-    tail = values.shape[1:]
-    seg_max = np.full((num_segments,) + tail, -np.inf)
+    seg_max = np.full((num_segments,) + values.shape[1:], -np.inf)
     np.maximum.at(seg_max, seg, values.data)
     ex = np.exp(values.data - seg_max[seg])
-    denom = np.zeros((num_segments,) + tail, dtype=np.float64)
-    np.add.at(denom, seg, ex)
-    out_data = ex / denom[seg]
+    out_data = ex / _segment_add(seg, ex, num_segments)[seg]
 
     def bwd(g: np.ndarray, grads: _Grads) -> None:
-        gy = np.zeros((num_segments,) + tail, dtype=np.float64)
-        np.add.at(gy, seg, g * out_data)
-        _accum(grads, values, out_data * (g - gy[seg]))
+        _accum(grads, values, out_data * (g - _segment_add(seg, g * out_data, num_segments)[seg]))
 
     return _make(out_data, (values,), bwd)
 

@@ -1,6 +1,7 @@
 """Deliberately naive oracles: brute-force ones independent of the library's data structures, a
 mask-based reference sampler, a per-target reference closure, a `json.dumps` reference datapoint writer,
-a per-target reference DFS and a cell-by-cell reference encoder."""
+a per-target reference DFS, a cell-by-cell reference encoder, and the autodiff's `np.add.at` scatter and
+two-branch sigmoid."""
 from __future__ import annotations
 
 import calendar
@@ -427,3 +428,20 @@ def reference_encode_row(db, table, row, encoder):
         token = columns[ci].values[row]
         cats.append(cat.null_index if token is None else cat.vocabulary.get(token, cat.null_index))
     return dense, np.array(cats, dtype=np.int64)
+
+
+def reference_segment_add(seg, values, n):
+    """Row i of `values` added into row seg[i] of n zero rows, one row at a time."""
+    out = np.zeros((n,) + values.shape[1:], dtype=np.float64)
+    np.add.at(out, seg, values)
+    return out
+
+
+def reference_sigmoid(z):
+    """The logistic function split by sign, so that exp never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

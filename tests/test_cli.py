@@ -322,6 +322,17 @@ def test_size_cap_below_one_is_rejected_before_any_output(capsys, tmp_path, cap,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dropout", ["-0.5", "1.0", "1.5", "nan"])
+@pytest.mark.parametrize("model", ["gcn", "mlp"])
+def test_dropout_outside_the_unit_interval_is_rejected_before_any_output(capsys, synth_dir, tmp_path, dropout, model):
+    out = tmp_path / "out"
+    code, payload, err = _run(capsys, ["train", "--dataset", str(synth_dir), "--out", str(out), "--model", model,
+                                       "--dropout", dropout, "--folds", "2", "--max-epochs", "1"])
+    assert (code, payload) == (1, None)
+    assert err == f"error: --dropout must be in [0, 1), got {float(dropout)}: it is the probability of dropping a unit\n"
+    assert not out.exists()
+
+
 def test_sample_empty_target_table_fails_naming_it(capsys, tmp_path):
     data, out = tmp_path / "data", tmp_path / "samples"
     _write_parent_child(data, [], [])
@@ -442,7 +453,10 @@ def dfs_run(synth_dir):
     ("gcn_run", lambda meta: meta.update(model="svm"), "'svm'"),
     ("dfs_run", lambda meta: meta["aggspecs"][0].update(aggregator="median"), "'median'"),
     ("dfs_run", lambda meta: meta["aggspecs"][0].update(path=[[9, 9, "reverse"]]), "(9, 9)"),
-], ids=["missing-key", "unknown-config-field", "unknown-model", "unknown-aggregator", "hop-out-of-range"])
+    ("gcn_run", lambda meta: meta["config"].update(dropout=1.5), "dropout must be in [0, 1), got 1.5"),
+    ("dfs_run", lambda meta: meta.update(dropout=-0.5), "dropout must be in [0, 1), got -0.5"),
+], ids=["missing-key", "unknown-config-field", "unknown-model", "unknown-aggregator", "hop-out-of-range",
+        "gnn-dropout", "baseline-dropout"])
 def test_eval_rejects_malformed_model_json(capsys, request, synth_dir, tmp_path, trained, edit, named):
     run = tmp_path / "run"
     shutil.copytree(request.getfixturevalue(trained), run)
@@ -464,6 +478,121 @@ def test_eval_rejects_a_malformed_checkpoint(capsys, gcn_run, synth_dir, tmp_pat
     code, _, err = _run(capsys, ["eval", "--run", str(run), "--dataset", str(synth_dir)])
     assert code == 1
     assert err.strip().splitlines()[-1].startswith(f"error: {checkpoint}: checkpoint manifest entry 0 is 1,")
+
+
+@pytest.fixture(scope="module")
+def three_level_runs(three_level_dir):
+    runs = {}
+    for model in ("gcn", "logreg"):
+        runs[model] = three_level_dir.parent / f"{model}_run"
+        assert main(["train", "--dataset", str(three_level_dir), "--model", model, "--hidden", "4",
+                     "--out", str(runs[model]), "--folds", "2", "--max-epochs", "1"]) == 0
+    return runs
+
+
+@pytest.mark.parametrize("model", ["gcn", "logreg"])
+@pytest.mark.parametrize("dataset, message", [
+    ("clinic", 'table Patient: dense_columns[1] is [2, "scalar"], but the table has no further encoded column'),
+    ("employees", "3 table encoders for the 1 tables of the database"),
+], ids=["clinic", "employees"])
+def test_eval_rejects_encoders_of_another_database(capsys, fixtures_dir, three_level_runs, model, dataset, message):
+    run = three_level_runs[model]
+    code, _, err = _run(capsys, ["eval", "--run", str(run), "--dataset", str(fixtures_dir / dataset)])
+    assert (code, err.splitlines()[-1]) == (1, f"error: {run / 'fold0' / 'encoders.json'}: {message}")
+
+
+def _without_median(text):
+    entries = json.loads(text)
+    del entries[0]["median"]
+    return json.dumps(entries)
+
+
+@pytest.mark.parametrize("trained, name, edit, message", [
+    ("gcn_run", "encoders.json", lambda text: "[1]", "1 table encoders for the 2 tables of the database"),
+    ("gcn_run", "encoders.json", lambda text: text[:len(text) // 2], "not JSON text ("),
+    ("gcn_run", "encoders.json", lambda text: text.replace('"table": 1', '"table": 0'),
+     "table Child: encoder 1 is for table 0"),
+    ("dfs_run", "dfs_encoders.json", _without_median,
+     "entry 0 does not hold a finite median, a finite positive iqr and an all_null flag"),
+    ("dfs_run", "dfs_encoders.json", lambda text: json.dumps(json.loads(text)[:3]), "3 feature encoders for 5 aggspecs"),
+], ids=["not-encoders", "truncated", "wrong-table", "no-median", "too-few"])
+def test_eval_rejects_a_malformed_encoder_file(capsys, request, synth_dir, tmp_path, trained, name, edit, message):
+    run = tmp_path / "run"
+    shutil.copytree(request.getfixturevalue(trained), run)
+    path = run / "fold0" / name
+    path.write_text(edit(path.read_text()))
+    code, _, err = _run(capsys, ["eval", "--run", str(run), "--dataset", str(synth_dir)])
+    assert code == 1
+    assert err.splitlines()[-1].startswith(f"error: {path}: {message}")
+
+
+def _write_lookup(root, n=40):
+    """A target table T of every column kind whose rows reference a lookup table G, whose categorical
+    and scalar cells dfs copies onto T."""
+    root.mkdir()
+    (root / "schema.json").write_text(json.dumps({"tables": [
+        {"name": "T", "file": "T.csv", "columns": [
+            {"name": "id", "kind": "primary_key"},
+            {"name": "g", "kind": "foreign_key", "references": {"table": "G", "column": "id"}},
+            {"name": "x", "kind": "scalar"}, {"name": "pos", "kind": "latlong"},
+            {"name": "when", "kind": "datetime"}, {"name": "label", "kind": "categorical", "target": True}]},
+        {"name": "G", "file": "G.csv", "columns": [
+            {"name": "id", "kind": "primary_key"}, {"name": "color", "kind": "categorical"},
+            {"name": "note", "kind": "text"}, {"name": "size", "kind": "scalar"}]},
+    ]}), encoding="utf-8")
+    (root / "T.csv").write_text("id,g,x,pos,when,label\n" + "".join(
+        f'{i},g{i % 4},{i / 2},"{i}.5,-{i}.5",2020-{i % 12 + 1:02d}-{i % 28 + 1:02d},{i % 2}\n'
+        for i in range(n)), encoding="utf-8")
+    (root / "G.csv").write_text("id,color,note,size\n" + "".join(
+        f"g{j},{('red', 'blue')[j % 2]},a note of {j} words,{j}.25\n" for j in range(4)), encoding="utf-8")
+
+
+def _json_slots(value, slots):
+    """(container, key) of every value below `value`, a parsed JSON document, appended to `slots`."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        slots.append((value, key))
+        _json_slots(child, slots)
+    return slots
+
+
+def test_encoder_files_fuzz_fail_naming_the_file(capsys, tmp_path):
+    """Seeded wrong types, deletions and truncations of a GNN fold's encoders.json (every column kind)
+    and of a dfs-logreg fold's dfs_encoders.json (scalar and categorical entries): eval fails each with
+    exit 1 and a message that names the file, never with a traceback. Tokens stay in their vocabulary:
+    without its last token a vocabulary is well-formed, and only the checkpoint can tell."""
+    data = tmp_path / "data"
+    _write_lookup(data)
+    runs = {"encoders.json": tmp_path / "gcn", "dfs_encoders.json": tmp_path / "dfs"}
+    for (name, run), model in zip(runs.items(), ("gcn", "dfs-logreg")):
+        assert main(["train", "--dataset", str(data), "--model", model, "--hidden", "4", "--out", str(run),
+                     "--folds", "2", "--max-epochs", "1", "--seed", "2"]) == 0  # seed 2: both labels in each split
+    wrong = (5, 2.5, None, True, [], {}, "x")
+    mutations = ("type", "delete", "truncate")
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        name, mutation = list(runs)[seed % 2], mutations[seed // 2 % 3]
+        path = runs[name] / "fold0" / name
+        valid = path.read_text()
+        if mutation == "truncate":
+            text = valid[:int(rng.integers(0, len(valid)))]
+        else:
+            doc = json.loads(valid)
+            slots = _json_slots(doc, [])
+            if mutation == "delete":
+                slots = [(c, k) for c, k in slots if not (isinstance(c, dict) and c and
+                                                          all(type(v) is int for v in c.values()))]
+            container, key = slots[int(rng.integers(0, len(slots)))]
+            if mutation == "delete":
+                del container[key]
+            else:
+                choices = [v for v in wrong if type(v) is not type(container[key])]
+                container[key] = choices[int(rng.integers(0, len(choices)))]
+            text = json.dumps(doc)
+        path.write_text(text)
+        code, _, err = _run(capsys, ["eval", "--run", str(runs[name]), "--dataset", str(data)])
+        path.write_text(valid)
+        assert code == 1 and err.splitlines()[-1].startswith(f"error: {path}: "), (seed, mutation, text, err)
 
 
 @pytest.mark.parametrize("folds", ["0", "1", "81"])

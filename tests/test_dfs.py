@@ -438,7 +438,7 @@ def test_feature_encoder_json_roundtrip():
     specs = enumerate_aggs(db, 2)
     raw = compute_features(db, specs, [0, 1])
     encoders = fit_feature_encoders(db, specs, raw, [0, 1])
-    reloaded = feature_encoders_from_json(feature_encoders_to_json(encoders))
+    reloaded = feature_encoders_from_json(feature_encoders_to_json(encoders), db, specs)
     assert np.array_equal(apply_feature_encoders(specs, raw, reloaded),
                           apply_feature_encoders(specs, raw, encoders))
 

@@ -249,7 +249,7 @@ def test_encoder_json_roundtrip(fixtures_dir, tmp_path):
     db = remove_target_column(load_database(tmp_path))
     encoders = fit_encoders(db, {0: [0, 1]})
     text = encoders_to_json(encoders)
-    restored = encoders_from_json(text)
+    restored = encoders_from_json(text, db)
     assert encoders_to_json(restored) == text
     a_dense, a_cats = encode_node(db, 0, np.array([0, 1]), encoders[0])
     b_dense, b_cats = encode_node(db, 0, np.array([0, 1]), restored[0])

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from oracles import reference_segment_add, reference_sigmoid
 
 from relgnn import tensor
 from relgnn.optim import AdamW
@@ -162,6 +163,41 @@ def test_dropout_masks_reproducible_and_inverted():
     assert np.array_equal(a.data, b.data)
     kept = a.data != 0
     assert np.allclose(a.data[kept], 1.0 / 0.7)
+
+
+@pytest.mark.parametrize("p", [-0.5, 1.0, 1.5, float("nan")])
+@pytest.mark.parametrize("train", [True, False])
+def test_dropout_rejects_p_outside_the_unit_interval(p, train):
+    with pytest.raises(ValueError, match=re.escape(f"dropout: p must be in [0, 1), got {p}")):
+        dropout(Tensor(np.ones((2, 2))), p, train, RngStream(0).gen)
+
+
+def test_segment_add_is_bitwise_the_add_at_reference():
+    """1-D, 2-D (widths 0-39) and 3-D values over five decades either side of 1, with 5% -0.0, repeated
+    and unsorted ids, empty inputs and more segments than the largest id needs."""
+    rng = np.random.default_rng(31)
+    for case in range(360):
+        trailing = ((), (case % 40,), (case % 5, case % 7))[case % 3]
+        rows = 0 if case % 12 == 0 else int(rng.integers(1, 80))
+        ids = int(rng.integers(1, 20))
+        seg = rng.integers(0, ids, size=rows)
+        n = ids + int(rng.integers(0, 4))
+        shape = (rows,) + trailing
+        values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-5, 4, size=shape)
+        values[rng.random(shape) < 0.05] = -0.0
+        got = tensor._segment_add(seg, values, n)
+        want = reference_segment_add(seg, values, n)
+        assert got.shape == want.shape and got.dtype == want.dtype, case
+        assert got.tobytes() == want.tobytes(), case
+
+
+def test_sigmoid_is_bitwise_the_two_branch_reference():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 709.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+    rng = np.random.default_rng(32)
+    z = np.concatenate([edges, rng.normal(size=10**5) * 10.0 ** rng.uniform(-3, 3, size=10**5)])
+    assert tensor._sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()
+    assert tensor._sigmoid(z.reshape(-1, 4)).tobytes() == reference_sigmoid(z).tobytes()
+    assert np.isnan(tensor._sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 def test_embedding_lookup_forward_and_grad():
