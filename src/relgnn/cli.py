@@ -310,12 +310,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_params(net, arrays: dict[str, np.ndarray]) -> None:
-    if set(net.params) != set(arrays):
-        raise RdbError("checkpoint parameters do not match the model built from this dataset")
+def _load_params(net, arrays: dict[str, np.ndarray], checkpoint: Path, built_from: list[Path]) -> None:
+    """Set the parameters of `net`, built from the fold files `built_from`, to the checkpoint's arrays;
+    a parameter the two disagree on fails naming both files."""
+    model = f"the model built from {' and '.join(map(str, built_from))}"
+    missing = [name for name in net.params if name not in arrays]
+    if missing:
+        raise RdbError(f"{checkpoint}: no parameter {missing[0]}, which {model} has")
+    extra = [name for name in arrays if name not in net.params]
+    if extra:
+        raise RdbError(f"{checkpoint}: parameter {extra[0]}, which {model} does not have")
     for name, tensor in net.params.items():
-        if tuple(tensor.shape) != tuple(arrays[name].shape):
-            raise RdbError(f"checkpoint shape mismatch for {name}")
+        if tensor.shape != arrays[name].shape:
+            raise RdbError(f"{checkpoint}: parameter {name} has shape {arrays[name].shape}, "
+                           f"but {model} needs {tensor.shape}")
         tensor.data = arrays[name]
 
 
@@ -335,13 +343,15 @@ def cmd_eval(args) -> int:
     desc = _read_description(args.run / "model.json", masked)
     fold_dir = args.run / f"fold{args.fold}"
     arrays = load_checkpoint(fold_dir / "checkpoint.bin")
-    encoders = _read_fold_file(fold_dir / "encoders.json", encoders_from_json, masked)
+    built_from = [fold_dir / "encoders.json"]
+    encoders = _read_fold_file(built_from[0], encoders_from_json, masked)
     shared = _shared_inputs(desc, masked)
     dfs_encoders = None
     if "aggspecs" in desc:
-        dfs_encoders = _read_fold_file(fold_dir / "dfs_encoders.json", feature_encoders_from_json, masked, shared[0])
+        built_from.append(fold_dir / "dfs_encoders.json")
+        dfs_encoders = _read_fold_file(built_from[1], feature_encoders_from_json, masked, shared[0])
     net, data = _build(desc, masked, labels, shared, encoders, dfs_encoders)
-    _load_params(net, arrays)
+    _load_params(net, arrays, fold_dir / "checkpoint.bin", built_from)
     payload = {"model": desc["model"], "dataset": str(args.dataset), "fold": args.fold, "rows": "all",
                **evaluate(net, data, list(range(len(labels))))}
     test_rows = _fold_test_rows(args.run, args.fold, len(labels))

@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay."""
+"""AdamW with decoupled weight decay, over one flat parameter arena."""
 
 from __future__ import annotations
 
@@ -11,7 +11,16 @@ __all__ = ["AdamW"]
 
 class AdamW:
     """Adam moment updates plus a weight-decay term applied directly to the
-    parameters, not folded into the gradient."""
+    parameters, not folded into the gradient.
+
+    The optimizer owns the parameters' memory: it copies them, in the order of
+    the params dict, into one flat float64 buffer and rebinds each ``p.data``
+    and ``p.grad`` to a view of it and of a second flat gradient buffer. A step
+    is then a fixed number of whole-buffer passes, and each element gets the
+    same arithmetic as the per-parameter formula. Code that rebinds ``p.data``
+    or ``p.grad`` afterwards detaches the parameter; write into the views
+    instead (``p.data[...] = arr``).
+    """
 
     def __init__(
         self,
@@ -22,6 +31,11 @@ class AdamW:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
+        owner: dict[int, str] = {}
+        for name, p in params.items():
+            first = owner.setdefault(id(p), name)
+            if first != name:
+                raise ValueError(f"AdamW: parameters {first!r} and {name!r} are the same tensor")
         self.params = params
         self.lr = lr
         self.beta1 = beta1
@@ -29,26 +43,46 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        total = sum(p.size for p in params.values())
+        self.flat_data = np.empty(total)
+        self.flat_grad = np.zeros(total)
+        lo = 0
+        for p in params.values():
+            shape, hi = p.shape, lo + p.size
+            self.flat_data[lo:hi] = p.data.ravel()
+            if p.grad is not None:
+                self.flat_grad[lo:hi] = p.grad.ravel()
+            p.data = self.flat_data[lo:hi].reshape(shape)
+            p.grad = self.flat_grad[lo:hi].reshape(shape)
+            lo = hi
+        self.m = np.zeros(total)
+        self.v = np.zeros(total)
+        self._s1 = np.empty(total)
+        self._s2 = np.empty(total)
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.lr * self.weight_decay * p.data
-            p.data -= update
+        g, m, v, s1, s2 = self.flat_grad, self.m, self.v, self._s1, self._s2
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=s1)
+        s1 *= g
+        v += s1
+        # update = lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=s1)
+        np.multiply(self.lr, s1, out=s1)
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        if self.weight_decay:
+            np.multiply(self.lr * self.weight_decay, self.flat_data, out=s2)
+            s1 += s2
+        self.flat_data -= s1
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.flat_grad.fill(0.0)

@@ -4,6 +4,13 @@ Every op records a backward closure on the output tensor; ``backward()``
 replays the tape in reverse topological order. All arithmetic is 64-bit
 and deterministic, which the training pipeline relies on for bit-stable
 reruns.
+
+No gradient buffer is ever written in place during a backward pass: an op may
+hand its output's gradient (or a view of it) to an input unchanged, so one
+buffer can stand for several tensors' gradients, and a second contribution is
+added into a new array. The only in-place write is the final ``grad += g`` of
+each leaf, into the leaf's own ``grad`` array, which may be a view of an
+optimizer's flat arena (see ``optim.AdamW``).
 """
 
 from __future__ import annotations
@@ -65,8 +72,13 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self) -> None:
-        if self.requires_grad:
+        """Zero the gradient in place, so a view into an optimizer's arena stays one."""
+        if not self.requires_grad:
+            return
+        if self.grad is None:
             self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     def item(self) -> float:
         return float(self.data)
@@ -333,7 +345,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     n = logits.shape[0]
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out_data = -logp[np.arange(n), y].mean()
+    out_data = -(logp[np.arange(n), y].sum() / n)  # np.mean's own sum and division, without its overhead
 
     def bwd(g: np.ndarray, grads: _Grads) -> None:
         soft = np.exp(logp)
@@ -348,11 +360,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def _accum(grads: _Grads, t: Tensor, g: np.ndarray) -> None:
+    """Add g to t's gradient of this pass: the first one is kept as is, even a view or a buffer another
+    tensor holds too, so a later one goes into a new array."""
     buf = grads.get(t)
-    if buf is None:
-        grads[t] = np.array(g, dtype=np.float64, copy=True)
-    else:
-        buf += g
+    grads[t] = g if buf is None else buf + g
 
 
 def backward(loss: Tensor) -> None:
@@ -360,7 +371,8 @@ def backward(loss: Tensor) -> None:
     is reachable from ``loss``. Op outputs keep ``grad`` None, and no gradient is computed for an
     operand that requires none.
 
-    Repeated calls without ``zero_grad`` accumulate.
+    Repeated calls without ``zero_grad`` accumulate: a leaf's gradient is added into its existing
+    ``grad`` array in place, and allocated only when ``grad`` is None.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be a single element, got shape {loss.shape}")
@@ -389,7 +401,10 @@ def backward(loss: Tensor) -> None:
     for node in topo:
         g = grads.get(node)
         if g is not None and node._backward is None:
-            node.grad = node.grad + g if node.grad is not None else g.copy()
+            if node.grad is None:
+                node.grad = g.copy()
+            else:
+                node.grad += g
 
 
 def gradcheck(fn: Callable[[Sequence[Tensor]], Tensor], inputs: Sequence[Tensor], h: float = 1e-5) -> float:

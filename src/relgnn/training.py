@@ -280,7 +280,7 @@ def train(net, data, fold: CvFold, config: TrainConfig) -> TrainResult:
             if since_best >= config.patience:
                 break
     for k, arr in result.best_params.items():
-        net.params[k].data = arr.copy()
+        net.params[k].data[...] = arr  # into the optimizer's views, which stay the parameters
     return result
 
 

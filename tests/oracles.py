@@ -1,7 +1,7 @@
 """Deliberately naive oracles: brute-force ones independent of the library's data structures, a
 mask-based reference sampler, a per-target reference closure, a `json.dumps` reference datapoint writer,
-a per-target reference DFS, a cell-by-cell reference encoder, and the autodiff's `np.add.at` scatter and
-two-branch sigmoid."""
+a per-target reference DFS, a cell-by-cell reference encoder, the autodiff's `np.add.at` scatter,
+two-branch sigmoid and copying backward, and the per-parameter AdamW."""
 from __future__ import annotations
 
 import calendar
@@ -445,3 +445,80 @@ def reference_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+class ReferenceAdamW:
+    """AdamW one parameter at a time, with moments per parameter name: the optimizer before its flat
+    arena. Its arithmetic per element is the arena's, operation for operation."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for name, p in self.params.items():
+            g = p.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if self.weight_decay:
+                update = update + self.lr * self.weight_decay * p.data
+            p.data -= update
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = np.zeros_like(p.data)
+
+
+def _reference_accum(grads, t, g):
+    """The first gradient of t is copied, and later ones are added into that copy."""
+    buf = grads.get(t)
+    if buf is None:
+        grads[t] = np.array(g, dtype=np.float64, copy=True)
+    else:
+        buf += g
+
+
+def reference_backward(loss):
+    """`tensor.backward` with a copying `_accum` and a leaf gradient that is replaced, never written in
+    place: each gradient buffer has one owner."""
+    from relgnn import tensor
+
+    accum, tensor._accum = tensor._accum, _reference_accum
+    try:
+        topo, seen, stack = [], set(), [(loss, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                topo.append(node)
+                continue
+            if id(node) in seen or not node.requires_grad:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents)
+        grads = {loss: np.ones_like(loss.data)}
+        for node in reversed(topo):
+            g = grads.get(node)
+            if g is not None and node._backward is not None:
+                node._backward(g, grads)
+        for node in topo:
+            g = grads.get(node)
+            if g is not None and node._backward is None:
+                node.grad = node.grad + g if node.grad is not None else g.copy()
+    finally:
+        tensor._accum = accum

@@ -14,6 +14,7 @@ import pytest
 
 import relgnn
 from relgnn.cli import main
+from relgnn.tensor import Tensor, load_checkpoint, save_checkpoint
 
 
 def _run(capsys, argv):
@@ -501,6 +502,40 @@ def test_eval_rejects_encoders_of_another_database(capsys, fixtures_dir, three_l
     assert (code, err.splitlines()[-1]) == (1, f"error: {run / 'fold0' / 'encoders.json'}: {message}")
 
 
+def test_eval_names_the_encoders_a_checkpoint_does_not_fit(capsys, three_level_dir, three_level_runs, tmp_path):
+    # without its last token a vocabulary is well-formed, so only the checkpoint's embedding shape tells
+    # that the model was built from other encoders than the fold was trained with
+    run = tmp_path / "run"
+    shutil.copytree(three_level_runs["gcn"], run)
+    path = run / "fold0" / "encoders.json"
+    doc = json.loads(path.read_text())
+    color = doc[0]["categorical"]["3"]  # Target.color
+    del color[max(color, key=color.get)]
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["eval", "--run", str(run), "--dataset", str(three_level_dir)])
+    assert (code, err.splitlines()[-1]) == (1, f"error: {run / 'fold0' / 'checkpoint.bin'}: parameter emb/t0c3 "
+                                               f"has shape (6, 5), but the model built from {path} needs (5, 4)")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda names: names[:3] + names[4:], "no parameter {}, which the model built from {} has"),
+    (lambda names: names + ["emb/t9c9"], "parameter {}, which the model built from {} does not have"),
+], ids=["missing", "extra"])
+def test_eval_names_a_parameter_the_checkpoint_and_model_disagree_on(capsys, three_level_dir, three_level_runs,
+                                                                     tmp_path, edit, message):
+    run = tmp_path / "run"
+    shutil.copytree(three_level_runs["gcn"], run)
+    checkpoint = run / "fold0" / "checkpoint.bin"
+    arrays = load_checkpoint(checkpoint)
+    names = list(arrays)
+    kept = edit(names)
+    save_checkpoint(checkpoint, {name: Tensor(arrays.get(name, np.zeros(2))) for name in kept})
+    odd = next(iter(set(names) ^ set(kept)))
+    code, _, err = _run(capsys, ["eval", "--run", str(run), "--dataset", str(three_level_dir)])
+    built = run / "fold0" / "encoders.json"
+    assert (code, err.splitlines()[-1]) == (1, f"error: {checkpoint}: " + message.format(odd, built))
+
+
 def _without_median(text):
     entries = json.loads(text)
     del entries[0]["median"]
@@ -603,7 +638,8 @@ def test_train_rejects_a_fold_count_the_plan_cannot_honour(capsys, synth_dir, tm
     assert err.strip().splitlines()[-1] == f"error: fold count must be between 2 and 80 (the number of ids), got {folds}"
 
 
-_TRAIN_SPANS = {"training.train", "encode.fit_encoders", "training.evaluate"}
+_TRAIN_SPANS = {"training.train", "encode.fit_encoders", "training.evaluate",
+                "optim.step", "optim.zero_grad", "tensor.backward"}
 
 
 @pytest.mark.parametrize("command, spans", [
@@ -613,8 +649,9 @@ _TRAIN_SPANS = {"training.train", "encode.fit_encoders", "training.evaluate"}
     ("sample", {"sampler.batch_sample", "sampler.write_datapoints_jsonl"}),
 ])
 def test_benchmark_tracer_sees_every_layer_call(synth_dir, tmp_path, command, spans):
-    # perfbench/tracer.py times each layer by wrapping the names that relgnn.cli, relgnn.models and
-    # relgnn.training look up; a call that bypasses them would read 0 in the benchmark instead of failing.
+    # perfbench/tracer.py times each layer by wrapping the names that relgnn.cli, relgnn.models,
+    # relgnn.training and relgnn.optim.AdamW look up; a call that bypasses them would read 0 in the
+    # benchmark instead of failing.
     # It also counts the sampled nodes through len() of batch_sample's result and each item's num_nodes.
     repo = Path(__file__).resolve().parents[1]
     paths = [str(repo / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -631,6 +668,8 @@ def test_benchmark_tracer_sees_every_layer_call(synth_dir, tmp_path, command, sp
     if command == "sample":
         report = json.loads((out / "sample_report.json").read_text())
         assert trace["counters"]["sampler.nodes_out"] == report["total_nodes"] > 0
+    else:  # the minibatch step times, from AdamW.zero_grad entry to AdamW.step exit
+        assert trace["step_s"]
 
 
 def test_train_single_class_fold_fails_cleanly(capsys, tmp_path):

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from oracles import reference_segment_add, reference_sigmoid
+from oracles import ReferenceAdamW, reference_backward, reference_segment_add, reference_sigmoid
 
 from relgnn import tensor
 from relgnn.optim import AdamW
@@ -76,6 +76,18 @@ def test_segment_softmax_empty_segment_errors():
         segment_softmax(Tensor([1.0]), np.array([1]), 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 513])
+def test_cross_entropy_mean_is_bitwise_numpy_mean(n):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        logits = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        labels = rng.integers(0, 2, size=n)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        expected = -logp[np.arange(n), labels].mean()
+        assert cross_entropy(Tensor(logits), labels).data.tobytes() == np.asarray(expected).tobytes()
+
+
 def test_cross_entropy_uniform_logits():
     loss = cross_entropy(Tensor([[0.0, 0.0]]), np.array([0]))
     assert loss.item() == pytest.approx(np.log(2.0), abs=1e-15)
@@ -142,6 +154,41 @@ def test_backward_grads_only_the_leaves_that_need_them(monkeypatch):
     assert all(t.grad is None for t in (x, coeff, extra, one, hidden, scaled, joined, shifted, loss))
     assert np.array_equal(w.grad, x.data.T @ np.broadcast_to(coeff.data, (4, 2)))
     assert np.array_equal(b.grad, coeff.data.sum(axis=0).repeat(2))
+
+
+def _aliasing_tapes():
+    """Tapes whose backward hands one gradient buffer, or a view of it, to several tensors."""
+    rng = np.random.default_rng(31)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    tapes = {
+        "add-self": lambda: tensor_sum(add(a, a)),
+        "add-broadcast": lambda: tensor_sum(multiply(add(a, b), add(a, b))),
+        "dropout-identity": lambda: tensor_sum(multiply(dropout(a, 0.5, train=False), a)),
+        "concat-views": lambda: tensor_sum(matmul(concat([a, a, Tensor(np.ones((2, 4)))], axis=0), w)),
+        "concat-columns": lambda: tensor_sum(matmul(concat([a, multiply(a, a)], axis=1), Tensor(np.ones((8, 1))))),
+        "sum-broadcast-view": lambda: add(tensor_sum(a), tensor_sum(multiply(a, a))),
+        "shared-consumer": lambda: cross_entropy(
+            add(matmul(relu(a), w), add(matmul(a, w), matmul(tanh(a), w))), np.array([0, 1, 1])),
+    }
+    return (a, b, w), tapes
+
+
+@pytest.mark.parametrize("name", list(_aliasing_tapes()[1]))
+def test_backward_is_bitwise_the_copying_reference(name):
+    leaves, tapes = _aliasing_tapes()
+    starts = [t.data.copy() for t in leaves]
+    got = []
+    for run in (backward, reference_backward):
+        for t, v in zip(leaves, starts):
+            t.data = v.copy()
+            t.grad = np.zeros_like(v)
+        for _ in range(2):  # a second pass adds into the first one's leaf gradients
+            run(tapes[name]())
+        got.append([t.grad.tobytes() for t in leaves])
+    assert got[0] == got[1]
+    assert any(t.grad.any() for t in leaves)
 
 
 def test_backward_requires_scalar_loss():
@@ -286,7 +333,7 @@ def test_gradcheck_dropout_frozen_mask():
 def test_adamw_single_step_matches_formula():
     p = Tensor(1.0, requires_grad=True)
     opt = AdamW({"p": p}, lr=0.1, weight_decay=0.01)
-    p.grad = np.asarray(1.0)
+    p.grad[...] = 1.0
     opt.step()
     expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8)) - 0.001
     assert p.data == pytest.approx(expected, abs=1e-12)
@@ -296,7 +343,7 @@ def test_adamw_single_step_matches_formula():
 def test_adamw_zero_grad_zero_decay_is_noop():
     p = Tensor(2.5, requires_grad=True)
     opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
-    p.grad = np.asarray(0.0)
+    p.grad[...] = 0.0
     opt.step()
     assert p.data == pytest.approx(2.5, abs=0.0)
 
@@ -304,7 +351,7 @@ def test_adamw_zero_grad_zero_decay_is_noop():
 def test_adamw_decay_is_decoupled():
     p = Tensor(2.0, requires_grad=True)
     opt = AdamW({"p": p}, lr=0.1, weight_decay=0.01)
-    p.grad = np.asarray(0.0)
+    p.grad[...] = 0.0
     opt.step()
     assert p.data == pytest.approx(2.0 - 0.1 * 0.01 * 2.0, abs=1e-15)
 
@@ -330,9 +377,55 @@ def test_adamw_without_decay_matches_adam_oracle():
     p = Tensor(theta0.copy(), requires_grad=True)
     opt = AdamW({"p": p}, lr=0.05, weight_decay=0.0)
     for g in grads:
-        p.grad = g
+        p.grad[...] = g
         opt.step()
     assert np.max(np.abs(p.data - _adam_oracle(theta0, grads, 0.05))) <= 1e-12
+
+
+_ARENA_SHAPES = {"W": (4, 3), "b": (3,), "eps": (), "none": (0,), "empty": (2, 0), "emb": (5, 2, 2)}
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adamw_arena_is_bitwise_the_per_parameter_reference(weight_decay):
+    rng = np.random.default_rng(29)
+    start = {k: np.asarray(rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)) for k, shape in _ARENA_SHAPES.items()}
+    arena = {k: Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+    ref = {k: Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+    opt = AdamW(arena, lr=0.03, weight_decay=weight_decay)
+    ref_opt = ReferenceAdamW(ref, lr=0.03, weight_decay=weight_decay)
+    for _ in range(25):
+        opt.zero_grad()
+        ref_opt.zero_grad()
+        for k, shape in _ARENA_SHAPES.items():
+            g = np.where(rng.random(size=shape) < 0.1, 0.0, rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3))
+            arena[k].grad += g
+            ref[k].grad += g
+        opt.step()
+        ref_opt.step()
+        for k in _ARENA_SHAPES:
+            assert arena[k].shape == _ARENA_SHAPES[k]
+            assert arena[k].data.tobytes() == ref[k].data.tobytes(), k
+    assert opt.m.tobytes() == np.concatenate([ref_opt.m[k].ravel() for k in _ARENA_SHAPES]).tobytes()
+    assert opt.v.tobytes() == np.concatenate([ref_opt.v[k].ravel() for k in _ARENA_SHAPES]).tobytes()
+
+
+def test_adamw_arena_holds_the_parameters_in_dict_order():
+    a, b = Tensor(np.ones((2, 2)), requires_grad=True), Tensor(np.full(3, 2.0), requires_grad=True)
+    b.grad[...] = 5.0
+    opt = AdamW({"a": a, "b": b})
+    assert np.array_equal(opt.flat_data, [1, 1, 1, 1, 2, 2, 2])
+    assert np.array_equal(opt.flat_grad, [0, 0, 0, 0, 5, 5, 5])
+    for t in (a, b):
+        assert np.shares_memory(t.data, opt.flat_data) and np.shares_memory(t.grad, opt.flat_grad)
+    opt.zero_grad()
+    b.zero_grad()
+    assert not opt.flat_grad.any() and np.shares_memory(b.grad, opt.flat_grad)
+
+
+def test_adamw_rejects_a_tensor_listed_twice():
+    w = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(ValueError, match="parameters 'layer0/W' and 'tied/W' are the same tensor"):
+        AdamW({"layer0/W": w, "b": Tensor(0.0, requires_grad=True), "tied/W": w})
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import auroc_pairwise
+from relgnn import training
 from relgnn.encode import fit_encoders
 from relgnn.graph import database_to_graph
 from relgnn.models import Model, ModelConfig, GraphSchema
@@ -321,6 +322,32 @@ def test_gnn_training_runs_and_is_deterministic():
         assert all(np.isfinite(h["train_loss"]) for h in result.history)
         histories.append(result.history)
     assert histories[0] == histories[1]
+
+
+def test_parameters_stay_views_of_the_optimizer_arena_after_a_fold(monkeypatch):
+    # the restore of the best epoch writes into the views, so the arena still holds every parameter
+    arenas = []
+
+    class RecordingAdamW(training.AdamW):
+        def __init__(self, params, **kwargs):
+            super().__init__(params, **kwargs)
+            arenas.append(self)
+
+    monkeypatch.setattr(training, "AdamW", RecordingAdamW)
+    db, dps, encoders = _clinic_dataset()
+    net = Model(ModelConfig("ergat", hidden=4, heads=2), GraphSchema.from_database(db, encoders), seed=2)
+    fold = CvFold(np.array([0, 1, 2, 3]), np.array([0, 1]), np.arange(0))
+    result = train(net, GraphDataset(db, dps, encoders), fold,
+                   TrainConfig(lr=0.1, batch_size=1, max_epochs=4, patience=4, seed=2))
+    (opt,) = arenas
+    assert opt.t == 2 * result.epochs_run
+    trainable = [t for t in net.params.values() if t.requires_grad]
+    assert list(opt.params.values()) == trainable
+    for name, t in net.params.items():
+        assert np.array_equal(t.data, result.best_params[name])
+    for t in trainable:
+        assert np.shares_memory(t.data, opt.flat_data) and np.shares_memory(t.grad, opt.flat_grad)
+    assert opt.flat_data.tobytes() == np.concatenate([t.data.ravel() for t in trainable]).tobytes()
 
 
 # ---------------------------------------------------------------------------
