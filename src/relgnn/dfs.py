@@ -11,18 +11,20 @@ from .encode import (
     CategoricalEncoder,
     categorical_from_json,
     categorical_indices,
-    encode_scalar_column,
+    column_tokens,
+    encode_column,
     fit_categorical,
     fit_scalar,
     scalar_from_json,
 )
 from .graph import FORWARD, REVERSE, EdgeType, database_to_graph, edge_types, referenced_table
-from .rdb import Database, RdbError
+from .rdb import Column, ColumnKind, Database, RdbError
 
 __all__ = [
     "AGGREGATORS",
     "COPY",
     "AggSpec",
+    "RawFeatures",
     "enumerate_aggs",
     "compute_features",
     "feature_names",
@@ -152,8 +154,26 @@ def _checked_end(db: Database, spec: AggSpec) -> int:
     return end
 
 
-def compute_features(db: Database, specs: list[AggSpec], target_rows) -> list[list]:
-    """Raw feature values (None for null), one row per requested target row, in request order.
+@dataclass
+class RawFeatures:
+    """Features before encoding: one Column per spec, each with one cell per requested target row. A
+    copied categorical is a categorical column, codes into its source's vocabulary; every other spec is
+    a scalar column. `raw[i]` reads row i as Python values, None for null."""
+
+    columns: list[Column]
+    nrows: int
+
+    def __len__(self) -> int:
+        return self.nrows
+
+    def __getitem__(self, i: int) -> list:
+        if not 0 <= i < self.nrows:
+            raise IndexError(f"feature row {i} is out of range")
+        return [col.cell(i) for col in self.columns]
+
+
+def compute_features(db: Database, specs: list[AggSpec], target_rows) -> RawFeatures:
+    """Raw feature columns, one cell per requested target row, in request order.
 
     Each distinct path is walked once for all targets through the graph's index, into (target
     position, end row) pairs in the order that following the rows one target at a time visits them."""
@@ -181,31 +201,31 @@ def compute_features(db: Database, specs: list[AggSpec], target_rows) -> list[li
                 walks[path] = seg[parents >= 0], parents[parents >= 0]
         return walks[path]
 
-    numeric: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}  # column -> (values, null mask)
     columns = []
     for spec, end in zip(specs, ends):
         seg, rows = walk(spec.path)
         if spec.aggregator == "count":
-            columns.append(np.bincount(seg, minlength=n).astype(np.float64).tolist())
+            counts = np.bincount(seg, minlength=n).astype(np.float64)
+            columns.append(Column.from_arrays("count", ColumnKind("scalar"), counts, np.zeros(n, dtype=bool)))
             continue
-        cells = db.tables[end].columns[spec.source].values
+        source = db.tables[end].columns[spec.source]
         if spec.aggregator == COPY:  # the first end row's cell
-            columns.append([None] * n)
             positions, firsts = np.unique(seg, return_index=True)
-            for position, row in zip(positions.tolist(), rows[firsts].tolist()):
-                columns[-1][position] = cells[row]
+            data = np.full(n, -1 if source.vocab is not None else 0.0, dtype=source.data.dtype)
+            null = np.ones(n, dtype=bool)
+            data[positions] = source.data[rows[firsts]]
+            null[positions] = source.null[rows[firsts]]
+            columns.append(Column.from_arrays(source.name, source.kind, data, null, source.vocab))
             continue
-        if (end, spec.source) not in numeric:
-            numeric[end, spec.source] = (np.array([0.0 if v is None else v for v in cells], dtype=np.float64),
-                                         np.array([v is None for v in cells], dtype=bool))
-        values, null = numeric[end, spec.source]
-        keep = ~null[rows]
-        columns.append(_aggregate(spec.aggregator, seg[keep], values[rows[keep]], n))
-    return [list(values) for values in zip(*columns)] if columns else [[] for _ in targets]
+        keep = ~source.null[rows]
+        values, null = _aggregate(spec.aggregator, seg[keep], source.data[rows[keep]], n)
+        columns.append(Column.from_arrays(spec.aggregator, ColumnKind("scalar"), values, null))
+    return RawFeatures(columns, n)
 
 
-def _aggregate(aggregator: str, seg: np.ndarray, values: np.ndarray, n: int) -> list:
-    """sum, mean, max or min of each target's non-null values, in walk order; None without one.
+def _aggregate(aggregator: str, seg: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum, mean, max or min of each target's non-null values, in walk order, and the null mask of the
+    targets without one.
 
     Sums add in walk order from 0.0 and the extremes keep the first extreme value, so every result is
     the float that Python's `sum`, `max` and `min` give over the same values."""
@@ -222,7 +242,7 @@ def _aggregate(aggregator: str, seg: np.ndarray, values: np.ndarray, n: int) -> 
         hits = np.flatnonzero(values == out[seg])
         firsts = hits[np.unique(seg[hits], return_index=True)[1]]
         out[seg[firsts]] = values[firsts]
-    return [v if c else None for v, c in zip(out.tolist(), counts.tolist())]
+    return out, counts == 0
 
 
 def feature_names(db: Database, specs: list[AggSpec]) -> list[str]:
@@ -243,27 +263,32 @@ def _copies_categorical(db: Database, spec: AggSpec) -> bool:
     return spec.aggregator == COPY and db.tables[_checked_end(db, spec)].columns[spec.source].kind.tag == "categorical"
 
 
-def fit_feature_encoders(db: Database, specs: list[AggSpec], raw: list[list], fit_rows) -> list:
-    """One scalar or categorical encoder per spec column, fit on fit_rows of the raw matrix only."""
+def fit_feature_encoders(db: Database, specs: list[AggSpec], raw: RawFeatures, fit_rows) -> list:
+    """One scalar or categorical encoder per spec column, fit on its fit_rows cells only."""
+    rows = np.asarray(fit_rows, dtype=np.int64)
     encoders = []
     for j, spec in enumerate(specs):
-        fit_cells = [raw[i][j] for i in fit_rows]
-        encoders.append(fit_categorical(fit_cells) if _copies_categorical(db, spec) else fit_scalar(fit_cells))
+        col = raw.columns[j]
+        if col.kind.tag == "categorical":
+            encoders.append(fit_categorical(column_tokens(col, rows)))
+        else:
+            encoders.append(fit_scalar(col.data[rows[~col.null[rows]]]))
     return encoders
 
 
-def apply_feature_encoders(specs: list[AggSpec], raw: list[list], encoders: list) -> np.ndarray:
+def apply_feature_encoders(specs: list[AggSpec], raw: RawFeatures, encoders: list) -> np.ndarray:
     """Numeric columns become (scaled, null flag) pairs, copied categoricals one-hot."""
     n = len(raw)
+    rows = np.arange(n)
     blocks = []
     for j, enc in enumerate(encoders):
-        column = [raw[i][j] for i in range(n)]
+        col = raw.columns[j]
         if isinstance(enc, CategoricalEncoder):
             block = np.zeros((n, enc.cardinality + 1))
-            block[np.arange(n), categorical_indices(column, enc)] = 1.0
+            block[rows, categorical_indices(col, rows, enc)] = 1.0
         else:
             block = np.zeros((n, 2))
-            encode_scalar_column(column, enc, block)
+            encode_column(col, rows, enc, block)
         blocks.append(block)
     if len(blocks) == 0:
         return np.zeros((n, 0))
@@ -339,9 +364,11 @@ def write_features_csv(path, db: Database, specs: list[AggSpec], target_rows) ->
     pk = next((ci for ci, col in enumerate(table.columns) if col.kind.tag == "primary_key"), None)
     raw = compute_features(db, specs, target_rows)
     header = [table.columns[pk].name if pk is not None else "row"] + feature_names(db, specs)
+    keys = table.columns[pk].values if pk is not None else None
+    cells = [col.values for col in raw.columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row, values in zip(target_rows, raw):
-            key = table.cell(int(row), pk) if pk is not None else int(row)
-            writer.writerow([_render(key)] + [_render(v) for v in values])
+        for i, row in enumerate(target_rows):
+            key = keys[int(row)] if keys is not None else int(row)
+            writer.writerow([_render(key)] + [_render(values[i]) for values in cells])

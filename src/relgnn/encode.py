@@ -4,11 +4,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import datetime
 
 import numpy as np
 
-from .rdb import Database, RdbError, Table
+from .rdb import Column, ColumnKind, Database, RdbError, Table
 
 __all__ = [
     "IQR_FLOOR",
@@ -21,8 +21,9 @@ __all__ = [
     "encode_datetime",
     "encode_text",
     "encode_categorical",
-    "encode_scalar_column",
+    "encode_column",
     "categorical_indices",
+    "column_tokens",
     "fit_encoders",
     "encode_node",
     "encoders_to_json",
@@ -45,12 +46,14 @@ class ScalarEncoder:
 
     def encode(self, value: float | None) -> tuple[float, float]:
         """Returns (scaled value, null flag)."""
-        scaled, null = _one_cell("scalar", encode_scalar_column, value, self)
+        scaled, null = _one_cell("scalar", value, self)
         return float(scaled), float(null)
 
 
-def fit_scalar(cells) -> ScalarEncoder:
-    values = np.asarray([v for v in cells if v is not None], dtype=np.float64)
+def fit_scalar(values) -> ScalarEncoder:
+    """Median and interquartile range of the values; None, or NaN in an array, is null and left out."""
+    values = np.array(values, dtype=np.float64)
+    values = values[~np.isnan(values)]
     if len(values) == 0:
         return ScalarEncoder(0.0, 1.0, all_null=True)
     q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])
@@ -79,41 +82,30 @@ def fit_categorical(cells) -> CategoricalEncoder:
     return CategoricalEncoder({token: i for i, token in enumerate(vocab)})
 
 
-def _nulls(cells: list) -> np.ndarray:
-    return np.array([cell is None for cell in cells], dtype=bool)
+def column_tokens(col: Column, rows) -> list[str]:
+    """The distinct non-null tokens of a token column at the given rows."""
+    codes = np.unique(col.data[rows])
+    return [col.vocab[code] for code in codes[codes >= 0].tolist()]
 
 
-def _scaled(values, enc: ScalarEncoder) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
+def _scaled(values: np.ndarray, enc: ScalarEncoder) -> np.ndarray:
     return np.zeros_like(values) if enc.all_null else (values - enc.median) / enc.iqr
 
 
-# Column encoders: each writes the encoding of a list of cells, one row per cell, into a zeroed block.
+def _years(stamps: np.ndarray) -> np.ndarray:
+    return (stamps.astype("datetime64[Y]").astype(np.int64) + 1970).astype(np.float64)
 
 
-def encode_scalar_column(cells: list, enc: ScalarEncoder, out: np.ndarray) -> None:
-    """(scaled value, null flag) per cell; every cell is null to an all-null encoder."""
-    null = _nulls(cells)
-    out[:, 1] = 1.0 if enc.all_null else null
-    if not enc.all_null:
-        out[~null, 0] = _scaled([cell for cell in cells if cell is not None], enc)
+def text_counts(value: str) -> tuple[float, float]:
+    return float(len(value.split())), float(len(value))
 
 
-def _encode_latlong_column(cells: list, out: np.ndarray) -> None:
-    null = _nulls(cells)
-    out[null, 5] = 1.0
-    lat = np.array([cell[0] for cell in cells if cell is not None], dtype=np.float64)
-    long = np.array([cell[1] for cell in cells if cell is not None], dtype=np.float64)
-    la, lo = np.radians(lat), np.radians(long)
-    present = ~null
-    out[present, 0] = np.cos(la) * np.cos(lo)
-    out[present, 1] = np.cos(la) * np.sin(lo)
-    out[present, 2] = np.sin(la)
-    out[present, 3] = lat / 90.0
-    out[present, 4] = long / 180.0
+def _text_counts(col: Column, rows) -> np.ndarray:
+    """(words, characters) of the text cells at the given non-null rows, counted once per token."""
+    codes, inverse = np.unique(col.data[rows], return_inverse=True)
+    counts = np.array([text_counts(col.vocab[code]) for code in codes.tolist()], dtype=np.float64)
+    return counts.reshape(-1, 2)[inverse.reshape(-1)]
 
-
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # datetime64 counts days from 1970-01-01
 
 # offsets of the datetime block's groups
 _MONTH, _WEEK, _DAY, _WEEKDAY, _DOY, _FLAGS, _CYCLIC = 1, 13, 66, 97, 104, 105, 117
@@ -123,13 +115,41 @@ def _days(months_or_years: np.ndarray) -> np.ndarray:
     return months_or_years.astype("datetime64[D]")
 
 
-def _encode_datetime_column(cells: list, year_encoder: ScalarEncoder, out: np.ndarray) -> None:
-    """Calendar fields of each cell's date from numpy datetime64 arithmetic (proleptic Gregorian)."""
-    null = _nulls(cells)
-    out[null, DATETIME_WIDTH] = 1.0
-    rows = np.flatnonzero(~null)
-    ordinals = [cell.toordinal() for cell in cells if cell is not None]
-    dates = (np.array(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+def encode_column(col: Column, rows: np.ndarray, fitted, out: np.ndarray) -> None:
+    """The encoding of the given rows of one dense column, written into a zeroed block, one row per cell.
+    `fitted` is what the kind needs beyond the cells: a ScalarEncoder (scalar), the year encoder
+    (datetime), the word and character encoders (text), or None (latlong)."""
+    null = col.null[rows]
+    present = np.flatnonzero(~null)  # positions in the block of the non-null cells
+    rows = rows[present]  # and their rows in the column
+    tag = col.kind.tag
+    if tag == "scalar":  # (scaled value, null flag); every cell is null to an all-null encoder
+        out[:, 1] = 1.0 if fitted.all_null else null
+        if not fitted.all_null:
+            out[present, 0] = _scaled(col.data[rows], fitted)
+    elif tag == "latlong":  # [cos(lat)cos(long), cos(lat)sin(long), sin(lat), lat/90, long/180] + null flag
+        out[null, 5] = 1.0
+        lat, long = col.data[rows, 0], col.data[rows, 1]
+        la, lo = np.radians(lat), np.radians(long)
+        out[present, 0] = np.cos(la) * np.cos(lo)
+        out[present, 1] = np.cos(la) * np.sin(lo)
+        out[present, 2] = np.sin(la)
+        out[present, 3] = lat / 90.0
+        out[present, 4] = long / 180.0
+    elif tag == "datetime":
+        out[null, DATETIME_WIDTH] = 1.0
+        _encode_dates(col.data[rows].astype("datetime64[D]"), fitted, present, out)
+    elif tag == "text":  # (scaled word count, scaled character count, null flag)
+        out[null, 2] = 1.0
+        counts = _text_counts(col, rows)
+        word_encoder, char_encoder = fitted
+        out[present, 0] = _scaled(counts[:, 0], word_encoder)
+        out[present, 1] = _scaled(counts[:, 1], char_encoder)
+
+
+def _encode_dates(dates: np.ndarray, year_encoder: ScalarEncoder, rows: np.ndarray, out: np.ndarray) -> None:
+    """Calendar fields of each date into its row of `out`, from numpy datetime64 arithmetic (proleptic
+    Gregorian)."""
     year_of, month_of = dates.astype("datetime64[Y]"), dates.astype("datetime64[M]")
     year = year_of.astype(np.int64) + 1970
     month = (month_of - year_of).astype(np.int64) + 1
@@ -151,7 +171,7 @@ def _encode_datetime_column(cells: list, year_encoder: ScalarEncoder, out: np.nd
         (month == 12) & (day == 31),  # year end
         (month == 1) & (day == 1),  # year start
     ]
-    out[rows, 0] = _scaled(year, year_encoder)
+    out[rows, 0] = _scaled(year.astype(np.float64), year_encoder)
     out[rows, _MONTH + month - 1] = 1.0
     out[rows, _WEEK + week - 1] = 1.0
     out[rows, _DAY + day - 1] = 1.0
@@ -165,50 +185,36 @@ def _encode_datetime_column(cells: list, year_encoder: ScalarEncoder, out: np.nd
         out[rows, _CYCLIC + 2 * k + 1] = np.sin(angle)
 
 
-def text_counts(value: str) -> tuple[float, float]:
-    return float(len(value.split())), float(len(value))
-
-
-def _encode_text_column(cells: list, word_encoder: ScalarEncoder, char_encoder: ScalarEncoder,
-                        out: np.ndarray) -> None:
-    """(scaled word count, scaled character count, null flag) per cell."""
-    null = _nulls(cells)
-    out[null, 2] = 1.0
-    counts = np.array([text_counts(cell) for cell in cells if cell is not None], dtype=np.float64).reshape(-1, 2)
-    out[~null, 0] = _scaled(counts[:, 0], word_encoder)
-    out[~null, 1] = _scaled(counts[:, 1], char_encoder)
-
-
-def categorical_indices(cells: list, encoder: CategoricalEncoder) -> np.ndarray:
-    """Vocabulary index per token; null and unseen tokens get the reserved index."""
+def categorical_indices(col: Column, rows, encoder: CategoricalEncoder) -> np.ndarray:
+    """Vocabulary index of each token at the given rows; null and unseen tokens get the reserved index."""
     vocabulary, null_index = encoder.vocabulary, encoder.null_index
-    return np.array([vocabulary.get(cell, null_index) for cell in cells], dtype=np.int64)
+    index = np.array([vocabulary.get(token, null_index) for token in col.vocab] + [null_index], dtype=np.int64)
+    return index[col.data[rows]]  # code -1, null, takes the last entry
 
 
-# The one-cell forms are the column encoders applied to a single cell.
+# The one-cell forms are the column encoders applied to a one-row column.
 
 
-def _one_cell(tag: str, column_encoder, cell, *encoders) -> np.ndarray:
+def _one_cell(tag: str, cell, fitted) -> np.ndarray:
     out = np.zeros((1, COLUMN_DENSE_WIDTH[tag]))
-    column_encoder([cell], *encoders, out)
+    encode_column(Column("cell", ColumnKind(tag), False, [cell]), np.arange(1), fitted, out)
     return out[0]
 
 
 def encode_categorical(token: str | None, encoder: CategoricalEncoder) -> int:
-    return int(categorical_indices([token], encoder)[0])
+    return int(categorical_indices(Column("cell", ColumnKind("categorical"), False, [token]), 0, encoder))
 
 
 def encode_latlong(cell: tuple[float, float] | None) -> np.ndarray:
-    """[cos(lat)cos(long), cos(lat)sin(long), sin(lat), lat/90, long/180] + null flag."""
-    return _one_cell("latlong", _encode_latlong_column, cell)
+    return _one_cell("latlong", cell, None)
 
 
 def encode_datetime(stamp: datetime | None, year_encoder: ScalarEncoder) -> np.ndarray:
-    return _one_cell("datetime", _encode_datetime_column, stamp, year_encoder)
+    return _one_cell("datetime", stamp, year_encoder)
 
 
 def encode_text(value: str | None, word_encoder: ScalarEncoder, char_encoder: ScalarEncoder) -> np.ndarray:
-    return _one_cell("text", _encode_text_column, value, word_encoder, char_encoder)
+    return _one_cell("text", value, (word_encoder, char_encoder))
 
 
 @dataclass
@@ -235,6 +241,10 @@ class NodeTypeEncoder:
     def input_width(self) -> int:
         return self.dense_width + sum(self.embedding_dims)
 
+    def fitted(self, ci: int, tag: str):
+        """What `encode_column` needs of dense column ci beyond its cells."""
+        return {"scalar": self.scalar, "datetime": self.year, "text": self.text}.get(tag, {}).get(ci)
+
 
 def _encoded_columns(table: Table) -> tuple[list[tuple[int, str]], list[int]]:
     """The columns a table's encoder covers, in column order: (column index, kind tag) of the dense ones
@@ -245,26 +255,24 @@ def _encoded_columns(table: Table) -> tuple[list[tuple[int, str]], list[int]]:
     return dense, cats
 
 
-def fit_encoders(db: Database, train_rows: dict[int, list[int]]) -> list[NodeTypeEncoder]:
+def fit_encoders(db: Database, train_rows: dict[int, np.ndarray]) -> list[NodeTypeEncoder]:
     """Fit one NodeTypeEncoder per table on the given training rows only."""
     encoders = []
     for ti, table in enumerate(db.tables):
-        rows = train_rows.get(ti, [])
+        rows = np.asarray(train_rows.get(ti, []), dtype=np.int64)
         enc = NodeTypeEncoder(ti, *_encoded_columns(table))
         for ci, tag in enc.dense_columns:
-            cells = [table.columns[ci].values[r] for r in rows]
+            col = table.columns[ci]
+            present = rows[~col.null[rows]]
             if tag == "scalar":
-                enc.scalar[ci] = fit_scalar(cells)
+                enc.scalar[ci] = fit_scalar(col.data[present])
             elif tag == "datetime":
-                enc.year[ci] = fit_scalar([float(v.year) for v in cells if v is not None])
+                enc.year[ci] = fit_scalar(_years(col.data[present]))
             elif tag == "text":
-                counts = [text_counts(v) for v in cells if v is not None]
-                enc.text[ci] = (
-                    fit_scalar([w for w, _ in counts]),
-                    fit_scalar([c for _, c in counts]),
-                )
+                counts = _text_counts(col, present)
+                enc.text[ci] = (fit_scalar(counts[:, 0]), fit_scalar(counts[:, 1]))
         for ci in enc.cat_columns:
-            enc.categorical[ci] = fit_categorical([table.columns[ci].values[r] for r in rows])
+            enc.categorical[ci] = fit_categorical(column_tokens(table.columns[ci], rows))
         encoders.append(enc)
     return encoders
 
@@ -276,28 +284,18 @@ def encode_node(db: Database, table: int, rows, encoder: NodeTypeEncoder,
     Each column is encoded whole, straight into its block of the dense matrix. `dense`, when given, is
     that matrix: zero-filled, possibly a view into a wider one.
     """
-    rows = np.asarray(rows, dtype=np.int64).tolist()
+    rows = np.asarray(rows, dtype=np.int64)
     columns = db.tables[table].columns
     if dense is None:
         dense = np.zeros((len(rows), encoder.dense_width))
     offset = 0
     for ci, tag in encoder.dense_columns:
-        values = columns[ci].values
-        cells = [values[r] for r in rows]
-        block = dense[:, offset:offset + COLUMN_DENSE_WIDTH[tag]]
-        if tag == "scalar":
-            encode_scalar_column(cells, encoder.scalar[ci], block)
-        elif tag == "latlong":
-            _encode_latlong_column(cells, block)
-        elif tag == "datetime":
-            _encode_datetime_column(cells, encoder.year[ci], block)
-        elif tag == "text":
-            _encode_text_column(cells, *encoder.text[ci], block)
-        offset += block.shape[1]
+        width = COLUMN_DENSE_WIDTH[tag]
+        encode_column(columns[ci], rows, encoder.fitted(ci, tag), dense[:, offset:offset + width])
+        offset += width
     cats = np.empty((len(rows), len(encoder.cat_columns)), dtype=np.int64)
     for j, ci in enumerate(encoder.cat_columns):
-        values = columns[ci].values
-        cats[:, j] = categorical_indices([values[r] for r in rows], encoder.categorical[ci])
+        cats[:, j] = categorical_indices(columns[ci], rows, encoder.categorical[ci])
     return dense, cats
 
 

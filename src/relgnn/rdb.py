@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
-import math
+import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,8 @@ KIND_TAGS = ("scalar", "categorical", "datetime", "latlong", "text", "primary_ke
 
 FEATURE_TAGS = ("scalar", "categorical", "datetime", "latlong", "text")  # key columns carry no features
 
+TOKEN_TAGS = ("categorical", "text", "primary_key", "foreign_key")  # held as codes into a vocabulary
+
 
 class RdbError(ValueError):
     """Schema or data problem detected while loading or validating a database."""
@@ -40,12 +44,92 @@ class ColumnKind:
     references: tuple[str, str] | None = None  # (table, column), foreign_key only
 
 
-@dataclass
 class Column:
-    name: str
-    kind: ColumnKind
-    target: bool
-    values: list  # one entry per row; None is the null cell
+    """One column's cells as arrays. `data` is float64 for a scalar column, datetime64[s] for a datetime
+    one, (n, 2) float64 (lat, long) for a latlong one, and int64 codes into `vocab`, the distinct tokens
+    in order of first appearance, for the token kinds (categorical, text and both keys). `null` marks
+    the null cells; their `data` entries mean nothing, except that a null token's code is -1.
+
+    `Column(name, kind, target, cells)` builds a column from Python cells (float, datetime, (lat, long)
+    or str; None for null), and `values` reads them back."""
+
+    def __init__(self, name: str, kind: ColumnKind, target: bool, values=()):
+        self.name, self.kind, self.target = name, kind, target
+        self.values = values
+
+    @classmethod
+    def from_arrays(cls, name: str, kind: ColumnKind, data: np.ndarray, null: np.ndarray, vocab=None) -> "Column":
+        """A non-target column that holds the given arrays."""
+        col = cls.__new__(cls)
+        col.name, col.kind, col.target, col.data, col.null, col.vocab = name, kind, False, data, null, vocab
+        return col
+
+    def __len__(self) -> int:
+        return len(self.null)
+
+    @property
+    def values(self) -> list:
+        """The cells as Python values, one per row, None for null."""
+        if self.vocab is not None:
+            vocab = self.vocab + [None]  # code -1 reads None
+            return [vocab[code] for code in self.data.tolist()]
+        cells = self.data.tolist()
+        if self.kind.tag == "latlong":
+            cells = list(map(tuple, cells))
+        return [None if null else cell for cell, null in zip(cells, self.null.tolist())]
+
+    @values.setter
+    def values(self, cells) -> None:
+        cells = list(cells)
+        if self.kind.tag in TOKEN_TAGS:
+            self.data, self.vocab = _coded(cells, None)
+            self.null = self.data < 0
+            return
+        dtype, fill, shape = _ARRAY_OF[self.kind.tag]
+        self.null = np.array([cell is None for cell in cells], dtype=bool)
+        present = [cell for cell in cells if cell is not None]
+        self.data = np.full((len(cells),) + shape, fill, dtype=dtype)
+        self.data[~self.null] = (_datetime64(present) if self.kind.tag == "datetime"
+                                 else np.array(present, dtype=dtype).reshape((-1,) + shape))
+        self.vocab = None
+
+    def cell(self, row: int):
+        if self.null[row]:
+            return None
+        if self.vocab is not None:
+            return self.vocab[self.data[row]]
+        value = self.data[row].tolist()
+        return tuple(value) if self.kind.tag == "latlong" else value
+
+
+# dtype, null fill and per-cell shape of the array each non-token kind is held in
+_ARRAY_OF = {
+    "scalar": (np.float64, 0.0, ()),
+    "datetime": ("datetime64[s]", np.datetime64("NaT"), ()),
+    "latlong": (np.float64, 0.0, (2,)),
+}
+
+
+def _code(tokens, index: dict) -> np.ndarray:
+    """int64 codes of the tokens through `index`, which maps the null token to -1 and each other token
+    seen so far to its code, numbered in order of first appearance; the new tokens join it."""
+    return np.array([index.setdefault(token, len(index) - 1) for token in tokens], dtype=np.int64)
+
+
+_EPOCH_SECONDS = datetime(1970, 1, 1).toordinal() * 86400  # datetime64 counts from 1970-01-01
+
+
+def _datetime64(stamps: list[datetime]) -> np.ndarray:
+    """The datetimes at second precision, from their fields: faster than numpy's conversion."""
+    seconds = [t.toordinal() * 86400 + t.hour * 3600 + t.minute * 60 + t.second for t in stamps]
+    return (np.array(seconds, dtype=np.int64) - _EPOCH_SECONDS).astype("datetime64[s]")
+
+
+def _coded(tokens, null) -> tuple[np.ndarray, list]:
+    """The codes of the tokens, -1 for `null`, and their vocabulary: the distinct other tokens in order
+    of first appearance."""
+    index = {null: -1}
+    return _code(tokens, index), list(islice(index, 1, None))
 
 
 @dataclass
@@ -55,7 +139,7 @@ class Table:
 
     @property
     def nrows(self) -> int:
-        return len(self.columns[0].values) if self.columns else 0
+        return len(self.columns[0]) if self.columns else 0
 
     def column_index(self, name: str) -> int:
         for i, col in enumerate(self.columns):
@@ -64,7 +148,7 @@ class Table:
         raise RdbError(f"table {self.name} has no column {name!r}")
 
     def cell(self, row: int, col: int):
-        return self.columns[col].values[row]
+        return self.columns[col].cell(row)
 
 
 @dataclass
@@ -76,7 +160,7 @@ class Database:
     dangling: list[tuple[str, int, str, str]]  # (table, row, column, token)
     target_flags: list[tuple[int, int]]
     masked: bool = False
-    _raw_labels: list | None = None
+    _labels: Column | None = None  # the target column a masked view hides
 
     @property
     def target(self) -> tuple[int, int]:
@@ -156,45 +240,20 @@ def _read_schema(path: Path) -> list[tuple[Table, str]]:
     return out
 
 
-def _parse_cell(text: str, kind: ColumnKind):
-    """Parse one CSV field; empty string is Null for every kind. A malformed field raises ValueError."""
-    if text == "":
-        return None
-    tag = kind.tag
-    if tag == "scalar":
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError("non-finite scalar")
-        return value
-    if tag == "datetime":
-        stamp = datetime.fromisoformat(text)
-        if stamp.tzinfo is not None or stamp.microsecond != 0:
-            raise ValueError("expected naive timestamp at second precision")
-        return stamp
-    if tag == "latlong":
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError("expected 'lat,long'")
-        lat, long = float(parts[0]), float(parts[1])
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= long <= 180.0):
-            raise ValueError(f"out-of-range latlong ({lat}, {long})")
-        return (lat, long)
-    # categorical, text, primary_key, foreign_key stay as exact strings
-    return text
-
-
 def load_database(root: str | Path, strict: bool = True) -> Database:
-    """Read schema.json plus one CSV per table from `root`."""
+    """Read schema.json plus one CSV per table from `root`, one table at a time."""
     root = Path(root)
     schema_path = root / "schema.json"
     if not schema_path.is_file():
         raise RdbError(f"missing file: {schema_path}")
     tables: list[Table] = []
+    files: list[Path] = []
     path = schema_path  # the file being read
     try:
         for table, file in _read_schema(schema_path):
             tables.append(table)
             path = root / file
+            files.append(path)
             if not path.is_file():
                 raise RdbError(f"missing file: {path}")
             _read_csv(path, table)
@@ -204,70 +263,244 @@ def load_database(root: str | Path, strict: bool = True) -> Database:
         raise RdbError(f"{path}: {exc}") from None
     target_flags = [(ti, ci) for ti, t in enumerate(tables) for ci, col in enumerate(t.columns) if col.target]
     db = Database(tables, {}, [], target_flags)
-    _resolve_foreign_keys(db, strict)
+    _resolve_foreign_keys(db, strict, files)
     return db
 
 
 def _read_csv(csv_path: Path, table: Table) -> None:
-    """Append each row's parsed cells to the table's columns, matching the header to the column names."""
-    columns = table.columns
-    with open(csv_path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise RdbError(f"{csv_path} has no header row")
-        repeated = [h for i, h in enumerate(header) if h in header[:i]]
-        if repeated:
-            raise RdbError(f"duplicate column {repeated[0]!r} in the header of {csv_path}")
-        declared = {col.name for col in columns}
-        undeclared = [h for h in header if h not in declared]
-        if undeclared:
-            raise RdbError(f"undeclared column {undeclared[0]!r} in {csv_path}")
-        missing = declared - set(header)
-        if missing:
-            raise RdbError(f"column {sorted(missing)[0]!r} missing from {csv_path}")
-        positions = [header.index(col.name) for col in columns]
-        for ri, row in enumerate(reader):
-            if len(row) != len(header):
-                raise RdbError(f"{csv_path} row {ri}: expected {len(header)} fields, got {len(row)}")
-            for col, pos in zip(columns, positions):
-                try:
-                    col.values.append(_parse_cell(row[pos], col.kind))
-                except ValueError as exc:
-                    raise RdbError(f"{csv_path}: unparseable cell at table {table.name} row {ri} "
-                                   f"column {col.name}: {exc}") from None
+    """Fill the table's columns from its CSV file, matching the header to the column names, a block of
+    rows and a column at a time. The first fault in row order fails, naming the row, and the column of a
+    bad cell."""
+    blocks = _csv_blocks(csv_path.read_bytes().decode("utf-8"), csv_path)
+    header = next(blocks)
+    if header is None:
+        raise RdbError(f"{csv_path} has no header row")
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise RdbError(f"duplicate column {repeated[0]!r} in the header of {csv_path}")
+    declared = {col.name for col in table.columns}
+    undeclared = [h for h in header if h not in declared]
+    if undeclared:
+        raise RdbError(f"undeclared column {undeclared[0]!r} in {csv_path}")
+    missing = declared - set(header)
+    if missing:
+        raise RdbError(f"column {sorted(missing)[0]!r} missing from {csv_path}")
+    positions = [header.index(col.name) for col in table.columns]
+    # each token column's codes so far: the null field "" at -1, then its tokens in order of first appearance
+    indexes = [{"": -1} if col.kind.tag in TOKEN_TAGS else None for col in table.columns]
+    parts = [[_parse_column((), col.kind.tag, index)] for col, index in zip(table.columns, indexes)]
+    start = 0  # the block's first row
+    for nrows, fields in blocks:  # raises, after the rows before it, a row's error that no cell precedes
+        bad = []  # (row, column index, message) of each column's first bad cell
+        for ci, (col, pos, index) in enumerate(zip(table.columns, positions, indexes)):
+            try:
+                parts[ci].append(_parse_column(fields[pos], col.kind.tag, index))
+            except ValueError:
+                row, message = _first_bad(fields[pos], col.kind.tag)
+                bad.append((start + row, ci, message))
+        if bad:
+            row, ci, message = min(bad)
+            raise RdbError(f"{csv_path}: unparseable cell at table {table.name} row {row} "
+                           f"column {table.columns[ci].name}: {message}")
+        start += nrows
+    for col, part, index in zip(table.columns, parts, indexes):
+        col.data, col.null = (np.concatenate(arrays) for arrays in zip(*part))
+        col.vocab = None if index is None else list(islice(index, 1, None))
 
 
-def _resolve_foreign_keys(db: Database, strict: bool) -> None:
+# the CSV text split and parsed at a time, so that a table's fields are never all held at once
+_BLOCK_CHARS = 1 << 16
+_BLOCK_ROWS = 1 << 12
+
+
+def _csv_blocks(text: str, path: Path):
+    """The header's fields (None for an empty file), then the data rows' fields in blocks, each as
+    (row count, one sequence of fields per header field), exactly as csv.reader reads `text`. A file
+    without a quote or a lone carriage return is split on line ends and commas; any other goes through
+    csv.reader. A row that lacks one field per header field, or that csv.reader rejects, ends the
+    blocks: its error is raised after the block of the rows before it."""
+    crs = text.count("\r")
+    if '"' in text or crs != text.count("\r\n"):
+        yield from _csv_reader_blocks(text, path)
+        return
+    eol = "\r\n" if crs and crs == text.count("\n") else "\n"
+    if crs and eol == "\n":
+        text = text.replace("\r\n", "\n")  # both kinds of line end: one for all
+    if not text:
+        yield None
+        return
+    limit = csv.field_size_limit()
+    pos = text.find(eol)
+    pos = len(text) if pos < 0 else pos + len(eol)
+    header = text[:pos].removesuffix(eol)
+    header = header.split(",") if header else []  # a blank line has no fields
+    if max(map(len, header), default=0) > limit:
+        raise csv.Error(f"field larger than field limit ({limit})")
+    yield header
+    row = 0
+    while pos < len(text):
+        end = text.find(eol, pos + _BLOCK_CHARS)
+        end = len(text) if end < 0 else end + len(eol)
+        piece = text[pos:end]
+        pos = end
+        if not piece.endswith(eol):
+            piece += eol  # the last row, which no line end closes
+        nrows, fields, stop = _split_rows(piece, eol, len(header), limit, path, row)
+        yield nrows, fields
+        if stop is not None:
+            raise stop
+        row += nrows
+
+
+def _split_rows(piece: str, eol: str, width: int, limit: int, path: Path, row: int):
+    """The rows of `piece`, whole lines each closed by `eol` and numbered from `row`, as (row count, one
+    list of fields per column, None) when each has `width` fields. Otherwise the rows before the first
+    that has not, or that holds a field over csv's size limit, and the error for that row."""
+    nlines = piece.count(eol)
+    if not piece.startswith(eol) and eol + eol not in piece and len(piece) <= limit:
+        # every line end becomes a field of its own, which must follow every width-th field
+        fields = piece.replace(eol, ",\n,").split(",")
+        fields.pop()
+        if len(fields) == nlines * (width + 1) and fields[width::width + 1].count("\n") == nlines:
+            return nlines, [fields[j::width + 1] for j in range(width)], None
+    lines = piece.split(eol)
+    lines.pop()
+    counts = [line.count(",") + 1 if line else 0 for line in lines]  # a blank line has no fields
+    nrows = next((r for r, count in enumerate(counts) if count != width), nlines)
+    stop = None if nrows == nlines else RdbError(f"{path} row {row + nrows}: expected {width} fields, "
+                                                 f"got {counts[nrows]}")
+    long = next((r for r, line in enumerate(lines[:nrows + 1]) if max(map(len, line.split(","))) > limit), None)
+    if long is not None:  # csv.reader fails on it
+        nrows, stop = long, csv.Error(f"field larger than field limit ({limit})")
+    fields = ",".join(lines[:nrows]).split(",") if nrows and width else []
+    return nrows, [fields[j::width] for j in range(width)], stop
+
+
+def _csv_reader_blocks(text: str, path: Path):
+    """`_csv_blocks` through csv.reader."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    yield header
+    row = 0
+    while header is not None:
+        rows, stop = [], None
+        try:
+            for fields in islice(reader, _BLOCK_ROWS):
+                if len(fields) != len(header):
+                    stop = RdbError(f"{path} row {row + len(rows)}: expected {len(header)} fields, got {len(fields)}")
+                    break
+                rows.append(fields)
+        except csv.Error as exc:
+            stop = exc
+        yield len(rows), list(zip(*rows)) if rows else [() for _ in header]
+        if stop is not None:
+            raise stop
+        if len(rows) < _BLOCK_ROWS:
+            return
+        row += len(rows)
+
+
+def _parse_column(fields, tag: str, index: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(data, null mask) of one column's CSV fields; the empty field is null for every kind. A token
+    kind's data are codes through `index` (see `_code`). Scalars are what `float` reads, finite;
+    datetimes what `datetime.fromisoformat` reads, naive and at second precision; latlongs two such
+    floats, "lat,long", within [-90, 90] x [-180, 180]. A malformed field raises ValueError."""
+    if tag in TOKEN_TAGS:
+        codes = _code(fields, {"": -1} if index is None else index)
+        return codes, codes < 0
+    null = np.fromiter(map(operator.not_, fields), bool, len(fields)) if "" in fields else None
+    present = fields if null is None else list(filter(None, fields))
+    if tag == "scalar":
+        values = np.fromiter(map(float, present), np.float64, len(present))
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite scalar")
+    elif tag == "datetime":
+        stamps = list(map(datetime.fromisoformat, present))
+        if any(stamp.tzinfo is not None or stamp.microsecond != 0 for stamp in stamps):
+            raise ValueError("expected naive timestamp at second precision")
+        values = _datetime64(stamps)
+    else:  # latlong
+        pairs = [field.split(",") for field in present]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError("expected 'lat,long'")
+        values = np.fromiter(map(float, chain.from_iterable(pairs)), np.float64, 2 * len(pairs)).reshape(-1, 2)
+        lat, long = values[:, 0], values[:, 1]
+        inside = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= long) & (long <= 180.0)
+        if not inside.all():
+            k = int(np.argmin(inside))
+            raise ValueError(f"out-of-range latlong ({lat[k].item()}, {long[k].item()})")
+    if null is None:
+        return values, np.zeros(len(fields), dtype=bool)
+    dtype, fill, shape = _ARRAY_OF[tag]
+    data = np.full((len(fields),) + shape, fill, dtype=dtype)
+    data[~null] = values
+    return data, null
+
+
+def _first_bad(fields, tag: str) -> tuple[int, str]:
+    """Row and message of the first field that `_parse_column` rejects on its own."""
+    block = 256
+    for lo in range(0, len(fields), block):
+        try:
+            _parse_column(fields[lo:lo + block], tag)
+            continue
+        except ValueError:
+            pass
+        for row in range(lo, min(lo + block, len(fields))):
+            try:
+                _parse_column(fields[row:row + 1], tag)
+            except ValueError as exc:
+                return row, str(exc)
+    raise AssertionError("a column that fails to parse has a field that fails alone")
+
+
+def _key_rows(col: Column, table: str, where: str) -> tuple[np.ndarray, list]:
+    """The row of each token of a referenced column of `table`, as an array indexed by code with -1 for
+    code -1 (its last entry), and the tokens. A token on two rows fails naming the second, after
+    `where`."""
+    codes, vocab = (col.data, col.vocab) if col.vocab is not None else _coded(col.values, None)
+    present = np.flatnonzero(codes >= 0)
+    if np.bincount(codes[present], minlength=len(vocab)).max(initial=0) > 1:
+        seen = set()
+        for row, code in zip(present.tolist(), codes[present].tolist()):
+            if code in seen:
+                raise RdbError(f"{where}duplicate key {vocab[code]!r} at table {table} row {row} column {col.name}")
+            seen.add(code)
+    rows = np.full(len(vocab) + 1, -1, dtype=np.int64)
+    rows[codes[present]] = present
+    return rows, vocab
+
+
+def _resolve_foreign_keys(db: Database, strict: bool, files: list[Path] | None = None) -> None:
+    """The row each foreign-key cell references, matched by token through the key codes. A dangling
+    cell fails when strict, and otherwise becomes null and is listed in `db.dangling`. A failure names
+    the table's file from `files`, when given, and the table, row and column."""
+    def where(ti: int) -> str:
+        return f"{files[ti]}: " if files else ""
+
     for ti, table in enumerate(db.tables):
         for ci, col in enumerate(table.columns):
             if col.kind.tag != "foreign_key":
                 continue
             ref_table_name, ref_col_name = col.kind.references
-            ref_table = db.table(ref_table_name)
-            ref_col = ref_table.columns[ref_table.column_index(ref_col_name)]
-            index: dict[str, int] = {}
-            for ri, token in enumerate(ref_col.values):
-                if token is None:
-                    continue
-                if token in index:
-                    raise RdbError(f"duplicate key {token!r} in {ref_table_name}.{ref_col_name}")
-                index[token] = ri
-            resolved = np.full(table.nrows, -1, dtype=np.int64)
-            for ri, token in enumerate(col.values):
-                if token is None:
-                    continue
-                row = index.get(token)
-                if row is None:
-                    if strict:
-                        raise RdbError(
-                            f"dangling reference at table {table.name} row {ri} column {col.name}: "
-                            f"{token!r} not found in {ref_table_name}.{ref_col_name}"
-                        )
-                    db.dangling.append((table.name, ri, col.name, token))
-                    col.values[ri] = None
-                else:
-                    resolved[ri] = row
+            rt = db.table_index(ref_table_name)
+            key_rows, key_vocab = _key_rows(db.tables[rt].columns[db.tables[rt].column_index(ref_col_name)],
+                                            ref_table_name, where(rt))
+            key_code = dict(zip(key_vocab, range(len(key_vocab))))
+            codes = list(map(key_code.get, col.vocab, repeat(-1)))  # each token's code in the key column
+            # a token that resolves is held once, as the key's string
+            col.vocab = [key_vocab[code] if code >= 0 else token for code, token in zip(codes, col.vocab)]
+            token_rows = key_rows[np.array(codes + [-1], dtype=np.int64)]  # then -1 for code -1
+            resolved = token_rows[col.data]
+            dangling = np.flatnonzero((resolved < 0) & ~col.null)
+            if dangling.size and strict:
+                ri = int(dangling[0])
+                raise RdbError(f"{where(ti)}dangling reference at table {table.name} row {ri} column {col.name}: "
+                               f"{col.vocab[col.data[ri]]!r} not found in {ref_table_name}.{ref_col_name}")
+            db.dangling.extend((table.name, ri, col.name, col.vocab[code])
+                               for ri, code in zip(dangling.tolist(), col.data[dangling].tolist()))
+            col.data[dangling] = -1
+            col.null[dangling] = True
             db.fk_rows[(ti, ci)] = resolved
     if db.dangling:
         warnings.warn(f"{len(db.dangling)} dangling foreign-key cell(s) kept as Null", stacklevel=3)
@@ -295,13 +528,13 @@ def validate_schema(db: Database) -> ValidationReport:
         for ci, col in enumerate(table.columns):
             key = f"{table.name}.{col.name}"
             n = table.nrows
-            nulls = sum(1 for v in col.values if v is None)
+            nulls = int(np.count_nonzero(col.null))
             null_rate[key] = nulls / n if n else 0.0
             if col.kind.tag == "foreign_key":
-                resolved = int((db.fk_rows[(ti, ci)] >= 0).sum())
+                resolved = int(np.count_nonzero(db.fk_rows[(ti, ci)] >= 0))
                 fk_resolution[key] = (resolved, n - nulls)
             if col.kind.tag == "categorical":
-                cardinality[key] = len({v for v in col.values if v is not None})
+                cardinality[key] = len(np.unique(col.data[~col.null]))
     return ValidationReport(
         table_rows,
         fk_resolution,
@@ -316,40 +549,41 @@ def remove_target_column(db: Database) -> Database:
     if db.masked:
         return db
     kt, kc = db.target
-    raw = list(db.tables[kt].columns[kc].values)
+    labels = db.tables[kt].columns[kc]
     tables = list(db.tables)
     columns = list(tables[kt].columns)
-    columns[kc] = replace(columns[kc], values=[None] * len(raw))
+    columns[kc] = Column(labels.name, labels.kind, labels.target, [None] * len(labels))
     tables[kt] = replace(tables[kt], columns=columns)
-    return Database(tables, db.fk_rows, db.dangling, db.target_flags, masked=True, _raw_labels=raw)
+    return Database(tables, db.fk_rows, db.dangling, db.target_flags, masked=True, _labels=labels)
 
 
-def _target_tokens(db: Database, nulls_allowed: bool) -> tuple[list, list]:
-    """The target column's cells and their distinct non-null tokens, sorted. A null (unless allowed), or
-    a third distinct token, fails naming the table, the row and the column of the first."""
+def _target_tokens(db: Database, nulls_allowed: bool) -> tuple[Column, list]:
+    """The target column and its distinct non-null tokens, sorted. A null (unless allowed), or a third
+    distinct token, fails naming the table, the row and the column of the first."""
     kt, kc = db.target
     table = db.tables[kt]
-    raw = db._raw_labels if db.masked else table.columns[kc].values
-    tokens = set(raw)
-    vocab = sorted(tokens - {None})
+    col = db._labels if db.masked else table.columns[kc]
+    codes = np.flatnonzero(np.bincount(col.data[~col.null], minlength=len(col.vocab)))
+    vocab = sorted(col.vocab[code] for code in codes.tolist())
 
-    def at(token) -> str:  # where the token first appears
-        return f"at table {table.name} row {raw.index(token)} column {table.columns[kc].name}"
+    def at(row: int) -> str:
+        return f"at table {table.name} row {row} column {col.name}"
 
-    if None in tokens and not nulls_allowed:
-        raise RdbError(f"null label {at(None)}")
+    if not nulls_allowed and col.null.any():
+        raise RdbError(f"null label {at(int(np.argmax(col.null)))}")
     if len(vocab) > 2:
-        third = [token for token in dict.fromkeys(raw) if token is not None][2]
-        raise RdbError(f"target column must be binary, found {len(vocab)} distinct tokens; the third, {third!r}, "
-                       f"{at(third)}")
-    return raw, vocab
+        codes, firsts = np.unique(col.data, return_index=True)  # each code's first row
+        row = int(np.sort(firsts[codes >= 0])[2])
+        raise RdbError(f"target column must be binary, found {len(vocab)} distinct tokens; the third, "
+                       f"{col.vocab[col.data[row]]!r}, {at(row)}")
+    return col, vocab
 
 
 def target_labels(db: Database) -> np.ndarray:
     """Binary labels of the target column as 0/1 ints, tokens mapped in sorted order; a null label fails."""
-    raw, vocab = _target_tokens(db, nulls_allowed=False)
-    mapping = {token: i for i, token in enumerate(vocab)}
-    return np.array([mapping[v] for v in raw], dtype=np.int64)
+    col, vocab = _target_tokens(db, nulls_allowed=False)
+    label = {token: i for i, token in enumerate(vocab)}
+    return np.array([label.get(token, -1) for token in col.vocab], dtype=np.int64)[col.data]
 
 
 def _format_cell(value, kind: ColumnKind) -> str:
@@ -383,6 +617,7 @@ def write_dataset(db: Database, out_dir: str | Path) -> None:
         with open(out_dir / f"{table.name}.csv", "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow([col.name for col in table.columns])
-            for ri in range(table.nrows):
-                writer.writerow([_format_cell(col.values[ri], col.kind) for col in table.columns])
+            kinds = [col.kind for col in table.columns]
+            for row in zip(*(col.values for col in table.columns)):
+                writer.writerow([_format_cell(value, kind) for value, kind in zip(row, kinds)])
     (out_dir / "schema.json").write_text(json.dumps({"tables": table_specs}, indent=2, sort_keys=True), encoding="utf-8")

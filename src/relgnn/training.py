@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .encode import NodeTypeEncoder, encode_node
+from .graph import ranges
 from .models import build_batch, encode_tables
 from .optim import AdamW
 from .rdb import Database
@@ -230,11 +231,11 @@ def oversample_ids(ids: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.concatenate([majority, np.resize(minority, len(majority))])
 
 
-def fold_encoder_rows(datapoints: DatapointStore, ids) -> dict[int, list[int]]:
-    """Rows reachable from the given datapoints, grouped by table: the encoder fitting scope."""
-    chosen = datapoints.take(ids)
-    node_types, rows = chosen.node_types, chosen.rows
-    return {t: np.unique(rows[node_types == t]).tolist() for t in np.unique(node_types).tolist()}
+def fold_encoder_rows(datapoints: DatapointStore, ids) -> dict[int, np.ndarray]:
+    """Rows reachable from the given datapoints, grouped by table, ascending: the encoder fitting scope."""
+    nodes, _ = ranges(datapoints.node_start, np.asarray(ids, dtype=np.int64))
+    node_types, rows = datapoints.node_types[nodes], datapoints.rows[nodes]
+    return {t: np.flatnonzero(np.bincount(rows[node_types == t])) for t in np.unique(node_types).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Deliberately naive oracles: brute-force ones independent of the library's data structures, a
-mask-based reference sampler, a per-target reference closure, a `json.dumps` reference datapoint writer,
-a per-target reference DFS, a cell-by-cell reference encoder, the autodiff's `np.add.at` scatter,
-two-branch sigmoid and copying backward, and the per-parameter AdamW."""
+row-by-row reference CSV reader, a mask-based reference sampler, a per-target reference closure, a
+`json.dumps` reference datapoint writer, a per-target reference DFS, a cell-by-cell reference encoder,
+the autodiff's `np.add.at` scatter, two-branch sigmoid and copying backward, and the per-parameter
+AdamW."""
 from __future__ import annotations
 
 import calendar
+import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from datetime import datetime
 
 import numpy as np
 
@@ -15,6 +18,75 @@ from relgnn.dfs import COPY, AggSpec, _checked_end
 from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, HeteroGraph, edge_types
 from relgnn.rdb import Database, RdbError
 from relgnn.sampler import SizeCapError
+
+
+# ---------------------------------------------------------------------------
+# reference CSV reader: csv.reader row by row and one parse per cell, as the library read a table before it
+# parsed a column at a time
+
+
+def reference_parse_cell(text: str, kind):
+    """Parse one CSV field; empty string is Null for every kind. A malformed field raises ValueError."""
+    if text == "":
+        return None
+    tag = kind.tag
+    if tag == "scalar":
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("non-finite scalar")
+        return value
+    if tag == "datetime":
+        stamp = datetime.fromisoformat(text)
+        if stamp.tzinfo is not None or stamp.microsecond != 0:
+            raise ValueError("expected naive timestamp at second precision")
+        return stamp
+    if tag == "latlong":
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError("expected 'lat,long'")
+        lat, long = float(parts[0]), float(parts[1])
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= long <= 180.0):
+            raise ValueError(f"out-of-range latlong ({lat}, {long})")
+        return (lat, long)
+    # categorical, text, primary_key, foreign_key stay as exact strings
+    return text
+
+
+def reference_read_csv(csv_path, table) -> list[list]:
+    """The cells of each of the table's columns, in column order, read from its CSV file; every fault
+    raises RdbError with the loader's message."""
+    cells = [[] for _ in table.columns]
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise RdbError(f"{csv_path} has no header row")
+            repeated = [h for i, h in enumerate(header) if h in header[:i]]
+            if repeated:
+                raise RdbError(f"duplicate column {repeated[0]!r} in the header of {csv_path}")
+            declared = {col.name for col in table.columns}
+            undeclared = [h for h in header if h not in declared]
+            if undeclared:
+                raise RdbError(f"undeclared column {undeclared[0]!r} in {csv_path}")
+            missing = declared - set(header)
+            if missing:
+                raise RdbError(f"column {sorted(missing)[0]!r} missing from {csv_path}")
+            positions = [header.index(col.name) for col in table.columns]
+            for ri, row in enumerate(reader):
+                if len(row) != len(header):
+                    raise RdbError(f"{csv_path} row {ri}: expected {len(header)} fields, got {len(row)}")
+                for out, col, pos in zip(cells, table.columns, positions):
+                    try:
+                        out.append(reference_parse_cell(row[pos], col.kind))
+                    except ValueError as exc:
+                        raise RdbError(f"{csv_path}: unparseable cell at table {table.name} row {ri} "
+                                       f"column {col.name}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise RdbError(f"{csv_path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except csv.Error as exc:
+        raise RdbError(f"{csv_path}: {exc}") from None
+    return cells
 
 
 def forward_edge_list(db):

@@ -186,6 +186,32 @@ def test_graph_stats_output_bytes_are_pinned(capsys, tmp_path, flags):
     assert hashlib.sha256(printed).hexdigest() == _GRAPH_STATS_SHA256[flags]
 
 
+# sha256 of `validate`'s stdout, which validate_report.json repeats, on the fixtures and on a synth dataset with
+# null cells; the counts come from null masks and codes, and must print as Python ints and floats
+_VALIDATE_SHA256 = {
+    "clinic": "7fa34838e28f5602e5517cec404f59594c32a6df3b05e21a6fb31e0f33727c6b",
+    "dangling": "8d30ba9954c49dceda6fea990059ba3dbf0400273489562291408d3196954ea6",
+    "employees": "d3a92c58a06ec31a88a2d1b898f383edb519d68147c8dee0f93783287e9ad357",
+    "patients_small": "2e0206795d2c0bf758e10d2bd54cb572b167abd435829f4761aaa7ab0d7cbaba",
+    "three_level": "d75bc06ac7b26f2e738cd4f32cdb3ed624263788a6aadf58e5c85bfbb00c39bb",
+}
+
+
+@pytest.mark.filterwarnings("ignore:1 dangling")
+@pytest.mark.parametrize("dataset", sorted(_VALIDATE_SHA256))
+def test_validate_report_bytes_are_pinned(capsys, fixtures_dir, tmp_path, dataset):
+    data, out = fixtures_dir / dataset, tmp_path / "report"
+    if dataset == "three_level":
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--targets", "300", "--template", "three_level",
+                     "--signal", "grandchild_aggregate", "--children", "1", "4", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--dataset", str(data), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert printed == (out / "validate_report.json").read_bytes()
+    assert hashlib.sha256(printed).hexdigest() == _VALIDATE_SHA256[dataset]
+
+
 def test_synth_writes_dataset(synth_dir):
     for name in ("schema.json", "Target.csv", "Child.csv", "manifest.json", "synth_report.json"):
         assert (synth_dir / name).is_file(), name

@@ -156,7 +156,7 @@ def test_enumerate_self_reference(fixtures_dir):
         (((0, 1, REVERSE), (0, 1, REVERSE)), "count"),
     ]
     raw = compute_features(db, specs, [0, 1, 2])
-    assert raw == [[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
+    assert list(raw) == [[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
 
 
 def test_feature_names(fixtures_dir):
@@ -218,14 +218,14 @@ def test_row_order_matches_request(fixtures_dir):
     db = load_database(fixtures_dir / "clinic")
     specs = enumerate_aggs(db, 1)
     base = compute_features(db, specs, [0, 1])
-    assert compute_features(db, specs, [1, 0, 1]) == [base[1], base[0], base[1]]
+    assert list(compute_features(db, specs, [1, 0, 1])) == [base[1], base[0], base[1]]
 
 
 def test_determinism():
     db = _three_level()
     specs = enumerate_aggs(db, 2)
     assert enumerate_aggs(db, 2) == specs
-    assert compute_features(db, specs, [0, 1]) == compute_features(db, specs, [0, 1])
+    assert list(compute_features(db, specs, [0, 1])) == list(compute_features(db, specs, [0, 1]))
 
 
 def test_unrelated_table_is_inert():
@@ -239,7 +239,7 @@ def test_unrelated_table_is_inert():
     bigger = _three_level()
     bigger.tables.append(spare)
     assert enumerate_aggs(bigger, 2) == specs
-    assert compute_features(bigger, specs, [0, 1]) == base
+    assert list(compute_features(bigger, specs, [0, 1])) == list(base)
 
 
 def test_target_row_out_of_range(fixtures_dir):
@@ -380,7 +380,7 @@ def test_compute_features_equals_per_target_reference(random_database):
         n = db.tables[0].nrows
         rows = rng.permutation(n).tolist() + rng.integers(0, n, size=3).tolist()
         got, want = compute_features(db, specs, rows), reference_features(db, specs, rows)
-        assert repr(got) == repr(want), seed
+        assert repr(list(got)) == repr(want), seed
         awkward_sums += sum(1 for row in want for spec, v in zip(specs, row)
                             if spec.aggregator == "sum" and v is not None and v in (0.0, 1e12, -1e12))
     assert awkward_sums > 100  # the signed-zero and large-magnitude cases did occur

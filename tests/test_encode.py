@@ -217,9 +217,14 @@ def test_no_leakage_from_test_rows(fixtures_dir):
     train = {0: [0], 1: [0, 1]}
     before = encoders_to_json(fit_encoders(db, train))
     # perturb cells of rows outside the training rows
-    db.tables[0].columns[1].values[1] = 999.0  # patient p2 age
-    db.tables[1].columns[2].values[2] = -123.0  # visit v3 cost
-    db.tables[1].columns[3].values[2] = datetime(1970, 5, 5)
+    for ti, ci, row, value in ((0, 1, 1, 999.0),  # patient p2 age
+                               (1, 2, 2, -123.0),  # visit v3 cost
+                               (1, 3, 2, datetime(1970, 5, 5))):
+        col = db.tables[ti].columns[ci]
+        cells = col.values
+        cells[row] = value
+        col.values = cells
+        assert db.tables[ti].cell(row, ci) == value
     after = encoders_to_json(fit_encoders(db, train))
     assert before == after
 

@@ -306,8 +306,11 @@ def test_fold_encoder_rows_scope():
     db = remove_target_column(load_database(FIXTURES / "clinic"))
     graph = database_to_graph(db)
     dps = batch_sample(graph, [0, 1])
-    assert fold_encoder_rows(dps, [0]) == {0: [0], 1: [0, 1], 2: [0]}
-    assert fold_encoder_rows(dps, [0, 1]) == {0: [0, 1], 1: [0, 1, 2], 2: [0]}
+    def as_lists(rows):
+        return {t: r.tolist() for t, r in rows.items()}
+
+    assert as_lists(fold_encoder_rows(dps, [0])) == {0: [0], 1: [0, 1], 2: [0]}
+    assert as_lists(fold_encoder_rows(dps, [0, 1])) == {0: [0, 1], 1: [0, 1, 2], 2: [0]}
 
 
 def test_gnn_training_runs_and_is_deterministic():
