@@ -1,7 +1,6 @@
 """Depth-limited feature synthesis: aggregate child rows and copy parent cells into flat columns."""
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from .encode import (
     scalar_from_json,
 )
 from .graph import FORWARD, REVERSE, EdgeType, database_to_graph, edge_types, referenced_table
-from .rdb import Column, ColumnKind, Database, RdbError
+from .rdb import Column, ColumnKind, Database, RdbError, write_csv
 
 __all__ = [
     "AGGREGATORS",
@@ -349,26 +348,12 @@ def aggspecs_from_json(text: str, db: Database | None = None) -> list[AggSpec]:
     return specs
 
 
-def _render(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_features_csv(path, db: Database, specs: list[AggSpec], target_rows) -> None:
-    """Raw feature matrix as CSV keyed by the target table's primary key; the empty cell is null."""
-    target_table, _ = db.target
-    table = db.tables[target_table]
-    pk = next((ci for ci, col in enumerate(table.columns) if col.kind.tag == "primary_key"), None)
-    raw = compute_features(db, specs, target_rows)
-    header = [table.columns[pk].name if pk is not None else "row"] + feature_names(db, specs)
-    keys = table.columns[pk].values if pk is not None else None
-    cells = [col.values for col in raw.columns]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, row in enumerate(target_rows):
-            key = keys[int(row)] if keys is not None else int(row)
-            writer.writerow([_render(key)] + [_render(values[i]) for values in cells])
+    """Raw feature matrix as CSV keyed by the target table's primary key, or by a `row` column of row
+    numbers when it has none; the empty cell is null."""
+    rows = np.fromiter((int(row) for row in target_rows), dtype=np.int64)
+    raw = compute_features(db, specs, rows)  # fails on a row out of range
+    pk = next((col for col in db.tables[db.target[0]].columns if col.kind.tag == "primary_key"), None)
+    key = (Column("row", ColumnKind("text"), False, list(map(str, rows.tolist()))) if pk is None
+           else Column.from_arrays(pk.name, pk.kind, pk.data[rows], pk.null[rows], pk.vocab))
+    write_csv(path, [key.name] + feature_names(db, specs), [key] + raw.columns)

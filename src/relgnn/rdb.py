@@ -24,6 +24,7 @@ __all__ = [
     "validate_schema",
     "remove_target_column",
     "target_labels",
+    "write_csv",
     "write_dataset",
 ]
 
@@ -228,15 +229,18 @@ def _read_schema(path: Path) -> list[tuple[Table, str]]:
                 raise RdbError(f"{path}: target column {name}.{col_name} must be categorical")
             columns.append(Column(col_name, ColumnKind(tag, references), target, []))
         out.append((Table(name, columns), file))
-    column_names = {table.name: {col.name for col in table.columns} for table, _ in out}
+    kinds = {table.name: {col.name: col.kind.tag for col in table.columns} for table, _ in out}
     for table, _ in out:
         for col in table.columns:
             if col.kind.references is None:
                 continue
             ref_table, ref_col = col.kind.references
-            if ref_col not in column_names[ref_table]:
-                raise RdbError(f"{path}: table {table.name} column {col.name} references unknown column "
-                               f"{ref_col!r} of table {ref_table}")
+            refers = f"{path}: table {table.name} column {col.name} references"
+            if ref_col not in kinds[ref_table]:
+                raise RdbError(f"{refers} unknown column {ref_col!r} of table {ref_table}")
+            if kinds[ref_table][ref_col] not in TOKEN_TAGS:
+                raise RdbError(f"{refers} {ref_table}.{ref_col}, a {kinds[ref_table][ref_col]} column; only "
+                               f"{', '.join(TOKEN_TAGS)} columns can be referenced")
     return out
 
 
@@ -315,73 +319,66 @@ _BLOCK_ROWS = 1 << 12
 
 def _csv_blocks(text: str, path: Path):
     """The header's fields (None for an empty file), then the data rows' fields in blocks, each as
-    (row count, one sequence of fields per header field), exactly as csv.reader reads `text`. A file
-    without a quote or a lone carriage return is split on line ends and commas; any other goes through
-    csv.reader. A row that lacks one field per header field, or that csv.reader rejects, ends the
-    blocks: its error is raised after the block of the rows before it."""
-    crs = text.count("\r")
-    if '"' in text or crs != text.count("\r\n"):
-        yield from _csv_reader_blocks(text, path)
-        return
-    eol = "\r\n" if crs and crs == text.count("\n") else "\n"
-    if crs and eol == "\n":
-        text = text.replace("\r\n", "\n")  # both kinds of line end: one for all
-    if not text:
-        yield None
-        return
+    (row count, one sequence of fields per header field), exactly as csv.reader reads `text`. The
+    header's line end is the file's. Blocks of whole lines are split on line ends and commas while
+    `_split_block` takes them; csv.reader reads the rest of the file from the first block it does not,
+    or the whole file when the header line holds a quote or a carriage return, or is longer than csv's
+    field size limit. A row that lacks one field per header field, or that csv.reader rejects, ends
+    the blocks: its error is raised after the block of the rows before it."""
     limit = csv.field_size_limit()
-    pos = text.find(eol)
-    pos = len(text) if pos < 0 else pos + len(eol)
-    header = text[:pos].removesuffix(eol)
-    header = header.split(",") if header else []  # a blank line has no fields
-    if max(map(len, header), default=0) > limit:
-        raise csv.Error(f"field larger than field limit ({limit})")
+    nl = text.find("\n")
+    eol = "\r\n" if nl > 0 and text[nl - 1] == "\r" else "\n"
+    pos = len(text) if nl < 0 else nl + 1
+    line = text[:pos].removesuffix(eol)
+    if not text or '"' in line or "\r" in line or len(line) > limit:
+        yield from _csv_reader_blocks(text, 0, None, 0, path)
+        return
+    header = line.split(",") if line else []  # a blank line has no fields
     yield header
     row = 0
     while pos < len(text):
         end = text.find(eol, pos + _BLOCK_CHARS)
         end = len(text) if end < 0 else end + len(eol)
-        piece = text[pos:end]
+        block = _split_block(text, pos, end, eol, len(header), limit)
+        if block is None:
+            yield from _csv_reader_blocks(text, pos, header, row, path)
+            return
+        yield block
+        row += block[0]
         pos = end
-        if not piece.endswith(eol):
-            piece += eol  # the last row, which no line end closes
-        nrows, fields, stop = _split_rows(piece, eol, len(header), limit, path, row)
-        yield nrows, fields
-        if stop is not None:
-            raise stop
-        row += nrows
 
 
-def _split_rows(piece: str, eol: str, width: int, limit: int, path: Path, row: int):
-    """The rows of `piece`, whole lines each closed by `eol` and numbered from `row`, as (row count, one
-    list of fields per column, None) when each has `width` fields. Otherwise the rows before the first
-    that has not, or that holds a field over csv's size limit, and the error for that row."""
+def _split_block(text: str, pos: int, end: int, eol: str, width: int, limit: int):
+    """(row count, one list of fields per column) of the whole lines text[pos:end], each closed by
+    `eol` but perhaps the last, split on line ends and commas; None unless that is how csv.reader
+    reads them: no quote, no carriage return outside the line ends, no blank line, at most `limit`
+    characters and `width` fields on every line."""
+    if end - pos > limit:
+        return None
+    piece = text[pos:end]
+    if not piece.endswith(eol):
+        piece += eol  # the last row, which no line end closes
     nlines = piece.count(eol)
-    if not piece.startswith(eol) and eol + eol not in piece and len(piece) <= limit:
-        # every line end becomes a field of its own, which must follow every width-th field
-        fields = piece.replace(eol, ",\n,").split(",")
-        fields.pop()
-        if len(fields) == nlines * (width + 1) and fields[width::width + 1].count("\n") == nlines:
-            return nlines, [fields[j::width + 1] for j in range(width)], None
-    lines = piece.split(eol)
-    lines.pop()
-    counts = [line.count(",") + 1 if line else 0 for line in lines]  # a blank line has no fields
-    nrows = next((r for r, count in enumerate(counts) if count != width), nlines)
-    stop = None if nrows == nlines else RdbError(f"{path} row {row + nrows}: expected {width} fields, "
-                                                 f"got {counts[nrows]}")
-    long = next((r for r, line in enumerate(lines[:nrows + 1]) if max(map(len, line.split(","))) > limit), None)
-    if long is not None:  # csv.reader fails on it
-        nrows, stop = long, csv.Error(f"field larger than field limit ({limit})")
-    fields = ",".join(lines[:nrows]).split(",") if nrows and width else []
-    return nrows, [fields[j::width] for j in range(width)], stop
+    if ('"' in piece or piece.count("\r") != (nlines if eol == "\r\n" else 0) or piece.count("\n") != nlines
+            or piece.startswith(eol) or eol + eol in piece):
+        return None
+    # every line end becomes a field of its own, which must follow every width-th field
+    fields = piece.replace(eol, ",\n,").split(",")
+    fields.pop()
+    if len(fields) != nlines * (width + 1) or fields[width::width + 1].count("\n") != nlines:
+        return None
+    return nlines, [fields[j::width + 1] for j in range(width)]
 
 
-def _csv_reader_blocks(text: str, path: Path):
-    """`_csv_blocks` through csv.reader."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    yield header
-    row = 0
+def _csv_reader_blocks(text: str, pos: int, header: list[str] | None, row: int, path: Path):
+    """The blocks of `_csv_blocks` that csv.reader reads from `text` at `pos`, rows numbered from `row`;
+    first the header's fields when `header` is None."""
+    stream = io.StringIO(text, newline="")
+    stream.seek(pos)
+    reader = csv.reader(stream)
+    if header is None:
+        header = next(reader, None)
+        yield header
     while header is not None:
         rows, stop = [], None
         try:
@@ -458,7 +455,7 @@ def _key_rows(col: Column, table: str, where: str) -> tuple[np.ndarray, list]:
     """The row of each token of a referenced column of `table`, as an array indexed by code with -1 for
     code -1 (its last entry), and the tokens. A token on two rows fails naming the second, after
     `where`."""
-    codes, vocab = (col.data, col.vocab) if col.vocab is not None else _coded(col.values, None)
+    codes, vocab = col.data, col.vocab
     present = np.flatnonzero(codes >= 0)
     if np.bincount(codes[present], minlength=len(vocab)).max(initial=0) > 1:
         seen = set()
@@ -599,6 +596,14 @@ def _format_cell(value, kind: ColumnKind) -> str:
     return value
 
 
+def write_csv(path: str | Path, header: list[str], columns: list[Column]) -> None:
+    """One CSV file: the header, then a row per row of the columns, each cell as `_format_cell` writes it."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(zip(*(map(_format_cell, col.values, repeat(col.kind)) for col in columns)))
+
+
 def write_dataset(db: Database, out_dir: str | Path) -> None:
     """Write schema.json + CSVs so load_database reads back an identical Database."""
     out_dir = Path(out_dir)
@@ -614,10 +619,5 @@ def write_dataset(db: Database, out_dir: str | Path) -> None:
                 spec["target"] = True
             col_specs.append(spec)
         table_specs.append({"name": table.name, "file": f"{table.name}.csv", "columns": col_specs})
-        with open(out_dir / f"{table.name}.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([col.name for col in table.columns])
-            kinds = [col.kind for col in table.columns]
-            for row in zip(*(col.values for col in table.columns)):
-                writer.writerow([_format_cell(value, kind) for value, kind in zip(row, kinds)])
+        write_csv(out_dir / f"{table.name}.csv", [col.name for col in table.columns], table.columns)
     (out_dir / "schema.json").write_text(json.dumps({"tables": table_specs}, indent=2, sort_keys=True), encoding="utf-8")

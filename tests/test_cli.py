@@ -254,6 +254,28 @@ def test_sample_output_bytes_are_pinned(capsys, three_level_dir, tmp_path, flags
     assert hashlib.sha256((out / "datapoints.jsonl").read_bytes()).hexdigest() == _SAMPLE_SHA256[flags]
 
 
+# sha256 of features.csv from `relgnn dfs` on `three_level_dir`, keyed by the target's primary key, and
+# with that key declared as text, which leaves the target table without one and keys it by row number
+_DFS_SHA256 = {
+    "primary_key": "517545d2e13d76dbe3cc536709d22ba264538da88a62d0a39068895293ad9b29",
+    "text": "6585c8b75b845fa9b69e5b506c27309aa83ae1f3a4a5316088482a99e54f0f15",
+}
+
+
+@pytest.mark.parametrize("key_kind", sorted(_DFS_SHA256))
+def test_dfs_features_bytes_are_pinned(three_level_dir, tmp_path, key_kind):
+    data, out = tmp_path / "data", tmp_path / "dfs"
+    shutil.copytree(three_level_dir, data)
+    schema = json.loads((data / "schema.json").read_text())
+    assert schema["tables"][0]["columns"][0] == {"name": "target_id", "kind": "primary_key"}
+    schema["tables"][0]["columns"][0]["kind"] = key_kind
+    (data / "schema.json").write_text(json.dumps(schema))
+    assert main(["dfs", "--dataset", str(data), "--out", str(out)]) == 0
+    features = (out / "features.csv").read_bytes()
+    assert features.startswith(b"target_id," if key_kind == "primary_key" else b"row,")
+    assert hashlib.sha256(features).hexdigest() == _DFS_SHA256[key_kind]
+
+
 def _linear_percentile(values, q):
     """The q-th percentile, interpolating linearly between the two nearest order statistics."""
     ordered = sorted(values)

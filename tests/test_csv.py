@@ -1,6 +1,7 @@
 """The column-at-a-time CSV loader against the row-by-row reference reader, on seeded tables through
-both of its paths (split on newlines and commas, or csv.reader), and seeded malformed datasets through
-the command line."""
+both of its paths (blocks split on line ends and commas, and csv.reader, which reads a file from the
+first block that splitting cannot take), on hand-overs after split blocks, and seeded malformed
+datasets through the command line."""
 from __future__ import annotations
 
 import csv
@@ -36,8 +37,14 @@ FIELDS = {
 
 
 def _reader_path(text: str) -> bool:
-    """Whether the loader reads this text through csv.reader rather than by splitting it."""
-    return '"' in text or text.count("\r") != text.count("\r\n")
+    """Whether csv.reader reads all of this text, which is shorter than csv's field size limit: whether
+    it is empty or its header line holds a quote or a carriage return outside its line end. Otherwise
+    the loader splits the header and then each block of lines that it can; csv.reader reads on from the
+    first block that it cannot, as `test_hand_over_after_split_blocks` checks."""
+    line, newline, _ = text.partition("\n")
+    if newline:
+        line = line.removesuffix("\r")
+    return not text or '"' in line or "\r" in line
 
 
 def _render(rows, quoted: bool, newline: str) -> str:
@@ -137,6 +144,55 @@ def test_csv_shapes_equal_the_reference_reader(tmp_path):
     for text in ("id\nr0\n\nr1\n", "id\n\n", "id\r\nr0\r\n\r\n", "id\nr0\nr1,a,b\n", "id\nr0\nr1\n"):
         statuses.append(_check_file(tmp_path, table, text)[0])
     assert statuses.count("ok") >= 7 and statuses.count("error") >= 10
+
+
+def _hand_over_text(fault: str, eol: str, bad_cell: bool) -> str:
+    """A file of columns id and x and 12 rows, whose lines end in `eol` and whose `fault` turns up at
+    row 6; with `bad_cell`, row 9 holds an x that is no scalar."""
+    lines = [f"r{r},{r}" for r in range(12)]
+    ends = [eol] * 12
+    if bad_cell:
+        lines[9] = "r9,abc"
+    if fault == "quote":
+        lines[6] = 'r6,"6"'
+    elif fault == "stray_cr":
+        ends[6] = "\r"
+    elif fault == "mixed_line_ends":
+        ends[6:] = ["\n" if eol == "\r\n" else "\r\n"] * 6
+    elif fault == "blank_line":
+        ends[5] += eol
+    elif fault == "ragged_row":
+        lines[6] = "r6,6,6"
+    else:  # long_field
+        lines[6] = "r6," + "6" * 70
+    return "id,x" + eol + "".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.mark.parametrize("bad_cell", [False, True], ids=["clean", "bad_cell"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("fault", ["quote", "stray_cr", "mixed_line_ends", "blank_line", "ragged_row", "long_field"])
+def test_hand_over_after_split_blocks(tmp_path, monkeypatch, fault, eol, bad_cell):
+    """A quote, a stray carriage return, a change of line end, a blank line, a ragged row or a field
+    over csv's size limit after two split blocks: csv.reader reads on from that block's first row, the
+    outcome equals the reference's, and an error names its row counted from the start of the file."""
+    monkeypatch.setattr(rdb, "_BLOCK_CHARS", 8)
+    monkeypatch.setattr(rdb, "_BLOCK_ROWS", 3)
+    taken = []  # what _split_block returned for each block
+    split = rdb._split_block
+    monkeypatch.setattr(rdb, "_split_block", lambda *args: taken.append(split(*args)) or taken[-1])
+    table = Table("T", [Column("id", ColumnKind("primary_key"), False), Column("x", ColumnKind("scalar"), False)])
+    limit = csv.field_size_limit(64)
+    try:
+        status, got = _check_file(tmp_path, table, _hand_over_text(fault, eol, bad_cell))
+    finally:
+        csv.field_size_limit(limit)
+    assert taken.index(None) >= 2 and all(taken[:taken.index(None)]), taken
+    loads = fault in ("quote", "stray_cr", "mixed_line_ends")
+    if loads and not bad_cell:
+        assert status == "ok" and len(got[0]) == 12, got
+    else:
+        assert status == "error", got
+        assert fault == "long_field" or f"row {9 if loads else 6}" in got, got
 
 
 # seeded malformed datasets through the command line

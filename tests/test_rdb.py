@@ -259,7 +259,12 @@ def _validate_error(capsys, dataset):
     ('{"tables": [{"name": "T", "file": "T.csv", "columns": [{"name": "id", "kind": "primary_key"},'
      '{"name": "up", "kind": "foreign_key", "references": {"table": "T", "column": "nope"}}]}]}',
      "table T column up references unknown column 'nope' of table T"),
-], ids=["tables-not-a-list", "table-without-name", "kind-not-a-string", "invalid-json", "unknown-referenced-column"])
+    ('{"tables": [{"name": "P", "file": "T.csv", "columns": [{"name": "x", "kind": "scalar"}]},'
+     '{"name": "C", "file": "T.csv", "columns": [{"name": "p", "kind": "foreign_key",'
+     '"references": {"table": "P", "column": "x"}}]}]}',
+     "table C column p references P.x, a scalar column"),
+], ids=["tables-not-a-list", "table-without-name", "kind-not-a-string", "invalid-json", "unknown-referenced-column",
+        "scalar-referenced-column"])
 def test_malformed_schema_names_file_and_place(capsys, tmp_path, text, where):
     (tmp_path / "schema.json").write_text(text)
     (tmp_path / "T.csv").write_text("id\nr1\n")

@@ -1,6 +1,8 @@
 """Synthetic dataset generation: determinism, planted signal, decoy independence."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,32 @@ def test_child_aggregate_decoys_carry_no_signal():
     for name, bins in columns.items():
         p = _permutation_p(bins, labels, trials=200, seed=42)
         assert p > 0.01, f"column {name} looks label-dependent (p={p:.4f})"
+
+
+# sha256 of every file that `generate` writes, per template (seed 7, 40 targets, 0 to 3 children per
+# parent); perfbench's goldens rest on these bytes, so a change to the CSV writer must keep them
+_SYNTH_SHA256 = {
+    ("flat", "single_table"): {
+        "Target.csv": "afe28c3f2f2756a056a987b7dcc97f075a244ae3d051cdc4d62fed001f6f1b95",
+        "schema.json": "4c96b93612c2822b02defd4cd68ea3b0ee1b3fcbfa37d9b0d30da8d24a67ac7e",
+    },
+    ("parent_child", "child_aggregate"): {
+        "Child.csv": "52fe36e894d5c8306e185b028e112a99e9df17b751bb35e651655fa26971bcb8",
+        "Target.csv": "39e1fd17ffa0e8be857eab187c1a2a1e0e9a551af5e56e3a9bb78662184a9bf7",
+        "schema.json": "e0ed89db0252d70c9ec50005f5bfaf22cd07b0b3e54596c285304971c70a147b",
+    },
+    ("three_level", "grandchild_aggregate"): {
+        "Child.csv": "52fe36e894d5c8306e185b028e112a99e9df17b751bb35e651655fa26971bcb8",
+        "Grand.csv": "1545a48faa5dfbc48c4d1b4f782f88417f4548c4405e82fe4240c824cd8ff9e8",
+        "Target.csv": "3b1a88189b731c4a4bfb1e14f323826390ccf98ce7e5d1e6f504d44b8f352901",
+        "schema.json": "6cccaecdde969b3c674e7c9a53a0ab4b9fe2f73f63e983e0afc6dda9c6cbf4b7",
+    },
+}
+
+
+@pytest.mark.parametrize("template, signal", sorted(_SYNTH_SHA256))
+def test_written_bytes_are_pinned(tmp_path, template, signal):
+    assert {template for template, _ in _SYNTH_SHA256} == set(TEMPLATES)
+    generate(SynthSpec(7, 40, template=template, signal=signal, children=(0, 3)), tmp_path)
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert written == _SYNTH_SHA256[template, signal]
