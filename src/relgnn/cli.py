@@ -5,6 +5,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,10 +139,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_dfs(args) -> int:
-    _write_manifest(args)
-    db = load_database(args.dataset)
-    masked = remove_target_column(db)
+    masked = remove_target_column(load_database(args.dataset))
     specs = enumerate_aggs(masked, args.depth)
+    _write_manifest(args)
     rows = list(range(masked.tables[masked.target[0]].nrows))
     write_features_csv(args.out / "features.csv", masked, specs, rows)
     payload = {"rows": len(rows), "columns": feature_names(masked, specs)}
@@ -237,8 +237,7 @@ def _build(desc: dict, masked, labels, shared, encoders, dfs_encoders=None, seed
         return Model(ModelConfig(**desc["config"]), schema, seed=seed), GraphDataset(masked, shared, encoders)
     features = single_table_features(masked, encoders)
     if shared is not None:
-        specs, raw = shared
-        features = np.concatenate([features, apply_feature_encoders(specs, raw, dfs_encoders)], axis=1)
+        features = np.concatenate([features, apply_feature_encoders(shared[1], dfs_encoders)], axis=1)
     if desc["model"] == "mlp":
         net = MlpModel(features.shape[1], dropout_p=desc["dropout"], seed=seed)
     else:
@@ -261,28 +260,28 @@ def _fold_report(fi: int, result, metrics) -> dict:
 
 def cmd_train(args) -> int:
     _check_flags(args)
-    args.out.mkdir(parents=True, exist_ok=True)
-    _setup_logging(args.out)
-    _write_manifest(args)
     db = load_database(args.dataset)
     labels = target_labels(db)
     masked = remove_target_column(db)
     plan = make_cv_plan(len(labels), args.seed, args.folds)
     desc = _describe(args, masked)
+    gnn = args.model in VARIANTS
+    config = TrainConfig(lr=args.lr, weight_decay=args.weight_decay, batch_size=args.batch,
+                         max_epochs=args.max_epochs, patience=args.patience, oversample=args.oversample)
+    config = config if gnn else _baseline_config(config)
+    args.out.mkdir(parents=True, exist_ok=True)
+    _setup_logging(args.out)
+    _write_manifest(args)
     (args.out / "model.json").write_text(_json_text(desc), encoding="utf-8")
     shared = _shared_inputs(desc, masked)
-    gnn = args.model in VARIANTS
     folds = []
     for fi, fold in enumerate(plan.folds):
         # encoders see only the fold's fit rows: for a GNN, every row that their subgraphs reach
         fit_rows = fold_encoder_rows(shared, fold.fit_ids) if gnn else {masked.target[0]: list(fold.fit_ids)}
         encoders = fit_encoders(masked, fit_rows)
-        dfs_encoders = fit_feature_encoders(masked, *shared, fold.fit_ids) if "aggspecs" in desc else None
+        dfs_encoders = fit_feature_encoders(shared[1], fold.fit_ids) if "aggspecs" in desc else None
         net, data = _build(desc, masked, labels, shared, encoders, dfs_encoders, seed=args.seed + fi)
-        config = TrainConfig(lr=args.lr, weight_decay=args.weight_decay, batch_size=args.batch,
-                             max_epochs=args.max_epochs, patience=args.patience,
-                             oversample=args.oversample, seed=args.seed + fi)
-        result = train(net, data, fold, config if gnn else _baseline_config(config))
+        result = train(net, data, fold, replace(config, seed=args.seed + fi))
         metrics = evaluate(net, data, fold.test_ids)
         fold_dir = args.out / f"fold{fi}"
         fold_dir.mkdir(parents=True, exist_ok=True)

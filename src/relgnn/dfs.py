@@ -262,12 +262,11 @@ def _copies_categorical(db: Database, spec: AggSpec) -> bool:
     return spec.aggregator == COPY and db.tables[_checked_end(db, spec)].columns[spec.source].kind.tag == "categorical"
 
 
-def fit_feature_encoders(db: Database, specs: list[AggSpec], raw: RawFeatures, fit_rows) -> list:
+def fit_feature_encoders(raw: RawFeatures, fit_rows) -> list:
     """One scalar or categorical encoder per spec column, fit on its fit_rows cells only."""
     rows = np.asarray(fit_rows, dtype=np.int64)
     encoders = []
-    for j, spec in enumerate(specs):
-        col = raw.columns[j]
+    for col in raw.columns:
         if col.kind.tag == "categorical":
             encoders.append(fit_categorical(column_tokens(col, rows)))
         else:
@@ -275,13 +274,12 @@ def fit_feature_encoders(db: Database, specs: list[AggSpec], raw: RawFeatures, f
     return encoders
 
 
-def apply_feature_encoders(specs: list[AggSpec], raw: RawFeatures, encoders: list) -> np.ndarray:
+def apply_feature_encoders(raw: RawFeatures, encoders: list) -> np.ndarray:
     """Numeric columns become (scaled, null flag) pairs, copied categoricals one-hot."""
     n = len(raw)
     rows = np.arange(n)
     blocks = []
-    for j, enc in enumerate(encoders):
-        col = raw.columns[j]
+    for col, enc in zip(raw.columns, encoders):
         if isinstance(enc, CategoricalEncoder):
             block = np.zeros((n, enc.cardinality + 1))
             block[rows, categorical_indices(col, rows, enc)] = 1.0

@@ -19,8 +19,6 @@ __all__ = [
     "fit_scalar",
     "encode_latlong",
     "encode_datetime",
-    "encode_text",
-    "encode_categorical",
     "encode_column",
     "categorical_indices",
     "column_tokens",
@@ -201,20 +199,12 @@ def _one_cell(tag: str, cell, fitted) -> np.ndarray:
     return out[0]
 
 
-def encode_categorical(token: str | None, encoder: CategoricalEncoder) -> int:
-    return int(categorical_indices(Column("cell", ColumnKind("categorical"), False, [token]), 0, encoder))
-
-
 def encode_latlong(cell: tuple[float, float] | None) -> np.ndarray:
     return _one_cell("latlong", cell, None)
 
 
 def encode_datetime(stamp: datetime | None, year_encoder: ScalarEncoder) -> np.ndarray:
     return _one_cell("datetime", stamp, year_encoder)
-
-
-def encode_text(value: str | None, word_encoder: ScalarEncoder, char_encoder: ScalarEncoder) -> np.ndarray:
-    return _one_cell("text", value, (word_encoder, char_encoder))
 
 
 @dataclass

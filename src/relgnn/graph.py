@@ -108,12 +108,6 @@ class HeteroGraph:
         are in the flat list's order, so per type in row order."""
         return _csr_lists(self.in_start, self.in_sorted, nodes)
 
-    def out_neighbors(self, node: int) -> np.ndarray:
-        return self.dst[self.out_sorted[self.out_start[node] : self.out_start[node + 1]]]
-
-    def in_neighbors(self, node: int) -> np.ndarray:
-        return self.src[self.in_sorted[self.in_start[node] : self.in_start[node + 1]]]
-
     def edge_type_name(self, et: EdgeType) -> str:
         table = self.db.tables[et.table]
         if et.direction == SELF_LOOP:

@@ -53,6 +53,8 @@ class ModelConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.hidden <= 0:
             raise ValueError("hidden width must be positive")
+        if self.variant == "poolmlp" and self.rounds not in (None, 0):
+            raise ValueError(f"poolmlp runs no message passing, so rounds must be 0 or unset, got {self.rounds}")
         if self.variant in ("gat", "ergat") and self.hidden % self.heads != 0:
             raise ValueError("hidden width must divide evenly across heads")
 

@@ -48,8 +48,9 @@ class ColumnKind:
 class Column:
     """One column's cells as arrays. `data` is float64 for a scalar column, datetime64[s] for a datetime
     one, (n, 2) float64 (lat, long) for a latlong one, and int64 codes into `vocab`, the distinct tokens
-    in order of first appearance, for the token kinds (categorical, text and both keys). `null` marks
-    the null cells; their `data` entries mean nothing, except that a null token's code is -1.
+    in order of first appearance, for the token kinds (categorical, text and both keys); a resolved
+    foreign key's `vocab` is that of the column it references. `null` marks the null cells; their
+    `data` entries mean nothing, except that a null token's code is -1.
 
     `Column(name, kind, target, cells)` builds a column from Python cells (float, datetime, (lat, long)
     or str; None for null), and `values` reads them back."""
@@ -83,8 +84,9 @@ class Column:
     def values(self, cells) -> None:
         cells = list(cells)
         if self.kind.tag in TOKEN_TAGS:
-            self.data, self.vocab = _coded(cells, None)
-            self.null = self.data < 0
+            index = {None: -1}
+            self.data = _code(cells, index)
+            self.null, self.vocab = self.data < 0, list(islice(index, 1, None))
             return
         dtype, fill, shape = _ARRAY_OF[self.kind.tag]
         self.null = np.array([cell is None for cell in cells], dtype=bool)
@@ -124,13 +126,6 @@ def _datetime64(stamps: list[datetime]) -> np.ndarray:
     """The datetimes at second precision, from their fields: faster than numpy's conversion."""
     seconds = [t.toordinal() * 86400 + t.hour * 3600 + t.minute * 60 + t.second for t in stamps]
     return (np.array(seconds, dtype=np.int64) - _EPOCH_SECONDS).astype("datetime64[s]")
-
-
-def _coded(tokens, null) -> tuple[np.ndarray, list]:
-    """The codes of the tokens, -1 for `null`, and their vocabulary: the distinct other tokens in order
-    of first appearance."""
-    index = {null: -1}
-    return _code(tokens, index), list(islice(index, 1, None))
 
 
 @dataclass
@@ -320,42 +315,48 @@ _BLOCK_ROWS = 1 << 12
 def _csv_blocks(text: str, path: Path):
     """The header's fields (None for an empty file), then the data rows' fields in blocks, each as
     (row count, one sequence of fields per header field), exactly as csv.reader reads `text`. The
-    header's line end is the file's. Blocks of whole lines are split on line ends and commas while
-    `_split_block` takes them; csv.reader reads the rest of the file from the first block it does not,
-    or the whole file when the header line holds a quote or a carriage return, or is longer than csv's
-    field size limit. A row that lacks one field per header field, or that csv.reader rejects, ends
-    the blocks: its error is raised after the block of the rows before it."""
+    header's line end is the file's. The text after the header is cut once into `_slices`, each split
+    on line ends and commas while `_split_block` takes it; csv.reader reads on from the first slice it
+    does not, or from the start of the file when the header line holds a quote or a carriage return,
+    or is longer than csv's field size limit. A row that lacks one field per header field, or that
+    csv.reader rejects, ends the blocks: its error is raised after the block of the rows before it."""
     limit = csv.field_size_limit()
     nl = text.find("\n")
     eol = "\r\n" if nl > 0 and text[nl - 1] == "\r" else "\n"
     pos = len(text) if nl < 0 else nl + 1
     line = text[:pos].removesuffix(eol)
     if not text or '"' in line or "\r" in line or len(line) > limit:
-        yield from _csv_reader_blocks(text, 0, None, 0, path)
+        yield from _csv_reader_blocks(_slices(text, 0), None, 0, path)
         return
     header = line.split(",") if line else []  # a blank line has no fields
     yield header
-    row = 0
-    while pos < len(text):
-        end = text.find(eol, pos + _BLOCK_CHARS)
-        end = len(text) if end < 0 else end + len(eol)
-        block = _split_block(text, pos, end, eol, len(header), limit)
+    row, slices = 0, _slices(text, pos)
+    for piece in slices:
+        block = _split_block(piece, eol, len(header), limit)
         if block is None:
-            yield from _csv_reader_blocks(text, pos, header, row, path)
+            yield from _csv_reader_blocks(chain([piece], slices), header, row, path)
             return
+        del piece  # not held while the block is parsed
         yield block
         row += block[0]
+
+
+def _slices(text: str, pos: int):
+    """text[pos:] in slices of whole lines, each ending at the first line feed at least `_BLOCK_CHARS`
+    past its start, or at the end of the text."""
+    while pos < len(text):
+        end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
+        yield text[pos:end]
         pos = end
 
 
-def _split_block(text: str, pos: int, end: int, eol: str, width: int, limit: int):
-    """(row count, one list of fields per column) of the whole lines text[pos:end], each closed by
-    `eol` but perhaps the last, split on line ends and commas; None unless that is how csv.reader
-    reads them: no quote, no carriage return outside the line ends, no blank line, at most `limit`
+def _split_block(piece: str, eol: str, width: int, limit: int):
+    """(row count, one list of fields per column) of the whole lines of `piece`, each closed by `eol`
+    but perhaps the last, split on line ends and commas; None unless that is how csv.reader reads
+    them: no quote, no carriage return outside the line ends, no blank line, at most `limit`
     characters and `width` fields on every line."""
-    if end - pos > limit:
+    if len(piece) > limit:
         return None
-    piece = text[pos:end]
     if not piece.endswith(eol):
         piece += eol  # the last row, which no line end closes
     nlines = piece.count(eol)
@@ -370,12 +371,10 @@ def _split_block(text: str, pos: int, end: int, eol: str, width: int, limit: int
     return nlines, [fields[j::width + 1] for j in range(width)]
 
 
-def _csv_reader_blocks(text: str, pos: int, header: list[str] | None, row: int, path: Path):
-    """The blocks of `_csv_blocks` that csv.reader reads from `text` at `pos`, rows numbered from `row`;
-    first the header's fields when `header` is None."""
-    stream = io.StringIO(text, newline="")
-    stream.seek(pos)
-    reader = csv.reader(stream)
+def _csv_reader_blocks(slices, header: list[str] | None, row: int, path: Path):
+    """The blocks of `_csv_blocks` that csv.reader reads from the slices of text, one stream of one
+    slice at a time, rows numbered from `row`; first the header's fields when `header` is None."""
+    reader = csv.reader(chain.from_iterable(io.StringIO(piece, newline="") for piece in slices))
     if header is None:
         header = next(reader, None)
         yield header
@@ -451,10 +450,10 @@ def _first_bad(fields, tag: str) -> tuple[int, str]:
     raise AssertionError("a column that fails to parse has a field that fails alone")
 
 
-def _key_rows(col: Column, table: str, where: str) -> tuple[np.ndarray, list]:
+def _key_rows(col: Column, table: str, where: str) -> np.ndarray:
     """The row of each token of a referenced column of `table`, as an array indexed by code with -1 for
-    code -1 (its last entry), and the tokens. A token on two rows fails naming the second, after
-    `where`."""
+    code -1 (its last entry) and for a token on no row. A token on two rows fails naming the second,
+    after `where`."""
     codes, vocab = col.data, col.vocab
     present = np.flatnonzero(codes >= 0)
     if np.bincount(codes[present], minlength=len(vocab)).max(initial=0) > 1:
@@ -465,13 +464,15 @@ def _key_rows(col: Column, table: str, where: str) -> tuple[np.ndarray, list]:
             seen.add(code)
     rows = np.full(len(vocab) + 1, -1, dtype=np.int64)
     rows[codes[present]] = present
-    return rows, vocab
+    return rows
 
 
 def _resolve_foreign_keys(db: Database, strict: bool, files: list[Path] | None = None) -> None:
-    """The row each foreign-key cell references, matched by token through the key codes. A dangling
-    cell fails when strict, and otherwise becomes null and is listed in `db.dangling`. A failure names
-    the table's file from `files`, when given, and the table, row and column."""
+    """Recode each foreign key into the code space of the column it references: its `data` become codes
+    into that column's `vocab`, which it then shares, and `db.fk_rows` holds the row each cell
+    references. A dangling cell fails when strict, and otherwise becomes null and is listed in
+    `db.dangling` with its token. A failure names the table's file from `files`, when given, and the
+    table, row and column."""
     def where(ti: int) -> str:
         return f"{files[ti]}: " if files else ""
 
@@ -481,24 +482,21 @@ def _resolve_foreign_keys(db: Database, strict: bool, files: list[Path] | None =
                 continue
             ref_table_name, ref_col_name = col.kind.references
             rt = db.table_index(ref_table_name)
-            key_rows, key_vocab = _key_rows(db.tables[rt].columns[db.tables[rt].column_index(ref_col_name)],
-                                            ref_table_name, where(rt))
-            key_code = dict(zip(key_vocab, range(len(key_vocab))))
-            codes = list(map(key_code.get, col.vocab, repeat(-1)))  # each token's code in the key column
-            # a token that resolves is held once, as the key's string
-            col.vocab = [key_vocab[code] if code >= 0 else token for code, token in zip(codes, col.vocab)]
-            token_rows = key_rows[np.array(codes + [-1], dtype=np.int64)]  # then -1 for code -1
-            resolved = token_rows[col.data]
-            dangling = np.flatnonzero((resolved < 0) & ~col.null)
+            key = db.tables[rt].columns[db.tables[rt].column_index(ref_col_name)]
+            key_rows = _key_rows(key, ref_table_name, where(rt))
+            key_code = dict(zip(key.vocab, range(len(key.vocab))))
+            # each token's code in the key column, then -1 for code -1
+            codes = np.array(list(map(key_code.get, col.vocab, repeat(-1))) + [-1], dtype=np.int64)
+            dangling = np.flatnonzero((key_rows[codes] < 0)[col.data] & ~col.null)
             if dangling.size and strict:
                 ri = int(dangling[0])
                 raise RdbError(f"{where(ti)}dangling reference at table {table.name} row {ri} column {col.name}: "
                                f"{col.vocab[col.data[ri]]!r} not found in {ref_table_name}.{ref_col_name}")
             db.dangling.extend((table.name, ri, col.name, col.vocab[code])
                                for ri, code in zip(dangling.tolist(), col.data[dangling].tolist()))
-            col.data[dangling] = -1
-            col.null[dangling] = True
-            db.fk_rows[(ti, ci)] = resolved
+            col.data, col.vocab = codes[col.data], key.vocab
+            col.data[dangling], col.null[dangling] = -1, True
+            db.fk_rows[(ti, ci)] = key_rows[col.data]
     if db.dangling:
         warnings.warn(f"{len(db.dangling)} dangling foreign-key cell(s) kept as Null", stacklevel=3)
 

@@ -33,7 +33,6 @@ __all__ = [
     "evaluate",
     "auroc",
     "accuracy",
-    "relative_auroc",
     "positive_scores",
     "oversample_ids",
     "fold_encoder_rows",
@@ -143,18 +142,6 @@ def accuracy(scores, labels, threshold: float = 0.5) -> float:
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     return float((np.where(s >= threshold, 1, 0) == y).mean() * 100.0)
-
-
-def relative_auroc(method, baseline) -> tuple[np.ndarray, float, float]:
-    """Per-fold AUROC differences against a baseline, with mean and sample (n-1) sd."""
-    a = np.asarray(method, dtype=np.float64)
-    b = np.asarray(baseline, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"fold mismatch: {a.shape} vs {b.shape}")
-    diffs = a - b
-    mean = float(diffs.mean())
-    sd = float(diffs.std(ddof=1)) if len(diffs) > 1 else 0.0
-    return diffs, mean, sd
 
 
 def positive_scores(logits: np.ndarray) -> np.ndarray:

@@ -287,11 +287,19 @@ def _reference_bfs(start, selected, neighbors, cap):
         frontier = next_frontier
 
 
+def out_neighbors(graph, node: int) -> np.ndarray:
+    return graph.dst[graph.out_sorted[graph.out_start[node] : graph.out_start[node + 1]]]
+
+
+def in_neighbors(graph, node: int) -> np.ndarray:
+    return graph.src[graph.in_sorted[graph.in_start[node] : graph.in_start[node + 1]]]
+
+
 def _reference_closure(graph, start, cap):
     selected = np.zeros(graph.num_nodes, dtype=bool)
     selected[start] = True
-    _reference_bfs([start], selected, graph.in_neighbors, cap)
-    _reference_bfs(list(np.nonzero(selected)[0]), selected, graph.out_neighbors, cap)
+    _reference_bfs([start], selected, lambda node: in_neighbors(graph, node), cap)
+    _reference_bfs(list(np.nonzero(selected)[0]), selected, lambda node: out_neighbors(graph, node), cap)
     return selected
 
 

@@ -371,6 +371,37 @@ def test_size_cap_below_one_is_rejected_before_any_output(capsys, tmp_path, cap,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "gcn", "--hidden", "0"], "hidden width must be positive"),
+    (["--model", "gcn", "--rounds", "0"], "message-passing variants need rounds >= 1"),
+    (["--model", "poolmlp", "--rounds", "-2"], "poolmlp runs no message passing, so rounds must be 0 or unset, got -2"),
+    (["--model", "poolmlp", "--rounds", "3"], "poolmlp runs no message passing, so rounds must be 0 or unset, got 3"),
+    (["--model", "logreg", "--folds", "1"], "fold count must be between 2 and 80"),
+    (["--model", "mlp", "--batch", "0"], "batch_size and max_epochs must be positive"),
+    (["--model", "gcn", "--max-epochs", "0"], "batch_size and max_epochs must be positive"),
+    (["--model", "gcn", "--patience", "0"], "patience must be at least 1"),
+], ids=["hidden", "gcn-rounds", "poolmlp-negative-rounds", "poolmlp-rounds", "folds", "batch", "max-epochs", "patience"])
+def test_train_rejects_a_bad_flag_before_any_output(capsys, synth_dir, tmp_path, flags, message):
+    out = tmp_path / "out"
+    code, payload, err = _run(capsys, ["train", "--dataset", str(synth_dir), "--out", str(out)] + flags)
+    assert (code, payload) == (1, None)
+    assert err.startswith("error: ") and message in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "dfs"])
+def test_unloadable_dataset_or_bad_depth_is_rejected_before_any_output(capsys, synth_dir, tmp_path, command):
+    model = ["--model", "dfs-logreg"] if command == "train" else []
+    for dataset, depth, message in ((tmp_path / "nowhere", "1", "missing file"),
+                                    (synth_dir, "-1", "max_depth must be non-negative, got -1")):
+        out = tmp_path / "out"
+        code, payload, err = _run(capsys, [command, "--dataset", str(dataset), "--out", str(out), "--depth", depth]
+                                  + model)
+        assert (code, payload) == (1, None)
+        assert err.startswith("error: ") and message in err, err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("dropout", ["-0.5", "1.0", "1.5", "nan"])
 @pytest.mark.parametrize("model", ["gcn", "mlp"])
 def test_dropout_outside_the_unit_interval_is_rejected_before_any_output(capsys, synth_dir, tmp_path, dropout, model):

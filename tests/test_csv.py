@@ -5,9 +5,11 @@ datasets through the command line."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import shutil
 from datetime import datetime
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -193,6 +195,44 @@ def test_hand_over_after_split_blocks(tmp_path, monkeypatch, fault, eol, bad_cel
     else:
         assert status == "error", got
         assert fault == "long_field" or f"row {9 if loads else 6}" in got, got
+
+
+def _streams(monkeypatch) -> list[str]:
+    """The text of each stream that the loader gives csv.reader, in order, as it makes them."""
+    texts = []
+
+    def string_io(text, newline=None):
+        texts.append(text)
+        return io.StringIO(text, newline=newline)
+
+    monkeypatch.setattr(rdb, "io", SimpleNamespace(StringIO=string_io))
+    return texts
+
+
+@pytest.mark.parametrize("case", ["quoted_line_feed_ends_a_slice", "hand_over_across_slices", "fully_quoted"])
+def test_csv_reader_reads_one_slice_at_a_time(tmp_path, monkeypatch, case):
+    """A quoted field whose line feed ends a slice, a hand-over after split blocks that csv.reader reads
+    across several slices, and a fully quoted file: each outcome equals the reference's, and csv.reader
+    reads the file's last slices, one stream of one slice each."""
+    monkeypatch.setattr(rdb, "_BLOCK_CHARS", 16)
+    streams = _streams(monkeypatch)
+    table = Table("T", [Column("id", ColumnKind("primary_key"), False), Column("x", ColumnKind("text"), False)])
+    lines = [["id", "x"]] + [[f"r{r}", f"word {r}"] for r in range(40)]
+    if case == "fully_quoted":
+        text = _render(lines, True, "\n")
+    else:
+        lines[1 if case == "quoted_line_feed_ends_a_slice" else 20][1] = '"0123456789abcdef\nend"'
+        text = _render(lines, False, "\n")
+    status, got = _check_file(tmp_path, table, text)
+    assert status == "ok" and len(got[0]) == 40
+    assert len(streams) >= 3 and text.endswith("".join(streams))
+    assert all(piece.find("\n", 16) in (-1, len(piece) - 1) for piece in streams), streams
+    if case == "quoted_line_feed_ends_a_slice":
+        assert streams[0] == 'r0,"0123456789abcdef\n'
+    elif case == "hand_over_across_slices":
+        assert streams[0].startswith("r") and "".join(streams).count("\n") < 40
+    else:
+        assert "".join(streams) == text
 
 
 # seeded malformed datasets through the command line

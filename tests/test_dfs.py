@@ -390,7 +390,7 @@ def test_encode_clinic_matrix(fixtures_dir):
     db = load_database(fixtures_dir / "clinic")
     specs = enumerate_aggs(db, 1)
     raw = compute_features(db, specs, [0, 1])
-    encoded = apply_feature_encoders(specs, raw, fit_feature_encoders(db, specs, raw, [0, 1]))
+    encoded = apply_feature_encoders(raw, fit_feature_encoders(raw, [0, 1]))
     # every column holds two distinct values, so robust scaling lands both on +/-1
     expected = np.tile([[1.0, 0.0], [-1.0, 0.0]], (1, 5))
     assert encoded.shape == (2, 10)
@@ -401,7 +401,7 @@ def test_encode_flags_nulls():
     db = _three_level(childless=True)
     specs = enumerate_aggs(db, 2)
     raw = compute_features(db, specs, [0, 1])
-    encoded = apply_feature_encoders(specs, raw, fit_feature_encoders(db, specs, raw, [0, 1]))
+    encoded = apply_feature_encoders(raw, fit_feature_encoders(raw, [0, 1]))
     assert encoded.shape == (2, 12)
     assert np.array_equal(encoded[1, 5::2], np.ones(4))  # sum/mean/max/min flagged null
     assert np.array_equal(encoded[0, 5::2], np.zeros(4))
@@ -411,7 +411,7 @@ def test_encode_one_hot_copies():
     db = _lineage(null_parent=True)
     specs = enumerate_aggs(db, 2)
     raw = compute_features(db, specs, [0, 1])
-    encoded = apply_feature_encoders(specs, raw, fit_feature_encoders(db, specs, raw, [0, 1]))
+    encoded = apply_feature_encoders(raw, fit_feature_encoders(raw, [0, 1]))
     # income (scaled, flag) then one-hot city {oslo}+null then one-hot region {north}+null
     assert np.array_equal(encoded, np.array([
         [0.0, 0.0, 1.0, 0.0, 1.0, 0.0],
@@ -423,24 +423,24 @@ def test_encode_fit_rows_scope(fixtures_dir):
     db = load_database(fixtures_dir / "clinic")
     specs = enumerate_aggs(db, 1)
     raw = compute_features(db, specs, [0, 1])
-    encoded = apply_feature_encoders(specs, raw, fit_feature_encoders(db, specs, raw, [0]))
+    encoded = apply_feature_encoders(raw, fit_feature_encoders(raw, [0]))
     # fitting on p1 alone pins the median there, so its scaled values are all zero
     assert np.allclose(encoded[0], np.zeros(10), rtol=0, atol=1e-12)
 
 
 def test_encode_no_specs(fixtures_dir):
     db = load_database(fixtures_dir / "clinic")
-    assert apply_feature_encoders([], [[], []], fit_feature_encoders(db, [], [[], []], [0])).shape == (2, 0)
+    raw = compute_features(db, [], [0, 1])
+    assert apply_feature_encoders(raw, fit_feature_encoders(raw, [0])).shape == (2, 0)
 
 
 def test_feature_encoder_json_roundtrip():
     db = _lineage(null_parent=True)
     specs = enumerate_aggs(db, 2)
     raw = compute_features(db, specs, [0, 1])
-    encoders = fit_feature_encoders(db, specs, raw, [0, 1])
+    encoders = fit_feature_encoders(raw, [0, 1])
     reloaded = feature_encoders_from_json(feature_encoders_to_json(encoders), db, specs)
-    assert np.array_equal(apply_feature_encoders(specs, raw, reloaded),
-                          apply_feature_encoders(specs, raw, encoders))
+    assert np.array_equal(apply_feature_encoders(raw, reloaded), apply_feature_encoders(raw, encoders))
 
 
 def test_aggspec_json_roundtrip():

