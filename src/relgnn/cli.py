@@ -35,7 +35,6 @@ from .training import (
     MlpModel,
     TableDataset,
     TrainConfig,
-    _baseline_config,
     evaluate,
     fold_encoder_rows,
     make_cv_plan,
@@ -78,18 +77,7 @@ def _write_manifest(args) -> None:
 
 
 def cmd_validate(args) -> int:
-    db = load_database(args.dataset, strict=False)
-    report = validate_schema(db)
-    payload = {
-        "n_tables": len(report.table_rows),
-        "tables": report.table_rows,
-        "target": report.target,
-        "fk_resolution": {k: {"resolved": a, "cells": b} for k, (a, b) in report.fk_resolution.items()},
-        "null_rate": report.null_rate,
-        "categorical_cardinality": report.categorical_cardinality,
-        "dangling_cells": len(db.dangling),
-    }
-    _emit(args, payload, "validate_report.json")
+    _emit(args, validate_schema(load_database(args.dataset, strict=False)), "validate_report.json")
     return 0
 
 
@@ -110,9 +98,9 @@ def _check_flags(args) -> None:
 
 def cmd_sample(args) -> int:
     _check_flags(args)
-    _write_manifest(args)
     masked = remove_target_column(load_database(args.dataset))
     graph, datapoints = _sample(masked, edge_type_once=args.edge_type_once, size_cap=args.size_cap)
+    _write_manifest(args)
     write_datapoints_jsonl(args.out / "datapoints.jsonl", datapoints, graph, args.reverse_edges)
     sizes = np.diff(datapoints.node_start)
     payload = {
@@ -126,9 +114,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _write_manifest(args)
     spec = SynthSpec(seed=args.seed, n_targets=args.targets, template=args.template,
                      signal=args.signal, noise=args.noise, children=tuple(args.children))
+    _write_manifest(args)
     db = generate(spec, args.out)
     payload = {
         "tables": {t.name: t.nrows for t in db.tables},
@@ -266,16 +254,17 @@ def cmd_train(args) -> int:
     plan = make_cv_plan(len(labels), args.seed, args.folds)
     desc = _describe(args, masked)
     gnn = args.model in VARIANTS
-    config = TrainConfig(lr=args.lr, weight_decay=args.weight_decay, batch_size=args.batch,
+    # unset, the weight decay is the family default: none for the GNNs, 0.01 for the single-table baselines
+    weight_decay = (0.0 if gnn else 0.01) if args.weight_decay is None else args.weight_decay
+    config = TrainConfig(lr=args.lr, weight_decay=weight_decay, batch_size=args.batch,
                          max_epochs=args.max_epochs, patience=args.patience, oversample=args.oversample)
-    config = config if gnn else _baseline_config(config)
     args.out.mkdir(parents=True, exist_ok=True)
     _setup_logging(args.out)
     _write_manifest(args)
     (args.out / "model.json").write_text(_json_text(desc), encoding="utf-8")
     shared = _shared_inputs(desc, masked)
     folds = []
-    for fi, fold in enumerate(plan.folds):
+    for fi, fold in enumerate(plan):
         # encoders see only the fold's fit rows: for a GNN, every row that their subgraphs reach
         fit_rows = fold_encoder_rows(shared, fold.fit_ids) if gnn else {masked.target[0]: list(fold.fit_ids)}
         encoders = fit_encoders(masked, fit_rows)
@@ -332,7 +321,7 @@ def _fold_test_rows(run: Path, fold: int, n: int):
     report = json.loads((run / "report.json").read_text(encoding="utf-8"))
     if sum(f["test_n"] for f in report["folds"]) != n:
         return None
-    return make_cv_plan(n, manifest["seed"], manifest["folds"]).folds[fold].test_ids
+    return make_cv_plan(n, manifest["seed"], manifest["folds"])[fold].test_ids
 
 
 def cmd_eval(args) -> int:
@@ -348,7 +337,7 @@ def cmd_eval(args) -> int:
     dfs_encoders = None
     if "aggspecs" in desc:
         built_from.append(fold_dir / "dfs_encoders.json")
-        dfs_encoders = _read_fold_file(built_from[1], feature_encoders_from_json, masked, shared[0])
+        dfs_encoders = _read_fold_file(built_from[1], feature_encoders_from_json, shared[1])
     net, data = _build(desc, masked, labels, shared, encoders, dfs_encoders)
     _load_params(net, arrays, fold_dir / "checkpoint.bin", built_from)
     payload = {"model": desc["model"], "dataset": str(args.dataset), "fold": args.fold, "rows": "all",

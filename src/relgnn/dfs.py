@@ -10,10 +10,8 @@ from .encode import (
     CategoricalEncoder,
     categorical_from_json,
     categorical_indices,
-    column_tokens,
     encode_column,
-    fit_categorical,
-    fit_scalar,
+    fit_column,
     scalar_from_json,
 )
 from .graph import FORWARD, REVERSE, EdgeType, database_to_graph, edge_types, referenced_table
@@ -258,20 +256,10 @@ def feature_names(db: Database, specs: list[AggSpec]) -> list[str]:
     return names
 
 
-def _copies_categorical(db: Database, spec: AggSpec) -> bool:
-    return spec.aggregator == COPY and db.tables[_checked_end(db, spec)].columns[spec.source].kind.tag == "categorical"
-
-
 def fit_feature_encoders(raw: RawFeatures, fit_rows) -> list:
     """One scalar or categorical encoder per spec column, fit on its fit_rows cells only."""
     rows = np.asarray(fit_rows, dtype=np.int64)
-    encoders = []
-    for col in raw.columns:
-        if col.kind.tag == "categorical":
-            encoders.append(fit_categorical(column_tokens(col, rows)))
-        else:
-            encoders.append(fit_scalar(col.data[rows[~col.null[rows]]]))
-    return encoders
+    return [fit_column(col, rows) for col in raw.columns]
 
 
 def apply_feature_encoders(raw: RawFeatures, encoders: list) -> np.ndarray:
@@ -302,17 +290,17 @@ def feature_encoders_to_json(encoders: list) -> str:
     return json.dumps(out, sort_keys=True)
 
 
-def feature_encoders_from_json(text: str, db: Database, specs: list[AggSpec]) -> list:
-    """Encoders as `feature_encoders_to_json` writes them, checked against the specs: one per spec, of the
-    kind that `fit_feature_encoders` fits for it. A fault raises ValueError naming the entry."""
+def feature_encoders_from_json(text: str, raw: RawFeatures) -> list:
+    """Encoders as `feature_encoders_to_json` writes them, checked against the raw features: one per spec
+    column, of the kind that `fit_feature_encoders` fits on it. A fault raises ValueError naming the entry."""
     payload = json.loads(text)
     if not isinstance(payload, list):
         raise RdbError("not a list of feature encoders")
-    if len(payload) != len(specs):
-        raise RdbError(f"{len(payload)} feature encoders for {len(specs)} aggspecs")
+    if len(payload) != len(raw.columns):
+        raise RdbError(f"{len(payload)} feature encoders for {len(raw.columns)} aggspecs")
     out = []
-    for j, (spec, item) in enumerate(zip(specs, payload)):
-        kind = "categorical" if _copies_categorical(db, spec) else "scalar"
+    for j, (col, item) in enumerate(zip(raw.columns, payload)):
+        kind = col.kind.tag
         try:
             if not isinstance(item, dict) or item.get("kind") != kind:
                 raise ValueError(f"is not a {kind} encoder")

@@ -22,6 +22,7 @@ __all__ = [
     "encode_column",
     "categorical_indices",
     "column_tokens",
+    "fit_column",
     "fit_encoders",
     "encode_node",
     "encoders_to_json",
@@ -214,10 +215,7 @@ class NodeTypeEncoder:
     table: int
     dense_columns: list[tuple[int, str]]  # (column index, kind tag)
     cat_columns: list[int]
-    scalar: dict[int, ScalarEncoder] = field(default_factory=dict)
-    year: dict[int, ScalarEncoder] = field(default_factory=dict)
-    text: dict[int, tuple[ScalarEncoder, ScalarEncoder]] = field(default_factory=dict)
-    categorical: dict[int, CategoricalEncoder] = field(default_factory=dict)
+    fitted: dict[int, object] = field(default_factory=dict)  # column index -> what `fit_column` fits for it
 
     @property
     def dense_width(self) -> int:
@@ -225,15 +223,16 @@ class NodeTypeEncoder:
 
     @property
     def embedding_dims(self) -> list[int]:
-        return [self.categorical[ci].embedding_dim for ci in self.cat_columns]
+        return [self.fitted[ci].embedding_dim for ci in self.cat_columns]
 
     @property
     def input_width(self) -> int:
         return self.dense_width + sum(self.embedding_dims)
 
-    def fitted(self, ci: int, tag: str):
-        """What `encode_column` needs of dense column ci beyond its cells."""
-        return {"scalar": self.scalar, "datetime": self.year, "text": self.text}.get(tag, {}).get(ci)
+    @property
+    def tagged_columns(self) -> list[tuple[int, str]]:
+        """(column index, kind tag) of every column the encoder covers, dense ones first."""
+        return self.dense_columns + [(ci, "categorical") for ci in self.cat_columns]
 
 
 def _encoded_columns(table: Table) -> tuple[list[tuple[int, str]], list[int]]:
@@ -245,24 +244,31 @@ def _encoded_columns(table: Table) -> tuple[list[tuple[int, str]], list[int]]:
     return dense, cats
 
 
+def fit_column(col: Column, rows: np.ndarray):
+    """What a feature column's kind fits on its cells at the given rows: a ScalarEncoder (scalar), the year
+    encoder (datetime), the word and character encoders (text), a CategoricalEncoder (categorical), or
+    None (latlong)."""
+    tag = col.kind.tag
+    if tag == "categorical":
+        return fit_categorical(column_tokens(col, rows))
+    present = rows[~col.null[rows]]
+    if tag == "scalar":
+        return fit_scalar(col.data[present])
+    if tag == "datetime":
+        return fit_scalar(_years(col.data[present]))
+    if tag == "text":
+        counts = _text_counts(col, present)
+        return fit_scalar(counts[:, 0]), fit_scalar(counts[:, 1])
+    return None
+
+
 def fit_encoders(db: Database, train_rows: dict[int, np.ndarray]) -> list[NodeTypeEncoder]:
     """Fit one NodeTypeEncoder per table on the given training rows only."""
     encoders = []
     for ti, table in enumerate(db.tables):
         rows = np.asarray(train_rows.get(ti, []), dtype=np.int64)
         enc = NodeTypeEncoder(ti, *_encoded_columns(table))
-        for ci, tag in enc.dense_columns:
-            col = table.columns[ci]
-            present = rows[~col.null[rows]]
-            if tag == "scalar":
-                enc.scalar[ci] = fit_scalar(col.data[present])
-            elif tag == "datetime":
-                enc.year[ci] = fit_scalar(_years(col.data[present]))
-            elif tag == "text":
-                counts = _text_counts(col, present)
-                enc.text[ci] = (fit_scalar(counts[:, 0]), fit_scalar(counts[:, 1]))
-        for ci in enc.cat_columns:
-            enc.categorical[ci] = fit_categorical(column_tokens(table.columns[ci], rows))
+        enc.fitted = {ci: fit_column(table.columns[ci], rows) for ci, _ in enc.tagged_columns}
         encoders.append(enc)
     return encoders
 
@@ -281,29 +287,35 @@ def encode_node(db: Database, table: int, rows, encoder: NodeTypeEncoder,
     offset = 0
     for ci, tag in encoder.dense_columns:
         width = COLUMN_DENSE_WIDTH[tag]
-        encode_column(columns[ci], rows, encoder.fitted(ci, tag), dense[:, offset:offset + width])
+        encode_column(columns[ci], rows, encoder.fitted[ci], dense[:, offset:offset + width])
         offset += width
     cats = np.empty((len(rows), len(encoder.cat_columns)), dtype=np.int64)
     for j, ci in enumerate(encoder.cat_columns):
-        cats[:, j] = categorical_indices(columns[ci], rows, encoder.categorical[ci])
+        cats[:, j] = categorical_indices(columns[ci], rows, encoder.fitted[ci])
     return dense, cats
+
+
+# the encoders.json field that holds each kind's fitted parameters; latlong fits nothing
+_FITTED_FIELD = {"scalar": "scalar", "datetime": "year", "text": "text", "categorical": "categorical"}
+
+
+def _fitted_to_json(fitted):
+    if isinstance(fitted, CategoricalEncoder):
+        return fitted.vocabulary
+    if isinstance(fitted, tuple):  # text: the word and character encoders
+        return [_fitted_to_json(part) for part in fitted]
+    return [fitted.median, fitted.iqr, fitted.all_null]
 
 
 def encoders_to_json(encoders: list[NodeTypeEncoder]) -> str:
     payload = []
     for enc in encoders:
-        payload.append({
-            "table": enc.table,
-            "dense_columns": [[ci, tag] for ci, tag in enc.dense_columns],
-            "cat_columns": enc.cat_columns,
-            "scalar": {str(k): [v.median, v.iqr, v.all_null] for k, v in enc.scalar.items()},
-            "year": {str(k): [v.median, v.iqr, v.all_null] for k, v in enc.year.items()},
-            "text": {
-                str(k): [[w.median, w.iqr, w.all_null], [c.median, c.iqr, c.all_null]]
-                for k, (w, c) in enc.text.items()
-            },
-            "categorical": {str(k): v.vocabulary for k, v in enc.categorical.items()},
-        })
+        item = {"table": enc.table, "dense_columns": [[ci, tag] for ci, tag in enc.dense_columns],
+                "cat_columns": enc.cat_columns, **{field: {} for field in _FITTED_FIELD.values()}}
+        for ci, tag in enc.tagged_columns:
+            if tag in _FITTED_FIELD:
+                item[_FITTED_FIELD[tag]][str(ci)] = _fitted_to_json(enc.fitted[ci])
+        payload.append(item)
     return json.dumps(payload, sort_keys=True)
 
 
@@ -323,9 +335,6 @@ def categorical_from_json(vocabulary) -> CategoricalEncoder:
             and set(vocabulary.values()) == set(range(len(vocabulary)))):
         raise ValueError("is not a vocabulary that numbers its tokens 0 to n - 1")
     return CategoricalEncoder(vocabulary)
-
-
-_FITTED_FIELD = {"scalar": "scalar", "datetime": "year", "text": "text", "categorical": "categorical"}
 
 
 def encoders_from_json(text: str, db: Database) -> list[NodeTypeEncoder]:
@@ -355,22 +364,21 @@ def _table_encoder_from_json(item, ti: int, table: Table) -> NodeTypeEncoder:
     enc = NodeTypeEncoder(ti, *_encoded_columns(table))
     _check_listed(table, "dense_columns", item["dense_columns"], [[ci, tag] for ci, tag in enc.dense_columns])
     _check_listed(table, "cat_columns", item["cat_columns"], enc.cat_columns)
-    for ci, tag in enc.dense_columns + [(ci, "categorical") for ci in enc.cat_columns]:
-        if tag == "latlong":
-            continue  # nothing fitted
+    for ci, tag in enc.tagged_columns:
+        if tag not in _FITTED_FIELD:
+            enc.fitted[ci] = None  # latlong: nothing fitted
+            continue
         field = _FITTED_FIELD[tag]
         entry = item[field].get(str(ci))
         try:
-            if tag == "scalar":
-                enc.scalar[ci] = scalar_from_json(entry)
-            elif tag == "datetime":
-                enc.year[ci] = scalar_from_json(entry)
-            elif tag == "text":
+            if tag == "text":
                 if not (isinstance(entry, list) and len(entry) == 2):
                     raise ValueError("is not a pair of [median, iqr, all_null]")
-                enc.text[ci] = (scalar_from_json(entry[0]), scalar_from_json(entry[1]))
+                enc.fitted[ci] = (scalar_from_json(entry[0]), scalar_from_json(entry[1]))
+            elif tag == "categorical":
+                enc.fitted[ci] = categorical_from_json(entry)
             else:
-                enc.categorical[ci] = categorical_from_json(entry)
+                enc.fitted[ci] = scalar_from_json(entry)
         except ValueError as exc:
             raise RdbError(f"{where} column {table.columns[ci].name}: {field} entry {exc}") from None
     return enc

@@ -41,7 +41,7 @@ DEFAULT_ROUNDS = {"gcn": 1, "ergcn": 1, "gin": 2, "gat": 2, "ergin": 2, "ergat":
 class ModelConfig:
     variant: str
     hidden: int = 32
-    rounds: int | None = None  # None picks the per-variant default
+    rounds: int | None = None  # None is resolved to the variant's DEFAULT_ROUNDS when the config is built
     dropout: float = 0.5
     heads: int = 1
     gin_eps: float = 0.0
@@ -55,21 +55,18 @@ class ModelConfig:
             raise ValueError("hidden width must be positive")
         if self.variant == "poolmlp" and self.rounds not in (None, 0):
             raise ValueError(f"poolmlp runs no message passing, so rounds must be 0 or unset, got {self.rounds}")
+        if self.rounds is None:
+            self.rounds = DEFAULT_ROUNDS[self.variant]
+        if self.variant != "poolmlp" and self.rounds < 1:
+            raise ValueError("message-passing variants need rounds >= 1")
         if self.variant in ("gat", "ergat") and self.hidden % self.heads != 0:
             raise ValueError("hidden width must divide evenly across heads")
-
-    @property
-    def resolved_rounds(self) -> int:
-        rounds = DEFAULT_ROUNDS[self.variant] if self.rounds is None else self.rounds
-        if self.variant != "poolmlp" and rounds < 1:
-            raise ValueError("message-passing variants need rounds >= 1")
-        return rounds
 
     def to_json_dict(self) -> dict:
         return {
             "variant": self.variant,
             "hidden": self.hidden,
-            "rounds": self.resolved_rounds,
+            "rounds": self.rounds,
             "dropout": self.dropout,
             "heads": self.heads,
             "gin_eps": self.gin_eps,
@@ -93,7 +90,7 @@ class GraphSchema:
         for enc in encoders:
             specs = []
             for ci in enc.cat_columns:
-                cat = enc.categorical[ci]
+                cat = enc.fitted[ci]
                 specs.append((ci, cat.cardinality + 1, cat.embedding_dim))
             cat_specs.append(specs)
         return cls(widths, cat_specs, edge_types(db, reverse_edges))
@@ -219,7 +216,7 @@ class Model:
             self._param("pool/W2", (d, config.classes))
             self._param("pool/b2", (config.classes,), kind="zeros")
         else:
-            for layer in range(config.resolved_rounds):
+            for layer in range(config.rounds):
                 self._layer_params(layer)
             self._param("readout/gate_W", (d, d))
             self._param("readout/gate_b", (d,), kind="zeros")
@@ -405,7 +402,7 @@ class Model:
             return add(matmul(hidden, p["pool/W2"]), p["pool/b2"])
         layer_fn = {"gcn": self._gcn_layer, "gin": self._gin_layer, "gat": self._gat_layer}[self._family]
         plan = self._plan(batch)
-        for layer in range(cfg.resolved_rounds):
+        for layer in range(cfg.rounds):
             h = layer_fn(layer, h, batch, plan)
             h = dropout(h, cfg.dropout, train, rng)
         return self._readout(h, batch)

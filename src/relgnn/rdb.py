@@ -19,7 +19,6 @@ __all__ = [
     "Column",
     "Table",
     "Database",
-    "ValidationReport",
     "load_database",
     "validate_schema",
     "remove_target_column",
@@ -501,22 +500,14 @@ def _resolve_foreign_keys(db: Database, strict: bool, files: list[Path] | None =
         warnings.warn(f"{len(db.dangling)} dangling foreign-key cell(s) kept as Null", stacklevel=3)
 
 
-@dataclass
-class ValidationReport:
-    table_rows: dict[str, int]
-    fk_resolution: dict[str, tuple[int, int]]  # column -> (resolved, non-null cells)
-    null_rate: dict[str, float]
-    categorical_cardinality: dict[str, int]
-    target: str
-
-
-def validate_schema(db: Database) -> ValidationReport:
-    """Summarize FK resolution, null rates, and cardinalities; require one target column."""
+def validate_schema(db: Database) -> dict:
+    """The `validate` report: table sizes, the target column, each foreign key's resolved and non-null
+    cells, null rates, categorical cardinalities and the count of dangling cells. Requires one target
+    column."""
     kt, kc = db.target  # raises on zero or multiple targets
     _target_tokens(db, nulls_allowed=True)
 
-    table_rows = {t.name: t.nrows for t in db.tables}
-    fk_resolution: dict[str, tuple[int, int]] = {}
+    fk_resolution: dict[str, dict[str, int]] = {}
     null_rate: dict[str, float] = {}
     cardinality: dict[str, int] = {}
     for ti, table in enumerate(db.tables):
@@ -527,16 +518,18 @@ def validate_schema(db: Database) -> ValidationReport:
             null_rate[key] = nulls / n if n else 0.0
             if col.kind.tag == "foreign_key":
                 resolved = int(np.count_nonzero(db.fk_rows[(ti, ci)] >= 0))
-                fk_resolution[key] = (resolved, n - nulls)
+                fk_resolution[key] = {"resolved": resolved, "cells": n - nulls}
             if col.kind.tag == "categorical":
                 cardinality[key] = len(np.unique(col.data[~col.null]))
-    return ValidationReport(
-        table_rows,
-        fk_resolution,
-        null_rate,
-        cardinality,
-        f"{db.tables[kt].name}.{db.tables[kt].columns[kc].name}",
-    )
+    return {
+        "n_tables": len(db.tables),
+        "tables": {t.name: t.nrows for t in db.tables},
+        "target": f"{db.tables[kt].name}.{db.tables[kt].columns[kc].name}",
+        "fk_resolution": fk_resolution,
+        "null_rate": null_rate,
+        "categorical_cardinality": cardinality,
+        "dangling_cells": len(db.dangling),
+    }
 
 
 def remove_target_column(db: Database) -> Database:

@@ -1,7 +1,8 @@
 """Cross-validation plans, the minibatch training loop, metrics, and single-table baselines."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .tensor import (
 
 __all__ = [
     "CvFold",
-    "CvPlan",
     "make_cv_plan",
     "TrainConfig",
     "TrainResult",
@@ -57,14 +57,7 @@ class CvFold:
         return self.train_ids[len(self.val_ids):]
 
 
-@dataclass
-class CvPlan:
-    folds: list[CvFold]
-    n: int
-    seed: int
-
-
-def make_cv_plan(n: int, seed: int, n_folds: int = 5) -> CvPlan:
+def make_cv_plan(n: int, seed: int, n_folds: int = 5) -> list[CvFold]:
     """Split ids into n_folds test blocks (largest-remainder sizes) with val carved from each train block."""
     if n < 10:
         raise ValueError(f"need at least 10 ids for a cross-validation plan, got {n}")
@@ -81,13 +74,13 @@ def make_cv_plan(n: int, seed: int, n_folds: int = 5) -> CvPlan:
         train = np.concatenate([perm[:bounds[k]], perm[bounds[k + 1]:]])
         n_val = int(np.floor(0.15 * len(train) + 0.5))
         folds.append(CvFold(train, train[:n_val], test))
-    return CvPlan(folds, n, seed)
+    return folds
 
 
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    weight_decay: float | None = None  # None means the model family default (0 here, 0.01 for baselines)
+    weight_decay: float = 0.0
     batch_size: int = 64
     max_epochs: int = 100
     patience: int = 5
@@ -95,6 +88,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr >= 0):  # 0 leaves the parameters where they start
+            raise ValueError(f"learning rate must be finite and non-negative, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight decay must be finite and non-negative, got {self.weight_decay}")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -233,8 +230,7 @@ def train(net, data, fold: CvFold, config: TrainConfig) -> TrainResult:
     """Minibatch cross-entropy with AdamW; keeps the parameters of the best validation epoch."""
     rng = np.random.default_rng(config.seed)
     trainable = {k: t for k, t in net.params.items() if t.requires_grad}
-    wd = 0.0 if config.weight_decay is None else config.weight_decay
-    opt = AdamW(trainable, lr=config.lr, weight_decay=wd)
+    opt = AdamW(trainable, lr=config.lr, weight_decay=config.weight_decay)
     fit_ids = np.asarray(fold.fit_ids)
     pool = oversample_ids(fit_ids, data.labels_of(fit_ids)) if config.oversample else fit_ids
     result = TrainResult()
@@ -330,16 +326,9 @@ def single_table_features(db: Database, encoders: list[NodeTypeEncoder]) -> np.n
     ti, _ = db.target
     enc = encoders[ti]
     n = db.tables[ti].nrows
-    widths = [enc.categorical[ci].cardinality + 1 for ci in enc.cat_columns]
+    widths = [enc.fitted[ci].cardinality + 1 for ci in enc.cat_columns]
     out = np.zeros((n, enc.dense_width + sum(widths)))
     _, cats = encode_node(db, ti, np.arange(n), enc, out[:, :enc.dense_width])
     starts = enc.dense_width + np.cumsum([0] + widths)[:-1]
     out[np.arange(n)[:, None], starts + cats] = 1.0
     return out
-
-
-def _baseline_config(config: TrainConfig) -> TrainConfig:
-    """The single-table baselines' training config: weight decay 0.01 unless the config sets one."""
-    if config.weight_decay is None:
-        return replace(config, weight_decay=0.01)
-    return config

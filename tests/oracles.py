@@ -492,19 +492,19 @@ def reference_encode_row(db, table, row, encoder):
     for ci, tag in encoder.dense_columns:
         value = columns[ci].values[row]
         if tag == "scalar":
-            enc = encoder.scalar[ci]
+            enc = encoder.fitted[ci]
             null = value is None or enc.all_null
             parts.append(np.array([0.0, 1.0] if null else [_reference_scaled(value, enc), 0.0]))
         elif tag == "latlong":
             parts.append(reference_encode_latlong(value))
         elif tag == "datetime":
-            parts.append(reference_encode_datetime(value, encoder.year[ci]))
+            parts.append(reference_encode_datetime(value, encoder.fitted[ci]))
         elif tag == "text":
-            parts.append(reference_encode_text(value, *encoder.text[ci]))
+            parts.append(reference_encode_text(value, *encoder.fitted[ci]))
     dense = np.concatenate(parts) if parts else np.zeros(0)
     cats = []
     for ci in encoder.cat_columns:
-        cat = encoder.categorical[ci]
+        cat = encoder.fitted[ci]
         token = columns[ci].values[row]
         cats.append(cat.null_index if token is None else cat.vocabulary.get(token, cat.null_index))
     return dense, np.array(cats, dtype=np.int64)

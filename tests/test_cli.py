@@ -380,7 +380,12 @@ def test_size_cap_below_one_is_rejected_before_any_output(capsys, tmp_path, cap,
     (["--model", "mlp", "--batch", "0"], "batch_size and max_epochs must be positive"),
     (["--model", "gcn", "--max-epochs", "0"], "batch_size and max_epochs must be positive"),
     (["--model", "gcn", "--patience", "0"], "patience must be at least 1"),
-], ids=["hidden", "gcn-rounds", "poolmlp-negative-rounds", "poolmlp-rounds", "folds", "batch", "max-epochs", "patience"])
+    (["--model", "gcn", "--lr", "nan"], "learning rate must be finite and non-negative, got nan"),
+    (["--model", "gcn", "--lr", "inf"], "learning rate must be finite and non-negative, got inf"),
+    (["--model", "logreg", "--lr", "-0.01"], "learning rate must be finite and non-negative, got -0.01"),
+    (["--model", "mlp", "--weight-decay", "-5"], "weight decay must be finite and non-negative, got -5.0"),
+], ids=["hidden", "gcn-rounds", "poolmlp-negative-rounds", "poolmlp-rounds", "folds", "batch", "max-epochs", "patience",
+        "lr-nan", "lr-inf", "lr-negative", "weight-decay-negative"])
 def test_train_rejects_a_bad_flag_before_any_output(capsys, synth_dir, tmp_path, flags, message):
     out = tmp_path / "out"
     code, payload, err = _run(capsys, ["train", "--dataset", str(synth_dir), "--out", str(out)] + flags)
@@ -400,6 +405,39 @@ def test_unloadable_dataset_or_bad_depth_is_rejected_before_any_output(capsys, s
         assert (code, payload) == (1, None)
         assert err.startswith("error: ") and message in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--dataset", "nowhere"], "missing file"),
+    (["sample", "--size-cap", "1"], "selected subgraph exceeds size cap"),
+    (["synth", "--targets", "0"], "need at least 2 target rows"),
+    (["synth", "--targets", "20", "--noise", "1"], "noise rate must be in [0, 1), got 1.0"),
+    (["synth", "--targets", "20", "--children", "3", "1"], "bad children-per-parent range (3, 1)"),
+], ids=["sample-missing-dataset", "sample-size-cap", "synth-targets", "synth-noise", "synth-children"])
+def test_sample_or_synth_that_fails_writes_no_manifest(capsys, synth_dir, tmp_path, argv, message):
+    out = tmp_path / "out"
+    if argv[0] == "sample" and "--dataset" not in argv:
+        argv = argv + ["--dataset", str(synth_dir)]
+    code, payload, err = _run(capsys, argv + ["--out", str(out)])
+    assert (code, payload) == (1, None)
+    assert err.startswith("error: ") and message in err, err
+    assert not out.exists()
+
+
+def test_weight_decay_defaults_to_the_model_family(capsys, synth_dir, tmp_path):
+    # 0.01 for the single-table baselines, 0 for the GNNs: an unset --weight-decay runs as that value
+    def run(model, *flags):
+        out = tmp_path / "-".join((model,) + flags)
+        assert main(["train", "--dataset", str(synth_dir), "--model", model, "--hidden", "4", "--out", str(out),
+                     "--folds", "2", "--max-epochs", "2", *flags]) == 0
+        return [(out / name).read_bytes() for name in ("report.json", "fold0/checkpoint.bin", "fold1/checkpoint.bin")]
+
+    logreg = run("logreg")
+    assert logreg == run("logreg", "--weight-decay", "0.01")
+    assert logreg[1:] != run("logreg", "--weight-decay", "0")[1:]
+    gcn = run("gcn")
+    assert gcn == run("gcn", "--weight-decay", "0")
+    assert gcn[1:] != run("gcn", "--weight-decay", "0.5")[1:]
 
 
 @pytest.mark.parametrize("dropout", ["-0.5", "1.0", "1.5", "nan"])
@@ -668,6 +706,70 @@ def _json_slots(value, slots):
         slots.append((value, key))
         _json_slots(child, slots)
     return slots
+
+
+def _write_every_kind(root, n=40):
+    """A target table T with a null in each of the five feature kinds, a lookup table G that T references
+    and whose kinds are nulled too (dfs copies its categorical and scalar cells onto T), and a child table
+    C of T (dfs aggregates it)."""
+    root.mkdir()
+    fk = {"kind": "foreign_key"}
+    kinds = [{"name": name, "kind": kind} for name, kind in
+             (("x", "scalar"), ("tier", "categorical"), ("when", "datetime"), ("note", "text"), ("pos", "latlong"))]
+    (root / "schema.json").write_text(json.dumps({"tables": [
+        {"name": "T", "file": "T.csv", "columns": [
+            {"name": "id", "kind": "primary_key"}, {"name": "g", **fk, "references": {"table": "G", "column": "id"}},
+            *kinds, {"name": "label", "kind": "categorical", "target": True}]},
+        {"name": "G", "file": "G.csv", "columns": [{"name": "id", "kind": "primary_key"}, *kinds]},
+        {"name": "C", "file": "C.csv", "columns": [
+            {"name": "id", "kind": "primary_key"}, {"name": "t", **fk, "references": {"table": "T", "column": "id"}},
+            {"name": "amount", "kind": "scalar"}, {"name": "kind", "kind": "categorical"}]},
+    ]}), encoding="utf-8")
+
+    def kind_cells(i):
+        if i % 5 == 4:
+            return ",,,,"
+        when = f"{2015 + i % 6}-{i % 12 + 1:02d}-{i % 27 + 1:02d}T0{i % 9}:30:00"
+        return f'{i % 7 * 1.5},{"abc"[i % 3]},{when},{"word " * (i % 4 + 1)}end,"{i * 2 - 40}.25,{i * 7 - 150}.5"'
+
+    (root / "T.csv").write_text("id,g,x,tier,when,note,pos,label\n" + "".join(
+        f"t{i},{'' if i % 9 == 8 else f'g{i % 5}'},{kind_cells(i)},{(i * 7 // 3) % 2}\n" for i in range(n)),
+        encoding="utf-8")
+    (root / "G.csv").write_text("id,x,tier,when,note,pos\n" + "".join(
+        f"g{j},{kind_cells(j + 2)}\n" for j in range(5)), encoding="utf-8")
+    (root / "C.csv").write_text("id,t,amount,kind\n" + "".join(
+        f"c{k},t{k * 3 % n},{'' if k % 6 == 5 else k % 11 - 4.5},{'' if k % 4 == 3 else 'xy'[k % 2]}\n"
+        for k in range(2 * n)), encoding="utf-8")
+
+
+# sha256 of the fitted-encoder files and the run description that `train` writes on `_write_every_kind`:
+# every feature kind, its nulls and a copied categorical pass through the per-fold fit and its JSON form
+_FITTED_SHA256 = {
+    ("ergat", "fold0/encoders.json"): "3f3c06268d8492b5e3a268aba25c20e4475f99756c566d70a3f1e9a735beac00",
+    ("ergat", "fold1/encoders.json"): "9815e3059266b73fd7e9a4a39ada442513a8bf21b5f9657bb2882ecb6a5cce13",
+    ("ergat", "model.json"): "36be81fcebf663baf498055d852441f8c4bc3eed142f64ac8956db3551f5a783",
+    ("dfs-logreg", "fold0/encoders.json"): "0dc542530978e7ad94db0bcb196c628ee6fc99fe5471f69c55b5662aa256f36d",
+    ("dfs-logreg", "fold0/dfs_encoders.json"): "17551b155c052daf6532db32b2e9216b9861df18c8f9d5d96fcb7741f57c7b2b",
+    ("dfs-logreg", "fold1/dfs_encoders.json"): "489e9ab7cb28640916a014ec0f2b4ec9f9dc7d2127504827ecaae2912f9b36ba",
+    ("dfs-logreg", "model.json"): "c8787c8589764a5f73eac713b5647c51c503ff246e360e8c78d5183cd251a574",
+}
+
+
+@pytest.mark.parametrize("model", ["ergat", "dfs-logreg"])
+def test_fitted_encoder_files_are_pinned(capsys, tmp_path, model):
+    data, run = tmp_path / "data", tmp_path / "run"
+    _write_every_kind(data)
+    assert main(["train", "--dataset", str(data), "--model", model, "--hidden", "4", "--out", str(run),
+                 "--folds", "2", "--max-epochs", "1", "--seed", "2"]) == 0  # seed 2: both labels in each split
+    pinned = {name: sha for (m, name), sha in _FITTED_SHA256.items() if m == model}
+    assert {name: hashlib.sha256((run / name).read_bytes()).hexdigest() for name in pinned} == pinned
+    if model == "dfs-logreg":
+        kinds = [entry["kind"] for entry in json.loads((run / "fold0" / "dfs_encoders.json").read_text())]
+        assert "categorical" in kinds and "scalar" in kinds
+    # eval reads the files back and rebuilds the fold that train scored
+    code, scored, _ = _run(capsys, ["eval", "--dataset", str(data), "--run", str(run), "--fold", "1"])
+    fold = json.loads((run / "report.json").read_text())["folds"][1]
+    assert code == 0 and scored["fold_test"]["auroc"] == fold["test_auroc"]
 
 
 def test_encoder_files_fuzz_fail_naming_the_file(capsys, tmp_path):

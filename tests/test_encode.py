@@ -343,7 +343,7 @@ def test_datetime_column_matches_reference_on_every_day(year):
     cells = [datetime(d.year, d.month, d.day, 13, 5) for d in days] + [None]
     db = Database([Table("D", [Column("when", ColumnKind("datetime"), False, cells)])], {}, [], [])
     encoder = fit_encoders(db, {0: []})[0]
-    encoder.year[0] = year
+    encoder.fitted[0] = year
     dense, _ = encode_node(db, 0, np.arange(len(cells)), encoder)
     want = np.stack([reference_encode_datetime(cell, year) for cell in cells])
     assert dense.tobytes() == want.tobytes()

@@ -76,7 +76,7 @@ def _shuffled(dp, rng):
 
 def _tie_er_params(er, homo):
     n_types = len(er.schema.input_widths)
-    for i in range(homo.config.resolved_rounds):
+    for i in range(homo.config.rounds):
         variant = homo.config.variant
         if variant == "gcn":
             for et in er.schema.edge_types:
@@ -107,17 +107,17 @@ def test_config_validation():
         ModelConfig("gcn", hidden=0)
     with pytest.raises(ValueError):
         ModelConfig("gat", hidden=5, heads=2)
-    with pytest.raises(ValueError):
-        ModelConfig("gcn", rounds=0).resolved_rounds
+    with pytest.raises(ValueError, match="message-passing variants need rounds >= 1"):
+        ModelConfig("gcn", rounds=0)
 
 
 def test_default_rounds():
-    assert ModelConfig("gcn").resolved_rounds == 1
-    assert ModelConfig("ergcn").resolved_rounds == 1
+    assert ModelConfig("gcn").rounds == 1
+    assert ModelConfig("ergcn").rounds == 1
     for v in ("gin", "gat", "ergin", "ergat"):
-        assert ModelConfig(v).resolved_rounds == 2
-    assert ModelConfig("poolmlp").resolved_rounds == 0
-    assert ModelConfig("gin", rounds=3).resolved_rounds == 3
+        assert ModelConfig(v).rounds == 2
+    assert ModelConfig("poolmlp").rounds == 0
+    assert ModelConfig("gin", rounds=3).rounds == 3
 
 
 def test_schema_from_clinic(clinic):

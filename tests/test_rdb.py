@@ -120,12 +120,12 @@ def test_literal_null_string_is_data(tmp_path):
 
 def test_validate_patients_fixture(fixtures_dir):
     report = validate_schema(load_database(fixtures_dir / "patients_small"))
-    assert report.target == "Patient.label"
-    assert report.fk_resolution["Visit.patient_id"] == (3, 3)
-    assert report.null_rate["Patient.weight"] == 0.5
-    assert report.null_rate["Visit.cost"] == 0.0
-    assert report.categorical_cardinality["Patient.label"] == 2
-    assert report.table_rows == {"Patient": 2, "Visit": 3}
+    assert report["target"] == "Patient.label"
+    assert report["fk_resolution"]["Visit.patient_id"] == {"resolved": 3, "cells": 3}
+    assert report["null_rate"]["Patient.weight"] == 0.5
+    assert report["null_rate"]["Visit.cost"] == 0.0
+    assert report["categorical_cardinality"]["Patient.label"] == 2
+    assert report["tables"] == {"Patient": 2, "Visit": 3}
 
 
 def test_validate_requires_target(fixtures_dir):
@@ -205,8 +205,8 @@ def test_roundtrip_latlong_and_text(tmp_path):
 def test_fk_counts_match_validate(fixtures_dir):
     db = load_database(fixtures_dir / "clinic")
     report = validate_schema(db)
-    assert report.fk_resolution["Visit.patient_id"] == (3, 3)
-    assert report.fk_resolution["Visit.doctor_id"] == (2, 2)
+    assert report["fk_resolution"]["Visit.patient_id"] == {"resolved": 3, "cells": 3}
+    assert report["fk_resolution"]["Visit.doctor_id"] == {"resolved": 2, "cells": 2}
     assert list(db.fk_rows[(1, 2)]) == [0, -1, 0]
 
 

@@ -19,7 +19,6 @@ from relgnn.training import (
     TableDataset,
     TrainConfig,
     accuracy,
-    _baseline_config,
     auroc,
     evaluate,
     fold_encoder_rows,
@@ -39,8 +38,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def test_cv_plan_sizes_for_100():
     plan = make_cv_plan(100, seed=0)
-    assert len(plan.folds) == 5
-    for fold in plan.folds:
+    assert len(plan) == 5
+    for fold in plan:
         assert len(fold.test_ids) == 20
         assert len(fold.train_ids) == 80
         assert len(fold.val_ids) == 12
@@ -49,9 +48,9 @@ def test_cv_plan_sizes_for_100():
 
 def test_cv_plan_partition_properties():
     plan = make_cv_plan(47, seed=3)
-    all_test = np.concatenate([f.test_ids for f in plan.folds])
+    all_test = np.concatenate([f.test_ids for f in plan])
     assert sorted(all_test) == list(range(47))  # disjoint cover
-    for fold in plan.folds:
+    for fold in plan:
         train, val, test = set(fold.train_ids), set(fold.val_ids), set(fold.test_ids)
         fit = set(fold.fit_ids)
         assert val <= train and fit <= train
@@ -62,26 +61,26 @@ def test_cv_plan_partition_properties():
 
 def test_cv_plan_largest_remainder_sizes():
     plan = make_cv_plan(13, seed=1)
-    assert [len(f.test_ids) for f in plan.folds] == [3, 3, 3, 2, 2]
-    assert [len(f.val_ids) for f in plan.folds] == [2, 2, 2, 2, 2]
+    assert [len(f.test_ids) for f in plan] == [3, 3, 3, 2, 2]
+    assert [len(f.val_ids) for f in plan] == [2, 2, 2, 2, 2]
 
 
 def test_cv_plan_deterministic():
     a = make_cv_plan(30, seed=7)
     b = make_cv_plan(30, seed=7)
     c = make_cv_plan(30, seed=8)
-    for fa, fb in zip(a.folds, b.folds):
+    for fa, fb in zip(a, b):
         assert np.array_equal(fa.train_ids, fb.train_ids)
         assert np.array_equal(fa.val_ids, fb.val_ids)
         assert np.array_equal(fa.test_ids, fb.test_ids)
-    assert any(not np.array_equal(fa.test_ids, fc.test_ids) for fa, fc in zip(a.folds, c.folds))
+    assert any(not np.array_equal(fa.test_ids, fc.test_ids) for fa, fc in zip(a, c))
 
 
 def test_cv_plan_minimum_size():
     make_cv_plan(10, seed=0)
     with pytest.raises(ValueError):
         make_cv_plan(9, seed=0)
-    assert len(make_cv_plan(10, seed=0, n_folds=10).folds) == 10
+    assert len(make_cv_plan(10, seed=0, n_folds=10)) == 10
     for n_folds in (-1, 0, 1, 11):
         with pytest.raises(ValueError, match=f"got {n_folds}$"):
             make_cv_plan(10, seed=0, n_folds=n_folds)
@@ -433,45 +432,35 @@ def _run_logreg_fold(path, fold, config):
     feats = single_table_features(db, encoders)
     net = LinearModel(feats.shape[1], seed=config.seed)
     data = TableDataset(feats, labels)
-    train(net, data, fold, _baseline_config(config))
+    train(net, data, fold, config)
     return evaluate(net, data, fold.test_ids)
 
 
 def test_logreg_learns_single_column_threshold(tmp_path):
     _write_scalar_dataset(tmp_path, 60, lambda x, rng: x > np.median(x), seed=0)
-    fold = make_cv_plan(60, seed=0).folds[0]
-    report = _run_logreg_fold(tmp_path, fold, TrainConfig(lr=0.05, batch_size=16, max_epochs=60, patience=60, seed=0))
+    fold = make_cv_plan(60, seed=0)[0]
+    config = TrainConfig(lr=0.05, weight_decay=0.01, batch_size=16, max_epochs=60, patience=60, seed=0)
+    report = _run_logreg_fold(tmp_path, fold, config)
     assert report["auroc"] >= 0.95
 
 
 def test_logreg_is_chance_on_independent_labels(tmp_path):
     _write_scalar_dataset(tmp_path, 300, lambda x, rng: rng.random(len(x)) < 0.5, seed=1)
     plan = make_cv_plan(300, seed=1)
-    config = TrainConfig(lr=0.05, batch_size=32, max_epochs=20, patience=5, seed=1)
-    aurocs = [_run_logreg_fold(tmp_path, fold, config)["auroc"] for fold in plan.folds]
+    config = TrainConfig(lr=0.05, weight_decay=0.01, batch_size=32, max_epochs=20, patience=5, seed=1)
+    aurocs = [_run_logreg_fold(tmp_path, fold, config)["auroc"] for fold in plan]
     assert 0.4 <= float(np.mean(aurocs)) <= 0.6
-
-
-def test_baseline_weight_decay_defaults_to_regularized():
-    features, labels = _separable_table()
-    fold = _plain_fold(40, 8)
-    hist = {}
-    for wd in (None, 0.01, 0.0):
-        config = _baseline_config(TrainConfig(lr=0.05, max_epochs=5, patience=5, weight_decay=wd, seed=0))
-        hist[wd] = train(LinearModel(2, seed=0), TableDataset(features, labels), fold, config).history
-    assert hist[None] == hist[0.01]
-    assert hist[None] != hist[0.0]
 
 
 def test_baseline_mlp_trains(tmp_path):
     _write_scalar_dataset(tmp_path, 60, lambda x, rng: x > np.median(x), seed=3)
     db = remove_target_column(load_database(tmp_path))
     labels = target_labels(db)
-    fold = make_cv_plan(60, seed=3).folds[0]
+    fold = make_cv_plan(60, seed=3)[0]
     encoders = fit_encoders(db, {0: [int(i) for i in fold.fit_ids]})
     feats = single_table_features(db, encoders)
     net = MlpModel(feats.shape[1], seed=3)
     data = TableDataset(feats, labels)
-    train(net, data, fold, _baseline_config(TrainConfig(lr=0.01, batch_size=16, max_epochs=40, patience=40, seed=3)))
+    train(net, data, fold, TrainConfig(lr=0.01, weight_decay=0.01, batch_size=16, max_epochs=40, patience=40, seed=3))
     report = evaluate(net, data, fold.test_ids)
     assert report["auroc"] >= 0.9
