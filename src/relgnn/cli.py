@@ -5,7 +5,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .dfs import (
 )
 from .encode import encoders_from_json, encoders_to_json, fit_encoders
 from .graph import database_to_graph, graph_stats
-from .models import VARIANTS, GraphSchema, Model, ModelConfig
+from .models import DEFAULT_ROUNDS, VARIANTS, GraphSchema, Model, ModelConfig
 from .rdb import RdbError, load_database, remove_target_column, target_labels, validate_schema
 from .sampler import DEFAULT_SIZE_CAP, DatapointStore, SizeCapError, batch_sample, write_datapoints_jsonl
 from .synth import SIGNALS, TEMPLATES, SynthSpec, generate
@@ -90,8 +90,9 @@ def cmd_graph_stats(args) -> int:
 
 def _check_flags(args) -> None:
     """Reject a flag that can never be honoured, before anything is written."""
-    if args.size_cap < 1:
-        raise ValueError(f"--size-cap must be at least 1, got {args.size_cap}: every subgraph holds its target")
+    size_cap = getattr(args, "size_cap", DEFAULT_SIZE_CAP)
+    if size_cap < 1:
+        raise ValueError(f"--size-cap must be at least 1, got {size_cap}: every subgraph holds its target")
     if getattr(args, "dropout", None) is not None and not 0.0 <= args.dropout < 1.0:
         raise ValueError(f"--dropout must be in [0, 1), got {args.dropout}: it is the probability of dropping a unit")
 
@@ -158,51 +159,66 @@ def _subgraph_sizes(datapoints: DatapointStore) -> dict:
                                  ("forward_edges", np.diff(datapoints.edge_start)))}
 
 
+# the flags of `train` that only some models read, by their names in `args`; on `train` a flag that was
+# not given is absent from `args`, so `_describe` can tell a given flag that its model leaves unread
+_MODEL_FLAGS = {"hidden": "--hidden", "rounds": "--rounds", "dropout": "--dropout", "depth": "--depth",
+                "edge_type_once": "--edge-type-once", "reverse_edges": "--no-reverse-edges", "size_cap": "--size-cap"}
+
+
 def _describe(args, masked) -> dict:
-    """The run description that model.json holds: with a fold's artifacts, all that rebuilds its network."""
+    """The run description that model.json holds: with a fold's artifacts, all that rebuilds its network.
+    Each model flag is read as given or at its family default; a given flag that the model does not read
+    fails naming it."""
+    read = set()
+
+    def flag(name: str, default):
+        read.add(name)
+        return getattr(args, name, default)
+
     if args.model in VARIANTS:
-        config = ModelConfig(variant=args.model, hidden=args.hidden, rounds=args.rounds,
-                             dropout=0.5 if args.dropout is None else args.dropout)
-        return {"model": args.model, "config": config.to_json_dict(), "reverse_edges": args.reverse_edges,
-                "edge_type_once": args.edge_type_once, "size_cap": args.size_cap}
-    desc = {"model": args.model, "dropout": 0.3 if args.dropout is None else args.dropout}
+        config = ModelConfig(variant=args.model, hidden=flag("hidden", 32),
+                             rounds=flag("rounds", DEFAULT_ROUNDS[args.model]), dropout=flag("dropout", 0.5))
+        desc = {"model": args.model, "config": asdict(config), "reverse_edges": flag("reverse_edges", True),
+                "edge_type_once": flag("edge_type_once", False), "size_cap": flag("size_cap", DEFAULT_SIZE_CAP)}
+    else:  # logreg and dfs-logreg read no dropout, but model.json records the mlp's default for them too
+        desc = {"model": args.model, "dropout": flag("dropout", 0.3) if args.model == "mlp" else 0.3}
     if args.model == "dfs-logreg":
-        desc["depth"] = args.depth
-        desc["aggspecs"] = json.loads(aggspecs_to_json(enumerate_aggs(masked, args.depth)))
+        desc["depth"] = flag("depth", 2)
+        desc["aggspecs"] = json.loads(aggspecs_to_json(enumerate_aggs(masked, desc["depth"])))
+    unread = [option for name, option in _MODEL_FLAGS.items() if hasattr(args, name) and name not in read]
+    if unread:
+        raise ValueError(f"{unread[0]} does not apply to --model {args.model}")
     return desc
 
 
-def _read_description(path: Path, masked) -> dict:
-    """model.json as `_describe` writes it, checked against the masked database; a malformed file fails
-    naming itself and the key or value."""
-    try:
-        desc = json.loads(path.read_text(encoding="utf-8"))
-        model = desc["model"]
-        if model not in MODELS:
-            raise ValueError(f"unknown model {model!r}")
-        keys = ("config", "reverse_edges", "edge_type_once", "size_cap") if model in VARIANTS else ("dropout",)
-        for key in keys + (("aggspecs",) if model == "dfs-logreg" else ()):
-            if key not in desc:
-                raise KeyError(key)
-        dropout = ModelConfig(**desc["config"]).dropout if model in VARIANTS else desc["dropout"]
-        if not (isinstance(dropout, (int, float)) and 0.0 <= dropout < 1.0):
-            raise ValueError(f"dropout must be in [0, 1), got {dropout!r}")
-        if model == "dfs-logreg":
-            aggspecs_from_json(json.dumps(desc["aggspecs"]), masked)
-    except KeyError as exc:
-        raise RdbError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise RdbError(f"{path}: {exc}") from None
+def _description(text: str, masked) -> dict:
+    """model.json as `_describe` writes it, checked against the masked database."""
+    desc = json.loads(text)
+    model = desc["model"]
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    keys = ("config", "reverse_edges", "edge_type_once", "size_cap") if model in VARIANTS else ("dropout",)
+    for key in keys + (("aggspecs",) if model == "dfs-logreg" else ()):
+        if key not in desc:
+            raise KeyError(key)
+    dropout = ModelConfig(**desc["config"]).dropout if model in VARIANTS else desc["dropout"]
+    if not (isinstance(dropout, (int, float)) and 0.0 <= dropout < 1.0):
+        raise ValueError(f"dropout must be in [0, 1), got {dropout!r}")
+    if model == "dfs-logreg":
+        aggspecs_from_json(json.dumps(desc["aggspecs"]), masked)
     return desc
 
 
-def _read_fold_file(path: Path, reader, *context):
-    """`reader` applied to the text of one of a fold's files and `context`; a fault fails naming the file."""
+def _read_run_file(path: Path, reader, *context):
+    """`reader` applied to the text of one of a run's files and `context`; a fault fails naming the file
+    and the key or value."""
     try:
         return reader(path.read_text(encoding="utf-8"), *context)
     except json.JSONDecodeError as exc:
         raise RdbError(f"{path}: not JSON text ({exc})") from None
-    except ValueError as exc:  # RdbError and bad UTF-8 among them
+    except KeyError as exc:
+        raise RdbError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:  # RdbError and bad UTF-8 among them
         raise RdbError(f"{path}: {exc}") from None
 
 
@@ -246,12 +262,28 @@ def _fold_report(fi: int, result, metrics) -> dict:
     }
 
 
+def _check_scorable(db, labels: np.ndarray, plan) -> None:
+    """AUROC scores every fold's validation and test rows, so each must hold both labels; fails naming
+    the target column when it holds one class, otherwise the first fold and split that lack a label."""
+    message = "AUROC needs at least one positive and one negative label"
+    # labels are 0 and 1; np.unique would import numpy.ma this early and raise a run's peak RSS by 1.5 MiB
+    if np.bincount(labels, minlength=2).min() == 0:
+        table, column = db.target
+        name = f"{db.tables[table].name}.{db.tables[table].columns[column].name}"
+        raise RdbError(f"target column {name} holds one class only: {message}")
+    for fi, fold in enumerate(plan):
+        for split, ids in (("validation", fold.val_ids), ("test", fold.test_ids)):
+            if np.bincount(labels[ids], minlength=2).min() == 0:
+                raise RdbError(f"fold {fi}'s {split} rows hold one class only: {message}")
+
+
 def cmd_train(args) -> int:
     _check_flags(args)
     db = load_database(args.dataset)
     labels = target_labels(db)
     masked = remove_target_column(db)
     plan = make_cv_plan(len(labels), args.seed, args.folds)
+    _check_scorable(db, labels, plan)
     desc = _describe(args, masked)
     gnn = args.model in VARIANTS
     # unset, the weight decay is the family default: none for the GNNs, 0.01 for the single-table baselines
@@ -315,36 +347,42 @@ def _load_params(net, arrays: dict[str, np.ndarray], checkpoint: Path, built_fro
         tensor.data = arrays[name]
 
 
-def _fold_test_rows(run: Path, fold: int, n: int):
-    """The test rows of `fold` in the run's own CV plan, or None when the run had other than `n` target rows."""
-    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
-    report = json.loads((run / "report.json").read_text(encoding="utf-8"))
-    if sum(f["test_n"] for f in report["folds"]) != n:
-        return None
-    return make_cv_plan(n, manifest["seed"], manifest["folds"])[fold].test_ids
+def _plan(manifest_text: str, n: int) -> list:
+    manifest = json.loads(manifest_text)
+    return make_cv_plan(n, manifest["seed"], manifest["folds"])
+
+
+def _run_plan(run: Path) -> list:
+    """The run's own CV plan, rebuilt from the seed and fold count in its manifest.json and the row count
+    in its report.json."""
+    n = _read_run_file(run / "report.json", lambda text: sum(f["test_n"] for f in json.loads(text)["folds"]))
+    return _read_run_file(run / "manifest.json", _plan, n)
 
 
 def cmd_eval(args) -> int:
+    plan = _run_plan(args.run)
+    if not 0 <= args.fold < len(plan):
+        raise RdbError(f"--fold {args.fold} is out of range: the run {args.run} has {len(plan)} folds, "
+                       f"0 to {len(plan) - 1}")
     db = load_database(args.dataset)
     labels = target_labels(db)
     masked = remove_target_column(db)
-    desc = _read_description(args.run / "model.json", masked)
+    desc = _read_run_file(args.run / "model.json", _description, masked)
     fold_dir = args.run / f"fold{args.fold}"
     arrays = load_checkpoint(fold_dir / "checkpoint.bin")
     built_from = [fold_dir / "encoders.json"]
-    encoders = _read_fold_file(built_from[0], encoders_from_json, masked)
+    encoders = _read_run_file(built_from[0], encoders_from_json, masked)
     shared = _shared_inputs(desc, masked)
     dfs_encoders = None
     if "aggspecs" in desc:
         built_from.append(fold_dir / "dfs_encoders.json")
-        dfs_encoders = _read_fold_file(built_from[1], feature_encoders_from_json, shared[1])
+        dfs_encoders = _read_run_file(built_from[1], feature_encoders_from_json, shared[1])
     net, data = _build(desc, masked, labels, shared, encoders, dfs_encoders)
     _load_params(net, arrays, fold_dir / "checkpoint.bin", built_from)
     payload = {"model": desc["model"], "dataset": str(args.dataset), "fold": args.fold, "rows": "all",
                **evaluate(net, data, list(range(len(labels))))}
-    test_rows = _fold_test_rows(args.run, args.fold, len(labels))
-    if test_rows is not None:
-        payload["fold_test"] = evaluate(net, data, test_rows)
+    if sum(len(fold.test_ids) for fold in plan) == len(labels):  # as many rows as the run's: its plan applies
+        payload["fold_test"] = evaluate(net, data, plan[args.fold].test_ids)
     _emit(args, payload, "eval_report.json")
     return 0
 
@@ -416,10 +454,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def out_flag(p, required=False):
         p.add_argument("--out", type=Path, required=required)
 
-    def sampling_flags(p):
-        p.add_argument("--edge-type-once", action="store_true")
-        p.add_argument("--no-reverse-edges", dest="reverse_edges", action="store_false")
-        p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
+    def sampling_flags(p, train=False):
+        who = "GNNs only; " if train else ""
+        p.add_argument("--edge-type-once", action="store_true", default=argparse.SUPPRESS if train else False,
+                       help=f"{who}follow each edge type in at most one round of a subgraph's closure (default off)")
+        p.add_argument("--no-reverse-edges", dest="reverse_edges", action="store_false",
+                       default=argparse.SUPPRESS if train else True,
+                       help=f"{who}leave out the reverse edges from a referenced row to its referrers")
+        p.add_argument("--size-cap", type=int, default=argparse.SUPPRESS if train else DEFAULT_SIZE_CAP,
+                       help=f"{who}fail when a subgraph would exceed this many nodes (default {DEFAULT_SIZE_CAP})")
 
     p = add("validate", cmd_validate, help="load a dataset and report schema health")
     dataset_flag(p)
@@ -452,18 +495,23 @@ def _build_parser() -> argparse.ArgumentParser:
     dataset_flag(p)
     out_flag(p, required=True)
     p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
+    unset = argparse.SUPPRESS  # see _MODEL_FLAGS
+    p.add_argument("--hidden", type=int, default=unset, help="GNNs only; hidden width (default 32)")
+    p.add_argument("--rounds", type=int, default=unset,
+                   help="GNNs only; message-passing rounds (default 1 for gcn and ergcn, 0 for poolmlp, 2 otherwise)")
+    p.add_argument("--dropout", type=float, default=unset,
+                   help="GNNs and mlp only; dropout probability (default 0.5 for GNNs, 0.3 for mlp)")
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=None)
+    p.add_argument("--weight-decay", type=float, default=None,
+                   help="AdamW weight decay (default 0 for GNNs, 0.01 for logreg, mlp and dfs-logreg)")
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--max-epochs", type=int, default=100)
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=int, default=unset,
+                   help="dfs-logreg only; longest foreign-key path of a DFS feature (default 2)")
     p.add_argument("--oversample", action="store_true")
-    sampling_flags(p)
+    sampling_flags(p, train=True)
 
     p = add("eval", cmd_eval, help="score a trained fold on a dataset")
     dataset_flag(p)

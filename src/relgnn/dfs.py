@@ -58,58 +58,38 @@ class AggSpec:
         if len(self.path) == 0:
             raise RdbError("empty relationship path")
 
-    @property
-    def depth(self) -> int:
-        return len(self.path)
 
-
-def _scalar_columns(table) -> list[int]:
-    return [ci for ci, col in enumerate(table.columns) if col.kind.tag == "scalar" and not col.target]
-
-
-def _copy_columns(table) -> list[int]:
-    return [
-        ci
-        for ci, col in enumerate(table.columns)
-        if col.kind.tag in ("scalar", "categorical") and not col.target
-    ]
+# the column kinds each aggregator may read; count reads no column
+_SOURCE_KINDS = {COPY: ("scalar", "categorical"), "sum": ("scalar",), "mean": ("scalar",), "max": ("scalar",),
+                 "min": ("scalar",)}
 
 
 def enumerate_aggs(db: Database, max_depth: int = 2) -> list[AggSpec]:
-    """Pure reverse-key paths get COUNT plus one spec per aggregator and scalar column; pure forward paths copy parent cells."""
+    """Pure reverse-key paths get COUNT plus one spec per scalar column and aggregator; pure forward paths
+    copy parent cells. Every reverse path comes first, depth first, then every forward path."""
     if max_depth < 0:
         raise RdbError(f"max_depth must be non-negative, got {max_depth}")
-    target_table, _ = db.target
     fks = [(et.table, et.column, referenced_table(db, et))
            for et in edge_types(db, reverse_edges=False) if et.direction == FORWARD]
     specs: list[AggSpec] = []
 
-    def descend(table: int, path: tuple) -> None:
+    def extend(table: int, path: tuple, direction: str) -> None:
         if len(path) == max_depth:
             return
+        aggregators = ("sum", "mean", "max", "min") if direction == REVERSE else (COPY,)
         for ti, ci, ref in fks:
-            if ref != table:
+            start, end = (ref, ti) if direction == REVERSE else (ti, ref)
+            if start != table:
                 continue
-            hop_path = path + ((ti, ci, REVERSE),)
-            specs.append(AggSpec(hop_path, "count", None))
-            for sc in _scalar_columns(db.tables[ti]):
-                for agg in ("sum", "mean", "max", "min"):
-                    specs.append(AggSpec(hop_path, agg, sc))
-            descend(ti, hop_path)
+            hop_path = path + ((ti, ci, direction),)
+            if direction == REVERSE:
+                specs.append(AggSpec(hop_path, "count", None))
+            specs.extend(AggSpec(hop_path, agg, c) for c, col in enumerate(db.tables[end].columns)
+                         if not col.target for agg in aggregators if col.kind.tag in _SOURCE_KINDS[agg])
+            extend(end, hop_path, direction)
 
-    def climb(table: int, path: tuple) -> None:
-        if len(path) == max_depth:
-            return
-        for ti, ci, ref in fks:
-            if ti != table:
-                continue
-            hop_path = path + ((ti, ci, FORWARD),)
-            for cc in _copy_columns(db.tables[ref]):
-                specs.append(AggSpec(hop_path, COPY, cc))
-            climb(ref, hop_path)
-
-    descend(target_table, ())
-    climb(target_table, ())
+    extend(db.target[0], (), REVERSE)
+    extend(db.target[0], (), FORWARD)
     return specs
 
 
@@ -143,11 +123,9 @@ def _checked_end(db: Database, spec: AggSpec) -> int:
     if not 0 <= spec.source < len(db.tables[end].columns):
         raise RdbError(f"source column {spec.source} is out of range for table {db.tables[end].name}")
     col = db.tables[end].columns[spec.source]
-    if spec.aggregator == COPY:
-        if col.kind.tag not in ("scalar", "categorical"):
-            raise RdbError(f"cannot copy {col.kind.tag} column {db.tables[end].name}.{col.name}")
-    elif col.kind.tag != "scalar":
-        raise RdbError(f"cannot {spec.aggregator} over {col.kind.tag} column {db.tables[end].name}.{col.name}")
+    if col.kind.tag not in _SOURCE_KINDS[spec.aggregator]:
+        verb = "copy" if spec.aggregator == COPY else f"{spec.aggregator} over"
+        raise RdbError(f"cannot {verb} {col.kind.tag} column {db.tables[end].name}.{col.name}")
     return end
 
 
@@ -263,21 +241,18 @@ def fit_feature_encoders(raw: RawFeatures, fit_rows) -> list:
 
 
 def apply_feature_encoders(raw: RawFeatures, encoders: list) -> np.ndarray:
-    """Numeric columns become (scaled, null flag) pairs, copied categoricals one-hot."""
+    """Numeric columns become (scaled, null flag) pairs, copied categoricals one-hot, side by side in one
+    matrix."""
     n = len(raw)
     rows = np.arange(n)
-    blocks = []
-    for col, enc in zip(raw.columns, encoders):
+    widths = [enc.cardinality + 1 if isinstance(enc, CategoricalEncoder) else 2 for enc in encoders]
+    out = np.zeros((n, sum(widths)))
+    for col, enc, start, width in zip(raw.columns, encoders, np.cumsum([0] + widths).tolist(), widths):
         if isinstance(enc, CategoricalEncoder):
-            block = np.zeros((n, enc.cardinality + 1))
-            block[rows, categorical_indices(col, rows, enc)] = 1.0
+            out[rows, start + categorical_indices(col, rows, enc)] = 1.0
         else:
-            block = np.zeros((n, 2))
-            encode_column(col, rows, enc, block)
-        blocks.append(block)
-    if len(blocks) == 0:
-        return np.zeros((n, 0))
-    return np.concatenate(blocks, axis=1)
+            encode_column(col, rows, enc, out[:, start:start + width])
+    return out
 
 
 def feature_encoders_to_json(encoders: list) -> str:

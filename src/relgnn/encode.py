@@ -43,11 +43,6 @@ class ScalarEncoder:
     iqr: float
     all_null: bool = False
 
-    def encode(self, value: float | None) -> tuple[float, float]:
-        """Returns (scaled value, null flag)."""
-        scaled, null = _one_cell("scalar", value, self)
-        return float(scaled), float(null)
-
 
 def fit_scalar(values) -> ScalarEncoder:
     """Median and interquartile range of the values; None, or NaN in an array, is null and left out."""

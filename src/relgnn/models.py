@@ -62,18 +62,6 @@ class ModelConfig:
         if self.variant in ("gat", "ergat") and self.hidden % self.heads != 0:
             raise ValueError("hidden width must divide evenly across heads")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "hidden": self.hidden,
-            "rounds": self.rounds,
-            "dropout": self.dropout,
-            "heads": self.heads,
-            "gin_eps": self.gin_eps,
-            "gin_train_eps": self.gin_train_eps,
-            "classes": self.classes,
-        }
-
 
 @dataclass
 class GraphSchema:

@@ -29,8 +29,6 @@ __all__ = [
 
 KIND_TAGS = ("scalar", "categorical", "datetime", "latlong", "text", "primary_key", "foreign_key")
 
-FEATURE_TAGS = ("scalar", "categorical", "datetime", "latlong", "text")  # key columns carry no features
-
 TOKEN_TAGS = ("categorical", "text", "primary_key", "foreign_key")  # held as codes into a vocabulary
 
 
@@ -142,9 +140,6 @@ class Table:
                 return i
         raise RdbError(f"table {self.name} has no column {name!r}")
 
-    def cell(self, row: int, col: int):
-        return self.columns[col].cell(row)
-
 
 @dataclass
 class Database:
@@ -170,9 +165,6 @@ class Database:
             if table.name == name:
                 return i
         raise RdbError(f"no table named {name!r}")
-
-    def table(self, name: str) -> Table:
-        return self.tables[self.table_index(name)]
 
 
 def _field(obj, key: str, kind: type, where: str, path: Path):

@@ -80,9 +80,6 @@ class Tensor:
         else:
             self.grad.fill(0.0)
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

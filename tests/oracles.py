@@ -287,6 +287,15 @@ def _reference_bfs(start, selected, neighbors, cap):
         frontier = next_frontier
 
 
+def table_named(db, name: str):
+    return db.tables[db.table_index(name)]
+
+
+def table_cell(table, row: int, col: int):
+    """The cell as a Python value, None for null."""
+    return table.columns[col].cell(row)
+
+
 def out_neighbors(graph, node: int) -> np.ndarray:
     return graph.dst[graph.out_sorted[graph.out_start[node] : graph.out_start[node + 1]]]
 
@@ -402,7 +411,7 @@ def reference_features(db: Database, specs: list[AggSpec], target_rows) -> list[
 def _evaluate(db: Database, spec: AggSpec, end_table: int, rows: list[int]):
     if spec.aggregator == "count":
         return float(len(rows))
-    cells = [db.tables[end_table].cell(r, spec.source) for r in rows]
+    cells = [table_cell(db.tables[end_table], r, spec.source) for r in rows]
     if spec.aggregator == COPY:
         return cells[0] if cells else None
     values = [v for v in cells if v is not None]

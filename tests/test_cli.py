@@ -384,13 +384,58 @@ def test_size_cap_below_one_is_rejected_before_any_output(capsys, tmp_path, cap,
     (["--model", "gcn", "--lr", "inf"], "learning rate must be finite and non-negative, got inf"),
     (["--model", "logreg", "--lr", "-0.01"], "learning rate must be finite and non-negative, got -0.01"),
     (["--model", "mlp", "--weight-decay", "-5"], "weight decay must be finite and non-negative, got -5.0"),
+    # a model flag that the model does not read
+    (["--model", "logreg", "--rounds", "3"], "--rounds does not apply to --model logreg"),
+    (["--model", "logreg", "--hidden", "3"], "--hidden does not apply to --model logreg"),
+    (["--model", "logreg", "--dropout", "0.9"], "--dropout does not apply to --model logreg"),
+    (["--model", "mlp", "--edge-type-once"], "--edge-type-once does not apply to --model mlp"),
+    (["--model", "mlp", "--no-reverse-edges"], "--no-reverse-edges does not apply to --model mlp"),
+    (["--model", "dfs-logreg", "--size-cap", "5"], "--size-cap does not apply to --model dfs-logreg"),
+    (["--model", "gcn", "--depth", "7"], "--depth does not apply to --model gcn"),
 ], ids=["hidden", "gcn-rounds", "poolmlp-negative-rounds", "poolmlp-rounds", "folds", "batch", "max-epochs", "patience",
-        "lr-nan", "lr-inf", "lr-negative", "weight-decay-negative"])
+        "lr-nan", "lr-inf", "lr-negative", "weight-decay-negative", "logreg-rounds", "logreg-hidden", "logreg-dropout",
+        "mlp-edge-type-once", "mlp-no-reverse-edges", "dfs-logreg-size-cap", "gcn-depth"])
 def test_train_rejects_a_bad_flag_before_any_output(capsys, synth_dir, tmp_path, flags, message):
     out = tmp_path / "out"
     code, payload, err = _run(capsys, ["train", "--dataset", str(synth_dir), "--out", str(out)] + flags)
     assert (code, payload) == (1, None)
     assert err.startswith("error: ") and message in err, err
+    assert not out.exists()
+
+
+def test_train_honours_the_model_flags_its_model_reads(three_level_dir, tmp_path):
+    def run(model, *flags):
+        out = tmp_path / "-".join((model,) + flags)
+        assert main(["train", "--dataset", str(three_level_dir), "--model", model, "--out", str(out),
+                     "--folds", "2", "--max-epochs", "2", *flags]) == 0
+        return json.loads((out / "model.json").read_text()), [(out / f"fold{fi}" / "checkpoint.bin").read_bytes()
+                                                              for fi in range(2)]
+
+    mlp, low_dropout = run("mlp"), run("mlp", "--dropout", "0.2")
+    assert (mlp[0]["dropout"], low_dropout[0]["dropout"]) == (0.3, 0.2)
+    assert all(a != b for a, b in zip(mlp[1], low_dropout[1]))
+    deep, shallow = run("dfs-logreg")[0], run("dfs-logreg", "--depth", "1")[0]
+    assert (deep["depth"], shallow["depth"]) == (2, 1)
+    assert len(deep["aggspecs"]) > len(shallow["aggspecs"]) > 0
+    assert all(len(spec["path"]) == 1 for spec in shallow["aggspecs"])
+
+
+@pytest.mark.parametrize("targets, folds, one_class, message", [
+    (60, "5", True, "target column Target.label holds one class only"),
+    (40, "2", False, "fold 1's validation rows hold one class only"),
+    (40, "10", False, "fold 0's test rows hold one class only"),
+], ids=["one-class", "validation-split", "test-split"])
+def test_train_rejects_labels_it_cannot_score_before_any_output(capsys, tmp_path, targets, folds, one_class, message):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["synth", "--out", str(data), "--targets", str(targets), "--seed", "3"]) == 0
+    if one_class:  # every target row labelled 1
+        lines = (data / "Target.csv").read_text(encoding="utf-8").splitlines()
+        (data / "Target.csv").write_text("\n".join(lines[:1] + [line.rsplit(",", 1)[0] + ",1" for line in lines[1:]]),
+                                         encoding="utf-8")
+    code, payload, err = _run(capsys, ["train", "--dataset", str(data), "--model", "logreg", "--folds", folds,
+                                       "--out", str(out)])
+    assert (code, payload) == (1, None)
+    assert err == f"error: {message}: AUROC needs at least one positive and one negative label\n"
     assert not out.exists()
 
 
@@ -428,7 +473,8 @@ def test_weight_decay_defaults_to_the_model_family(capsys, synth_dir, tmp_path):
     # 0.01 for the single-table baselines, 0 for the GNNs: an unset --weight-decay runs as that value
     def run(model, *flags):
         out = tmp_path / "-".join((model,) + flags)
-        assert main(["train", "--dataset", str(synth_dir), "--model", model, "--hidden", "4", "--out", str(out),
+        hidden = ["--hidden", "4"] if model == "gcn" else []
+        assert main(["train", "--dataset", str(synth_dir), "--model", model, *hidden, "--out", str(out),
                      "--folds", "2", "--max-epochs", "2", *flags]) == 0
         return [(out / name).read_bytes() for name in ("report.json", "fold0/checkpoint.bin", "fold1/checkpoint.bin")]
 
@@ -586,6 +632,32 @@ def test_eval_rejects_malformed_model_json(capsys, request, synth_dir, tmp_path,
     assert "model.json" in err and named in err
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    ("manifest.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "seed"}),
+     "missing key 'seed'"),
+    ("manifest.json", lambda text: json.dumps({**json.loads(text), "folds": 1}),
+     "fold count must be between 2 and 80 (the number of ids), got 1"),
+    ("report.json", lambda text: text[:len(text) // 2], "not JSON text ("),
+], ids=["manifest-without-seed", "manifest-one-fold", "report-truncated"])
+def test_eval_names_the_run_file_at_fault(capsys, synth_dir, dfs_run, tmp_path, name, edit, message):
+    run = tmp_path / "run"
+    shutil.copytree(dfs_run, run)
+    path = run / name
+    path.write_text(edit(path.read_text()))
+    code, payload, err = _run(capsys, ["eval", "--run", str(run), "--dataset", str(synth_dir)])
+    assert (code, payload) == (1, None)
+    assert err.splitlines()[-1].startswith(f"error: {path}: {message}"), err
+
+
+@pytest.mark.parametrize("fold", ["2", "-1"])
+def test_eval_rejects_a_fold_outside_the_run_before_loading_anything(capsys, dfs_run, tmp_path, fold):
+    # the dataset does not exist: the fold is checked against the run first
+    code, payload, err = _run(capsys, ["eval", "--run", str(dfs_run), "--dataset", str(tmp_path / "nowhere"),
+                                       "--fold", fold])
+    assert (code, payload) == (1, None)
+    assert err == f"error: --fold {fold} is out of range: the run {dfs_run} has 2 folds, 0 to 1\n"
+
+
 def test_eval_rejects_a_malformed_checkpoint(capsys, gcn_run, synth_dir, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(gcn_run, run)
@@ -601,9 +673,9 @@ def test_eval_rejects_a_malformed_checkpoint(capsys, gcn_run, synth_dir, tmp_pat
 @pytest.fixture(scope="module")
 def three_level_runs(three_level_dir):
     runs = {}
-    for model in ("gcn", "logreg"):
+    for model, hidden in (("gcn", ["--hidden", "4"]), ("logreg", [])):
         runs[model] = three_level_dir.parent / f"{model}_run"
-        assert main(["train", "--dataset", str(three_level_dir), "--model", model, "--hidden", "4",
+        assert main(["train", "--dataset", str(three_level_dir), "--model", model, *hidden,
                      "--out", str(runs[model]), "--folds", "2", "--max-epochs", "1"]) == 0
     return runs
 
@@ -759,7 +831,8 @@ _FITTED_SHA256 = {
 def test_fitted_encoder_files_are_pinned(capsys, tmp_path, model):
     data, run = tmp_path / "data", tmp_path / "run"
     _write_every_kind(data)
-    assert main(["train", "--dataset", str(data), "--model", model, "--hidden", "4", "--out", str(run),
+    hidden = ["--hidden", "4"] if model == "ergat" else []
+    assert main(["train", "--dataset", str(data), "--model", model, *hidden, "--out", str(run),
                  "--folds", "2", "--max-epochs", "1", "--seed", "2"]) == 0  # seed 2: both labels in each split
     pinned = {name: sha for (m, name), sha in _FITTED_SHA256.items() if m == model}
     assert {name: hashlib.sha256((run / name).read_bytes()).hexdigest() for name in pinned} == pinned
@@ -780,8 +853,8 @@ def test_encoder_files_fuzz_fail_naming_the_file(capsys, tmp_path):
     data = tmp_path / "data"
     _write_lookup(data)
     runs = {"encoders.json": tmp_path / "gcn", "dfs_encoders.json": tmp_path / "dfs"}
-    for (name, run), model in zip(runs.items(), ("gcn", "dfs-logreg")):
-        assert main(["train", "--dataset", str(data), "--model", model, "--hidden", "4", "--out", str(run),
+    for (name, run), model, hidden in zip(runs.items(), ("gcn", "dfs-logreg"), (["--hidden", "4"], [])):
+        assert main(["train", "--dataset", str(data), "--model", model, *hidden, "--out", str(run),
                      "--folds", "2", "--max-epochs", "1", "--seed", "2"]) == 0  # seed 2: both labels in each split
     wrong = (5, 2.5, None, True, [], {}, "x")
     mutations = ("type", "delete", "truncate")

@@ -18,7 +18,7 @@ from relgnn import rdb
 from relgnn.cli import main
 from relgnn.rdb import Column, ColumnKind, Database, RdbError, Table, load_database, write_dataset
 
-from oracles import reference_read_csv
+from oracles import reference_read_csv, table_named
 
 TOKENS = ["a", "null", "a b", "é", "中文", "x\x00", "\x00", "tab\there", " ", "", "a,b", "two\nlines",
           'say "hi"', "cr\rhere", "\ufeffbom"]
@@ -299,9 +299,9 @@ def _mutate(rng, db: Database, files: dict, mutation: str):
         rows[0][int(rng.integers(1, len(rows[0])))] = rows[0][0]
         return "validate", name, [f"duplicate column {rows[0][0]!r} in the header of"]
     if mutation == "bad_cell":
-        ci = next(ci for ci, col in enumerate(db.table(name).columns) if col.kind.tag == kind)
+        ci = next(ci for ci, col in enumerate(table_named(db, name).columns) if col.kind.tag == kind)
         rows[r + 1][ci] = _BAD_CELLS[kind][int(rng.integers(0, len(_BAD_CELLS[kind])))]
-        column = db.table(name).columns[ci].name
+        column = table_named(db, name).columns[ci].name
         return "validate", name, [f"unparseable cell at table {name} row {r} column {column}: "]
     if mutation == "duplicate_key":
         first, second = sorted(rng.choice(len(rows) - 1, size=2, replace=False).tolist())

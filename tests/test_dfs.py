@@ -90,7 +90,7 @@ def test_aggspec_empty_path():
 
 def test_aggspec_hashable():
     spec = AggSpec(((1, 1, REVERSE),), "sum", 3)
-    assert spec.depth == 1
+    assert len(spec.path) == 1
     assert {spec: "ok"}[AggSpec(((1, 1, REVERSE),), "sum", 3)] == "ok"
 
 
@@ -262,6 +262,34 @@ def test_type_mismatch_errors(fixtures_dir):
     lineage = _lineage()
     with pytest.raises(RdbError):
         compute_features(lineage, [AggSpec(((2, 1, FORWARD),), COPY, 0)], [0])  # pk copy
+
+
+def test_source_kind_errors_name_the_column():
+    # T references a parent P with a text column and has children C with a categorical column
+    parent = Table("P", [
+        Column("id", ColumnKind("primary_key"), False, ["p0"]),
+        Column("note", ColumnKind("text"), False, ["a note"]),
+    ])
+    target = Table("T", [
+        Column("id", ColumnKind("primary_key"), False, ["t0"]),
+        Column("p", ColumnKind("foreign_key", ("P", "id")), False, ["p0"]),
+        Column("label", ColumnKind("categorical"), True, ["1"]),
+    ])
+    child = Table("C", [
+        Column("id", ColumnKind("primary_key"), False, ["c0"]),
+        Column("t", ColumnKind("foreign_key", ("T", "id")), False, ["t0"]),
+        Column("kind", ColumnKind("categorical"), False, ["x"]),
+    ])
+    db = Database([parent, target, child], {}, [], [(1, 2)])
+    _resolve_foreign_keys(db, strict=True)
+    for spec, message in ((AggSpec(((1, 1, FORWARD),), COPY, 1), "cannot copy text column P.note"),
+                          (AggSpec(((2, 1, REVERSE),), "sum", 2), "cannot sum over categorical column C.kind")):
+        with pytest.raises(RdbError) as exc:
+            compute_features(db, [spec], [0])
+        assert str(exc.value) == message
+        with pytest.raises(RdbError) as exc:
+            aggspecs_from_json(aggspecs_to_json([spec]), db)
+        assert str(exc.value) == f"aggspecs[0]: {message}"
 
 
 def test_broken_path_errors(fixtures_dir):

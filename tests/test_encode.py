@@ -22,7 +22,13 @@ from relgnn.encode import (
 )
 from relgnn.rdb import Column, ColumnKind, Database, Table, _resolve_foreign_keys, load_database, remove_target_column
 
-from oracles import reference_encode_datetime, reference_encode_row
+from oracles import reference_encode_datetime, reference_encode_row, table_cell
+
+
+def encode_scalar(value: float | None, encoder: ScalarEncoder) -> tuple[float, float]:
+    """(scaled value, null flag)."""
+    scaled, null = _one_cell("scalar", value, encoder)
+    return float(scaled), float(null)
 
 
 def encode_categorical(token: str | None, encoder: CategoricalEncoder) -> int:
@@ -37,25 +43,25 @@ def test_fit_scalar_quantiles():
     enc = fit_scalar([1.0, 2.0, 3.0, 100.0])
     assert enc.median == pytest.approx(2.5)
     assert enc.iqr == pytest.approx(27.25 - 1.75)
-    value, flag = enc.encode(3.0)
+    value, flag = encode_scalar(3.0, enc)
     assert value == pytest.approx(0.5 / 25.5)
     assert value == pytest.approx(0.01961, abs=5e-6)
     assert flag == 0.0
-    assert enc.encode(enc.median) == (0.0, 0.0)
+    assert encode_scalar(enc.median, enc) == (0.0, 0.0)
 
 
 def test_fit_scalar_constant_column_hits_floor():
     enc = fit_scalar([5.0, 5.0, 5.0])
     assert enc.iqr == 1e-9
-    assert enc.encode(5.0) == (0.0, 0.0)
+    assert encode_scalar(5.0, enc) == (0.0, 0.0)
 
 
 def test_fit_scalar_null_conventions():
     enc = fit_scalar([1.0, None, 3.0])
-    assert enc.encode(None) == (0.0, 1.0)
+    assert encode_scalar(None, enc) == (0.0, 1.0)
     all_null = fit_scalar([None, None])
     assert all_null.all_null
-    assert all_null.encode(7.0) == (0.0, 1.0)
+    assert encode_scalar(7.0, all_null) == (0.0, 1.0)
 
 
 def test_latlong_goldens():
@@ -232,7 +238,7 @@ def test_no_leakage_from_test_rows(fixtures_dir):
         cells = col.values
         cells[row] = value
         col.values = cells
-        assert db.tables[ti].cell(row, ci) == value
+        assert table_cell(db.tables[ti], row, ci) == value
     after = encoders_to_json(fit_encoders(db, train))
     assert before == after
 

@@ -21,17 +21,19 @@ from relgnn.rdb import (
     write_dataset,
 )
 
+from oracles import table_cell, table_named
+
 
 def test_load_patients_fixture(fixtures_dir):
     db = load_database(fixtures_dir / "patients_small")
     assert len(db.tables) == 2
     assert [t.nrows for t in db.tables] == [2, 3]
-    patient = db.table("Patient")
-    assert patient.cell(0, patient.column_index("age")) == 34.0
-    assert patient.cell(1, patient.column_index("weight")) is None
-    visit = db.table("Visit")
-    assert visit.cell(0, visit.column_index("visit_date")) == datetime(2020, 1, 1)
-    assert visit.cell(1, visit.column_index("visit_date")) == datetime(2020, 2, 14, 9, 30)
+    patient = table_named(db, "Patient")
+    assert table_cell(patient, 0, patient.column_index("age")) == 34.0
+    assert table_cell(patient, 1, patient.column_index("weight")) is None
+    visit = table_named(db, "Visit")
+    assert table_cell(visit, 0, visit.column_index("visit_date")) == datetime(2020, 1, 1)
+    assert table_cell(visit, 1, visit.column_index("visit_date")) == datetime(2020, 2, 14, 9, 30)
 
 
 def test_load_empty_table(tmp_path):
@@ -102,8 +104,8 @@ def test_dangling_fk_nonstrict_keeps_null_edge(fixtures_dir):
     with pytest.warns(UserWarning, match="dangling"):
         db = load_database(fixtures_dir / "dangling", strict=False)
     assert db.dangling == [("Visit", 1, "patient_id", "p9")]
-    visit = db.table("Visit")
-    assert visit.cell(1, visit.column_index("patient_id")) is None
+    visit = table_named(db, "Visit")
+    assert table_cell(visit, 1, visit.column_index("patient_id")) is None
     assert list(db.fk_rows[(1, 1)]) == [0, -1]
 
 
@@ -145,13 +147,13 @@ def test_validate_rejects_multiple_targets(fixtures_dir):
 def test_mask_and_label_accessor(fixtures_dir):
     db = load_database(fixtures_dir / "patients_small")
     masked = remove_target_column(db)
-    patient = masked.table("Patient")
+    patient = table_named(masked, "Patient")
     label_col = patient.column_index("label")
-    assert [patient.cell(r, label_col) for r in range(2)] == [None, None]
+    assert [table_cell(patient, r, label_col) for r in range(2)] == [None, None]
     assert list(target_labels(masked)) == [1, 0]
     # non-target columns untouched, and the original is not mutated
-    assert masked.table("Patient").columns[1].values == db.table("Patient").columns[1].values
-    assert db.table("Patient").columns[label_col].values == ["1", "0"]
+    assert table_named(masked, "Patient").columns[1].values == table_named(db, "Patient").columns[1].values
+    assert table_named(db, "Patient").columns[label_col].values == ["1", "0"]
 
 
 def test_mask_is_idempotent(fixtures_dir):
@@ -167,7 +169,7 @@ def test_masked_view_hides_target_from_all_accessors(fixtures_dir):
     kt, kc = masked.target
     table = masked.tables[kt]
     assert all(v is None for v in table.columns[kc].values)
-    assert all(table.cell(r, kc) is None for r in range(table.nrows))
+    assert all(table_cell(table, r, kc) is None for r in range(table.nrows))
 
 
 def test_roundtrip_identical(fixtures_dir, tmp_path):
@@ -216,7 +218,7 @@ def _assert_one_code_space(db):
         for ci, col in enumerate(table.columns):
             if col.kind.tag == "foreign_key":
                 ref_table, ref_col = col.kind.references
-                key = db.table(ref_table).columns[db.table(ref_table).column_index(ref_col)]
+                key = table_named(db, ref_table).columns[table_named(db, ref_table).column_index(ref_col)]
                 assert col.vocab is key.vocab, (table.name, col.name)
                 assert col.data.max(initial=-1) < len(key.vocab) and (col.null == (col.data < 0)).all()
                 tokens = key.values
@@ -226,7 +228,7 @@ def _assert_one_code_space(db):
 def test_loaded_foreign_keys_hold_their_keys_codes(fixtures_dir):
     db = load_database(fixtures_dir / "clinic")
     _assert_one_code_space(db)
-    visit = db.table("Visit")
+    visit = table_named(db, "Visit")
     with open(fixtures_dir / "clinic" / "Visit.csv", newline="", encoding="utf-8") as handle:
         header, *rows = csv.reader(handle)
     for name in ("patient_id", "doctor_id"):
@@ -299,7 +301,7 @@ def test_labels_never_in_masked_reads_property(fixtures_dir):
     for ti, table in enumerate(masked.tables):
         for ci, col in enumerate(table.columns):
             if (ti, ci) == (kt, kc):
-                seen = {table.cell(r, ci) for r in range(table.nrows)}
+                seen = {table_cell(table, r, ci) for r in range(table.nrows)}
                 assert seen <= {None} and not (seen & tokens)
     assert set(target_labels(masked)) == {0, 1}
 

@@ -9,6 +9,8 @@ import pytest
 from relgnn.rdb import RdbError, load_database, target_labels
 from relgnn.synth import SIGNALS, TEMPLATES, SynthSpec, generate
 
+from oracles import table_cell
+
 
 def _mutual_information(xs: np.ndarray, ys: np.ndarray) -> float:
     """MI in nats between two small-integer arrays, from the empirical joint."""
@@ -113,7 +115,7 @@ def test_noise_zero_grandchild_rule(tmp_path):
     amount = db.tables[2].column_index("amount")
     score = [0.0] * 120
     for g in range(db.tables[2].nrows):
-        score[int(child_fk[int(grand_fk[g])])] += db.tables[2].cell(g, amount)
+        score[int(child_fk[int(grand_fk[g])])] += table_cell(db.tables[2], g, amount)
     score = np.array(score)
     expected = (score > np.median(score)).astype(np.int64)
     assert np.array_equal(target_labels(db), expected)
