@@ -22,7 +22,7 @@ from .dfs import (
     fit_feature_encoders,
     write_features_csv,
 )
-from .encode import encoders_from_json, encoders_to_json, fit_encoders
+from .encode import encoded_columns, encoders_from_json, encoders_to_json, fit_encoders
 from .graph import database_to_graph, graph_stats
 from .models import DEFAULT_ROUNDS, VARIANTS, GraphSchema, Model, ModelConfig
 from .rdb import RdbError, load_database, remove_target_column, target_labels, validate_schema
@@ -185,7 +185,7 @@ def _describe(args, masked) -> dict:
     if args.model == "dfs-logreg":
         desc["depth"] = flag("depth", 2)
         desc["aggspecs"] = json.loads(aggspecs_to_json(enumerate_aggs(masked, desc["depth"])))
-    unread = [option for name, option in _MODEL_FLAGS.items() if hasattr(args, name) and name not in read]
+    unread = [option for name, option in _MODEL_FLAGS.items() if name in vars(args) and name not in read]
     if unread:
         raise ValueError(f"{unread[0]} does not apply to --model {args.model}")
     return desc
@@ -286,6 +286,10 @@ def cmd_train(args) -> int:
     _check_scorable(db, labels, plan)
     desc = _describe(args, masked)
     gnn = args.model in VARIANTS
+    table = masked.tables[masked.target[0]]
+    if not (gnn or desc.get("aggspecs") or any(encoded_columns(table))):
+        dfs = " and no DFS feature" if "aggspecs" in desc else ""
+        raise RdbError(f"--model {args.model} has no input: target table {table.name} has no feature column{dfs}")
     # unset, the weight decay is the family default: none for the GNNs, 0.01 for the single-table baselines
     weight_decay = (0.0 if gnn else 0.01) if args.weight_decay is None else args.weight_decay
     config = TrainConfig(lr=args.lr, weight_decay=weight_decay, batch_size=args.batch,
@@ -445,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, func, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, default=0)
         return p
 
     def dataset_flag(p, required=True):
@@ -480,6 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("synth", cmd_synth, help="generate a synthetic dataset")
     out_flag(p, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--targets", type=int, required=True)
     p.add_argument("--template", choices=TEMPLATES, default="parent_child")
     p.add_argument("--signal", choices=SIGNALS, default="child_aggregate")
@@ -495,6 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dataset_flag(p)
     out_flag(p, required=True)
     p.add_argument("--model", choices=MODELS, required=True)
+    p.add_argument("--seed", type=int, default=0)
     unset = argparse.SUPPRESS  # see _MODEL_FLAGS
     p.add_argument("--hidden", type=int, default=unset, help="GNNs only; hidden width (default 32)")
     p.add_argument("--rounds", type=int, default=unset,
@@ -523,6 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dataset_flag(p, required=False)
     out_flag(p)
     p.add_argument("--model", choices=VARIANTS, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden", type=int, default=4)
 
     return parser

@@ -22,6 +22,7 @@ __all__ = [
     "encode_column",
     "categorical_indices",
     "column_tokens",
+    "encoded_columns",
     "fit_column",
     "fit_encoders",
     "encode_node",
@@ -230,7 +231,7 @@ class NodeTypeEncoder:
         return self.dense_columns + [(ci, "categorical") for ci in self.cat_columns]
 
 
-def _encoded_columns(table: Table) -> tuple[list[tuple[int, str]], list[int]]:
+def encoded_columns(table: Table) -> tuple[list[tuple[int, str]], list[int]]:
     """The columns a table's encoder covers, in column order: (column index, kind tag) of the dense ones
     and the indices of the categorical ones. Key and target columns contribute nothing."""
     dense = [(ci, col.kind.tag) for ci, col in enumerate(table.columns)
@@ -262,7 +263,7 @@ def fit_encoders(db: Database, train_rows: dict[int, np.ndarray]) -> list[NodeTy
     encoders = []
     for ti, table in enumerate(db.tables):
         rows = np.asarray(train_rows.get(ti, []), dtype=np.int64)
-        enc = NodeTypeEncoder(ti, *_encoded_columns(table))
+        enc = NodeTypeEncoder(ti, *encoded_columns(table))
         enc.fitted = {ci: fit_column(table.columns[ci], rows) for ci, _ in enc.tagged_columns}
         encoders.append(enc)
     return encoders
@@ -356,7 +357,7 @@ def _table_encoder_from_json(item, ti: int, table: Table) -> NodeTypeEncoder:
     for field in _FITTED_FIELD.values():
         if not isinstance(item[field], dict):
             raise RdbError(f"{where}: {field} is not an object")
-    enc = NodeTypeEncoder(ti, *_encoded_columns(table))
+    enc = NodeTypeEncoder(ti, *encoded_columns(table))
     _check_listed(table, "dense_columns", item["dense_columns"], [[ci, tag] for ci, tag in enc.dense_columns])
     _check_listed(table, "cat_columns", item["cat_columns"], enc.cat_columns)
     for ci, tag in enc.tagged_columns:

@@ -74,7 +74,6 @@ class HeteroGraph:
     per node, so neither is stored."""
 
     db: Database
-    node_counts: list[int]
     offsets: np.ndarray  # first global id of each table, then the node count
     types: list[EdgeType]  # forward edge types, sorted; `type_id` indexes this list
     src: np.ndarray  # global id of each forward edge's referencing row
@@ -117,8 +116,7 @@ class HeteroGraph:
 
 def database_to_graph(db: Database) -> HeteroGraph:
     """One node per row; one forward edge per resolved non-null FK cell, referencing row -> referenced row."""
-    node_counts = [t.nrows for t in db.tables]
-    offsets = np.cumsum([0] + node_counts)
+    offsets = np.cumsum([0] + [t.nrows for t in db.tables])
     types = [et for et in edge_types(db, reverse_edges=False) if et.direction == FORWARD]
     src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for et in types:
@@ -130,14 +128,14 @@ def database_to_graph(db: Database) -> HeteroGraph:
     src, dst = np.concatenate(src), np.concatenate(dst)
     out_sorted, in_sorted = np.argsort(src, kind="stable"), np.argsort(dst, kind="stable")
     nodes = np.arange(offsets[-1] + 1)
-    return HeteroGraph(db, node_counts, offsets, types, src, dst, type_id, out_sorted,
+    return HeteroGraph(db, offsets, types, src, dst, type_id, out_sorted,
                        np.searchsorted(src[out_sorted], nodes), in_sorted, np.searchsorted(dst[in_sorted], nodes))
 
 
 def graph_stats(graph: HeteroGraph, reverse_edges: bool = False) -> dict:
     """Nodes per table, edges per type (with `reverse_edges` each forward type's reverse counts too)
     and the histogram of forward in-degrees, keyed by degree as text: the `graph-stats` report."""
-    node_counts = {t.name: n for t, n in zip(graph.db.tables, graph.node_counts)}
+    node_counts = {t.name: t.nrows for t in graph.db.tables}
     edge_counts = {}
     for et, count in zip(graph.types, np.bincount(graph.type_id, minlength=len(graph.types)).tolist()):
         edge_counts[graph.edge_type_name(et)] = count

@@ -90,7 +90,6 @@ class GraphBatch:
     num_graphs: int
     node_type: np.ndarray  # (N,)
     graph_id: np.ndarray  # (N,)
-    types_present: list[int]
     type_rows: dict[int, np.ndarray]  # type -> batch positions, ascending
     dense: dict[int, np.ndarray]  # type -> (n_t, dense width)
     cats: dict[int, np.ndarray]  # type -> (n_t, #categorical columns)
@@ -121,8 +120,7 @@ def build_batch(datapoints: DatapointStore | list[DatapointStore], db: Database,
     # type-major order: the types ascending, each type's batch positions ascending
     order = np.argsort(node_type, kind="stable")
     present, starts = np.unique(node_type[order], return_index=True)
-    types_present = present.tolist()
-    type_rows = dict(zip(types_present, np.split(order, starts[1:])))
+    type_rows = dict(zip(present.tolist(), np.split(order, starts[1:])))
     scatter = np.empty(len(node_type), dtype=np.int64)
     scatter[order] = np.arange(len(node_type))
 
@@ -136,17 +134,17 @@ def build_batch(datapoints: DatapointStore | list[DatapointStore], db: Database,
     for et, src_k, dst_k in zip(store.types, np.split(src, cuts), np.split(dst, cuts)):
         edges[et] = (src_k, dst_k)
         edges[et.paired_reverse()] = (dst_k, src_k)
-    for t in types_present:
-        edges[EdgeType(t, -1, SELF_LOOP)] = (type_rows[t], type_rows[t])
+    for t, rows in type_rows.items():
+        edges[EdgeType(t, -1, SELF_LOOP)] = (rows, rows)
 
     dense: dict[int, np.ndarray] = {}
     cats: dict[int, np.ndarray] = {}
-    for t in types_present:
-        rows = node_row[type_rows[t]]
+    for t, positions in type_rows.items():
+        rows = node_row[positions]
         dense[t], cats[t] = tables[t][0][rows], tables[t][1][rows]
 
     return GraphBatch(
-        int(len(node_type)), len(store), node_type, graph_id, types_present, type_rows,
+        int(len(node_type)), len(store), node_type, graph_id, type_rows,
         dense, cats, scatter, dict(sorted(edges.items())), np.maximum(store.labels, 0),
     )
 
@@ -265,8 +263,7 @@ class Model:
 
     def _init_hidden(self, batch: GraphBatch) -> Tensor:
         blocks = []
-        for t in batch.types_present:
-            rows = batch.type_rows[t]
+        for t, rows in batch.type_rows.items():
             parts = []
             if batch.dense[t].shape[1]:
                 parts.append(Tensor(batch.dense[t]))
@@ -310,11 +307,9 @@ class Model:
             groups.append(_EdgeGroup(key, src, dst, coeff, rows))
             start += len(src)
         union_dst = groups[0].dst if len(groups) == 1 else np.concatenate([g.dst for g in groups])
-        node_keys = {t: self._node_key(t) for t in batch.types_present}
-        if len(set(node_keys.values())) == 1:
-            nodes = [(node_keys[batch.types_present[0]], None)]
-        else:
-            nodes = [(node_keys[t], batch.type_rows[t]) for t in batch.types_present]
+        nodes = [(self._node_key(t), rows) for t, rows in batch.type_rows.items()]
+        if len({key for key, _ in nodes}) == 1:
+            nodes = [(nodes[0][0], None)]
         return _Plan(groups, union_dst, nodes)
 
     def _per_node(self, layer: int, shared: str, table: str, batch: GraphBatch) -> Tensor:

@@ -8,6 +8,8 @@ from .tensor import Tensor
 
 __all__ = ["AdamW"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the moment decay rates and the denominator floor
+
 
 class AdamW:
     """Adam moment updates plus a weight-decay term applied directly to the
@@ -22,25 +24,13 @@ class AdamW:
     instead (``p.data[...] = arr``).
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, weight_decay: float = 0.0):
         owner: dict[int, str] = {}
         for name, p in params.items():
             first = owner.setdefault(id(p), name)
             if first != name:
                 raise ValueError(f"AdamW: parameters {first!r} and {name!r} are the same tensor")
-        self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         total = sum(p.size for p in params.values())
@@ -62,14 +52,14 @@ class AdamW:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         g, m, v, s1, s2 = self.flat_grad, self.m, self.v, self._s1, self._s2
-        m *= self.beta1
-        np.multiply(1.0 - self.beta1, g, out=s1)
+        m *= BETA1
+        np.multiply(1.0 - BETA1, g, out=s1)
         m += s1
-        v *= self.beta2
-        np.multiply(1.0 - self.beta2, g, out=s1)
+        v *= BETA2
+        np.multiply(1.0 - BETA2, g, out=s1)
         s1 *= g
         v += s1
         # update = lr * (m / bc1) / (sqrt(v / bc2) + eps)
@@ -77,7 +67,7 @@ class AdamW:
         np.multiply(self.lr, s1, out=s1)
         np.divide(v, bc2, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += self.eps
+        s2 += EPS
         s1 /= s2
         if self.weight_decay:
             np.multiply(self.lr * self.weight_decay, self.flat_data, out=s2)

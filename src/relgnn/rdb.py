@@ -426,23 +426,16 @@ def _parse_column(fields, tag: str, index: dict | None = None) -> tuple[np.ndarr
 
 def _first_bad(fields, tag: str) -> tuple[int, str]:
     """Row and message of the first field that `_parse_column` rejects on its own."""
-    block = 256
-    for lo in range(0, len(fields), block):
+    for row in range(len(fields)):
         try:
-            _parse_column(fields[lo:lo + block], tag)
-            continue
-        except ValueError:
-            pass
-        for row in range(lo, min(lo + block, len(fields))):
-            try:
-                _parse_column(fields[row:row + 1], tag)
-            except ValueError as exc:
-                return row, str(exc)
+            _parse_column(fields[row:row + 1], tag)
+        except ValueError as exc:
+            return row, str(exc)
     raise AssertionError("a column that fails to parse has a field that fails alone")
 
 
 def _key_rows(col: Column, table: str, where: str) -> np.ndarray:
-    """The row of each token of a referenced column of `table`, as an array indexed by code with -1 for
+    """The row of each token of a key column of `table`, as an array indexed by code with -1 for
     code -1 (its last entry) and for a token on no row. A token on two rows fails naming the second,
     after `where`."""
     codes, vocab = col.data, col.vocab
@@ -459,16 +452,18 @@ def _key_rows(col: Column, table: str, where: str) -> np.ndarray:
 
 
 def _resolve_foreign_keys(db: Database, strict: bool, files: list[Path] | None = None) -> None:
-    """Recode each foreign key into the code space of the column it references: its `data` become codes
-    into that column's `vocab`, which it then shares, and `db.fk_rows` holds the row each cell
-    references. A dangling cell fails when strict, and otherwise becomes null and is listed in
-    `db.dangling` with its token. A failure names the table's file from `files`, when given, and the
-    table, row and column."""
+    """Check that no primary key holds a token twice, and recode each foreign key into the code space of
+    the column it references: its `data` become codes into that column's `vocab`, which it then shares,
+    and `db.fk_rows` holds the row each cell references. A dangling cell fails when strict, and otherwise
+    becomes null and is listed in `db.dangling` with its token. A failure names the table's file from
+    `files`, when given, and the table, row and column."""
     def where(ti: int) -> str:
         return f"{files[ti]}: " if files else ""
 
     for ti, table in enumerate(db.tables):
         for ci, col in enumerate(table.columns):
+            if col.kind.tag == "primary_key":  # unique whether or not a foreign key references it
+                _key_rows(col, table.name, where(ti))
             if col.kind.tag != "foreign_key":
                 continue
             ref_table_name, ref_col_name = col.kind.references

@@ -37,8 +37,7 @@ class DatapointStore:
     nodes are `node_types`/`rows` from `node_start[i]` to `node_start[i + 1]`, its forward edges
     `src`/`dst`/`edge_type` from `edge_start[i]` to `edge_start[i + 1]`, with `src`/`dst` local ids
     within its nodes. Reverse edges and self loops are functions of these, derived where they are read
-    (`models.build_batch`, `write_datapoints_jsonl`). `store[i]` is target i's one-target store, made of
-    views of these arrays."""
+    (`models.build_batch`, `write_datapoints_jsonl`). `store[i]` is target i's one-target store, a `take`."""
 
     node_types: np.ndarray  # table index per node, int64; each target's nodes in (table, row) order
     rows: np.ndarray  # row within its table per node, int64
@@ -47,7 +46,6 @@ class DatapointStore:
     dst: np.ndarray  # local id of each forward edge's referenced row
     edge_type: np.ndarray  # index of each forward edge's type in `types`
     edge_start: np.ndarray  # (targets + 1,)
-    target_local: np.ndarray  # (targets,)
     labels: np.ndarray  # (targets,) int64; -1 for a target outside the target table, which has no label
     targets: np.ndarray  # (targets, 2): each target's (table, row)
     types: list[EdgeType]  # the graph's forward edge types, one list shared by all its stores
@@ -63,27 +61,17 @@ class DatapointStore:
             return np.concatenate(([0], np.cumsum(counts)))
 
         return cls(joined("node_types"), joined("rows"), offsets("node_start"), joined("src"), joined("dst"),
-                   joined("edge_type"), offsets("edge_start"), joined("target_local"), joined("labels"),
-                   joined("targets"), stores[0].types)
-
-    @property
-    def nodes(self) -> list[tuple[int, int]]:  # original (table, row) ids
-        return list(zip(self.node_types.tolist(), self.rows.tolist()))
+                   joined("edge_type"), offsets("edge_start"), joined("labels"), joined("targets"), stores[0].types)
 
     @property
     def num_nodes(self) -> int:
         return len(self.node_types)
 
     def __len__(self) -> int:
-        return len(self.target_local)
+        return len(self.labels)
 
     def __getitem__(self, i: int) -> "DatapointStore":
-        i = range(len(self))[i]
-        (n0, n1), (e0, e1) = self.node_start[i:i + 2].tolist(), self.edge_start[i:i + 2].tolist()
-        one = slice(i, i + 1)
-        return DatapointStore(self.node_types[n0:n1], self.rows[n0:n1], np.array([0, n1 - n0]), self.src[e0:e1],
-                              self.dst[e0:e1], self.edge_type[e0:e1], np.array([0, e1 - e0]), self.target_local[one],
-                              self.labels[one], self.targets[one], self.types)
+        return self.take([range(len(self))[i]])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -96,7 +84,7 @@ class DatapointStore:
         return DatapointStore(
             self.node_types[nodes], self.rows[nodes], np.concatenate(([0], np.cumsum(node_counts))),
             self.src[edges], self.dst[edges], self.edge_type[edges], np.concatenate(([0], np.cumsum(edge_counts))),
-            self.target_local[ids], self.labels[ids], self.targets[ids], self.types)
+            self.labels[ids], self.targets[ids], self.types)
 
 
 _CHUNK = 4096  # targets whose closures run in lockstep; it bounds the round arrays and so the peak memory
@@ -289,8 +277,6 @@ def _induce(graph: HeteroGraph, keys: np.ndarray, targets: np.ndarray, labels: n
     owner = keys // n
     ids = keys - owner * n
     node_start = np.searchsorted(owner, np.arange(len(targets) + 1))
-    target_keys = np.arange(len(targets)) * n + graph.offsets[targets[:, 0]] + targets[:, 1]
-    target_local = np.searchsorted(keys, target_keys) - node_start[:-1]
     # out-edges of every selected node; an edge stays when its dst is selected for the same target
     edge_ids, counts = graph.out_edges(ids)
     src = np.repeat(np.arange(len(ids)), counts)  # position of each edge's source in `ids`
@@ -315,8 +301,7 @@ def _induce(graph: HeteroGraph, keys: np.ndarray, targets: np.ndarray, labels: n
     del shift
     node_types = np.searchsorted(graph.offsets, ids, side="right") - 1
     return DatapointStore(node_types, ids - graph.offsets[node_types], node_start, src, dst, edge_type,
-                          np.searchsorted(edge_owner, np.arange(len(targets) + 1)), target_local, labels, targets,
-                          graph.types)
+                          np.searchsorted(edge_owner, np.arange(len(targets) + 1)), labels, targets, graph.types)
 
 
 def _sample(graph: HeteroGraph, targets: np.ndarray, edge_type_once: bool, size_cap: int) -> DatapointStore:

@@ -404,12 +404,13 @@ def backward(loss: Tensor) -> None:
                 node.grad += g
 
 
-def gradcheck(fn: Callable[[Sequence[Tensor]], Tensor], inputs: Sequence[Tensor], h: float = 1e-5) -> float:
+def gradcheck(fn: Callable[[Sequence[Tensor]], Tensor], inputs: Sequence[Tensor]) -> float:
     """Compare backward gradients against central finite differences.
 
     ``fn`` must be scalar-valued and deterministic (freeze dropout masks).
     Returns the max over components of ``|a - n| / max(1, |a|, |n|)``.
     """
+    h = 1e-5  # the central-difference step
     for t in inputs:
         t.requires_grad = True
         t.zero_grad()

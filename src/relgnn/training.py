@@ -134,11 +134,11 @@ def auroc(scores, labels) -> float:
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def accuracy(scores, labels, threshold: float = 0.5) -> float:
-    """Percentage of correct predictions at the given score threshold."""
+def accuracy(scores, labels) -> float:
+    """Percentage of correct predictions, a score of 0.5 or more predicting class 1."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    return float((np.where(s >= threshold, 1, 0) == y).mean() * 100.0)
+    return float((np.where(s >= 0.5, 1, 0) == y).mean() * 100.0)
 
 
 def positive_scores(logits: np.ndarray) -> np.ndarray:
@@ -279,15 +279,15 @@ def evaluate(net, data, ids) -> dict:
 
 
 class LinearModel:
-    """Logistic regression as a single linear layer trained with the same loop."""
+    """Two-class logistic regression as a single linear layer trained with the same loop."""
 
-    def __init__(self, in_width: int, classes: int = 2, seed: int = 0):
+    def __init__(self, in_width: int, seed: int = 0):
         if in_width < 1:
             raise ValueError("baseline needs at least one input feature")
         root = RngStream(seed)
         self.params = {
-            "W": init_weight(root.child("W"), in_width, classes),
-            "b": Tensor(np.zeros(classes), requires_grad=True),
+            "W": init_weight(root.child("W"), in_width, 2),
+            "b": Tensor(np.zeros(2), requires_grad=True),
         }
 
     def forward(self, x: Tensor, train: bool = False, rng=None) -> Tensor:
@@ -297,7 +297,7 @@ class LinearModel:
 class MlpModel:
     """Two hidden layers at 4x then 2x the input width, with dropout after each."""
 
-    def __init__(self, in_width: int, classes: int = 2, dropout_p: float = 0.3, seed: int = 0):
+    def __init__(self, in_width: int, dropout_p: float = 0.3, seed: int = 0):
         if in_width < 1:
             raise ValueError("baseline needs at least one input feature")
         h1, h2 = 4 * in_width, 2 * in_width
@@ -308,8 +308,8 @@ class MlpModel:
             "b1": Tensor(np.zeros(h1), requires_grad=True),
             "W2": init_weight(root.child("W2"), h1, h2),
             "b2": Tensor(np.zeros(h2), requires_grad=True),
-            "W3": init_weight(root.child("W3"), h2, classes),
-            "b3": Tensor(np.zeros(classes), requires_grad=True),
+            "W3": init_weight(root.child("W3"), h2, 2),
+            "b3": Tensor(np.zeros(2), requires_grad=True),
         }
 
     def forward(self, x: Tensor, train: bool = False, rng=None) -> Tensor:

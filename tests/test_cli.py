@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import relgnn
-from relgnn.cli import main
+from relgnn.cli import _build_parser, main
 from relgnn.tensor import Tensor, load_checkpoint, save_checkpoint
 
 
@@ -50,6 +51,17 @@ def test_unknown_flag_exits_2(capsys, fixtures_dir):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--dataset", str(fixtures_dir / "patients_small"), "--bogus"])
     assert exc.value.code == 2
+
+
+# only synth, train and gradcheck read a seed
+@pytest.mark.parametrize("command", ["validate", "graph-stats", "sample", "dfs", "eval"])
+def test_seed_is_rejected_where_nothing_reads_it(capsys, fixtures_dir, tmp_path, command):
+    argv = [command, "--dataset", str(fixtures_dir / "patients_small"), "--out", str(tmp_path / "out"), "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--run", str(tmp_path)] if command == "eval" else []))
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_lists_two_tables(capsys, fixtures_dir):
@@ -506,6 +518,34 @@ def test_sample_empty_target_table_fails_naming_it(capsys, tmp_path):
     assert not (out / "datapoints.jsonl").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "logreg"], "--model logreg has no input: target table P has no feature column"),
+    (["--model", "mlp"], "--model mlp has no input: target table P has no feature column"),
+    (["--model", "dfs-logreg", "--depth", "0"],
+     "--model dfs-logreg has no input: target table P has no feature column and no DFS feature"),
+], ids=["logreg", "mlp", "dfs-logreg"])
+def test_baseline_without_input_is_rejected_before_any_output(capsys, tmp_path, flags, message):
+    # P holds only its key and the label; its child C has a feature, which only a GNN or DFS reads
+    data, out = tmp_path / "data", tmp_path / "out"
+    _write_parent_child(data, [f"p{i},{i % 2}" for i in range(60)], [f"c{i},p{i},{i}.5" for i in range(60)])
+    code, payload, err = _run(capsys, ["train", "--dataset", str(data), "--out", str(out), "--folds", "2"] + flags)
+    assert (code, payload, err) == (1, None, f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "dfs"])
+def test_duplicate_target_key_fails_naming_it(capsys, tmp_path, command):
+    # no foreign key references the key of a single-table dataset, and it must be unique all the same
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--targets", "20", "--template", "flat", "--signal", "single_table"]) == 0
+    lines = (data / "Target.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = "t0," + lines[2].split(",", 1)[1]
+    (data / "Target.csv").write_text("".join(lines), encoding="utf-8")
+    code, payload, err = _run(capsys, [command, "--dataset", str(data), "--out", str(tmp_path / "out")])
+    assert (code, payload) == (1, None)
+    assert err == f"error: {data / 'Target.csv'}: duplicate key 't0' at table Target row 1 column target_id\n"
+
+
 def test_train_logreg_report(capsys, synth_dir, tmp_path):
     out = tmp_path / "run"
     code, payload, _ = _run(capsys, ["train", "--dataset", str(synth_dir), "--model", "logreg",
@@ -952,3 +992,61 @@ def test_module_invocation_subprocess(fixtures_dir):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_tables"] == 2
+
+
+# each subcommand's argument lists, which together give every flag it takes; {data}, {run}, {out} and
+# {fixtures} are filled in with the dataset, a trained run, a new output directory and the fixtures
+# (gradcheck takes tens of seconds on the synth dataset, whose wide datetime encoding it differences
+# entry by entry)
+_EVERY_FLAG = {
+    "validate": [["--dataset", "{data}", "--out", "{out}"]],
+    "graph-stats": [["--dataset", "{data}", "--out", "{out}", "--no-reverse-edges"]],
+    "sample": [["--dataset", "{data}", "--out", "{out}", "--edge-type-once", "--no-reverse-edges",
+                "--size-cap", "500"]],
+    "synth": [["--out", "{out}", "--targets", "30", "--template", "three_level", "--signal", "grandchild_aggregate",
+               "--noise", "0.1", "--children", "1", "3", "--seed", "2"]],
+    "dfs": [["--dataset", "{data}", "--out", "{out}", "--depth", "1"]],
+    "train": [["--dataset", "{data}", "--out", "{out}", "--model", "gcn", "--seed", "1", "--hidden", "4",
+               "--rounds", "1", "--dropout", "0.2", "--lr", "0.01", "--weight-decay", "0.001", "--batch", "16",
+               "--patience", "1", "--max-epochs", "1", "--folds", "2", "--oversample", "--edge-type-once",
+               "--no-reverse-edges", "--size-cap", "500"],
+              ["--dataset", "{data}", "--out", "{out}", "--model", "dfs-logreg", "--depth", "1", "--folds", "2",
+               "--max-epochs", "1"]],
+    "eval": [["--dataset", "{data}", "--out", "{out}", "--run", "{run}", "--fold", "1"]],
+    "gradcheck": [["--dataset", "{fixtures}/clinic", "--out", "{out}", "--model", "gcn", "--hidden", "2",
+                   "--seed", "1"]],
+}
+
+
+def _recording_namespace():
+    """A namespace that adds the name of each attribute read from it to the returned set. `vars(args)`,
+    which `_write_manifest` reads, reads `__dict__` and so no flag."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            if not name.startswith("__"):
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recording(), reads
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_FLAG))
+def test_every_flag_given_is_read(capsys, fixtures_dir, synth_dir, gcn_run, tmp_path, command):
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    dest = {option: action.dest for action in commands[command]._actions if action.dest != "help"
+            for option in action.option_strings}
+    given = set()
+    for k, case in enumerate(_EVERY_FLAG[command]):
+        argv = [arg.format(data=synth_dir, run=gcn_run, out=tmp_path / f"out{k}", fixtures=fixtures_dir)
+                for arg in case]
+        args, reads = _recording_namespace()
+        parser.parse_args([command] + argv, namespace=args)
+        reads.clear()  # of the parser
+        assert args.func(args) == 0
+        flags = [arg for arg in argv if arg in dest]
+        assert [flag for flag in flags if dest[flag] not in reads] == [], "given flags that nothing read"
+        given.update(flags)
+    assert sorted(set(dest) - given) == [], "flags that no case gives"

@@ -53,7 +53,7 @@ def _toy_batch(num_nodes, edges, node_type=None, num_graphs=1, graph_id=None):
         cursor += len(type_rows[t])
     gid = np.zeros(num_nodes, dtype=np.int64) if graph_id is None else np.asarray(graph_id, dtype=np.int64)
     return GraphBatch(
-        num_nodes, num_graphs, nt, gid, types, type_rows,
+        num_nodes, num_graphs, nt, gid, type_rows,
         {t: np.zeros((len(type_rows[t]), 0)) for t in types},
         {t: np.zeros((len(type_rows[t]), 0), dtype=np.int64) for t in types},
         scatter, edges, np.zeros(num_graphs, dtype=np.int64),
@@ -71,7 +71,7 @@ def _shuffled(dp, rng):
     inv = np.empty(dp.num_nodes, dtype=np.int64)
     inv[perm] = np.arange(dp.num_nodes)
     return DatapointStore(dp.node_types[perm], dp.rows[perm], dp.node_start, inv[dp.src], inv[dp.dst], dp.edge_type,
-                          dp.edge_start, inv[dp.target_local], dp.labels, dp.targets, dp.types)
+                          dp.edge_start, dp.labels, dp.targets, dp.types)
 
 
 def _tie_er_params(er, homo):
@@ -218,7 +218,7 @@ def test_build_batch_structure(clinic):
     assert list(b.type_rows[0]) == [0, 4]
     assert list(b.type_rows[1]) == [1, 2, 5]
     assert list(b.type_rows[2]) == [3, 6]
-    order = np.concatenate([b.type_rows[t] for t in b.types_present])
+    order = np.concatenate(list(b.type_rows.values()))
     assert list(b.scatter[order]) == list(range(7))
     src, dst = b.edges[EdgeType(1, 1, FORWARD)]
     assert list(src) == [1, 2, 5] and list(dst) == [0, 0, 4]
@@ -245,8 +245,8 @@ def test_build_batch_gathers_what_it_would_encode(clinic, random_database):
             ids = range(len(dps))[lo:lo + 3]
             gathered = build_batch(dps.take(ids), db, encoders, tables)
             encoded = build_batch(dps.take(ids), db, encoders)
-            assert gathered.types_present == encoded.types_present
-            for t in encoded.types_present:
+            assert list(gathered.type_rows) == list(encoded.type_rows)
+            for t in encoded.type_rows:
                 for got, want in ((gathered.dense[t], encoded.dense[t]), (gathered.cats[t], encoded.cats[t])):
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
@@ -392,7 +392,7 @@ def test_poolmlp_single_node_mean_is_state(clinic):
     dp = clinic.dps[0]
     none = np.zeros(0, dtype=np.int64)
     single = DatapointStore(dp.node_types[:1], dp.rows[:1], np.array([0, 1]), none, none, none, np.array([0, 0]),
-                            np.array([0]), dp.labels, dp.targets, dp.types)
+                            dp.labels, dp.targets, dp.types)
     model = Model(ModelConfig("poolmlp", hidden=8, dropout=0.0), clinic.schema, seed=6)
     batch = build_batch([single], clinic.db, clinic.encoders)
     h = model._init_hidden(batch)
@@ -404,8 +404,8 @@ def test_poolmlp_single_node_mean_is_state(clinic):
 def test_poolmlp_duplicated_nodes_leave_mean_unchanged(clinic):
     dp = clinic.dps[0]
     doubled = DatapointStore(np.concatenate([dp.node_types, dp.node_types]), np.concatenate([dp.rows, dp.rows]),
-                             dp.node_start * 2, dp.src, dp.dst, dp.edge_type, dp.edge_start, dp.target_local,
-                             dp.labels, dp.targets, dp.types)
+                             dp.node_start * 2, dp.src, dp.dst, dp.edge_type, dp.edge_start, dp.labels,
+                             dp.targets, dp.types)
     model = Model(ModelConfig("poolmlp", hidden=8, dropout=0.0), clinic.schema, seed=6)
     a = model.forward(build_batch([dp], clinic.db, clinic.encoders))
     b = model.forward(build_batch([doubled], clinic.db, clinic.encoders))
@@ -480,7 +480,7 @@ def test_model_reads_only_its_schemas_edge_types(clinic, variant):
     b = clinic.batch
     assert any(et.direction == REVERSE for et in b.edges)
     forward_only = {et: pair for et, pair in b.edges.items() if et.direction != REVERSE}
-    stripped = GraphBatch(b.num_nodes, b.num_graphs, b.node_type, b.graph_id, b.types_present,
+    stripped = GraphBatch(b.num_nodes, b.num_graphs, b.node_type, b.graph_id,
                           b.type_rows, b.dense, b.cats, b.scatter, forward_only, b.labels)
     assert np.array_equal(model.forward(b).data, model.forward(stripped).data)
 
@@ -492,7 +492,7 @@ def test_edge_order_invariance(clinic):
     for et, (src, dst) in b.edges.items():
         perm = rng.permutation(len(src))
         shuffled_edges[et] = (src[perm], dst[perm])
-    shuffled = GraphBatch(b.num_nodes, b.num_graphs, b.node_type, b.graph_id, b.types_present,
+    shuffled = GraphBatch(b.num_nodes, b.num_graphs, b.node_type, b.graph_id,
                           b.type_rows, b.dense, b.cats, b.scatter, shuffled_edges, b.labels)
     for variant in VARIANTS:
         model = Model(ModelConfig(variant, hidden=8, dropout=0.0), clinic.schema, seed=7)

@@ -276,10 +276,22 @@ def test_duplicate_primary_key_rejected(tmp_path):
         '{"name": "id", "kind": "primary_key"},'
         '{"name": "a_id", "kind": "foreign_key", "references": {"table": "A", "column": "id"}}]}]}'
     )
-    (tmp_path / "A.csv").write_text("id\nx\nx\n")
-    (tmp_path / "B.csv").write_text("id,a_id\nb1,x\n")
-    with pytest.raises(RdbError, match="duplicate key"):
-        load_database(tmp_path)
+    # a key that a foreign key references (A's), and one that none does (B's)
+    for a_rows, b_rows, message in (
+            ("x\nx\n", "b1,x\n", "A.csv: duplicate key 'x' at table A row 1 column id"),
+            ("x\n", "b1,x\nb2,x\nb1,x\n", "B.csv: duplicate key 'b1' at table B row 2 column id")):
+        (tmp_path / "A.csv").write_text("id\n" + a_rows)
+        (tmp_path / "B.csv").write_text("id,a_id\n" + b_rows)
+        for strict in (True, False):
+            with pytest.raises(RdbError, match=message):
+                load_database(tmp_path, strict=strict)
+
+
+def test_duplicate_primary_key_rejected_in_memory():
+    # a table that no foreign key references, resolved without files
+    table = Table("T", [Column("id", ColumnKind("primary_key"), False, ["t0", "t1", "t0"])])
+    with pytest.raises(RdbError, match="^duplicate key 't0' at table T row 2 column id$"):
+        _resolve_foreign_keys(Database([table], {}, [], []), strict=True)
 
 
 def test_fk_reference_must_exist_in_schema(tmp_path):

@@ -31,12 +31,17 @@ from relgnn.sampler import (
 from relgnn.synth import SynthSpec, generate
 
 
+def _nodes(dp):
+    """The store's nodes as original (table, row) ids."""
+    return list(zip(dp.node_types.tolist(), dp.rows.tolist()))
+
+
 def _node_set(dp):
-    return set(dp.nodes)
+    return set(_nodes(dp))
 
 
 def _forward_multiset(dp):
-    nodes = dp.nodes
+    nodes = _nodes(dp)
     return sorted(((dp.types[k].table, dp.types[k].column), nodes[s], nodes[d])
                   for k, s, d in zip(dp.edge_type.tolist(), dp.src.tolist(), dp.dst.tolist()))
 
@@ -47,8 +52,7 @@ def _forward_edges(dp, et):
     return dp.src[of_type], dp.dst[of_type]
 
 
-_STORE_ARRAYS = ("node_types", "rows", "node_start", "src", "dst", "edge_type", "edge_start", "target_local",
-                 "labels", "targets")
+_STORE_ARRAYS = ("node_types", "rows", "node_start", "src", "dst", "edge_type", "edge_start", "labels", "targets")
 
 
 def _assert_same_store(got, want):
@@ -74,8 +78,8 @@ def test_single_table_target_is_alone(tmp_path):
     (tmp_path / "T.csv").write_text("id,label\na,1\nb,0\n")
     graph = database_to_graph(load_database(tmp_path))
     dp = rdb_to_graph(graph, (0, 0))
-    assert dp.nodes == [(0, 0)]
-    assert dp.target_local.tolist() == [0]
+    assert _nodes(dp) == [(0, 0)]
+    assert dp.targets.tolist() == [[0, 0]]
     assert dp.types == [] and len(dp.src) == len(dp.dst) == len(dp.edge_type) == 0
     assert list(_batch_of([dp], graph.db).edges) == [EdgeType(0, -1, SELF_LOOP)]
 
@@ -83,7 +87,7 @@ def test_single_table_target_is_alone(tmp_path):
 def test_clinic_target_p1_closure(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     dp = rdb_to_graph(graph, (0, 0))
-    assert dp.nodes == [(0, 0), (1, 0), (1, 1), (2, 0)]  # p1, v1, v2, d1
+    assert _nodes(dp) == [(0, 0), (1, 0), (1, 1), (2, 0)]  # p1, v1, v2, d1
     assert dp.labels.tolist() == [1]
     src, dst = _forward_edges(dp, EdgeType(1, 1, FORWARD))
     assert list(src) == [1, 2] and list(dst) == [0, 0]
@@ -94,7 +98,7 @@ def test_clinic_target_p1_closure(fixtures_dir):
 def test_clinic_target_p2_closure(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     dp = rdb_to_graph(graph, (0, 1))
-    assert dp.nodes == [(0, 1), (1, 2), (2, 0)]  # p2, v3, d1
+    assert _nodes(dp) == [(0, 1), (1, 2), (2, 0)]  # p2, v3, d1
     assert dp.labels.tolist() == [0]
 
 
@@ -142,7 +146,7 @@ def test_batch_sample_empty_and_duplicates(fixtures_dir):
     graph = database_to_graph(load_database(fixtures_dir / "clinic"))
     assert len(batch_sample(graph, [])) == 0 and list(batch_sample(graph, [])) == []
     a, b = batch_sample(graph, [1, 1])
-    assert a.nodes == b.nodes and a.types is b.types
+    assert _nodes(a) == _nodes(b) and a.types is b.types
     _assert_same_store(a, b)
 
 
@@ -158,6 +162,9 @@ def test_one_target_stores_are_slices_of_the_store(random_database, edge_type_on
             _assert_same_store(store[i], store.take([i]))
             assert store[i].num_nodes == store.node_start[i + 1] - store.node_start[i]
         _assert_same_store(store[-1], store.take([len(store) - 1]))
+        for out_of_range in (len(store), -len(store) - 1):
+            with pytest.raises(IndexError):
+                store[out_of_range]
         for row in rows:
             _assert_same_store(rdb_to_graph(graph, (0, row), edge_type_once=edge_type_once),
                                batch_sample(graph, [row], edge_type_once=edge_type_once)[0])
@@ -221,7 +228,7 @@ def test_monotonicity_unreachable_table_is_inert(fixtures_dir):
     spare = Table("Spare", [Column("id", ColumnKind("primary_key"), False, ["s1", "s2"])])
     bigger = Database(db.tables + [spare], db.fk_rows, db.dangling, db.target_flags)
     grown = rdb_to_graph(database_to_graph(bigger), (0, 0))
-    assert grown.nodes == base.nodes
+    assert _nodes(grown) == _nodes(base)
     assert _forward_multiset(grown) == _forward_multiset(base)
 
 
@@ -253,7 +260,7 @@ def test_edge_type_once_matches_oracle_and_is_subset(random_database):
 
 def _assert_same_batch(got, want):
     """Every array of the two batches equal, dtypes and dict key order included."""
-    assert (got.num_nodes, got.num_graphs, got.types_present) == (want.num_nodes, want.num_graphs, want.types_present)
+    assert (got.num_nodes, got.num_graphs) == (want.num_nodes, want.num_graphs)
     pairs = [(got.node_type, want.node_type), (got.graph_id, want.graph_id), (got.scatter, want.scatter),
              (got.labels, want.labels)]
     for name in ("type_rows", "dense", "cats", "edges"):
@@ -268,7 +275,8 @@ def _assert_same_batch(got, want):
 def _assert_same_datapoint(dp, ref, db, reverse_edges=True):
     """The datapoint's forward edges equal the reference's directly; its reverse edges and self loops,
     which the reference stores, equal those that `build_batch` derives for a batch of it alone."""
-    assert dp.nodes == ref.nodes
+    nodes = _nodes(dp)
+    assert nodes == ref.nodes
     assert dp.node_types.dtype == ref.node_types.dtype and np.array_equal(dp.node_types, ref.node_types)
     for field in _STORE_ARRAYS:
         assert getattr(dp, field).dtype == np.int64, field
@@ -283,8 +291,8 @@ def _assert_same_datapoint(dp, ref, db, reverse_edges=True):
         for got, want in zip(derived[et], pair):
             assert got.dtype == want.dtype and np.array_equal(got, want), et
     label = -1 if ref.label is None else ref.label
-    assert (dp.target_local.tolist(), dp.labels.tolist(), dp.targets.tolist()) == (
-        [ref.target_local], [label], [list(ref.provenance)])
+    assert nodes[ref.target_local] == ref.provenance
+    assert (dp.labels.tolist(), dp.targets.tolist()) == ([label], [list(ref.provenance)])
 
 
 @pytest.mark.parametrize("reverse_edges", [True, False], ids=["reverse", "forward-only"])
@@ -392,7 +400,7 @@ def test_size_cap_leaves_the_scratch_arrays_clean(monkeypatch, fixtures_dir, edg
     store = batch_sample(graph, rows, edge_type_once=edge_type_once)
     assert len(flags) == len(rows) and all(held is flags[0] for held in flags) and not flags[0].any()
     for dp, row in zip(store, rows):
-        assert dp.nodes == reference_datapoint(graph, (0, row), edge_type_once=edge_type_once).nodes
+        assert _nodes(dp) == reference_datapoint(graph, (0, row), edge_type_once=edge_type_once).nodes
 
 
 def _targets_with_unrelated_rows(n_targets, n_unrelated):
@@ -510,7 +518,7 @@ from relgnn.graph import database_to_graph
 from relgnn.rdb import load_database, remove_target_column
 from relgnn.sampler import batch_sample, write_datapoints_jsonl
 graph = database_to_graph(remove_target_column(load_database(sys.argv[1])))
-store = batch_sample(graph, list(range(graph.node_counts[graph.db.target[0]])))
+store = batch_sample(graph, list(range(graph.db.tables[graph.db.target[0]].nrows)))
 write_datapoints_jsonl(sys.argv[2], store, graph, True)
 print("numpy.ma" in sys.modules)
 """

@@ -344,6 +344,7 @@ def test_parameters_stay_views_of_the_optimizer_arena_after_a_fold(monkeypatch):
     class RecordingAdamW(training.AdamW):
         def __init__(self, params, **kwargs):
             super().__init__(params, **kwargs)
+            self.params = params
             arenas.append(self)
 
     monkeypatch.setattr(training, "AdamW", RecordingAdamW)
