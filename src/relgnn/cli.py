@@ -306,7 +306,10 @@ def cmd_train(args) -> int:
         encoders = fit_encoders(masked, fit_rows)
         dfs_encoders = fit_feature_encoders(shared[1], fold.fit_ids) if "aggspecs" in desc else None
         net, data = _build(desc, masked, labels, shared, encoders, dfs_encoders, seed=args.seed + fi)
-        result = train(net, data, fold, replace(config, seed=args.seed + fi))
+        try:
+            result = train(net, data, fold, replace(config, seed=args.seed + fi))
+        except RuntimeError as exc:  # a diverging loss
+            raise RuntimeError(f"fold {fi}: {exc}") from None
         metrics = evaluate(net, data, fold.test_ids)
         fold_dir = args.out / f"fold{fi}"
         fold_dir.mkdir(parents=True, exist_ok=True)
@@ -317,6 +320,7 @@ def cmd_train(args) -> int:
         folds.append(_fold_report(fi, result, metrics))
         log.info("fold %d: val auroc %.4f (epoch %d), test auroc %.4f",
                  fi, result.best_val_auroc, result.best_epoch, metrics["auroc"])
+        del net, data  # before the next fold's _build
     aurocs = [f["test_auroc"] for f in folds]
     payload = {
         "model": args.model,

@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode autodiff on a dynamic tape.
 
 Every op records a backward closure on the output tensor; ``backward()``
-replays the tape in reverse topological order. All arithmetic is 64-bit
-and deterministic, which the training pipeline relies on for bit-stable
-reruns.
+replays the tape in reverse topological order. Inside ``no_tape()`` ops record
+nothing, so a forward pass whose output is never differentiated holds no tape.
+All arithmetic is 64-bit and deterministic, which the training pipeline relies
+on for bit-stable reruns.
 
 No gradient buffer is ever written in place during a backward pass: an op may
 hand its output's gradient (or a view of it) to an input unchanged, so one
@@ -15,11 +16,12 @@ optimizer's flat arena (see ``optim.AdamW``).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import struct
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "tensor_sum",
     "cross_entropy",
     "backward",
+    "no_tape",
     "gradcheck",
     "init_weight",
     "init_embedding",
@@ -88,9 +91,24 @@ _Grads = dict[Tensor, np.ndarray]  # gradient buffers of one backward pass
 _Backward = Callable[[np.ndarray, _Grads], None]  # accumulates an output's gradient into its inputs
 
 
+_taping = True  # False inside no_tape()
+
+
+@contextlib.contextmanager
+def no_tape() -> Iterator[None]:
+    """Ops inside the block compute the same values but record no parents and no backward closure, so
+    their outputs require no gradient and hold no input alive. The previous state comes back on exit."""
+    global _taping
+    previous, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = previous
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], bwd: _Backward | None) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _taping and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = bwd
@@ -366,7 +384,8 @@ def _accum(grads: _Grads, t: Tensor, g: np.ndarray) -> None:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf tensor (one that no op produced) that requires a gradient and
     is reachable from ``loss``. Op outputs keep ``grad`` None, and no gradient is computed for an
-    operand that requires none.
+    operand that requires none. An op output's gradient is dropped as soon as its backward step has
+    run, so the pass holds only the gradients that later steps still read; the tape itself is kept.
 
     Repeated calls without ``zero_grad`` accumulate: a leaf's gradient is added into its existing
     ``grad`` array in place, and allocated only when ``grad`` is None.
@@ -391,10 +410,11 @@ def backward(loss: Tensor) -> None:
     # gradient buffers of this pass only, keyed by the tensor itself
     grads: _Grads = {loss: np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads.get(node)
-        if g is None or node._backward is None:
-            continue
-        node._backward(g, grads)
+        if node._backward is None:
+            continue  # a leaf keeps its gradient for the accumulate below
+        g = grads.pop(node, None)
+        if g is not None:
+            node._backward(g, grads)
     for node in topo:
         g = grads.get(node)
         if g is not None and node._backward is None:

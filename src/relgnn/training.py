@@ -21,6 +21,7 @@ from .tensor import (
     dropout,
     init_weight,
     matmul,
+    no_tape,
     relu,
 )
 
@@ -154,7 +155,7 @@ def positive_scores(logits: np.ndarray) -> np.ndarray:
 
 class _Dataset:
     """Labelled examples by id. `inputs(ids)` is what the network's forward pass reads for those ids;
-    the loss and the chunked scores go through it."""
+    the loss and the chunked scores go through it. Scoring runs its forward passes without a tape."""
 
     labels: np.ndarray
 
@@ -167,10 +168,11 @@ class _Dataset:
 
     def scores(self, net, ids) -> np.ndarray:
         ids = np.asarray(ids)
-        parts = [
-            positive_scores(net.forward(self.inputs(ids[lo:lo + EVAL_CHUNK])).data)
-            for lo in range(0, len(ids), EVAL_CHUNK)
-        ]
+        with no_tape():
+            parts = [
+                positive_scores(net.forward(self.inputs(ids[lo:lo + EVAL_CHUNK])).data)
+                for lo in range(0, len(ids), EVAL_CHUNK)
+            ]
         return np.concatenate(parts)
 
     def labels_of(self, ids) -> np.ndarray:
@@ -246,6 +248,7 @@ def train(net, data, fold: CvFold, config: TrainConfig) -> TrainResult:
             if not np.isfinite(value):
                 raise RuntimeError(f"non-finite training loss ({value}) at epoch {epoch}")
             backward(loss)
+            del loss  # frees the batch's tape before the next batch records its own
             opt.step()
             weighted += value * len(ids)
         val_auroc = auroc(data.scores(net, fold.val_ids), data.labels_of(fold.val_ids))

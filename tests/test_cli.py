@@ -5,17 +5,21 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import relgnn
+from relgnn import cli
 from relgnn.cli import _build_parser, main
 from relgnn.tensor import Tensor, load_checkpoint, save_checkpoint
+from test_training import gc_disabled
 
 
 def _run(capsys, argv):
@@ -597,6 +601,36 @@ def test_train_rerun_is_bit_identical(capsys, synth_dir, tmp_path):
     assert (out / "manifest.json").read_bytes() == first_manifest
 
 
+def test_train_names_the_fold_whose_loss_diverges(capsys, synth_dir, tmp_path):
+    argv = ["train", "--dataset", str(synth_dir), "--model", "gcn", "--folds", "2", "--max-epochs", "2",
+            "--lr", "1e300", "--out", str(tmp_path / "run")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert re.fullmatch(r"error: fold 0: non-finite training loss \(nan\) at epoch \d+\n", err.splitlines(True)[-1])
+
+
+@pytest.mark.parametrize("model", ["gcn", "dfs-logreg"])
+def test_train_frees_each_fold_before_the_next_fold_builds(monkeypatch, synth_dir, tmp_path, model):
+    # fold k's network and dataset, and the arrays the dataset encoded, are gone by reference count
+    # when fold k + 1's _build runs
+    refs, alive = [], []
+    build = cli._build
+
+    def recording_build(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        net, data = build(*args, **kwargs)
+        arrays = [data.tables[0][0], data.tables[-1][1]] if model == "gcn" else [data.features]
+        refs.extend(weakref.ref(x) for x in [net, data, *arrays])
+        return net, data
+
+    monkeypatch.setattr(cli, "_build", recording_build)
+    with gc_disabled():
+        assert main(["train", "--dataset", str(synth_dir), "--model", model, "--folds", "3", "--max-epochs", "1",
+                     "--out", str(tmp_path / "run")]) == 0
+    assert alive == [0, 0, 0]
+
+
 def test_train_dfs_logreg_then_eval(capsys, synth_dir, tmp_path):
     run = tmp_path / "run"
     code, payload, _ = _run(capsys, ["train", "--dataset", str(synth_dir), "--model", "dfs-logreg",
@@ -932,7 +966,7 @@ def test_train_rejects_a_fold_count_the_plan_cannot_honour(capsys, synth_dir, tm
     assert err.strip().splitlines()[-1] == f"error: fold count must be between 2 and 80 (the number of ids), got {folds}"
 
 
-_TRAIN_SPANS = {"training.train", "encode.fit_encoders", "training.evaluate",
+_TRAIN_SPANS = {"training.train", "encode.fit_encoders", "training.evaluate", "training.scores",
                 "optim.step", "optim.zero_grad", "tensor.backward"}
 
 

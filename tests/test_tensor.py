@@ -22,6 +22,7 @@ from relgnn.tensor import (
     log_softmax,
     matmul,
     multiply,
+    no_tape,
     relu,
     save_checkpoint,
     segment_mean,
@@ -189,6 +190,86 @@ def test_backward_is_bitwise_the_copying_reference(name):
         got.append([t.grad.tobytes() for t in leaves])
     assert got[0] == got[1]
     assert any(t.grad.any() for t in leaves)
+
+
+def test_backward_drops_each_op_gradient_once_its_step_has_run(monkeypatch):
+    # down a chain of 20 ops the pass holds one gradient at a time, not every gradient it has made
+    held = []
+    accum = tensor._accum
+
+    def recording_accum(grads, t, g):
+        accum(grads, t, g)
+        held.append(len(grads))
+
+    monkeypatch.setattr(tensor, "_accum", recording_accum)
+    x = Tensor(np.linspace(0.5, 1.5, 6), requires_grad=True)
+    h = x
+    for _ in range(20):
+        h = tanh(h)
+    backward(tensor_sum(h))
+    assert len(held) == 21 and max(held) == 1
+    outs = [np.tanh(x.data)]
+    for _ in range(19):
+        outs.append(np.tanh(outs[-1]))
+    expected = np.ones(6)
+    for out in reversed(outs):
+        expected = expected * (1.0 - out * out)
+    assert np.array_equal(x.grad, expected)
+
+
+def _every_op(a, b, w, table, rng):
+    """One output of each op on tensors that require gradients."""
+    seg = np.array([0, 2, 2])
+    return [
+        matmul(a, w), add(a, b), multiply(a, b), concat([a, b], axis=0), relu(a), leaky_relu(a), sigmoid(a),
+        tanh(a), log_softmax(a), dropout(a, 0.5, train=True, rng=rng), dropout(a, 0.5, train=False),
+        embedding_lookup(table, np.array([[1, 0], [1, 1]])), segment_sum(a, seg, 3),
+        segment_mean(a, np.array([0, 1, 1]), 2), segment_softmax(a, np.array([0, 1, 1]), 2), tensor_sum(a),
+        cross_entropy(matmul(a, w), np.array([0, 1, 1])),
+    ]
+
+
+def _op_inputs():
+    rng = np.random.default_rng(17)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    table = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    return a, b, w, table
+
+
+def test_no_tape_outputs_record_nothing():
+    a, b, w, table = _op_inputs()
+    with no_tape():
+        outs = _every_op(a, b, w, table, np.random.default_rng(0))
+    for out in outs:
+        assert not out.requires_grad and out._parents == () and out._backward is None and out.grad is None
+    assert all(t.requires_grad for t in (a, b, w, table))
+
+
+def test_no_tape_values_are_bitwise_the_taped_ones():
+    a, b, w, table = _op_inputs()
+    taped = _every_op(a, b, w, table, np.random.default_rng(0))
+    with no_tape():
+        free = _every_op(a, b, w, table, np.random.default_rng(0))
+    assert all(t.requires_grad for t in taped)
+    for t, f in zip(taped, free, strict=True):
+        assert t.data.dtype == f.data.dtype and t.shape == f.shape and t.data.tobytes() == f.data.tobytes()
+
+
+def test_no_tape_restores_the_tape_after_an_exception_and_a_nested_block():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    with pytest.raises(ZeroDivisionError):
+        with no_tape():
+            1 / 0
+    with no_tape():
+        with no_tape():
+            pass
+        assert not multiply(x, x).requires_grad  # the inner block's exit leaves the outer one off
+    loss = tensor_sum(multiply(x, x))
+    assert loss.requires_grad and loss._backward is not None
+    backward(loss)
+    assert np.array_equal(x.grad, 2.0 * x.data)
 
 
 def test_backward_requires_scalar_loss():

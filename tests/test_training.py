@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -362,6 +365,70 @@ def test_parameters_stay_views_of_the_optimizer_arena_after_a_fold(monkeypatch):
     for t in trainable:
         assert np.shares_memory(t.data, opt.flat_data) and np.shares_memory(t.grad, opt.flat_grad)
     assert opt.flat_data.tobytes() == np.concatenate([t.data.ravel() for t in trainable]).tobytes()
+
+
+@contextlib.contextmanager
+def gc_disabled():
+    """No cyclic collection inside the block, so whatever is freed there is freed by its reference count."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _scoring_case(kind):
+    if kind == "graph":
+        db, dps, encoders = _clinic_dataset()
+        net = Model(ModelConfig("ergat", hidden=4, heads=2), GraphSchema.from_database(db, encoders), seed=2)
+        return net, GraphDataset(db, dps, encoders), np.arange(4)
+    features = np.random.default_rng(8).normal(size=(training.EVAL_CHUNK + 88, 3))  # two chunks
+    return MlpModel(3, seed=1), TableDataset(features, np.arange(len(features)) % 2), np.arange(len(features))
+
+
+@pytest.mark.parametrize("kind", ["graph", "table"])
+def test_scores_run_every_forward_without_a_tape(kind):
+    net, data, ids = _scoring_case(kind)
+    outputs = []
+    forward = net.forward
+
+    def recording_forward(*args, **kwargs):
+        outputs.append(forward(*args, **kwargs))
+        return outputs[-1]
+
+    net.forward = recording_forward
+    scores = data.scores(net, ids)
+    assert len(outputs) == -(-len(ids) // training.EVAL_CHUNK)
+    for out in outputs:
+        assert not out.requires_grad and out._parents == () and out._backward is None
+    # the same scores as a taped forward pass over each chunk
+    taped = [forward(data.inputs(ids[lo:lo + training.EVAL_CHUNK])) for lo in range(0, len(ids), training.EVAL_CHUNK)]
+    assert all(out.requires_grad for out in taped)
+    assert scores.tobytes() == np.concatenate([positive_scores(out.data) for out in taped]).tobytes()
+
+
+def test_train_frees_each_batch_loss_before_the_next_batch_runs():
+    # the loop drops its loss after the backward pass, so no two batches' tapes are alive together
+    class LossRecordingDataset(GraphDataset):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.losses = []
+            self.alive = []
+
+        def loss(self, net, ids, train=False, rng=None):
+            self.alive.append(sum(ref() is not None for ref in self.losses))
+            out = super().loss(net, ids, train, rng)
+            self.losses.append(weakref.ref(out.data))
+            return out
+
+    db, dps, encoders = _clinic_dataset()
+    net = Model(ModelConfig("gcn", hidden=4), GraphSchema.from_database(db, encoders), seed=2)
+    data = LossRecordingDataset(db, dps, encoders)
+    fold = CvFold(np.array([0, 1, 2, 3]), np.array([0, 1]), np.arange(0))
+    with gc_disabled():
+        train(net, data, fold, TrainConfig(lr=0.1, batch_size=1, max_epochs=3, patience=3, seed=2))
+    assert data.alive == [0] * 6
 
 
 # ---------------------------------------------------------------------------
