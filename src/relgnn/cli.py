@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .dfs import (
+    DFS_DEPTH,
     aggspecs_from_json,
     aggspecs_to_json,
     apply_feature_encoders,
@@ -24,12 +25,13 @@ from .dfs import (
 )
 from .encode import encoded_columns, encoders_from_json, encoders_to_json, fit_encoders
 from .graph import database_to_graph, graph_stats
-from .models import DEFAULT_ROUNDS, VARIANTS, GraphSchema, Model, ModelConfig
+from .models import DEFAULT_ROUNDS, VARIANTS, GraphSchema, Model, ModelConfig, build_batch
 from .rdb import RdbError, load_database, remove_target_column, target_labels, validate_schema
 from .sampler import DEFAULT_SIZE_CAP, DatapointStore, SizeCapError, batch_sample, write_datapoints_jsonl
 from .synth import SIGNALS, TEMPLATES, SynthSpec, generate
 from .tensor import load_checkpoint, save_checkpoint, gradcheck as run_gradcheck
 from .training import (
+    MLP_DROPOUT,
     GraphDataset,
     LinearModel,
     MlpModel,
@@ -46,14 +48,16 @@ MODELS = VARIANTS + ("logreg", "mlp", "dfs-logreg")
 
 GRADCHECK_TOLERANCE = 1e-4
 
+GNN_WEIGHT_DECAY, BASELINE_WEIGHT_DECAY = 0.0, 0.01  # AdamW's, per model family, when --weight-decay is unset
+
+ERRORS = (RdbError, SizeCapError, OSError, ValueError, KeyError, RuntimeError)  # main reports each as one line
+
 log = logging.getLogger("relgnn")
 
 
-def _setup_logging(out: Path | None) -> None:
-    handlers: list[logging.Handler] = [logging.StreamHandler(sys.stderr)]
-    if out is not None:
-        handlers.append(logging.FileHandler(out / "log.txt", mode="w", encoding="utf-8"))
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", handlers=handlers, force=True)
+def _setup_logging(*handlers: logging.Handler) -> None:
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s",
+                        handlers=[logging.StreamHandler(sys.stderr), *handlers], force=True)
 
 
 def _json_text(payload: dict) -> str:
@@ -176,14 +180,14 @@ def _describe(args, masked) -> dict:
         return getattr(args, name, default)
 
     if args.model in VARIANTS:
-        config = ModelConfig(variant=args.model, hidden=flag("hidden", 32),
-                             rounds=flag("rounds", DEFAULT_ROUNDS[args.model]), dropout=flag("dropout", 0.5))
+        config = ModelConfig(variant=args.model, hidden=flag("hidden", ModelConfig.hidden),
+                             rounds=flag("rounds", ModelConfig.rounds), dropout=flag("dropout", ModelConfig.dropout))
         desc = {"model": args.model, "config": asdict(config), "reverse_edges": flag("reverse_edges", True),
                 "edge_type_once": flag("edge_type_once", False), "size_cap": flag("size_cap", DEFAULT_SIZE_CAP)}
     else:  # logreg and dfs-logreg read no dropout, but model.json records the mlp's default for them too
-        desc = {"model": args.model, "dropout": flag("dropout", 0.3) if args.model == "mlp" else 0.3}
+        desc = {"model": args.model, "dropout": flag("dropout", MLP_DROPOUT) if args.model == "mlp" else MLP_DROPOUT}
     if args.model == "dfs-logreg":
-        desc["depth"] = flag("depth", 2)
+        desc["depth"] = flag("depth", DFS_DEPTH)
         desc["aggspecs"] = json.loads(aggspecs_to_json(enumerate_aggs(masked, desc["depth"])))
     unread = [option for name, option in _MODEL_FLAGS.items() if name in vars(args) and name not in read]
     if unread:
@@ -223,14 +227,14 @@ def _read_run_file(path: Path, reader, *context):
 
 
 def _shared_inputs(desc: dict, masked):
-    """What every fold shares: the sampled datapoints (GNNs), the DFS specs with their raw aggregates
-    (dfs-logreg), or None (logreg, mlp)."""
+    """What every fold reads alike: the sampled datapoints (GNNs), the raw DFS features (dfs-logreg), or
+    None (logreg, mlp)."""
     if desc["model"] in VARIANTS:
         return _sample(masked, edge_type_once=desc["edge_type_once"], size_cap=desc["size_cap"])[1]
     if "aggspecs" not in desc:
         return None
     specs = aggspecs_from_json(json.dumps(desc["aggspecs"]))
-    return specs, compute_features(masked, specs, range(masked.tables[masked.target[0]].nrows))
+    return compute_features(masked, specs, range(masked.tables[masked.target[0]].nrows))
 
 
 def _build(desc: dict, masked, labels, shared, encoders, dfs_encoders=None, seed: int = 0):
@@ -241,7 +245,7 @@ def _build(desc: dict, masked, labels, shared, encoders, dfs_encoders=None, seed
         return Model(ModelConfig(**desc["config"]), schema, seed=seed), GraphDataset(masked, shared, encoders)
     features = single_table_features(masked, encoders)
     if shared is not None:
-        features = np.concatenate([features, apply_feature_encoders(shared[1], dfs_encoders)], axis=1)
+        features = np.concatenate([features, apply_feature_encoders(shared, dfs_encoders)], axis=1)
     if desc["model"] == "mlp":
         net = MlpModel(features.shape[1], dropout_p=desc["dropout"], seed=seed)
     else:
@@ -290,52 +294,61 @@ def cmd_train(args) -> int:
     if not (gnn or desc.get("aggspecs") or any(encoded_columns(table))):
         dfs = " and no DFS feature" if "aggspecs" in desc else ""
         raise RdbError(f"--model {args.model} has no input: target table {table.name} has no feature column{dfs}")
-    # unset, the weight decay is the family default: none for the GNNs, 0.01 for the single-table baselines
-    weight_decay = (0.0 if gnn else 0.01) if args.weight_decay is None else args.weight_decay
+    weight_decay = args.weight_decay
+    if weight_decay is None:
+        weight_decay = GNN_WEIGHT_DECAY if gnn else BASELINE_WEIGHT_DECAY
     config = TrainConfig(lr=args.lr, weight_decay=weight_decay, batch_size=args.batch,
                          max_epochs=args.max_epochs, patience=args.patience, oversample=args.oversample)
     args.out.mkdir(parents=True, exist_ok=True)
-    _setup_logging(args.out)
-    _write_manifest(args)
-    (args.out / "model.json").write_text(_json_text(desc), encoding="utf-8")
-    shared = _shared_inputs(desc, masked)
-    folds = []
-    for fi, fold in enumerate(plan):
-        # encoders see only the fold's fit rows: for a GNN, every row that their subgraphs reach
-        fit_rows = fold_encoder_rows(shared, fold.fit_ids) if gnn else {masked.target[0]: list(fold.fit_ids)}
-        encoders = fit_encoders(masked, fit_rows)
-        dfs_encoders = fit_feature_encoders(shared[1], fold.fit_ids) if "aggspecs" in desc else None
-        net, data = _build(desc, masked, labels, shared, encoders, dfs_encoders, seed=args.seed + fi)
-        try:
-            result = train(net, data, fold, replace(config, seed=args.seed + fi))
-        except RuntimeError as exc:  # a diverging loss
-            raise RuntimeError(f"fold {fi}: {exc}") from None
-        metrics = evaluate(net, data, fold.test_ids)
-        fold_dir = args.out / f"fold{fi}"
-        fold_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(fold_dir / "checkpoint.bin", net.params)
-        (fold_dir / "encoders.json").write_text(encoders_to_json(encoders), encoding="utf-8")
-        if dfs_encoders is not None:
-            (fold_dir / "dfs_encoders.json").write_text(feature_encoders_to_json(dfs_encoders), encoding="utf-8")
-        folds.append(_fold_report(fi, result, metrics))
-        log.info("fold %d: val auroc %.4f (epoch %d), test auroc %.4f",
-                 fi, result.best_val_auroc, result.best_epoch, metrics["auroc"])
-        del net, data  # before the next fold's _build
-    aurocs = [f["test_auroc"] for f in folds]
-    payload = {
-        "model": args.model,
-        "dataset": str(args.dataset),
-        "seed": args.seed,
-        "n_folds": len(folds),
-        "folds": folds,
-        "mean_test_auroc": float(np.mean(aurocs)),
-        "sd_test_auroc": float(np.std(aurocs, ddof=1)) if len(aurocs) > 1 else 0.0,
-        "mean_test_accuracy": float(np.mean([f["test_accuracy"] for f in folds])),
-    }
-    if gnn:
-        payload["subgraphs"] = _subgraph_sizes(shared)
-    _emit(args, payload, "report.json")
-    return 0
+    log_file = logging.FileHandler(args.out / "log.txt", mode="w", encoding="utf-8")
+    _setup_logging(log_file)
+    try:
+        _write_manifest(args)
+        (args.out / "model.json").write_text(_json_text(desc), encoding="utf-8")
+        shared = _shared_inputs(desc, masked)
+        folds = []
+        for fi, fold in enumerate(plan):
+            # encoders see only the fold's fit rows: for a GNN, every row that their subgraphs reach
+            fit_rows = fold_encoder_rows(shared, fold.fit_ids) if gnn else {masked.target[0]: list(fold.fit_ids)}
+            encoders = fit_encoders(masked, fit_rows)
+            dfs_encoders = fit_feature_encoders(shared, fold.fit_ids) if "aggspecs" in desc else None
+            net, data = _build(desc, masked, labels, shared, encoders, dfs_encoders, seed=args.seed + fi)
+            try:
+                result = train(net, data, fold, replace(config, seed=args.seed + fi))
+            except RuntimeError as exc:  # a diverging loss
+                raise RuntimeError(f"fold {fi}: {exc}") from None
+            metrics = evaluate(net, data, fold.test_ids)
+            fold_dir = args.out / f"fold{fi}"
+            fold_dir.mkdir(parents=True, exist_ok=True)
+            save_checkpoint(fold_dir / "checkpoint.bin", net.params)
+            (fold_dir / "encoders.json").write_text(encoders_to_json(encoders), encoding="utf-8")
+            if dfs_encoders is not None:
+                (fold_dir / "dfs_encoders.json").write_text(feature_encoders_to_json(dfs_encoders), encoding="utf-8")
+            folds.append(_fold_report(fi, result, metrics))
+            log.info("fold %d: val auroc %.4f (epoch %d), test auroc %.4f",
+                     fi, result.best_val_auroc, result.best_epoch, metrics["auroc"])
+            del net, data  # before the next fold's _build
+        aurocs = [f["test_auroc"] for f in folds]
+        payload = {
+            "model": args.model,
+            "dataset": str(args.dataset),
+            "seed": args.seed,
+            "n_folds": len(folds),
+            "folds": folds,
+            "mean_test_auroc": float(np.mean(aurocs)),
+            "sd_test_auroc": float(np.std(aurocs, ddof=1)) if len(aurocs) > 1 else 0.0,
+            "mean_test_accuracy": float(np.mean([f["test_accuracy"] for f in folds])),
+        }
+        if gnn:
+            payload["subgraphs"] = _subgraph_sizes(shared)
+        _emit(args, payload, "report.json")
+        return 0
+    except ERRORS as exc:  # the line that main prints ends the run's log too
+        log_file.stream.write(f"error: {exc}\n")
+        raise
+    finally:  # the log is the run's alone: a later command in this process does not write to it
+        logging.getLogger().removeHandler(log_file)
+        log_file.close()
 
 
 def _load_params(net, arrays: dict[str, np.ndarray], checkpoint: Path, built_from: list[Path]) -> None:
@@ -355,20 +368,14 @@ def _load_params(net, arrays: dict[str, np.ndarray], checkpoint: Path, built_fro
         tensor.data = arrays[name]
 
 
-def _plan(manifest_text: str, n: int) -> list:
-    manifest = json.loads(manifest_text)
-    return make_cv_plan(n, manifest["seed"], manifest["folds"])
-
-
-def _run_plan(run: Path) -> list:
-    """The run's own CV plan, rebuilt from the seed and fold count in its manifest.json and the row count
-    in its report.json."""
-    n = _read_run_file(run / "report.json", lambda text: sum(f["test_n"] for f in json.loads(text)["folds"]))
-    return _read_run_file(run / "manifest.json", _plan, n)
+def _plan(report_text: str) -> list:
+    """The run's own CV plan, rebuilt from the seed, the fold count and the rows scored in its report.json."""
+    report = json.loads(report_text)
+    return make_cv_plan(sum(f["test_n"] for f in report["folds"]), report["seed"], report["n_folds"])
 
 
 def cmd_eval(args) -> int:
-    plan = _run_plan(args.run)
+    plan = _read_run_file(args.run / "report.json", _plan)
     if not 0 <= args.fold < len(plan):
         raise RdbError(f"--fold {args.fold} is out of range: the run {args.run} has {len(plan)} folds, "
                        f"0 to {len(plan) - 1}")
@@ -384,7 +391,7 @@ def cmd_eval(args) -> int:
     dfs_encoders = None
     if "aggspecs" in desc:
         built_from.append(fold_dir / "dfs_encoders.json")
-        dfs_encoders = _read_run_file(built_from[1], feature_encoders_from_json, shared[1])
+        dfs_encoders = _read_run_file(built_from[1], feature_encoders_from_json, shared)
     net, data = _build(desc, masked, labels, shared, encoders, dfs_encoders)
     _load_params(net, arrays, fold_dir / "checkpoint.bin", built_from)
     payload = {"model": desc["model"], "dataset": str(args.dataset), "fold": args.fold, "rows": "all",
@@ -420,8 +427,7 @@ def cmd_gradcheck(args) -> int:
     _, datapoints = _sample(masked, [0])
     encoders = fit_encoders(masked, fold_encoder_rows(datapoints, [0]))
     schema = GraphSchema.from_database(masked, encoders)
-    data = GraphDataset(masked, datapoints, encoders)
-    batch = data.inputs([0])
+    batch = build_batch(datapoints, masked, encoders)
     variants = [args.model] if args.model else list(VARIANTS)
     nudge = np.random.default_rng(args.seed)
     results = {}
@@ -497,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("dfs", cmd_dfs, help="write flat aggregate features as CSV")
     dataset_flag(p)
     out_flag(p, required=True)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=int, default=DFS_DEPTH)
 
     p = add("train", cmd_train, help="cross-validated training with test metrics")
     dataset_flag(p)
@@ -505,20 +511,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--seed", type=int, default=0)
     unset = argparse.SUPPRESS  # see _MODEL_FLAGS
-    p.add_argument("--hidden", type=int, default=unset, help="GNNs only; hidden width (default 32)")
-    p.add_argument("--rounds", type=int, default=unset,
-                   help="GNNs only; message-passing rounds (default 1 for gcn and ergcn, 0 for poolmlp, 2 otherwise)")
-    p.add_argument("--dropout", type=float, default=unset,
-                   help="GNNs and mlp only; dropout probability (default 0.5 for GNNs, 0.3 for mlp)")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=None,
-                   help="AdamW weight decay (default 0 for GNNs, 0.01 for logreg, mlp and dfs-logreg)")
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--max-epochs", type=int, default=100)
+    p.add_argument("--hidden", type=int, default=unset, help=f"GNNs only; hidden width (default {ModelConfig.hidden})")
+    rounds = ", ".join(f"{variant} {r}" for variant, r in DEFAULT_ROUNDS.items())
+    p.add_argument("--rounds", type=int, default=unset, help=f"GNNs only; message-passing rounds (default {rounds})")
+    p.add_argument("--dropout", type=float, default=unset, help=f"GNNs and mlp only; dropout probability "
+                   f"(default {ModelConfig.dropout} for GNNs, {MLP_DROPOUT} for mlp)")
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--weight-decay", type=float, default=None, help=f"AdamW weight decay (default {GNN_WEIGHT_DECAY} "
+                   f"for GNNs, {BASELINE_WEIGHT_DECAY} for logreg, mlp and dfs-logreg)")
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--depth", type=int, default=unset,
-                   help="dfs-logreg only; longest foreign-key path of a DFS feature (default 2)")
+                   help=f"dfs-logreg only; longest foreign-key path of a DFS feature (default {DFS_DEPTH})")
     p.add_argument("--oversample", action="store_true")
     sampling_flags(p, train=True)
 
@@ -541,10 +547,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if not logging.getLogger().handlers:
-        _setup_logging(None)
+        _setup_logging()
     try:
         return args.func(args)
-    except (RdbError, SizeCapError, OSError, ValueError, KeyError, RuntimeError) as exc:
+    except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

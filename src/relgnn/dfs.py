@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encode import (
+    COLUMN_DENSE_WIDTH,
     CategoricalEncoder,
     categorical_from_json,
     categorical_indices,
@@ -38,6 +39,8 @@ AGGREGATORS = ("count", "sum", "mean", "max", "min")
 
 COPY = "copy"  # forward paths copy one parent cell instead of aggregating a child set
 
+DFS_DEPTH = 2  # the longest foreign-key path of a feature when no depth is given
+
 
 @dataclass(frozen=True)
 class AggSpec:
@@ -64,7 +67,7 @@ _SOURCE_KINDS = {COPY: ("scalar", "categorical"), "sum": ("scalar",), "mean": ("
                  "min": ("scalar",)}
 
 
-def enumerate_aggs(db: Database, max_depth: int = 2) -> list[AggSpec]:
+def enumerate_aggs(db: Database, max_depth: int = DFS_DEPTH) -> list[AggSpec]:
     """Pure reverse-key paths get COUNT plus one spec per scalar column and aggregator; pure forward paths
     copy parent cells. Every reverse path comes first, depth first, then every forward path."""
     if max_depth < 0:
@@ -245,7 +248,7 @@ def apply_feature_encoders(raw: RawFeatures, encoders: list) -> np.ndarray:
     matrix."""
     n = len(raw)
     rows = np.arange(n)
-    widths = [enc.cardinality + 1 if isinstance(enc, CategoricalEncoder) else 2 for enc in encoders]
+    widths = [enc.slots if isinstance(enc, CategoricalEncoder) else COLUMN_DENSE_WIDTH["scalar"] for enc in encoders]
     out = np.zeros((n, sum(widths)))
     for col, enc, start, width in zip(raw.columns, encoders, np.cumsum([0] + widths).tolist(), widths):
         if isinstance(enc, CategoricalEncoder):

@@ -68,6 +68,10 @@ class CategoricalEncoder:
         return len(self.vocabulary)  # reserved for null and unseen tokens
 
     @property
+    def slots(self) -> int:
+        return self.cardinality + 1  # the tokens and the null/unseen slot: embedding rows, one-hot width
+
+    @property
     def embedding_dim(self) -> int:
         return min(32, self.cardinality)
 
@@ -218,12 +222,8 @@ class NodeTypeEncoder:
         return sum(COLUMN_DENSE_WIDTH[tag] for _, tag in self.dense_columns)
 
     @property
-    def embedding_dims(self) -> list[int]:
-        return [self.fitted[ci].embedding_dim for ci in self.cat_columns]
-
-    @property
     def input_width(self) -> int:
-        return self.dense_width + sum(self.embedding_dims)
+        return self.dense_width + sum(self.fitted[ci].embedding_dim for ci in self.cat_columns)
 
     @property
     def tagged_columns(self) -> list[tuple[int, str]]:

@@ -3,11 +3,10 @@ and graph-stats read: rows become nodes, FK cells become edges."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .rdb import Database, target_labels
+from .rdb import Database
 
 __all__ = [
     "EdgeType",
@@ -87,16 +86,6 @@ class HeteroGraph:
     @property
     def num_nodes(self) -> int:
         return int(self.offsets[-1])
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Each node's label, int64, read from the database on first use: -1 outside the target table,
-        and everywhere when the database has not exactly one target column."""
-        labels = np.full(self.num_nodes, -1, dtype=np.int64)
-        if len(self.db.target_flags) == 1:
-            table = self.db.target[0]
-            labels[self.offsets[table] : self.offsets[table + 1]] = target_labels(self.db)
-        return labels
 
     def out_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of the edges leaving each node, node by node, and how many leave each."""

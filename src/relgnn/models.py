@@ -73,15 +73,9 @@ class GraphSchema:
 
     @classmethod
     def from_database(cls, db: Database, encoders: list[NodeTypeEncoder], reverse_edges: bool = True) -> "GraphSchema":
-        widths = [enc.input_width for enc in encoders]
-        cat_specs = []
-        for enc in encoders:
-            specs = []
-            for ci in enc.cat_columns:
-                cat = enc.fitted[ci]
-                specs.append((ci, cat.cardinality + 1, cat.embedding_dim))
-            cat_specs.append(specs)
-        return cls(widths, cat_specs, edge_types(db, reverse_edges))
+        cat_specs = [[(ci, enc.fitted[ci].slots, enc.fitted[ci].embedding_dim) for ci in enc.cat_columns]
+                     for enc in encoders]
+        return cls([enc.input_width for enc in encoders], cat_specs, edge_types(db, reverse_edges))
 
 
 @dataclass
@@ -108,12 +102,10 @@ def build_batch(datapoints: DatapointStore | list[DatapointStore], db: Database,
                 tables: list[tuple[np.ndarray, np.ndarray]] | None = None) -> GraphBatch:
     """The datapoints as one disjoint graph, plus each forward edge's reverse and a self loop per node.
     A list of stores is concatenated first. Node features are gathered from `tables`, the output of
-    `encode_tables`, which is computed here when not given."""
+    `encode_tables`; without it, the batch's own rows are encoded, one `encode_node` per table present."""
     if not len(datapoints):
         raise ValueError("empty batch")
     store = datapoints if isinstance(datapoints, DatapointStore) else DatapointStore.concat(datapoints)
-    if tables is None:
-        tables = encode_tables(db, encoders)
     node_type, node_row = store.node_types, store.rows
     graph_id = np.repeat(np.arange(len(store), dtype=np.int64), np.diff(store.node_start))
 
@@ -141,7 +133,10 @@ def build_batch(datapoints: DatapointStore | list[DatapointStore], db: Database,
     cats: dict[int, np.ndarray] = {}
     for t, positions in type_rows.items():
         rows = node_row[positions]
-        dense[t], cats[t] = tables[t][0][rows], tables[t][1][rows]
+        if tables is None:
+            dense[t], cats[t] = encode_node(db, t, rows, encoders[t])
+        else:
+            dense[t], cats[t] = tables[t][0][rows], tables[t][1][rows]
 
     return GraphBatch(
         int(len(node_type)), len(store), node_type, graph_id, type_rows,

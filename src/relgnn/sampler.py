@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import FORWARD, SELF_LOOP, EdgeType, HeteroGraph, edge_types, ranges
+from .rdb import target_labels
 
 __all__ = [
     "DatapointStore",
@@ -306,8 +307,11 @@ def _induce(graph: HeteroGraph, keys: np.ndarray, targets: np.ndarray, labels: n
 
 def _sample(graph: HeteroGraph, targets: np.ndarray, edge_type_once: bool, size_cap: int) -> DatapointStore:
     """One subgraph per `(table, row)` row of `targets`, in that order: the closures of all targets, then
-    one induce pass over all of them, with labels from `graph.labels`."""
-    labels = graph.labels[graph.offsets[targets[:, 0]] + targets[:, 1]]
+    one induce pass over all of them. Labels read -1 outside the target table and without one target column."""
+    labels = np.full(len(targets), -1, dtype=np.int64)
+    if len(graph.db.target_flags) == 1:
+        inside = targets[:, 0] == graph.db.target[0]
+        labels[inside] = target_labels(graph.db)[targets[inside, 1]]
     return _induce(graph, _closures(graph, targets, edge_type_once, size_cap), targets, labels)
 
 

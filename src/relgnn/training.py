@@ -46,6 +46,8 @@ __all__ = [
 
 EVAL_CHUNK = 512
 
+MLP_DROPOUT = 0.3
+
 
 @dataclass
 class CvFold:
@@ -300,7 +302,7 @@ class LinearModel:
 class MlpModel:
     """Two hidden layers at 4x then 2x the input width, with dropout after each."""
 
-    def __init__(self, in_width: int, dropout_p: float = 0.3, seed: int = 0):
+    def __init__(self, in_width: int, dropout_p: float = MLP_DROPOUT, seed: int = 0):
         if in_width < 1:
             raise ValueError("baseline needs at least one input feature")
         h1, h2 = 4 * in_width, 2 * in_width
@@ -329,7 +331,7 @@ def single_table_features(db: Database, encoders: list[NodeTypeEncoder]) -> np.n
     ti, _ = db.target
     enc = encoders[ti]
     n = db.tables[ti].nrows
-    widths = [enc.fitted[ci].cardinality + 1 for ci in enc.cat_columns]
+    widths = [enc.fitted[ci].slots for ci in enc.cat_columns]
     out = np.zeros((n, enc.dense_width + sum(widths)))
     _, cats = encode_node(db, ti, np.arange(n), enc, out[:, :enc.dense_width])
     starts = enc.dense_width + np.cumsum([0] + widths)[:-1]

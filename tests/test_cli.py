@@ -76,7 +76,8 @@ def test_validate_lists_two_tables(capsys, fixtures_dir):
 
 
 def test_validate_reports_dangling(capsys, fixtures_dir):
-    code, payload, _ = _run(capsys, ["validate", "--dataset", str(fixtures_dir / "dangling")])
+    with pytest.warns(UserWarning, match="dangling"):
+        code, payload, _ = _run(capsys, ["validate", "--dataset", str(fixtures_dir / "dangling")])
     assert code == 0
     assert payload["dangling_cells"] >= 1
 
@@ -608,6 +609,19 @@ def test_train_names_the_fold_whose_loss_diverges(capsys, synth_dir, tmp_path):
         code, _, err = _run(capsys, argv)
     assert code == 1
     assert re.fullmatch(r"error: fold 0: non-finite training loss \(nan\) at epoch \d+\n", err.splitlines(True)[-1])
+    # the run's log ends with the same line
+    assert (tmp_path / "run" / "log.txt").read_text().splitlines(True)[-1] == err.splitlines(True)[-1]
+
+
+def test_a_run_log_takes_nothing_after_its_run(capsys, synth_dir, tmp_path):
+    for lr, code in (("1e-3", 0), ("1e300", 1)):  # a run that ends, and one whose loss diverges
+        run = tmp_path / f"run{code}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--dataset", str(synth_dir), "--model", "gcn", "--folds", "2", "--max-epochs", "2",
+                         "--lr", lr, "--out", str(run)]) == code
+        text = (run / "log.txt").read_text()
+        assert main(["gradcheck", "--model", "gcn"]) == 0
+        assert (run / "log.txt").read_text() == text
 
 
 @pytest.mark.parametrize("model", ["gcn", "dfs-logreg"])
@@ -707,12 +721,12 @@ def test_eval_rejects_malformed_model_json(capsys, request, synth_dir, tmp_path,
 
 
 @pytest.mark.parametrize("name, edit, message", [
-    ("manifest.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "seed"}),
+    ("report.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "seed"}),
      "missing key 'seed'"),
-    ("manifest.json", lambda text: json.dumps({**json.loads(text), "folds": 1}),
+    ("report.json", lambda text: json.dumps({**json.loads(text), "n_folds": 1}),
      "fold count must be between 2 and 80 (the number of ids), got 1"),
     ("report.json", lambda text: text[:len(text) // 2], "not JSON text ("),
-], ids=["manifest-without-seed", "manifest-one-fold", "report-truncated"])
+], ids=["report-without-seed", "report-one-fold", "report-truncated"])
 def test_eval_names_the_run_file_at_fault(capsys, synth_dir, dfs_run, tmp_path, name, edit, message):
     run = tmp_path / "run"
     shutil.copytree(dfs_run, run)

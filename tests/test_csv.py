@@ -327,8 +327,10 @@ def test_malformed_csv_fuzz_fails_located(capsys, tmp_path):
         rng = np.random.default_rng(seed)
         data = tmp_path / f"d{seed}"
         shutil.copytree(base, data)
-        files = {t.name: list(csv.reader((base / f"{t.name}.csv").open(newline="", encoding="utf-8")))
-                 for t in db.tables}
+        files = {}
+        for t in db.tables:
+            with open(base / f"{t.name}.csv", newline="", encoding="utf-8") as handle:
+                files[t.name] = list(csv.reader(handle))
         mutation = MUTATIONS[seed % len(MUTATIONS)]
         command, name, expected = _mutate(rng, db, files, mutation)
         quoting = csv.QUOTE_ALL if rng.random() < 0.5 else csv.QUOTE_MINIMAL

@@ -481,7 +481,8 @@ def test_write_features_csv(tmp_path, fixtures_dir):
     db = load_database(fixtures_dir / "clinic")
     out = tmp_path / "features.csv"
     write_features_csv(out, db, enumerate_aggs(db, 1), [0, 1])
-    rows = list(csv.reader(out.open()))
+    with out.open() as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == ["patient_id"] + feature_names(db, enumerate_aggs(db, 1))
     assert rows[1] == ["p1", "2.0", "40.0", "20.0", "30.0", "10.0"]
     assert rows[2] == ["p2", "1.0", "7.5", "7.5", "7.5", "7.5"]
@@ -491,5 +492,6 @@ def test_write_features_csv_nulls(tmp_path):
     db = _three_level(childless=True)
     out = tmp_path / "features.csv"
     write_features_csv(out, db, enumerate_aggs(db, 2), [1])
-    rows = list(csv.reader(out.open()))
+    with out.open() as handle:
+        rows = list(csv.reader(handle))
     assert rows[1] == ["a1", "0.0", "0.0", "", "", "", ""]

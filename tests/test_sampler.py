@@ -16,7 +16,7 @@ from oracles import (
     reference_datapoint,
     reference_write_datapoints_jsonl,
 )
-from relgnn import graph as graph_module, sampler
+from relgnn import sampler
 from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, database_to_graph
 from relgnn.models import build_batch
 from relgnn.rdb import Column, ColumnKind, Database, Table, load_database, target_labels, _resolve_foreign_keys
@@ -170,23 +170,27 @@ def test_one_target_stores_are_slices_of_the_store(random_database, edge_type_on
                                batch_sample(graph, [row], edge_type_once=edge_type_once)[0])
 
 
-def test_labels_are_read_once_per_graph(monkeypatch, random_database):
-    calls = []
-
-    def counted(db):
-        calls.append(db)
-        return target_labels(db)
-
-    monkeypatch.setattr(graph_module, "target_labels", counted)
+def test_each_target_reads_its_own_label(random_database):
     db = random_database(22, max_tables=4, max_rows=40)
     graph = database_to_graph(db)
+    labels = target_labels(db)
     assert len(db.tables) == 4
     for ti, table in enumerate(db.tables):
         for row in range(table.nrows):
             dp = rdb_to_graph(graph, (ti, row))
-            assert dp.labels.tolist() == [int(target_labels(db)[row]) if ti == 0 else -1]
-    batch_sample(graph, list(range(db.tables[0].nrows)))
-    assert len(calls) == 1
+            assert dp.labels.tolist() == [int(labels[row]) if ti == 0 else -1]
+    assert batch_sample(graph, list(range(db.tables[0].nrows))).labels.tolist() == labels.tolist()
+    # a database without a target column: every label is -1
+    keys = [f"e{i}" for i in range(5)]
+    table = Table("E", [
+        Column("id", ColumnKind("primary_key"), False, keys),
+        Column("boss", ColumnKind("foreign_key", ("E", "id")), False, [None] + keys[:-1]),
+    ])
+    db = Database([table], {}, [], [])
+    _resolve_foreign_keys(db, strict=True)
+    graph = database_to_graph(db)
+    for row in range(5):
+        assert rdb_to_graph(graph, (0, row)).labels.tolist() == [-1]
 
 
 def _chain_db(n):
