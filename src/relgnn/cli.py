@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import sys
@@ -20,6 +21,7 @@ from .dfs import (
     feature_encoders_from_json,
     feature_encoders_to_json,
     feature_names,
+    feature_width,
     fit_feature_encoders,
     write_features_csv,
 )
@@ -29,7 +31,7 @@ from .models import DEFAULT_ROUNDS, VARIANTS, GraphSchema, Model, ModelConfig, b
 from .rdb import RdbError, load_database, remove_target_column, target_labels, validate_schema
 from .sampler import DEFAULT_SIZE_CAP, DatapointStore, SizeCapError, batch_sample, write_datapoints_jsonl
 from .synth import SIGNALS, TEMPLATES, SynthSpec, generate
-from .tensor import load_checkpoint, save_checkpoint, gradcheck as run_gradcheck
+from .tensor import dropout_in_range, load_checkpoint, save_checkpoint, gradcheck as run_gradcheck
 from .training import (
     MLP_DROPOUT,
     GraphDataset,
@@ -51,6 +53,11 @@ GRADCHECK_TOLERANCE = 1e-4
 GNN_WEIGHT_DECAY, BASELINE_WEIGHT_DECAY = 0.0, 0.01  # AdamW's, per model family, when --weight-decay is unset
 
 ERRORS = (RdbError, SizeCapError, OSError, ValueError, KeyError, RuntimeError)  # main reports each as one line
+
+# glibc's mallopt options: the free heap kept at the top, and the size from which malloc maps memory of its
+# own. Setting the first stops glibc from raising the second as it goes (from 128 KiB), so main sets both.
+M_TOP_PAD, M_MMAP_THRESHOLD = -2, -3
+KEPT_HEAP = 16 << 20  # bytes, for both: what fits in the kept heap is served from it
 
 log = logging.getLogger("relgnn")
 
@@ -97,7 +104,7 @@ def _check_flags(args) -> None:
     size_cap = getattr(args, "size_cap", DEFAULT_SIZE_CAP)
     if size_cap < 1:
         raise ValueError(f"--size-cap must be at least 1, got {size_cap}: every subgraph holds its target")
-    if getattr(args, "dropout", None) is not None and not 0.0 <= args.dropout < 1.0:
+    if getattr(args, "dropout", None) is not None and not dropout_in_range(args.dropout):
         raise ValueError(f"--dropout must be in [0, 1), got {args.dropout}: it is the probability of dropping a unit")
 
 
@@ -169,6 +176,14 @@ _MODEL_FLAGS = {"hidden": "--hidden", "rounds": "--rounds", "dropout": "--dropou
                 "edge_type_once": "--edge-type-once", "reverse_edges": "--no-reverse-edges", "size_cap": "--size-cap"}
 
 
+def _run_keys(model: str) -> tuple[str, ...]:
+    """The keys of model.json after "model", in the order `_describe` reads them: what it writes for the
+    model, and what `eval` requires."""
+    if model in VARIANTS:
+        return ("config", "reverse_edges", "edge_type_once", "size_cap")
+    return ("dropout", "depth", "aggspecs") if model == "dfs-logreg" else ("dropout",)
+
+
 def _describe(args, masked) -> dict:
     """The run description that model.json holds: with a fold's artifacts, all that rebuilds its network.
     Each model flag is read as given or at its family default; a given flag that the model does not read
@@ -179,16 +194,24 @@ def _describe(args, masked) -> dict:
         read.add(name)
         return getattr(args, name, default)
 
-    if args.model in VARIANTS:
-        config = ModelConfig(variant=args.model, hidden=flag("hidden", ModelConfig.hidden),
-                             rounds=flag("rounds", ModelConfig.rounds), dropout=flag("dropout", ModelConfig.dropout))
-        desc = {"model": args.model, "config": asdict(config), "reverse_edges": flag("reverse_edges", True),
-                "edge_type_once": flag("edge_type_once", False), "size_cap": flag("size_cap", DEFAULT_SIZE_CAP)}
-    else:  # logreg and dfs-logreg read no dropout, but model.json records the mlp's default for them too
-        desc = {"model": args.model, "dropout": flag("dropout", MLP_DROPOUT) if args.model == "mlp" else MLP_DROPOUT}
-    if args.model == "dfs-logreg":
-        desc["depth"] = flag("depth", DFS_DEPTH)
-        desc["aggspecs"] = json.loads(aggspecs_to_json(enumerate_aggs(masked, desc["depth"])))
+    def config() -> dict:
+        return asdict(ModelConfig(variant=args.model, hidden=flag("hidden", ModelConfig.hidden),
+                                  rounds=flag("rounds", ModelConfig.rounds),
+                                  dropout=flag("dropout", ModelConfig.dropout)))
+
+    fields = {  # how each key is read, when the model's keys hold it
+        "config": config,
+        "reverse_edges": lambda: flag("reverse_edges", True),
+        "edge_type_once": lambda: flag("edge_type_once", False),
+        "size_cap": lambda: flag("size_cap", DEFAULT_SIZE_CAP),
+        # logreg and dfs-logreg read no dropout, but model.json records the mlp's default for them too
+        "dropout": lambda: flag("dropout", MLP_DROPOUT) if args.model == "mlp" else MLP_DROPOUT,
+        "depth": lambda: flag("depth", DFS_DEPTH),
+        "aggspecs": lambda: json.loads(aggspecs_to_json(enumerate_aggs(masked, desc["depth"]))),
+    }
+    desc = {"model": args.model}
+    for key in _run_keys(args.model):
+        desc[key] = fields[key]()
     unread = [option for name, option in _MODEL_FLAGS.items() if name in vars(args) and name not in read]
     if unread:
         raise ValueError(f"{unread[0]} does not apply to --model {args.model}")
@@ -201,12 +224,11 @@ def _description(text: str, masked) -> dict:
     model = desc["model"]
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    keys = ("config", "reverse_edges", "edge_type_once", "size_cap") if model in VARIANTS else ("dropout",)
-    for key in keys + (("aggspecs",) if model == "dfs-logreg" else ()):
+    for key in _run_keys(model):
         if key not in desc:
             raise KeyError(key)
     dropout = ModelConfig(**desc["config"]).dropout if model in VARIANTS else desc["dropout"]
-    if not (isinstance(dropout, (int, float)) and 0.0 <= dropout < 1.0):
+    if not (isinstance(dropout, (int, float)) and dropout_in_range(dropout)):
         raise ValueError(f"dropout must be in [0, 1), got {dropout!r}")
     if model == "dfs-logreg":
         aggspecs_from_json(json.dumps(desc["aggspecs"]), masked)
@@ -243,9 +265,10 @@ def _build(desc: dict, masked, labels, shared, encoders, dfs_encoders=None, seed
     if desc["model"] in VARIANTS:
         schema = GraphSchema.from_database(masked, encoders, reverse_edges=desc["reverse_edges"])
         return Model(ModelConfig(**desc["config"]), schema, seed=seed), GraphDataset(masked, shared, encoders)
-    features = single_table_features(masked, encoders)
-    if shared is not None:
-        features = np.concatenate([features, apply_feature_encoders(shared, dfs_encoders)], axis=1)
+    dfs_width = 0 if shared is None else feature_width(dfs_encoders)
+    features = single_table_features(masked, encoders, dfs_width)
+    if shared is not None:  # the DFS block fills the last columns, in place
+        apply_feature_encoders(shared, dfs_encoders, features[:, features.shape[1] - dfs_width:])
     if desc["model"] == "mlp":
         net = MlpModel(features.shape[1], dropout_p=desc["dropout"], seed=seed)
     else:
@@ -544,7 +567,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc keep up to KEPT_HEAP bytes of freed heap at the top instead of trimming it, and serve
+    allocations up to that size from the heap, so the next op's temporaries reuse pages already faulted in.
+    The process's allocator is main's to set, not the library's; a libc without mallopt is left as it is."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(M_TOP_PAD, KEPT_HEAP)
+        libc.mallopt(M_MMAP_THRESHOLD, KEPT_HEAP)
+    except (AttributeError, OSError):
+        pass
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     if not logging.getLogger().handlers:
         _setup_logging()

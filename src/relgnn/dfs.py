@@ -28,6 +28,7 @@ __all__ = [
     "feature_names",
     "fit_feature_encoders",
     "apply_feature_encoders",
+    "feature_width",
     "feature_encoders_to_json",
     "feature_encoders_from_json",
     "aggspecs_to_json",
@@ -243,13 +244,23 @@ def fit_feature_encoders(raw: RawFeatures, fit_rows) -> list:
     return [fit_column(col, rows) for col in raw.columns]
 
 
-def apply_feature_encoders(raw: RawFeatures, encoders: list) -> np.ndarray:
+def _widths(encoders: list) -> list[int]:
+    return [enc.slots if isinstance(enc, CategoricalEncoder) else COLUMN_DENSE_WIDTH["scalar"] for enc in encoders]
+
+
+def feature_width(encoders: list) -> int:
+    """The width of the matrix that `apply_feature_encoders` fills with these encoders."""
+    return sum(_widths(encoders))
+
+
+def apply_feature_encoders(raw: RawFeatures, encoders: list, out: np.ndarray | None = None) -> np.ndarray:
     """Numeric columns become (scaled, null flag) pairs, copied categoricals one-hot, side by side in one
-    matrix."""
+    matrix. `out`, when given, is that matrix: zero-filled, possibly a view into a wider one."""
     n = len(raw)
     rows = np.arange(n)
-    widths = [enc.slots if isinstance(enc, CategoricalEncoder) else COLUMN_DENSE_WIDTH["scalar"] for enc in encoders]
-    out = np.zeros((n, sum(widths)))
+    widths = _widths(encoders)
+    if out is None:
+        out = np.zeros((n, sum(widths)))
     for col, enc, start, width in zip(raw.columns, encoders, np.cumsum([0] + widths).tolist(), widths):
         if isinstance(enc, CategoricalEncoder):
             out[rows, start + categorical_indices(col, rows, enc)] = 1.0

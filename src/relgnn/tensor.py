@@ -38,6 +38,7 @@ __all__ = [
     "tanh",
     "log_softmax",
     "dropout",
+    "dropout_in_range",
     "embedding_lookup",
     "segment_sum",
     "segment_mean",
@@ -224,7 +225,8 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))  # never overflows
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -249,9 +251,14 @@ def log_softmax(x: Tensor) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
+def dropout_in_range(p: float) -> bool:
+    """Whether p is a dropout probability: the chance of dropping a unit, in [0, 1)."""
+    return 0.0 <= p < 1.0
+
+
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout; identity (sharing the input buffer) when not training."""
-    if not 0.0 <= p < 1.0:
+    if not dropout_in_range(p):
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
     if not train or p == 0.0:
 

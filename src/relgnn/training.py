@@ -326,13 +326,14 @@ class MlpModel:
         return add(matmul(h, p["W3"]), p["b3"])
 
 
-def single_table_features(db: Database, encoders: list[NodeTypeEncoder]) -> np.ndarray:
-    """Target-table rows encoded to a flat matrix; categoricals become one-hot columns."""
+def single_table_features(db: Database, encoders: list[NodeTypeEncoder], extra_width: int = 0) -> np.ndarray:
+    """Target-table rows encoded to a flat matrix; categoricals become one-hot columns. The last
+    `extra_width` columns are left zero, for the caller to fill."""
     ti, _ = db.target
     enc = encoders[ti]
     n = db.tables[ti].nrows
     widths = [enc.fitted[ci].slots for ci in enc.cat_columns]
-    out = np.zeros((n, enc.dense_width + sum(widths)))
+    out = np.zeros((n, enc.dense_width + sum(widths) + extra_width))
     _, cats = encode_node(db, ti, np.arange(n), enc, out[:, :enc.dense_width])
     starts = enc.dense_width + np.cumsum([0] + widths)[:-1]
     out[np.arange(n)[:, None], starts + cats] = 1.0

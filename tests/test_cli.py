@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
+import platform
 import re
 import shutil
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -701,14 +704,15 @@ def dfs_run(synth_dir):
 
 @pytest.mark.parametrize("trained, edit, named", [
     ("gcn_run", lambda meta: meta.pop("edge_type_once"), "'edge_type_once'"),
+    ("dfs_run", lambda meta: meta.pop("depth"), "'depth'"),
     ("gcn_run", lambda meta: meta["config"].update(bogus=1), "'bogus'"),
     ("gcn_run", lambda meta: meta.update(model="svm"), "'svm'"),
     ("dfs_run", lambda meta: meta["aggspecs"][0].update(aggregator="median"), "'median'"),
     ("dfs_run", lambda meta: meta["aggspecs"][0].update(path=[[9, 9, "reverse"]]), "(9, 9)"),
     ("gcn_run", lambda meta: meta["config"].update(dropout=1.5), "dropout must be in [0, 1), got 1.5"),
     ("dfs_run", lambda meta: meta.update(dropout=-0.5), "dropout must be in [0, 1), got -0.5"),
-], ids=["missing-key", "unknown-config-field", "unknown-model", "unknown-aggregator", "hop-out-of-range",
-        "gnn-dropout", "baseline-dropout"])
+], ids=["missing-key", "missing-dfs-key", "unknown-config-field", "unknown-model", "unknown-aggregator",
+        "hop-out-of-range", "gnn-dropout", "baseline-dropout"])
 def test_eval_rejects_malformed_model_json(capsys, request, synth_dir, tmp_path, trained, edit, named):
     run = tmp_path / "run"
     shutil.copytree(request.getfixturevalue(trained), run)
@@ -1098,3 +1102,58 @@ def test_every_flag_given_is_read(capsys, fixtures_dir, synth_dir, gcn_run, tmp_
         assert [flag for flag in flags if dest[flag] not in reads] == [], "given flags that nothing read"
         given.update(flags)
     assert sorted(set(dest) - given) == [], "flags that no case gives"
+
+
+# minor page faults of 20 rounds of two live float64 temporaries at each of 265 KiB, 1 MiB and 2.1 MiB, after
+# cli.main(["--help"]) when argv[1] is "main"
+_TEMPORARIES = """
+import contextlib, io, resource, sys
+import numpy as np
+from relgnn import cli
+if sys.argv[1] == "main":
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        cli.main(["--help"])
+faults = 0
+for n in (265 << 7, 1 << 17, 2100 << 7):
+    a = np.ones(n)
+    b = a * 2.0
+    del b
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        b = a * 2.0
+        c = b + 1.0
+        del b, c
+    faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+print(faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the top pad is glibc's mallopt option; on another C library main leaves malloc as it is")
+def test_main_keeps_freed_heap_so_temporaries_stop_faulting():
+    source = str(Path(relgnn.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if not name.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+
+    def faults(mode: str) -> int:
+        proc = subprocess.run([sys.executable, "-c", _TEMPORARIES, mode], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    kept, trimmed = faults("main"), faults("import")
+    assert kept * 10 < trimmed, (kept, trimmed)
+
+
+def _library_without_mallopt(name):
+    return types.SimpleNamespace()
+
+
+def _no_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_library_without_mallopt, _no_library])
+def test_main_runs_where_libc_has_no_mallopt(monkeypatch, capsys, fixtures_dir, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    code, payload, _ = _run(capsys, ["validate", "--dataset", str(fixtures_dir / "clinic")])
+    assert code == 0 and payload["n_tables"] == 3

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import groupby_oracle, reference_features
+from relgnn import cli
 from relgnn.dfs import (
     COPY,
     AggSpec,
@@ -23,7 +24,18 @@ from relgnn.dfs import (
     write_features_csv,
 )
 from relgnn.graph import FORWARD, REVERSE
-from relgnn.rdb import Column, ColumnKind, Database, RdbError, Table, _resolve_foreign_keys, load_database
+from relgnn.encode import fit_encoders
+from relgnn.rdb import (
+    Column,
+    ColumnKind,
+    Database,
+    RdbError,
+    Table,
+    _resolve_foreign_keys,
+    load_database,
+    remove_target_column,
+)
+from relgnn.training import single_table_features
 
 
 def _three_level(childless: bool = False) -> Database:
@@ -460,6 +472,29 @@ def test_encode_no_specs(fixtures_dir):
     db = load_database(fixtures_dir / "clinic")
     raw = compute_features(db, [], [0, 1])
     assert apply_feature_encoders(raw, fit_feature_encoders(raw, [0])).shape == (2, 0)
+
+
+def test_dfs_block_filled_in_place_is_bitwise_the_concatenated_matrix(random_database, fixtures_dir):
+    """dfs-logreg's matrix, the DFS block filled into the last columns of the table block's matrix, equals
+    the two blocks concatenated: one-hot copies after an empty table block, the clinic fixture, and random
+    databases with awkward scalars at depths 2, 1 and 0, the last without any DFS feature."""
+    dbs = [_lineage(null_parent=True), load_database(fixtures_dir / "clinic")]
+    dbs += [_awkward_database(random_database, seed + 900) for seed in range(40)]
+    widths = set()
+    for i, db in enumerate(dbs):
+        masked = remove_target_column(db)
+        n = masked.tables[masked.target[0]].nrows
+        fit = list(range(0, n, 2))
+        raw = compute_features(masked, enumerate_aggs(masked, 2 - i % 3), range(n))
+        encoders = fit_encoders(masked, {masked.target[0]: fit})
+        dfs_encoders = fit_feature_encoders(raw, fit)
+        desc = {"model": "dfs-logreg", "dropout": 0.3}
+        _, data = cli._build(desc, masked, np.zeros(n, dtype=np.int64), raw, encoders, dfs_encoders)
+        want = np.concatenate([single_table_features(masked, encoders), apply_feature_encoders(raw, dfs_encoders)],
+                              axis=1)
+        assert data.features.shape == want.shape and data.features.tobytes() == want.tobytes(), i
+        widths.add((single_table_features(masked, encoders).shape[1], want.shape[1]))
+    assert {(table > 0, table < total) for table, total in widths} == {(False, True), (True, True), (True, False)}
 
 
 def test_feature_encoder_json_roundtrip():

@@ -328,6 +328,18 @@ def test_sigmoid_is_bitwise_the_two_branch_reference():
     assert np.isnan(tensor._sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
+def test_sigmoid_is_bitwise_the_formula_that_adds_one_twice():
+    """`1.0 + e` computed once gives the bits that computing it in each branch gave."""
+    def twice(z):
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    rng = np.random.default_rng(22)
+    z = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 800.0, -800.0], rng.uniform(-800.0, 800.0, size=10**5),
+                        rng.normal(size=10**5) * 10.0 ** rng.uniform(-300, 2, size=10**5)])
+    assert tensor._sigmoid(z).tobytes() == twice(z).tobytes()
+
+
 def test_embedding_lookup_forward_and_grad():
     table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     out = embedding_lookup(table, np.array([1, 1, 3]))
