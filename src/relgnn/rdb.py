@@ -507,7 +507,7 @@ def validate_schema(db: Database) -> dict:
                 resolved = int(np.count_nonzero(db.fk_rows[(ti, ci)] >= 0))
                 fk_resolution[key] = {"resolved": resolved, "cells": n - nulls}
             if col.kind.tag == "categorical":
-                cardinality[key] = len(np.unique(col.data[~col.null]))
+                cardinality[key] = int(np.count_nonzero(np.bincount(col.data[~col.null])))
     return {
         "n_tables": len(db.tables),
         "tables": {t.name: t.nrows for t in db.tables},

@@ -17,7 +17,6 @@ optimizer's flat arena (see ``optim.AdamW``).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import math
 import struct
@@ -475,13 +474,18 @@ class RngStream:
 
     def __init__(self, seed: int | None = None, _key: bytes | None = None):
         if _key is None:
-            _key = hashlib.sha256(f"relgnn-root-{seed}".encode()).digest()[:16]
+            _key = _derive_key(f"relgnn-root-{seed}".encode())
         self._key = _key
         self.gen = np.random.Generator(np.random.Philox(key=int.from_bytes(_key, "little")))
 
     def child(self, name: str) -> "RngStream":
-        key = hashlib.sha256(self._key + b"/" + name.encode()).digest()[:16]
-        return RngStream(_key=key)
+        return RngStream(_key=_derive_key(self._key + b"/" + name.encode()))
+
+
+def _derive_key(data: bytes) -> bytes:
+    """A 16-byte Philox key: the head of `data`'s SHA-256."""
+    import hashlib  # maps OpenSSL's libcrypto (3.6 MiB), so only a command that seeds a generator loads it
+    return hashlib.sha256(data).digest()[:16]
 
 
 def init_weight(rng: RngStream, fan_in: int, fan_out: int) -> Tensor:

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import relgnn  # noqa: E402
 from randdb import random_database as _random_database  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -26,3 +29,18 @@ def fixtures_dir() -> Path:
 @pytest.fixture
 def random_database():
     return _random_database
+
+
+@pytest.fixture
+def cold_python():
+    """Runs `python <argv>` in a new process that imports the same relgnn as this one, and returns its
+    stdout; a non-zero exit fails the test. What a command imports shows only in a process of its own."""
+    source = str(Path(relgnn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv) -> str:
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

@@ -1035,15 +1035,35 @@ def test_gradcheck_subcommand(capsys):
     assert payload["checks"]["gcn"] <= 1e-4
 
 
-def test_module_invocation_subprocess(fixtures_dir):
-    # the child imports the same relgnn as this process, from wherever its source directory is
-    source = str(Path(relgnn.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "relgnn.cli", "validate",
-                           "--dataset", str(fixtures_dir / "patients_small")],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["n_tables"] == 2
+def test_module_invocation_subprocess(fixtures_dir, cold_python):
+    out = cold_python("-m", "relgnn.cli", "validate", "--dataset", str(fixtures_dir / "patients_small"))
+    assert json.loads(out)["n_tables"] == 2
+
+
+# modules that a command which draws nothing at random does not need: hashlib's `_hashlib`, which maps OpenSSL's
+# libcrypto (3.6 MiB resident), and numpy.random, for seeding and drawing; numpy.ma (1.2 MiB), which np.unique
+# imports on its first call
+_LAZY_MODULES = ("_hashlib", "numpy.ma", "numpy.random")
+_LOADED = f"import json, sys; print(json.dumps(sorted(set(sys.modules) & set({_LAZY_MODULES!r}))))"
+_COLD_COMMAND = f"""
+import contextlib, io, sys
+from relgnn.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+{_LOADED}
+"""
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["graph-stats"], ["sample", "--out", "{out}"],
+                                  ["dfs", "--out", "{out}/dfs.csv"]], ids=lambda argv: argv[0])
+def test_commands_that_draw_nothing_load_no_lazy_module(cold_python, fixtures_dir, tmp_path, argv):
+    # a module that `cli` imports keeps these off its module scope; a check is skipped where a bare
+    # `import numpy` already loads the module
+    with_numpy = set(json.loads(cold_python("-c", "import numpy; " + _LOADED)))
+    if with_numpy == set(_LAZY_MODULES):
+        pytest.skip("a bare `import numpy` loads every one of them here")
+    argv = [arg.format(out=tmp_path) for arg in argv] + ["--dataset", str(fixtures_dir / "clinic")]
+    assert set(json.loads(cold_python("-c", _COLD_COMMAND, *argv))) <= with_numpy
 
 
 # each subcommand's argument lists, which together give every flag it takes; {data}, {run}, {out} and

@@ -1,10 +1,6 @@
 import gc
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -528,21 +524,13 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def test_cold_sample_does_not_import_numpy_ma(tmp_path):
+def test_cold_sample_does_not_import_numpy_ma(tmp_path, cold_python):
     # numpy.ma costs a cold process about 15 ms to import; np.unique's first call imports it. 300 targets
     # run array rounds, and the narrow rounds of their last levels in plain Python.
     generate(SynthSpec(0, 300, template="three_level", signal="grandchild_aggregate", children=(1, 4)), tmp_path / "db")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(sampler.__file__).parents[1]),
-                                                                     os.environ.get("PYTHONPATH")]))}
-
-    def run(*argv):
-        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split()[-1]
-
-    if run("-c", "import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+    if cold_python("-c", "import sys, numpy; print('numpy.ma' in sys.modules)").split() == ["True"]:
         pytest.skip("a bare `import numpy` loads numpy.ma here")
-    assert run("-c", _COLD_SAMPLE, str(tmp_path / "db"), str(tmp_path / "dp.jsonl")) == "False"
+    assert cold_python("-c", _COLD_SAMPLE, str(tmp_path / "db"), str(tmp_path / "dp.jsonl")).split() == ["False"]
     assert (tmp_path / "dp.jsonl").read_text(encoding="utf-8").count("\n") == 300
 
 

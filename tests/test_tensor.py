@@ -641,3 +641,13 @@ def test_rng_streams_are_stable_and_split():
     c = RngStream(42).child("init").gen.random(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_rng_stream_keys_and_draws_are_pinned():
+    # every model's initial weights follow from these keys; a change to how they are derived fails here
+    root = RngStream(0)
+    child = root.child("readout/out_W")
+    assert root._key.hex() == "1b75afb84a86bb28de389cae68d344ee"
+    assert child._key.hex() == "2e13f7dda586f164f9d24f0f7143e633"
+    assert child.gen.random(4).tolist() == [0.09869791428710839, 0.49061514224313896,
+                                            0.14011506304340082, 0.43596403504760095]
