@@ -212,7 +212,6 @@ def encode_datetime(stamp: datetime | None, year_encoder: ScalarEncoder) -> np.n
 class NodeTypeEncoder:
     """Fitted per-table column encoders; key and target columns contribute nothing."""
 
-    table: int
     dense_columns: list[tuple[int, str]]  # (column index, kind tag)
     cat_columns: list[int]
     fitted: dict[int, object] = field(default_factory=dict)  # column index -> what `fit_column` fits for it
@@ -263,7 +262,7 @@ def fit_encoders(db: Database, train_rows: dict[int, np.ndarray]) -> list[NodeTy
     encoders = []
     for ti, table in enumerate(db.tables):
         rows = np.asarray(train_rows.get(ti, []), dtype=np.int64)
-        enc = NodeTypeEncoder(ti, *encoded_columns(table))
+        enc = NodeTypeEncoder(*encoded_columns(table))
         enc.fitted = {ci: fit_column(table.columns[ci], rows) for ci, _ in enc.tagged_columns}
         encoders.append(enc)
     return encoders
@@ -305,8 +304,8 @@ def _fitted_to_json(fitted):
 
 def encoders_to_json(encoders: list[NodeTypeEncoder]) -> str:
     payload = []
-    for enc in encoders:
-        item = {"table": enc.table, "dense_columns": [[ci, tag] for ci, tag in enc.dense_columns],
+    for ti, enc in enumerate(encoders):
+        item = {"table": ti, "dense_columns": [[ci, tag] for ci, tag in enc.dense_columns],
                 "cat_columns": enc.cat_columns, **{field: {} for field in _FITTED_FIELD.values()}}
         for ci, tag in enc.tagged_columns:
             if tag in _FITTED_FIELD:
@@ -357,7 +356,7 @@ def _table_encoder_from_json(item, ti: int, table: Table) -> NodeTypeEncoder:
     for field in _FITTED_FIELD.values():
         if not isinstance(item[field], dict):
             raise RdbError(f"{where}: {field} is not an object")
-    enc = NodeTypeEncoder(ti, *encoded_columns(table))
+    enc = NodeTypeEncoder(*encoded_columns(table))
     _check_listed(table, "dense_columns", item["dense_columns"], [[ci, tag] for ci, tag in enc.dense_columns])
     _check_listed(table, "cat_columns", item["cat_columns"], enc.cat_columns)
     for ci, tag in enc.tagged_columns:

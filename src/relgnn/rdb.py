@@ -149,8 +149,7 @@ class Database:
     fk_rows: dict[tuple[int, int], np.ndarray]
     dangling: list[tuple[str, int, str, str]]  # (table, row, column, token)
     target_flags: list[tuple[int, int]]
-    masked: bool = False
-    _labels: Column | None = None  # the target column a masked view hides
+    _labels: Column | None = None  # the target column a masked view hides; None unless masked
 
     @property
     def target(self) -> tuple[int, int]:
@@ -187,8 +186,9 @@ def _read_schema(path: Path) -> list[tuple[Table, str]]:
         raise RdbError(f"{path}: invalid JSON: {exc}") from None
     specs = _field(schema, "tables", list, "the schema", path)
     names = [_field(spec, "name", str, f"tables[{ti}]", path) for ti, spec in enumerate(specs)]
-    if len(set(names)) != len(names):
-        raise RdbError(f"{path}: duplicate table names")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise RdbError(f"{path}: duplicate table name {repeated[0]!r}")
     out = []
     for name, spec in zip(names, specs):
         file = _field(spec, "file", str, f"table {name}", path)
@@ -467,8 +467,12 @@ def _resolve_foreign_keys(db: Database, strict: bool, files: list[Path] | None =
             if col.kind.tag != "foreign_key":
                 continue
             ref_table_name, ref_col_name = col.kind.references
-            rt = db.table_index(ref_table_name)
-            key = db.tables[rt].columns[db.tables[rt].column_index(ref_col_name)]
+            try:
+                rt = db.table_index(ref_table_name)
+                key = db.tables[rt].columns[db.tables[rt].column_index(ref_col_name)]
+            except RdbError as exc:  # in memory only: `_read_schema` checks a loaded file's references
+                raise RdbError(f"{where(ti)}table {table.name} column {col.name} references "
+                               f"{ref_table_name}.{ref_col_name}: {exc}") from None
             key_rows = _key_rows(key, ref_table_name, where(rt))
             key_code = dict(zip(key.vocab, range(len(key.vocab))))
             # each token's code in the key column, then -1 for code -1
@@ -521,7 +525,7 @@ def validate_schema(db: Database) -> dict:
 
 def remove_target_column(db: Database) -> Database:
     """Return a view whose target cells all read Null; labels stay reachable via target_labels only."""
-    if db.masked:
+    if db._labels is not None:  # masked already
         return db
     kt, kc = db.target
     labels = db.tables[kt].columns[kc]
@@ -529,7 +533,7 @@ def remove_target_column(db: Database) -> Database:
     columns = list(tables[kt].columns)
     columns[kc] = Column(labels.name, labels.kind, labels.target, [None] * len(labels))
     tables[kt] = replace(tables[kt], columns=columns)
-    return Database(tables, db.fk_rows, db.dangling, db.target_flags, masked=True, _labels=labels)
+    return Database(tables, db.fk_rows, db.dangling, db.target_flags, _labels=labels)
 
 
 def _target_tokens(db: Database, nulls_allowed: bool) -> tuple[Column, list]:
@@ -537,7 +541,7 @@ def _target_tokens(db: Database, nulls_allowed: bool) -> tuple[Column, list]:
     distinct token, fails naming the table, the row and the column of the first."""
     kt, kc = db.target
     table = db.tables[kt]
-    col = db._labels if db.masked else table.columns[kc]
+    col = table.columns[kc] if db._labels is None else db._labels
     codes = np.flatnonzero(np.bincount(col.data[~col.null], minlength=len(col.vocab)))
     vocab = sorted(col.vocab[code] for code in codes.tolist())
 

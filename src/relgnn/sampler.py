@@ -100,12 +100,14 @@ class _Lockstep:
     A reached key is new when `held` has no flag for its node: the flags mark the nodes that some target
     of the chunk holds, so only shared nodes are searched, in `blocks`. Those are sorted key arrays, each
     more than twice the size of the next, merged like a binary counter, so a round searches a logarithmic
-    number of them. A frontier narrower than `_NARROW` expands key by key in plain Python, and its keys
-    wait in `pending` until an array round or the phase's end sorts them into a block. So a chain, one
-    key per round, costs no array round per level.
+    number of them. In the plain closure, a frontier narrower than `_NARROW` expands key by key in plain
+    Python, and the keys those rounds add go into `blocks` as one block when the frontier widens or
+    empties. So a chain, one key per round, costs no array round per level.
 
     With `edge_type_once`, a target's round skips the edge types its earlier rounds spent, then spends
     each type that crossed into its set as the set stood before the round: a (target, type) matrix.
+    A spent type is never followed again, in either phase, so a target has at most one round that adds
+    nodes per forward edge type, however deep the data, and the chunk runs array rounds only.
 
     The size cap is checked where the per-target closure checks it, at the start of each round with a
     frontier: after every round that adds a node. The first target over the cap is `live`; its keys and
@@ -116,7 +118,7 @@ class _Lockstep:
         self.spent = np.zeros((len(starts), len(graph.types)), dtype=bool) if edge_type_once else None
         self.counts = np.ones(len(starts), dtype=np.int64)  # each target's selected nodes
         self.live = len(starts)
-        self.blocks, self.pending = [], set()
+        self.blocks = []
         held[starts] = True
         self._push(np.arange(len(starts)) * self.n + starts)
         self._check()
@@ -127,7 +129,7 @@ class _Lockstep:
         frontier = self._live(self._selected())
         for starts, order, ends in ((g.in_start, g.in_sorted, g.src), (g.out_start, g.out_sorted, g.dst)):
             while len(frontier):
-                if len(frontier) < _NARROW:
+                if len(frontier) < _NARROW and self.spent is None:
                     frontier = self._python_rounds(frontier.tolist(), starts, order, ends)
                 else:
                     frontier = self._array_round(np.asarray(frontier, dtype=np.int64), starts, order, ends)
@@ -135,7 +137,6 @@ class _Lockstep:
         return self._selected()
 
     def _array_round(self, frontier, starts, order, ends) -> np.ndarray:
-        self._flush()
         n = self.n
         owner = frontier // n
         positions, counts = ranges(starts, frontier - owner * n)
@@ -165,40 +166,30 @@ class _Lockstep:
         return self._live(added)
 
     def _python_rounds(self, frontier: list[int], starts, order, ends) -> list[int]:
-        """Rounds a key at a time, as long as the frontier stays narrow."""
-        n, cap, held, pending, spent, counts = self.n, self.cap, self.held, self.pending, self.spent, self.counts
-        type_id = self.graph.type_id
+        """Rounds of the plain closure a key at a time, as long as the frontier stays narrow; the keys
+        they add go into `blocks` as one block when they return."""
+        n, cap, held, counts = self.n, self.cap, self.held, self.counts
+        taken = set()  # the keys these rounds add
         while frontier and len(frontier) < _NARROW:
-            added, shared, followed = [], set(), []  # `shared`: reached keys whose node the chunk holds
+            added, shared = [], set()  # `shared`: reached keys whose node the chunk holds
             for key in frontier:
-                i, node = divmod(key, n)
+                node = key % n
                 base = key - node
-                edge_ids = order[starts[node] : starts[node + 1]]
-                reached = ends[edge_ids].tolist()
-                if spent is not None:
-                    pairs = [(nb, t) for nb, t in zip(reached, type_id[edge_ids].tolist()) if not spent[i, t]]
-                    followed += [(base + nb, i, t) for nb, t in pairs]
-                    reached = [nb for nb, _ in pairs]
-                for nb in reached:
+                for nb in ends[order[starts[node] : starts[node + 1]]].tolist():
                     k = base + nb
-                    if k in pending or k in shared:
+                    if k in taken or k in shared:
                         continue
                     if held[nb]:
                         shared.add(k)
                     else:
                         held[nb] = True
-                        pending.add(k)
+                        taken.add(k)
                         added.append(k)
             if shared:
                 keys = np.fromiter(shared, dtype=np.int64, count=len(shared))
                 new = keys[~self._in_blocks(keys)].tolist()
-                pending.update(new)
+                taken.update(new)
                 added += new
-            if spent is not None:
-                fresh = set(added)
-                for k, i, t in followed:
-                    if k in fresh:
-                        spent[i, t] = True
             live = self.live
             for k in added:
                 i = k // n
@@ -206,10 +197,11 @@ class _Lockstep:
                 if i < self.live and counts[i] > cap:
                     self.live = i
             frontier = added if self.live == live else [k for k in added if k // n < self.live]
+        self._push(np.sort(np.fromiter(taken, dtype=np.int64, count=len(taken))))
         return frontier
 
     def _seen(self, keys: np.ndarray) -> np.ndarray:
-        """Whether each sorted key is selected already; pending keys are flushed."""
+        """Whether each sorted key is selected already."""
         seen = np.zeros(len(keys), dtype=bool)
         shared = np.flatnonzero(self.held[keys % self.n])
         if len(shared):
@@ -231,14 +223,8 @@ class _Lockstep:
             top = blocks.pop()
             blocks[-1] = np.sort(np.concatenate((blocks[-1], top)), kind="stable")  # merges the two runs
 
-    def _flush(self) -> None:
-        if self.pending:
-            self._push(np.sort(np.fromiter(self.pending, dtype=np.int64, count=len(self.pending))))
-            self.pending.clear()
-
     def _selected(self) -> np.ndarray:
         """Every selected key, sorted, in one block."""
-        self._flush()
         if len(self.blocks) > 1:
             self.blocks = [np.sort(np.concatenate(self.blocks), kind="stable")]
         return self.blocks[0]

@@ -496,8 +496,9 @@ def init_weight(rng: RngStream, fan_in: int, fan_out: int) -> Tensor:
 
 
 def init_embedding(rng: RngStream, rows: int, dim: int) -> Tensor:
-    """Normal(0, 1/sqrt(dim)) embedding table."""
-    t = Tensor(rng.gen.normal(0.0, 1.0 / np.sqrt(dim), size=(rows, dim)), requires_grad=True)
+    """Normal(0, 1/sqrt(dim)) embedding table; one of width 0 holds nothing to scale."""
+    scale = 1.0 / np.sqrt(dim) if dim else 1.0
+    t = Tensor(rng.gen.normal(0.0, scale, size=(rows, dim)), requires_grad=True)
     return t
 
 

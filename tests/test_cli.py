@@ -459,6 +459,23 @@ def test_train_rejects_labels_it_cannot_score_before_any_output(capsys, tmp_path
     assert not out.exists()
 
 
+def test_gnn_trains_on_a_categorical_column_without_a_token(capsys, synth_dir, tmp_path):
+    """A categorical column null in every row fits no token, so its embedding is 0 wide; initializing it
+    draws nothing and warns of nothing (a warning fails this test)."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(synth_dir, data)
+    lines = (data / "Child.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0].endswith(",flavor")
+    (data / "Child.csv").write_text("\n".join(lines[:1] + [line.rsplit(",", 1)[0] + "," for line in lines[1:]]),
+                                    encoding="utf-8")
+    code, payload, err = _run(capsys, ["train", "--dataset", str(data), "--model", "gcn", "--hidden", "4",
+                                     "--folds", "2", "--max-epochs", "1", "--out", str(out)])
+    assert code == 0 and len(payload["folds"]) == 2, err
+    child = json.loads((out / "fold0" / "encoders.json").read_text())[1]
+    assert child["categorical"] == {str(child["cat_columns"][0]): {}}
+    assert load_checkpoint(out / "fold0" / "checkpoint.bin")[f"emb/t1c{child['cat_columns'][0]}"].shape[1] == 0
+
+
 @pytest.mark.parametrize("command", ["train", "dfs"])
 def test_unloadable_dataset_or_bad_depth_is_rejected_before_any_output(capsys, synth_dir, tmp_path, command):
     model = ["--model", "dfs-logreg"] if command == "train" else []
@@ -730,7 +747,13 @@ def test_eval_rejects_malformed_model_json(capsys, request, synth_dir, tmp_path,
     ("report.json", lambda text: json.dumps({**json.loads(text), "n_folds": 1}),
      "fold count must be between 2 and 80 (the number of ids), got 1"),
     ("report.json", lambda text: text[:len(text) // 2], "not JSON text ("),
-], ids=["report-without-seed", "report-one-fold", "report-truncated"])
+    ("fold0/encoders.json", lambda text: json.dumps({"encoders": json.loads(text)}), "not a list of table encoders"),
+    ("fold0/encoders.json", lambda text: json.dumps([{**item, "dense_columns": 7} for item in json.loads(text)]),
+     "table Target: dense_columns is 7, not a list"),
+    ("fold0/dfs_encoders.json", lambda text: json.dumps({"encoders": json.loads(text)}),
+     "not a list of feature encoders"),
+], ids=["report-without-seed", "report-one-fold", "report-truncated", "encoders-not-a-list",
+        "dense-columns-not-a-list", "dfs-encoders-not-a-list"])
 def test_eval_names_the_run_file_at_fault(capsys, synth_dir, dfs_run, tmp_path, name, edit, message):
     run = tmp_path / "run"
     shutil.copytree(dfs_run, run)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 from datetime import datetime
 
@@ -287,6 +288,18 @@ def test_duplicate_primary_key_rejected(tmp_path):
                 load_database(tmp_path, strict=strict)
 
 
+@pytest.mark.parametrize("references, message", [
+    (("Q", "id"), "table C column p references Q.id: no table named 'Q'"),
+    (("P", "nope"), "table C column p references P.nope: table P has no column 'nope'"),
+], ids=["unknown-table", "unknown-column"])
+def test_in_memory_foreign_key_to_nothing_names_the_key(references, message):
+    # a loaded database fails earlier, in `_read_schema`; one built from Python cells fails here
+    parent = Table("P", [Column("id", ColumnKind("primary_key"), False, ["p0"])])
+    child = Table("C", [Column("p", ColumnKind("foreign_key", references), False, ["p0"])])
+    with pytest.raises(RdbError, match=f"^{re.escape(message)}$"):
+        _resolve_foreign_keys(Database([parent, child], {}, [], []), strict=True)
+
+
 def test_duplicate_primary_key_rejected_in_memory():
     # a table that no foreign key references, resolved without files
     table = Table("T", [Column("id", ColumnKind("primary_key"), False, ["t0", "t1", "t0"])])
@@ -340,8 +353,16 @@ def _validate_error(capsys, dataset):
      '{"name": "C", "file": "T.csv", "columns": [{"name": "p", "kind": "foreign_key",'
      '"references": {"table": "P", "column": "x"}}]}]}',
      "table C column p references P.x, a scalar column"),
+    ('{"tables": [{"name": "T", "file": "T.csv", "columns": []}, {"name": "U", "file": "T.csv", "columns": []},'
+     '{"name": "T", "file": "T.csv", "columns": []}]}', "duplicate table name 'T'"),
+    ('{"tables": [{"name": "T", "file": "T.csv", "columns": [{"name": "id", "kind": "primary_key"},'
+     '{"name": "id", "kind": "scalar"}]}]}', "duplicate column 'id' in table T"),
+    ('{"tables": [{"name": "T", "file": "T.csv", "columns": [{"name": "id", "kind": "blob"}]}]}',
+     "table T column id: unknown column kind 'blob'"),
+    ('{"tables": [{"name": "T", "file": "T.csv", "columns": [{"name": "id", "kind": "primary_key"},'
+     '{"name": "y", "kind": "scalar", "target": true}]}]}', "target column T.y must be categorical"),
 ], ids=["tables-not-a-list", "table-without-name", "kind-not-a-string", "invalid-json", "unknown-referenced-column",
-        "scalar-referenced-column"])
+        "scalar-referenced-column", "duplicate-table", "duplicate-column", "unknown-kind", "scalar-target"])
 def test_malformed_schema_names_file_and_place(capsys, tmp_path, text, where):
     (tmp_path / "schema.json").write_text(text)
     (tmp_path / "T.csv").write_text("id\nr1\n")

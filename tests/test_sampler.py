@@ -203,6 +203,22 @@ def _chain_db(n):
     return db
 
 
+def test_edge_type_once_closure_of_a_deep_chain_takes_a_few_rounds(monkeypatch):
+    """A round that adds a node spends the edge type that reached it, and a spent type is never followed
+    again: however deep the chain, row 50,000 takes its one referencing row and stops."""
+    graph = database_to_graph(_chain_db(100_000))
+    rounds = []
+    array_round = sampler._Lockstep._array_round
+
+    def counted(self, *args):
+        rounds.append(len(args[0]))
+        return array_round(self, *args)
+
+    monkeypatch.setattr(sampler._Lockstep, "_array_round", counted)
+    assert rdb_to_graph(graph, (0, 50_000), edge_type_once=True).rows.tolist() == [50_000, 50_001]
+    assert len(rounds) <= 3, rounds
+
+
 def test_size_cap_aborts(fixtures_dir):
     graph = database_to_graph(_chain_db(10))
     with pytest.raises(SizeCapError, match="target row 0"):

@@ -40,9 +40,26 @@ def test_matmul_identity():
     assert np.array_equal(out.data, a.data)
 
 
-def test_matmul_shape_mismatch_reports_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: matmul(_zeros(2, 3), _zeros(2, 3)), "matmul: incompatible shapes (2, 3) and (2, 3)"),
+    (lambda: add(_zeros(2, 3), _zeros(2,)), "add: incompatible shapes (2, 3) and (2,)"),
+    (lambda: multiply(_zeros(2, 3), _zeros(4, 3)), "multiply: incompatible shapes (2, 3) and (4, 3)"),
+    (lambda: concat([]), "concat: empty input list"),
+    (lambda: log_softmax(_zeros(3)), "log_softmax: incompatible shapes (3,)"),
+    (lambda: embedding_lookup(_zeros(3, 2), np.array([0, 3])), "embedding_lookup: index out of range for table (3, 2)"),
+    (lambda: segment_sum(_zeros(3, 2), np.array([0, 1, 2]), 2), "segment_sum: segment id out of range [0, 2)"),
+    (lambda: cross_entropy(_zeros(3), np.array([0, 1, 0])), "cross_entropy: incompatible shapes (3,)"),
+    (lambda: cross_entropy(_zeros(2, 3), np.array([0, 1, 0])), "cross_entropy: incompatible shapes (2, 3) and (3,)"),
+], ids=["matmul", "add", "multiply", "concat-empty", "log-softmax-1d", "embedding-out-of-range",
+        "segment-out-of-range", "cross-entropy-1d-logits", "cross-entropy-label-shape"])
+def test_matmul_shape_mismatch_reports_both_shapes(call, message):
+    """Each op's input check names the op and the shapes or the range at fault."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_square_gradient():
