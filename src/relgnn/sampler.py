@@ -3,13 +3,12 @@ lockstep, then the induced subgraphs of all targets in one pass, held in one `Da
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graph import FORWARD, SELF_LOOP, EdgeType, HeteroGraph, edge_types, ranges
+from .graph import SELF_LOOP, EdgeType, HeteroGraph, edge_types, ranges
 from .rdb import target_labels
 
 __all__ = [
@@ -90,6 +89,7 @@ class DatapointStore:
 
 _CHUNK = 4096  # targets whose closures run in lockstep; it bounds the round arrays and so the peak memory
 _NARROW = 32  # a frontier of fewer keys expands in plain Python: an array round costs tens of µs, however narrow
+_WRITE_NODES = 1024  # nodes per chunk of records the writer builds at once; it bounds the writer's peak memory
 
 
 class _Lockstep:
@@ -319,32 +319,66 @@ def batch_sample(graph: HeteroGraph, target_rows: list[int], *, edge_type_once: 
 
 def write_datapoints_jsonl(path: str | Path, datapoints: DatapointStore, graph: HeteroGraph,
                            reverse_edges: bool) -> None:
-    """One JSON record per datapoint, its edges listed per type of `edge_types(db, reverse_edges)`:
-    the text `json.dumps(record, sort_keys=True)` would write, from templates filled per record."""
-    node_tail = [f', "type": {json.dumps(table.name)}}}' for table in graph.db.tables]
-    kinds = []  # (direction, a self loop's table or its forward type's index, the edge text's tail)
-    for et in edge_types(graph.db, reverse_edges):
-        k = et.table if et.direction == SELF_LOOP else graph.types.index(replace(et, direction=FORWARD))
-        kinds.append((et.direction, k, f', "type": {json.dumps(graph.edge_type_name(et))}}}'))
-    node_start, edge_start = datapoints.node_start.tolist(), datapoints.edge_start.tolist()
-    labels, (tables, target_rows) = datapoints.labels.tolist(), datapoints.targets.T.tolist()
+    """One JSON record per datapoint, its edges listed per type of `edge_types(db, reverse_edges)`: the
+    text `json.dumps(record, sort_keys=True)` would write. Records go out a chunk at a time, a run of
+    consecutive records of at most `_WRITE_NODES` nodes (at least one record). In a chunk each node's
+    `[table, row]` text is built once, index arithmetic places every piece of every record in one object
+    array, and its join is written, so the file is never held in memory."""
+    kinds = edge_types(graph.db, reverse_edges)
+    kind_tail = np.array([f', "type": {json.dumps(graph.edge_type_name(et))}}}' for et in kinds], dtype=object)
+    node_tail = np.array([f', "type": {json.dumps(table.name)}}}' for table in graph.db.tables], dtype=object)
+    # each forward type's position in `kinds`, its reverse's, and each table's self loop's
+    position = {et: i for i, et in enumerate(kinds)}
+    forward = np.array([position[et] for et in graph.types], dtype=np.int64)
+    reverse = np.array([position.get(et.paired_reverse(), -1) for et in graph.types], dtype=np.int64)
+    self_loop = np.array([position[EdgeType(t, -1, SELF_LOOP)] for t in range(len(graph.db.tables))], dtype=np.int64)
+    node_start, edge_start = datapoints.node_start, datapoints.edge_start
     with open(path, "w", encoding="utf-8") as handle:
-        for i, (table, row) in enumerate(zip(tables, target_rows)):
-            n0, n1, e0, e1 = node_start[i], node_start[i + 1], edge_start[i], edge_start[i + 1]
-            types = datapoints.node_types[n0:n1].tolist()
-            ids = [f"[{t}, {r}]" for t, r in zip(types, datapoints.rows[n0:n1].tolist())]
-            edge_type = datapoints.edge_type[e0:e1].tolist()
-            src = [ids[s] for s in datapoints.src[e0:e1].tolist()]
-            dst = [ids[d] for d in datapoints.dst[e0:e1].tolist()]
-            edges = []
-            for direction, k, tail in kinds:
-                if direction == SELF_LOOP:  # nodes are in table order, so each table's are one slice
-                    lo, hi, s, d = bisect_left(types, k), bisect_right(types, k), ids, ids
-                else:
-                    lo, hi = bisect_left(edge_type, k), bisect_right(edge_type, k)
-                    s, d = (src, dst) if direction == FORWARD else (dst, src)
-                edges += [f'{{"dst": {b}, "src": {a}{tail}' for a, b in zip(s[lo:hi], d[lo:hi])]
-            nodes = [f'{{"id": {x}{node_tail[t]}' for x, t in zip(ids, types)]
-            label = "null" if labels[i] < 0 else str(labels[i])
-            handle.write(f'{{"edges": [{", ".join(edges)}], "label": {label}, '
-                         f'"nodes": [{", ".join(nodes)}], "target": [{table}, {row}]}}\n')
+        lo = 0
+        while lo < len(datapoints):
+            hi = max(lo + 1, int(np.searchsorted(node_start, node_start[lo] + _WRITE_NODES, side="right")) - 1)
+            n0, n1, e0, e1 = node_start[lo], node_start[hi], edge_start[lo], edge_start[hi]
+            node_counts, edge_counts = np.diff(node_start[lo : hi + 1]), np.diff(edge_start[lo : hi + 1])
+            first_node = node_start[lo:hi] - n0
+            node_owner = np.repeat(np.arange(hi - lo), node_counts)
+            edge_owner = np.repeat(np.arange(hi - lo), edge_counts)
+            types = datapoints.node_types[n0:n1]
+            ids = np.array([f"[{t}, {r}]" for t, r in zip(types.tolist(), datapoints.rows[n0:n1].tolist())],
+                           dtype=object)
+            # the chunk's edges as (record, kind, src, dst), src and dst indexing `ids`; a stable sort
+            # by record and kind keeps each kind's edges in store order and its self loops in node order
+            shift = first_node[edge_owner]
+            src, dst = datapoints.src[e0:e1] + shift, datapoints.dst[e0:e1] + shift
+            edge_type, nodes = datapoints.edge_type[e0:e1], np.arange(n1 - n0)
+            parts = [(edge_owner, forward[edge_type], src, dst), (node_owner, self_loop[types], nodes, nodes)]
+            if reverse_edges:
+                parts.append((edge_owner, reverse[edge_type], dst, src))
+            owner, kind, src, dst = (np.concatenate(column) for column in zip(*parts))
+            order = np.argsort(owner * len(kinds) + kind, kind="stable")
+            owner, kind, src, dst = owner[order], kind[order], src[order], dst[order]
+            # a record's pieces: its head, 5 per listed edge, its label, 3 per node and its tail
+            listed = edge_counts * (2 if reverse_edges else 1) + node_counts
+            size = 3 + 5 * listed + 3 * node_counts
+            head = np.cumsum(size) - size
+            pieces = np.empty(int(size.sum()), dtype=object)
+            pieces[head] = '{"edges": ['
+            rank = np.arange(len(owner)) - (np.cumsum(listed) - listed)[owner]
+            at = head[owner] + 1 + 5 * rank
+            pieces[at] = ', {"dst": '
+            pieces[at[rank == 0]] = '{"dst": '
+            pieces[at + 1] = ids[dst]
+            pieces[at + 2] = ', "src": '
+            pieces[at + 3] = ids[src]
+            pieces[at + 4] = kind_tail[kind]
+            label = head + 1 + 5 * listed
+            pieces[label] = [f'], "label": {"null" if y < 0 else y}, "nodes": ['
+                             for y in datapoints.labels[lo:hi].tolist()]
+            rank = nodes - first_node[node_owner]
+            at = label[node_owner] + 1 + 3 * rank
+            pieces[at] = ', {"id": '
+            pieces[at[rank == 0]] = '{"id": '
+            pieces[at + 1] = ids
+            pieces[at + 2] = node_tail[types]
+            pieces[head + size - 1] = [f'], "target": [{t}, {r}]}}\n' for t, r in datapoints.targets[lo:hi].tolist()]
+            handle.write("".join(pieces.tolist()))
+            lo = hi

@@ -201,8 +201,8 @@ def reference_datapoint(graph, target, *, edge_type_once=False, cap=10**9, rever
 
 def reference_write_datapoints_jsonl(path, datapoints, graph, reverse_edges):
     """One `json.dumps(record, sort_keys=True)` line per one-target store of the list, its edges listed
-    per type of `edge_types(db, reverse_edges)`: the writer that the template writer must match byte
-    for byte."""
+    per type of `edge_types(db, reverse_edges)`: the writer that `write_datapoints_jsonl` must match
+    byte for byte."""
     names = [table.name for table in graph.db.tables]
     kinds = [(graph.edge_type_name(et), et.direction,  # a self loop's table, else its forward type's index
               et.table if et.direction == SELF_LOOP else graph.types.index(replace(et, direction=FORWARD)))

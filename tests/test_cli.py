@@ -274,6 +274,29 @@ def test_sample_output_bytes_are_pinned(capsys, three_level_dir, tmp_path, flags
     assert hashlib.sha256((out / "datapoints.jsonl").read_bytes()).hexdigest() == _SAMPLE_SHA256[flags]
 
 
+# sha256 of datapoints.jsonl from `relgnn sample` on a 600-target `three_level` dataset, about 6,000
+# nodes: a file that the writer builds in several chunks of records
+_LONG_SAMPLE_SHA256 = {
+    (): "be3e9e9dd3966ede8a655c1d285e9ecd23a2e1be63eb0ddcbf61db3358007195",
+    ("--no-reverse-edges",): "4938d9cb72c32de3fc62a2f8969050565e0424f9c0236b0b11f8678d649343e1",
+}
+
+
+@pytest.fixture(scope="module")
+def three_level_600_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("three_level_600") / "data"
+    assert main(["synth", "--out", str(out), "--targets", "600", "--template", "three_level",
+                 "--signal", "grandchild_aggregate", "--children", "1", "4", "--seed", "5"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("flags", sorted(_LONG_SAMPLE_SHA256), ids=lambda flags: "".join(flags) or "default")
+def test_many_chunk_sample_output_bytes_are_pinned(capsys, three_level_600_dir, tmp_path, flags):
+    out = tmp_path / "samples"
+    assert main(["sample", "--dataset", str(three_level_600_dir), "--out", str(out), *flags]) == 0
+    assert hashlib.sha256((out / "datapoints.jsonl").read_bytes()).hexdigest() == _LONG_SAMPLE_SHA256[flags]
+
+
 # sha256 of features.csv from `relgnn dfs` on `three_level_dir`, keyed by the target's primary key, and
 # with that key declared as text, which leaves the target table without one and keys it by row number
 _DFS_SHA256 = {

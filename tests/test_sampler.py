@@ -1,6 +1,7 @@
 import gc
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from oracles import (
 from relgnn import sampler
 from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, database_to_graph
 from relgnn.models import build_batch
-from relgnn.rdb import Column, ColumnKind, Database, Table, load_database, target_labels, _resolve_foreign_keys
+from relgnn.rdb import (Column, ColumnKind, Database, Table, load_database, remove_target_column, target_labels,
+                        _resolve_foreign_keys)
 from relgnn.sampler import (
     DatapointStore,
     SizeCapError,
@@ -507,6 +509,52 @@ def test_writer_matches_json_dumps_reference(random_database, tmp_path, edge_typ
         write_datapoints_jsonl(got, DatapointStore.concat([dp, store[0]]), graph, reverse_edges)
         reference_write_datapoints_jsonl(want, [dp, store[0]], graph, reverse_edges)
         assert got.read_bytes() == want.read_bytes(), seed
+
+
+@pytest.fixture(scope="module")
+def writer_stores():
+    """Stores that cross chunk boundaries: 120 `three_level` targets (about 1,200 nodes) with a record of
+    a row outside the target table appended, two chain targets of 1,200 nodes each, and an empty store."""
+    graph = database_to_graph(remove_target_column(
+        generate(SynthSpec(3, 120, template="three_level", signal="grandchild_aggregate", children=(1, 4)))))
+    store = batch_sample(graph, list(range(120)))
+    many = DatapointStore.concat([store, rdb_to_graph(graph, (len(graph.db.tables) - 1, 0))])
+    chain = database_to_graph(_chain_db(1200))
+    return {"many": (graph, many), "large": (chain, batch_sample(chain, [0, 600])), "empty": (graph, store.take([]))}
+
+
+@pytest.mark.parametrize("reverse_edges", [True, False], ids=["reverse", "forward-only"])
+@pytest.mark.parametrize("budget", [1, 7, sampler._WRITE_NODES])
+def test_writer_chunk_boundaries_change_no_byte(monkeypatch, writer_stores, tmp_path, budget, reverse_edges):
+    """Records go out in runs of at most `_WRITE_NODES` nodes and at least one record; wherever the
+    runs are cut, the file is the reference's, byte for byte."""
+    monkeypatch.setattr(sampler, "_WRITE_NODES", budget)
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    _, large = writer_stores["large"]
+    assert np.diff(large.node_start).min() > sampler._WRITE_NODES  # each record larger than a chunk
+    for name, (graph, store) in writer_stores.items():
+        write_datapoints_jsonl(got, store, graph, reverse_edges)
+        reference_write_datapoints_jsonl(want, list(store), graph, reverse_edges)
+        assert got.read_bytes() == want.read_bytes(), name
+        assert got.read_text(encoding="utf-8").count("\n") == len(store), name
+    assert got.stat().st_size == 0  # the empty store, written last
+
+
+def test_writer_working_set_stays_bounded(tmp_path):
+    """The writer holds one chunk of records' text at a time, never the file: 3,000 `three_level`
+    targets write a file of about 6.8 MB with a traced peak under 2 MiB."""
+    graph = database_to_graph(remove_target_column(
+        generate(SynthSpec(0, 3000, template="three_level", signal="grandchild_aggregate", children=(1, 4)))))
+    store = batch_sample(graph, list(range(3000)))
+    path = tmp_path / "dp.jsonl"
+    tracemalloc.start()
+    try:
+        write_datapoints_jsonl(path, store, graph, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 6 * 2**20
+    assert peak < 2 * 2**20, peak
 
 
 def test_closure_time_scales_linearly():
