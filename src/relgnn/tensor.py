@@ -83,9 +83,6 @@ class Tensor:
         else:
             self.grad.fill(0.0)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
 
 _Grads = dict[Tensor, np.ndarray]  # gradient buffers of one backward pass
 _Backward = Callable[[np.ndarray, _Grads], None]  # accumulates an output's gradient into its inputs
@@ -106,22 +103,48 @@ def no_tape() -> Iterator[None]:
         _taping = previous
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], bwd: _Backward | None) -> Tensor:
-    out = Tensor(data)
-    if _taping and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = bwd
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd: _Backward) -> Tensor:
+    """An op's output: records its parents and backward closure when taping and a parent requires a
+    gradient. Built without `Tensor.__init__`, since an op's float64 result needs no conversion, only the
+    numpy scalar that an op on 0-d inputs returns."""
+    out = object.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    out.grad = None
+    if _taping:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = bwd
+                return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
     return out
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1, keepdims=True)`` of a 2-D array, the shift of a row-wise softmax. A row of at most 4
+    columns is folded with a column-wise np.maximum, which costs half the reduction at 2 columns. Max is
+    exact; only where +0.0 ties -0.0 may the two pick another sign, and that reaches no softmax output: the
+    shifted zeros exponentiate to 1 and lose their sign to a log-sum of at least log 2."""
+    if not 0 < x.shape[1] <= 4:
+        return x.max(axis=1, keepdims=True)
+    m = x[:, :1]
+    for j in range(1, x.shape[1]):
+        m = np.maximum(m, x[:, j:j + 1])
+    return m
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum out broadcast dimensions so grad matches the original shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad
 
 
@@ -241,11 +264,11 @@ def log_softmax(x: Tensor) -> Tensor:
     """Row-wise log-softmax of a 2-D tensor."""
     if x.data.ndim != 2:
         raise _shape_error("log_softmax", x.shape)
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = x.data - _row_max(x.data)
+    out_data = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
     def bwd(g: np.ndarray, grads: _Grads) -> None:
-        _accum(grads, x, g - np.exp(out_data) * g.sum(axis=1, keepdims=True))
+        _accum(grads, x, g - np.exp(out_data) * np.add.reduce(g, axis=1, keepdims=True))
 
     return _make(out_data, (x,), bwd)
 
@@ -364,13 +387,14 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if y.shape != (logits.shape[0],):
         raise _shape_error("cross_entropy", logits.shape, y.shape)
     n = logits.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out_data = -(logp[np.arange(n), y].sum() / n)  # np.mean's own sum and division, without its overhead
+    rows = np.arange(n)
+    shifted = logits.data - _row_max(logits.data)
+    logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    out_data = -(np.add.reduce(logp[rows, y]) / n)  # np.mean's own sum and division, without its overhead
 
     def bwd(g: np.ndarray, grads: _Grads) -> None:
         soft = np.exp(logp)
-        soft[np.arange(n), y] -= 1.0
+        soft[rows, y] -= 1.0
         _accum(grads, logits, g * soft / n)
 
     return _make(np.asarray(out_data), (logits,), bwd)
@@ -394,40 +418,38 @@ def backward(loss: Tensor) -> None:
     run, so the pass holds only the gradients that later steps still read; the tape itself is kept.
 
     Repeated calls without ``zero_grad`` accumulate: a leaf's gradient is added into its existing
-    ``grad`` array in place, and allocated only when ``grad`` is None.
+    ``grad`` array in place (a leaf that requires a gradient holds one from construction or
+    ``zero_grad``). A loss that requires no gradient leaves every tensor as it was.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be a single element, got shape {loss.shape}")
+    if not loss.requires_grad:
+        return
+    # op outputs in post-order of one depth-first walk, each input's subtree before its consumer and the
+    # last input's first: the order fixes the order in which contributions reach a shared tensor, and so
+    # its bits. A leaf has no inputs, so leaving it off the walk moves no op.
     topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    seen: set[Tensor] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)] if loss._backward is not None else []
     while stack:
         node, done = stack.pop()
         if done:
             topo.append(node)
-            continue
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            for p in node._parents:
+                if p._backward is not None:
+                    stack.append((p, False))
 
     # gradient buffers of this pass only, keyed by the tensor itself
-    grads: _Grads = {loss: np.ones_like(loss.data)}
+    grads: _Grads = {loss: np.ones(loss.data.shape)}
     for node in reversed(topo):
-        if node._backward is None:
-            continue  # a leaf keeps its gradient for the accumulate below
         g = grads.pop(node, None)
         if g is not None:
             node._backward(g, grads)
-    for node in topo:
-        g = grads.get(node)
-        if g is not None and node._backward is None:
-            if node.grad is None:
-                node.grad = g.copy()
-            else:
-                node.grad += g
+    for leaf, g in grads.items():  # every op's gradient is popped, so what is left is the leaves'
+        leaf.grad += g
 
 
 def gradcheck(fn: Callable[[Sequence[Tensor]], Tensor], inputs: Sequence[Tensor]) -> float:

@@ -15,6 +15,7 @@ from .sampler import DatapointStore
 from .tensor import (
     RngStream,
     Tensor,
+    _row_max,
     add,
     backward,
     cross_entropy,
@@ -119,7 +120,9 @@ class TrainResult:
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
     order = np.argsort(x, kind="stable")
-    _, first, counts = np.unique(x[order], return_index=True, return_counts=True, equal_nan=False)
+    s = x[order]
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))  # run starts; each NaN is a run of its own
+    counts = np.diff(first, append=len(s))
     ranks = np.empty(len(x))
     ranks[order] = np.repeat(first + 0.5 * (counts - 1) + 1.0, counts)  # ties share the average rank
     return ranks
@@ -146,9 +149,9 @@ def accuracy(scores, labels) -> float:
 
 def positive_scores(logits: np.ndarray) -> np.ndarray:
     """Softmax probability of class 1 from two-class logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - _row_max(logits)
     e = np.exp(z)
-    return e[:, 1] / e.sum(axis=1)
+    return e[:, 1] / np.add.reduce(e, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +226,8 @@ def fold_encoder_rows(datapoints: DatapointStore, ids) -> dict[int, np.ndarray]:
     """Rows reachable from the given datapoints, grouped by table, ascending: the encoder fitting scope."""
     nodes, _ = ranges(datapoints.node_start, np.asarray(ids, dtype=np.int64))
     node_types, rows = datapoints.node_types[nodes], datapoints.rows[nodes]
-    return {t: np.flatnonzero(np.bincount(rows[node_types == t])) for t in np.unique(node_types).tolist()}
+    present = np.flatnonzero(np.bincount(node_types)).tolist()  # np.unique would import numpy.ma
+    return {t: np.flatnonzero(np.bincount(rows[node_types == t])) for t in present}
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +251,7 @@ def train(net, data, fold: CvFold, config: TrainConfig) -> TrainResult:
             opt.zero_grad()
             loss = data.loss(net, ids, train=True, rng=rng)
             value = float(loss.data)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise RuntimeError(f"non-finite training loss ({value}) at epoch {epoch}")
             backward(loss)
             del loss  # frees the batch's tape before the next batch records its own

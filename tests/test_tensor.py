@@ -234,6 +234,59 @@ def test_backward_drops_each_op_gradient_once_its_step_has_run(monkeypatch):
     assert np.array_equal(x.grad, expected)
 
 
+def test_backward_of_a_loss_that_requires_no_gradient_changes_nothing():
+    w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    w.grad = np.full((2, 3), 7.0)
+    with no_tape():
+        untaped = tensor_sum(multiply(w, w))
+    constant = Tensor(3.0)
+    for loss in (untaped, constant):
+        backward(loss)
+        assert loss.grad is None and not loss.requires_grad
+    assert np.array_equal(w.grad, np.full((2, 3), 7.0)) and w._parents == () and w._backward is None
+
+
+def _short_rows(width, rng, n=96):
+    """Rows of `width` columns: a third drawn from few values (ties, +0.0 and -0.0 among them), a third of
+    zeros of either sign and -1 (so a row's max is a tie of signed zeros), a third normal; each row scaled
+    by a power of ten from 1e-3 to 1e3."""
+    k = n // 3
+    few = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]), size=(k, width))
+    zeros = rng.choice(np.array([0.0, -0.0, -1.0]), size=(k, width))
+    normal = rng.normal(size=(n - 2 * k, width))
+    return np.concatenate([few, zeros, normal]) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+
+
+def _full_log_softmax(x):
+    """log_softmax's formula with the full `ndarray.max` and `ndarray.sum` reductions."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 9])
+def test_short_row_reductions_are_bitwise_the_full_ones(width):
+    rng = np.random.default_rng(width)
+    for _ in range(20):
+        x = _short_rows(width, rng)
+        n = len(x)
+        labels = rng.integers(0, width, size=n)
+        logp = _full_log_softmax(x)
+        logits = Tensor(x.copy(), requires_grad=True)
+        loss = cross_entropy(logits, labels)
+        assert loss.data.tobytes() == np.asarray(-(logp[np.arange(n), labels].sum() / n)).tobytes()
+        backward(loss)
+        soft = np.exp(logp)
+        soft[np.arange(n), labels] -= 1.0
+        assert logits.grad.tobytes() == (np.zeros_like(x) + np.ones(()) * soft / n).tobytes()
+        out = log_softmax(Tensor(x, requires_grad=True))
+        assert out.data.tobytes() == logp.tobytes()
+        g = _short_rows(width, rng)
+        grads = {}
+        out._backward(g, grads)
+        (got,) = grads.values()
+        assert got.tobytes() == (g - np.exp(logp) * g.sum(axis=1, keepdims=True)).tobytes()
+
+
 def _every_op(a, b, w, table, rng):
     """One output of each op on tensors that require gradients."""
     seg = np.array([0, 2, 2])

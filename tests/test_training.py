@@ -7,13 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import auroc_pairwise
+from oracles import auroc_pairwise, reference_backward
 from relgnn import training
 from relgnn.encode import fit_encoders
 from relgnn.graph import database_to_graph
-from relgnn.models import Model, ModelConfig, GraphSchema
+from relgnn.models import VARIANTS, Model, ModelConfig, GraphSchema
 from relgnn.rdb import load_database, remove_target_column, target_labels
 from relgnn.sampler import batch_sample
+from relgnn.synth import SynthSpec, generate
+from relgnn.tensor import backward
 from relgnn.training import (
     CvFold,
     GraphDataset,
@@ -125,6 +127,26 @@ def test_auroc_invariant_under_increasing_transforms():
     assert auroc(3.0 * scores - 7.0, labels) == base
 
 
+def _unique_ranks_auroc(scores, labels):
+    """`auroc` with its ranks from np.unique's runs of the sorted scores."""
+    order = np.argsort(scores, kind="stable")
+    _, first, counts = np.unique(scores[order], return_index=True, return_counts=True, equal_nan=False)
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat(first + 0.5 * (counts - 1) + 1.0, counts)
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def test_auroc_is_bitwise_the_unique_ranking_on_tied_scores():
+    rng = np.random.default_rng(2)
+    for trial in range(300):
+        n = int(rng.integers(2, 300))
+        scores = rng.choice(np.array([0.0, -0.0, 0.25, 0.5, 1.0, np.nan])[:int(rng.integers(1, 7))], size=n)
+        labels = rng.integers(0, 2, size=n)
+        labels[0], labels[1] = 0, 1
+        assert auroc(scores, labels).hex() == _unique_ranks_auroc(scores, labels).hex(), trial
+
+
 def test_accuracy_majority_golden():
     labels = np.zeros(10000, dtype=int)
     labels[:593] = 1
@@ -172,6 +194,16 @@ def test_positive_scores_stable():
 
 # ---------------------------------------------------------------------------
 # oversampling
+
+
+@pytest.mark.parametrize("width", [2, 3, 5, 9])
+def test_positive_scores_are_bitwise_the_full_reductions(width):
+    rng = np.random.default_rng(width)
+    for _ in range(20):
+        few = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.5]), size=(48, width))
+        logits = np.concatenate([few, rng.normal(size=(48, width))]) * 10.0 ** rng.integers(-3, 4, size=(96, 1))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert positive_scores(logits).tobytes() == (e[:, 1] / e.sum(axis=1)).tobytes()
 
 
 def test_oversample_balances_classes():
@@ -365,6 +397,39 @@ def test_parameters_stay_views_of_the_optimizer_arena_after_a_fold(monkeypatch):
     for t in trainable:
         assert np.shares_memory(t.data, opt.flat_data) and np.shares_memory(t.grad, opt.flat_grad)
     assert opt.flat_data.tobytes() == np.concatenate([t.data.ravel() for t in trainable]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def tape_data():
+    """64 three_level targets as graph datapoints, and as the target table's features for the baselines."""
+    spec = SynthSpec(seed=11, n_targets=64, template="three_level", signal="grandchild_aggregate", children=(1, 4))
+    db = remove_target_column(generate(spec))
+    dps = batch_sample(database_to_graph(db), list(range(64)))
+    encoders = fit_encoders(db, fold_encoder_rows(dps, range(64)))
+    return GraphDataset(db, dps, encoders), TableDataset(single_table_features(db, encoders), dps.labels)
+
+
+@pytest.mark.parametrize("model", [*VARIANTS, "mlp", "logreg"])
+def test_backward_is_bitwise_the_copying_reference_on_real_tapes(tape_data, model):
+    # one training batch of 64 targets, dropout on: every parameter's gradient after two passes
+    graphs, table = tape_data
+    if model in VARIANTS:
+        data = graphs
+        net = Model(ModelConfig(model, hidden=8, heads=2 if model.endswith("gat") else 1),
+                    GraphSchema.from_database(graphs.db, graphs.encoders), seed=3)
+    else:
+        data = table
+        net = (MlpModel if model == "mlp" else LinearModel)(table.features.shape[1], seed=3)
+    params = [t for t in net.params.values() if t.requires_grad]
+    got = []
+    for run in (backward, reference_backward):
+        for t in params:
+            t.grad = np.zeros_like(t.data)
+        for k in range(2):  # the second pass adds into the first one's leaf gradients
+            run(data.loss(net, np.arange(64), train=True, rng=np.random.default_rng(k)))
+        got.append([t.grad.tobytes() for t in params])
+    assert got[0] == got[1]
+    assert all(t.grad.any() for t in params if t.grad.size)
 
 
 @contextlib.contextmanager
