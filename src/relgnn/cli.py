@@ -25,7 +25,7 @@ from .dfs import (
     fit_feature_encoders,
     write_features_csv,
 )
-from .encode import encoded_columns, encoders_from_json, encoders_to_json, fit_encoders, quantiles
+from .encode import encoded_columns, encoders_from_json, encoders_to_json, fit_encoders
 from .graph import database_to_graph, graph_stats
 from .models import DEFAULT_ROUNDS, VARIANTS, GraphSchema, Model, ModelConfig, build_batch
 from .rdb import RdbError, load_database, remove_target_column, target_labels, validate_schema
@@ -163,13 +163,11 @@ def _sample(masked, rows=None, *, edge_type_once: bool = False, size_cap: int = 
 
 def _subgraph_sizes(datapoints: DatapointStore) -> dict:
     """Min, median, 99th percentile and max of the nodes and of the forward edges per datapoint. The
-    percentiles interpolate linearly between the two nearest order statistics, numpy's default; on counts,
-    the median at 0.5 is np.median's mean of the two middle ones, bit for bit."""
-    sizes = {}
-    for name, counts in (("nodes", np.diff(datapoints.node_start)), ("forward_edges", np.diff(datapoints.edge_start))):
-        median, p99 = quantiles(counts, (0.5, 0.99))
-        sizes[name] = {"min": int(counts.min()), "median": median, "p99": p99, "max": int(counts.max())}
-    return sizes
+    percentiles interpolate linearly between the two nearest order statistics, numpy's default."""
+    return {name: {"min": int(counts.min()), "median": float(np.median(counts)),
+                   "p99": float(np.percentile(counts, 99)), "max": int(counts.max())}
+            for name, counts in (("nodes", np.diff(datapoints.node_start)),
+                                 ("forward_edges", np.diff(datapoints.edge_start)))}
 
 
 # the flags of `train` that only some models read, by their names in `args`; on `train` a flag that was

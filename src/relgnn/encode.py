@@ -16,7 +16,6 @@ __all__ = [
     "ScalarEncoder",
     "CategoricalEncoder",
     "NodeTypeEncoder",
-    "quantiles",
     "fit_scalar",
     "encode_latlong",
     "encode_datetime",
@@ -46,35 +45,14 @@ class ScalarEncoder:
     all_null: bool = False
 
 
-def quantiles(values: np.ndarray, qs) -> list[float]:
-    """``np.quantile(values, qs)`` of a non-empty 1-D array without NaN, bit for bit: numpy's linear
-    method, with its virtual indices, its partition of a copy at the same positions (so of equal values,
-    such as +0.0 and -0.0, the same one is read) and its two-sided interpolation. np.quantile would import
-    numpy.ma on its first call, and costs several times as much on a short array."""
-    n = len(values)
-    picks = []
-    for q in qs:
-        virtual = (n - 1) * q
-        lo = math.floor(virtual) if virtual < n - 1 else -1  # at or past the last index, numpy reads the last
-        picks.append((virtual, lo, lo + 1 if lo >= 0 else -1))
-    arr = np.array(values)
-    arr.partition(sorted({0, -1, *(i for _, lo, hi in picks for i in (lo, hi))}))
-    out = []
-    for virtual, lo, hi in picks:
-        a, b, t = float(arr[lo]), float(arr[hi]), virtual - lo
-        d = b - a
-        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
-    return out
-
-
 def fit_scalar(values) -> ScalarEncoder:
     """Median and interquartile range of the values; None, or NaN in an array, is null and left out."""
     values = np.array(values, dtype=np.float64)
     values = values[~np.isnan(values)]
     if len(values) == 0:
         return ScalarEncoder(0.0, 1.0, all_null=True)
-    q1, med, q3 = quantiles(values, (0.25, 0.5, 0.75))
-    return ScalarEncoder(med, max(q3 - q1, IQR_FLOOR))
+    q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])
+    return ScalarEncoder(float(med), max(float(q3 - q1), IQR_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -105,9 +83,8 @@ def fit_categorical(cells) -> CategoricalEncoder:
 
 def column_tokens(col: Column, rows) -> list[str]:
     """The distinct non-null tokens of a token column at the given rows."""
-    codes = col.data[rows]
-    present = np.flatnonzero(np.bincount(codes[codes >= 0]))  # np.unique would import numpy.ma
-    return [col.vocab[code] for code in present.tolist()]
+    codes = np.unique(col.data[rows])
+    return [col.vocab[code] for code in codes[codes >= 0].tolist()]
 
 
 def _scaled(values: np.ndarray, enc: ScalarEncoder) -> np.ndarray:

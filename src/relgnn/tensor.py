@@ -124,12 +124,12 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd: _Backward) -> Tens
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=1, keepdims=True)`` of a 2-D array, the shift of a row-wise softmax. A row of at most 4
-    columns is folded with a column-wise np.maximum, which costs half the reduction at 2 columns. Max is
-    exact; only where +0.0 ties -0.0 may the two pick another sign, and that reaches no softmax output: the
-    shifted zeros exponentiate to 1 and lose their sign to a log-sum of at least log 2."""
-    if not 0 < x.shape[1] <= 4:
-        return x.max(axis=1, keepdims=True)
+    """``x.max(axis=1, keepdims=True)`` of a 2-D array, the shift of a row-wise softmax, folded column by
+    column with np.maximum: on two-class logits that costs under half the reduction. Max is exact; only
+    where +0.0 ties -0.0 may the two pick another sign, and that reaches no softmax output: the shifted
+    zeros exponentiate to 1 and lose their sign to a log-sum of at least log 2."""
+    if x.shape[1] == 0:
+        return x.max(axis=1, keepdims=True)  # numpy's error for rows without columns
     m = x[:, :1]
     for j in range(1, x.shape[1]):
         m = np.maximum(m, x[:, j:j + 1])

@@ -15,7 +15,6 @@ from .sampler import DatapointStore
 from .tensor import (
     RngStream,
     Tensor,
-    _row_max,
     add,
     backward,
     cross_entropy,
@@ -149,7 +148,7 @@ def accuracy(scores, labels) -> float:
 
 def positive_scores(logits: np.ndarray) -> np.ndarray:
     """Softmax probability of class 1 from two-class logits."""
-    z = logits - _row_max(logits)
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e[:, 1] / np.add.reduce(e, axis=1)
 
@@ -226,8 +225,7 @@ def fold_encoder_rows(datapoints: DatapointStore, ids) -> dict[int, np.ndarray]:
     """Rows reachable from the given datapoints, grouped by table, ascending: the encoder fitting scope."""
     nodes, _ = ranges(datapoints.node_start, np.asarray(ids, dtype=np.int64))
     node_types, rows = datapoints.node_types[nodes], datapoints.rows[nodes]
-    present = np.flatnonzero(np.bincount(node_types)).tolist()  # np.unique would import numpy.ma
-    return {t: np.flatnonzero(np.bincount(rows[node_types == t])) for t in present}
+    return {t: np.flatnonzero(np.bincount(rows[node_types == t])) for t in np.unique(node_types).tolist()}
 
 
 # ---------------------------------------------------------------------------

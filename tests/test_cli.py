@@ -1112,16 +1112,6 @@ def test_commands_that_draw_nothing_load_no_lazy_module(cold_python, fixtures_di
     assert set(json.loads(cold_python("-c", _COLD_COMMAND, *argv))) <= with_numpy
 
 
-@pytest.mark.parametrize("model", ["gcn", "dfs-logreg"])
-def test_train_loads_no_numpy_ma(cold_python, synth_dir, tmp_path, model):
-    # train seeds generators, so it needs _hashlib and numpy.random; numpy.ma it needs not
-    if "numpy.ma" in json.loads(cold_python("-c", "import numpy; " + _LOADED)):
-        pytest.skip("a bare `import numpy` loads numpy.ma here")
-    argv = ["train", "--dataset", str(synth_dir), "--out", str(tmp_path / "run"), "--model", model,
-            "--folds", "2", "--max-epochs", "1"]
-    assert "numpy.ma" not in json.loads(cold_python("-c", _COLD_COMMAND, *argv))
-
-
 # each subcommand's argument lists, which together give every flag it takes; {data}, {run}, {out} and
 # {fixtures} are filled in with the dataset, a trained run, a new output directory and the fixtures
 # (gradcheck takes tens of seconds on the synth dataset, whose wide datetime encoding it differences

@@ -18,7 +18,6 @@ from relgnn.encode import (
     fit_categorical,
     fit_encoders,
     fit_scalar,
-    quantiles,
     text_counts,
 )
 from relgnn.rdb import Column, ColumnKind, Database, Table, _resolve_foreign_keys, load_database, remove_target_column
@@ -49,19 +48,6 @@ def test_fit_scalar_quantiles():
     assert value == pytest.approx(0.01961, abs=5e-6)
     assert flag == 0.0
     assert encode_scalar(enc.median, enc) == (0.0, 0.0)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 2400])
-def test_quantiles_are_bitwise_numpy_quantile(n):
-    rng = np.random.default_rng(n)
-    for _ in range(40):
-        pool = np.concatenate([rng.normal(size=max(1, n // 3)) * 10.0 ** rng.integers(-3, 4), [0.0, -0.0]])
-        values = rng.choice(pool, size=n)  # ties, and both signs of zero
-        for qs in ((0.25, 0.5, 0.75), (0.5, 0.99)):
-            assert np.array(quantiles(values, qs)).tobytes() == np.quantile(values, list(qs)).tobytes()
-        counts = rng.integers(0, 9, size=n)  # the subgraph sizes: median at 0.5, and the 99th percentile
-        want = [np.median(counts), np.percentile(counts, 99)]
-        assert np.array(quantiles(counts, (0.5, 0.99))).tobytes() == np.array(want).tobytes()
 
 
 def test_fit_scalar_constant_column_hits_floor():
