@@ -54,10 +54,12 @@ GNN_WEIGHT_DECAY, BASELINE_WEIGHT_DECAY = 0.0, 0.01  # AdamW's, per model family
 
 ERRORS = (RdbError, SizeCapError, OSError, ValueError, KeyError, RuntimeError)  # main reports each as one line
 
-# glibc's mallopt options: the free heap kept at the top, and the size from which malloc maps memory of its
-# own. Setting the first stops glibc from raising the second as it goes (from 128 KiB), so main sets both.
-M_TOP_PAD, M_MMAP_THRESHOLD = -2, -3
-KEPT_HEAP = 16 << 20  # bytes, for both: what fits in the kept heap is served from it
+# glibc's mallopt options: the free heap at the top from which `free` gives memory back to the kernel, the
+# free heap it keeps when it does, and the size from which malloc maps memory of its own. Setting any of
+# them stops glibc from raising the first and the last as it goes (from 128 KiB), so main sets all three.
+M_TRIM_THRESHOLD, M_TOP_PAD, M_MMAP_THRESHOLD = -1, -2, -3
+KEPT_HEAP = 16 << 20  # bytes, for the pad and the mmap threshold: what fits in the kept heap is served from it
+TRIM_THRESHOLD = 256 << 20  # bytes: free heap at the top stays in the process until it grows past this
 
 log = logging.getLogger("relgnn")
 
@@ -568,11 +570,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _keep_freed_heap() -> None:
-    """Have glibc keep up to KEPT_HEAP bytes of freed heap at the top instead of trimming it, and serve
-    allocations up to that size from the heap, so the next op's temporaries reuse pages already faulted in.
-    The process's allocator is main's to set, not the library's; a libc without mallopt is left as it is."""
+    """Have glibc keep freed heap at the top up to TRIM_THRESHOLD bytes, and KEPT_HEAP bytes of it when it
+    trims, and serve allocations up to KEPT_HEAP from the heap, so the next op's temporaries, and the next
+    pass's, reuse pages already faulted in. The process's allocator is main's to set, not the library's; a
+    libc without mallopt is left as it is."""
     try:
         libc = ctypes.CDLL(None)
+        libc.mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
         libc.mallopt(M_TOP_PAD, KEPT_HEAP)
         libc.mallopt(M_MMAP_THRESHOLD, KEPT_HEAP)
     except (AttributeError, OSError):

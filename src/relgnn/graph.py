@@ -14,6 +14,7 @@ __all__ = [
     "edge_types",
     "referenced_table",
     "ranges",
+    "runs",
     "database_to_graph",
     "graph_stats",
 ]
@@ -56,6 +57,16 @@ def ranges(start: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counts = start[ids + 1] - lo
     first = np.cumsum(counts) - counts
     return np.arange(int(counts.sum())) + np.repeat(lo - first, counts), counts
+
+
+def runs(start: np.ndarray, budget: int):
+    """Bounds `(lo, hi)` that cut the records `i`, each the positions `start[i]` up to `start[i + 1]`,
+    into consecutive runs of at most `budget` positions, or of one record where it alone holds more."""
+    lo = 0
+    while lo < len(start) - 1:
+        hi = max(lo + 1, int(np.searchsorted(start, start[lo] + budget, side="right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 def _csr_lists(start: np.ndarray, order: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

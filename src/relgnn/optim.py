@@ -47,16 +47,14 @@ class AdamW:
             lo = hi
         self.m = np.zeros(total)
         self.v = np.zeros(total)
-        self._s1 = np.empty(total)
-        self._s2 = np.empty(total)
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        g, m, v, s1, s2 = self.flat_grad, self.m, self.v, self._s1, self._s2
+        g, m, v = self.flat_grad, self.m, self.v
         m *= BETA1
-        np.multiply(1.0 - BETA1, g, out=s1)
+        s1 = np.multiply(1.0 - BETA1, g)  # the step's two temporaries; no buffer outlives it
         m += s1
         v *= BETA2
         np.multiply(1.0 - BETA2, g, out=s1)
@@ -65,7 +63,7 @@ class AdamW:
         # update = lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(m, bc1, out=s1)
         np.multiply(self.lr, s1, out=s1)
-        np.divide(v, bc2, out=s2)
+        s2 = np.divide(v, bc2)
         np.sqrt(s2, out=s2)
         s2 += EPS
         s1 /= s2

@@ -537,32 +537,30 @@ def remove_target_column(db: Database) -> Database:
 
 
 def _target_tokens(db: Database, nulls_allowed: bool) -> tuple[Column, list]:
-    """The target column and its distinct non-null tokens, sorted. A null (unless allowed), or a third
-    distinct token, fails naming the table, the row and the column of the first."""
+    """The target column and its distinct non-null tokens, sorted: its `vocab`, which holds exactly the
+    tokens that occur, numbered by first appearance. A null (unless allowed), or a third distinct token,
+    fails naming the table, the row and the column of the first."""
     kt, kc = db.target
     table = db.tables[kt]
     col = table.columns[kc] if db._labels is None else db._labels
-    codes = np.flatnonzero(np.bincount(col.data[~col.null], minlength=len(col.vocab)))
-    vocab = sorted(col.vocab[code] for code in codes.tolist())
 
     def at(row: int) -> str:
         return f"at table {table.name} row {row} column {col.name}"
 
     if not nulls_allowed and col.null.any():
         raise RdbError(f"null label {at(int(np.argmax(col.null)))}")
-    if len(vocab) > 2:
-        codes, firsts = np.unique(col.data, return_index=True)  # each code's first row
-        row = int(np.sort(firsts[codes >= 0])[2])
-        raise RdbError(f"target column must be binary, found {len(vocab)} distinct tokens; the third, "
-                       f"{col.vocab[col.data[row]]!r}, {at(row)}")
-    return col, vocab
+    if len(col.vocab) > 2:
+        raise RdbError(f"target column must be binary, found {len(col.vocab)} distinct tokens; the third, "
+                       f"{col.vocab[2]!r}, {at(int(np.argmax(col.data == 2)))}")
+    return col, sorted(col.vocab)
 
 
-def target_labels(db: Database) -> np.ndarray:
-    """Binary labels of the target column as 0/1 ints, tokens mapped in sorted order; a null label fails."""
+def target_labels(db: Database, rows=None) -> np.ndarray:
+    """Binary labels of the target column's `rows` (default: every row) as 0/1 ints, tokens mapped in
+    sorted order; a null label anywhere in the column fails."""
     col, vocab = _target_tokens(db, nulls_allowed=False)
-    label = {token: i for i, token in enumerate(vocab)}
-    return np.array([label.get(token, -1) for token in col.vocab], dtype=np.int64)[col.data]
+    codes = col.data if rows is None else col.data[rows]
+    return np.array([vocab.index(token) for token in col.vocab], dtype=np.int64)[codes]
 
 
 def _format_cell(value, kind: ColumnKind) -> str:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import SELF_LOOP, EdgeType, HeteroGraph, edge_types, ranges
+from .graph import SELF_LOOP, EdgeType, HeteroGraph, edge_types, ranges, runs
 from .rdb import target_labels
 
 __all__ = [
@@ -297,7 +297,7 @@ def _sample(graph: HeteroGraph, targets: np.ndarray, edge_type_once: bool, size_
     labels = np.full(len(targets), -1, dtype=np.int64)
     if len(graph.db.target_flags) == 1:
         inside = targets[:, 0] == graph.db.target[0]
-        labels[inside] = target_labels(graph.db)[targets[inside, 1]]
+        labels[inside] = target_labels(graph.db, targets[inside, 1])
     return _induce(graph, _closures(graph, targets, edge_type_once, size_cap), targets, labels)
 
 
@@ -334,9 +334,7 @@ def write_datapoints_jsonl(path: str | Path, datapoints: DatapointStore, graph: 
     self_loop = np.array([position[EdgeType(t, -1, SELF_LOOP)] for t in range(len(graph.db.tables))], dtype=np.int64)
     node_start, edge_start = datapoints.node_start, datapoints.edge_start
     with open(path, "w", encoding="utf-8") as handle:
-        lo = 0
-        while lo < len(datapoints):
-            hi = max(lo + 1, int(np.searchsorted(node_start, node_start[lo] + _WRITE_NODES, side="right")) - 1)
+        for lo, hi in runs(node_start, _WRITE_NODES):
             n0, n1, e0, e1 = node_start[lo], node_start[hi], edge_start[lo], edge_start[hi]
             node_counts, edge_counts = np.diff(node_start[lo : hi + 1]), np.diff(edge_start[lo : hi + 1])
             first_node = node_start[lo:hi] - n0
@@ -381,4 +379,3 @@ def write_datapoints_jsonl(path: str | Path, datapoints: DatapointStore, graph: 
             pieces[at + 2] = node_tail[types]
             pieces[head + size - 1] = [f'], "target": [{t}, {r}]}}\n' for t, r in datapoints.targets[lo:hi].tolist()]
             handle.write("".join(pieces.tolist()))
-            lo = hi

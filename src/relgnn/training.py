@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encode import NodeTypeEncoder, encode_node
-from .graph import ranges
+from .graph import ranges, runs
 from .models import build_batch, encode_tables
 from .optim import AdamW
 from .rdb import Database
@@ -44,7 +44,7 @@ __all__ = [
     "single_table_features",
 ]
 
-EVAL_CHUNK = 512
+EVAL_NODES = 512  # nodes a scoring forward pass holds, or one target that alone holds more; a table row is one node
 
 MLP_DROPOUT = 0.3
 
@@ -158,13 +158,12 @@ def positive_scores(logits: np.ndarray) -> np.ndarray:
 
 
 class _Dataset:
-    """Labelled examples by id. `inputs(ids)` is what the network's forward pass reads for those ids;
-    the loss and the chunked scores go through it. Scoring runs its forward passes without a tape."""
+    """Labelled examples by id. A subclass's `inputs(ids)` is what the network's forward pass reads for
+    those ids, and `node_counts(ids)` the nodes each id brings to it; the loss and the scores go through
+    `inputs`. Scoring runs its forward passes without a tape, over consecutive runs of ids that hold at
+    most `EVAL_NODES` nodes each (or one id)."""
 
     labels: np.ndarray
-
-    def inputs(self, ids: np.ndarray):
-        raise NotImplementedError
 
     def loss(self, net, ids, train: bool = False, rng=None) -> Tensor:
         ids = np.asarray(ids)
@@ -172,11 +171,9 @@ class _Dataset:
 
     def scores(self, net, ids) -> np.ndarray:
         ids = np.asarray(ids)
+        start = np.concatenate(([0], np.cumsum(self.node_counts(ids))))
         with no_tape():
-            parts = [
-                positive_scores(net.forward(self.inputs(ids[lo:lo + EVAL_CHUNK])).data)
-                for lo in range(0, len(ids), EVAL_CHUNK)
-            ]
+            parts = [positive_scores(net.forward(self.inputs(ids[lo:hi])).data) for lo, hi in runs(start, EVAL_NODES)]
         return np.concatenate(parts)
 
     def labels_of(self, ids) -> np.ndarray:
@@ -197,9 +194,13 @@ class GraphDataset(_Dataset):
     def inputs(self, ids):
         return build_batch(self.datapoints.take(ids), self.db, self.encoders, self.tables)
 
+    def node_counts(self, ids):
+        start = self.datapoints.node_start
+        return start[ids + 1] - start[ids]
+
 
 class TableDataset(_Dataset):
-    """A plain feature matrix with labels, for the single-table baselines."""
+    """A plain feature matrix with labels, for the single-table baselines; a row is one node."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
         self.features = np.asarray(features, dtype=np.float64)
@@ -207,6 +208,9 @@ class TableDataset(_Dataset):
 
     def inputs(self, ids):
         return Tensor(self.features[ids])
+
+    def node_counts(self, ids):
+        return np.ones(len(ids), dtype=np.int64)
 
 
 def oversample_ids(ids: np.ndarray, labels: np.ndarray) -> np.ndarray:

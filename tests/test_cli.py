@@ -1170,8 +1170,9 @@ def test_every_flag_given_is_read(capsys, fixtures_dir, synth_dir, gcn_run, tmp_
     assert sorted(set(dest) - given) == [], "flags that no case gives"
 
 
-# minor page faults of 20 rounds of two live float64 temporaries at each of 265 KiB, 1 MiB and 2.1 MiB, after
-# cli.main(["--help"]) when argv[1] is "main"
+# minor page faults, after cli.main(["--help"]) when argv[1] is "main", of argv[2]'s case: "ops", 20 rounds of two
+# live float64 temporaries at each of 265 KiB, 1 MiB and 2.1 MiB; "bursts", 20 bursts of 12 live 4 MiB arrays
+# freed together, more than the 16 MiB top pad
 _TEMPORARIES = """
 import contextlib, io, resource, sys
 import numpy as np
@@ -1180,16 +1181,25 @@ if sys.argv[1] == "main":
     with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
         cli.main(["--help"])
 faults = 0
-for n in (265 << 7, 1 << 17, 2100 << 7):
-    a = np.ones(n)
-    b = a * 2.0
-    del b
+if sys.argv[2] == "ops":
+    for n in (265 << 7, 1 << 17, 2100 << 7):
+        a = np.ones(n)
+        b = a * 2.0
+        del b
+        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            b = a * 2.0
+            c = b + 1.0
+            del b, c
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+else:
+    burst = [np.ones(1 << 19) for _ in range(12)]
+    del burst
     start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(20):
-        b = a * 2.0
-        c = b + 1.0
-        del b, c
-    faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+        burst = [np.ones(1 << 19) for _ in range(12)]
+        del burst
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
 print(faults)
 """
 
@@ -1201,13 +1211,15 @@ def test_main_keeps_freed_heap_so_temporaries_stop_faulting():
     env = {name: value for name, value in os.environ.items() if not name.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
 
-    def faults(mode: str) -> int:
-        proc = subprocess.run([sys.executable, "-c", _TEMPORARIES, mode], capture_output=True, text=True, env=env)
+    def faults(mode: str, case: str) -> int:
+        proc = subprocess.run([sys.executable, "-c", _TEMPORARIES, mode, case], capture_output=True, text=True,
+                              env=env)
         assert proc.returncode == 0, proc.stderr
         return int(proc.stdout)
 
-    kept, trimmed = faults("main"), faults("import")
-    assert kept * 10 < trimmed, (kept, trimmed)
+    for case in ("ops", "bursts"):
+        kept, trimmed = faults("main", case), faults("import", case)
+        assert kept * 10 < trimmed, (case, kept, trimmed)
 
 
 def _library_without_mallopt(name):

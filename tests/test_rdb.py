@@ -165,6 +165,17 @@ def test_mask_is_idempotent(fixtures_dir):
     assert list(target_labels(twice)) == [1, 0]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_target_labels_of_rows_are_those_rows_of_the_whole_column(random_database, seed):
+    db = random_database(seed)
+    rows = np.random.default_rng(seed).integers(0, db.tables[0].nrows, size=9)
+    for view in (db, remove_target_column(db)):
+        whole = target_labels(view)
+        assert np.array_equal(target_labels(view, rows), whole[rows])
+        assert np.array_equal(target_labels(view, rows[:1]), whole[rows[:1]])
+        assert target_labels(view, rows[:0]).shape == (0,)
+
+
 def test_masked_view_hides_target_from_all_accessors(fixtures_dir):
     masked = remove_target_column(load_database(fixtures_dir / "patients_small"))
     kt, kc = masked.target

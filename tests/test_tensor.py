@@ -585,6 +585,18 @@ def test_adamw_arena_holds_the_parameters_in_dict_order():
     assert not opt.flat_grad.any() and np.shares_memory(b.grad, opt.flat_grad)
 
 
+def test_adamw_holds_four_float64_buffers_of_its_parameters():
+    # the flat parameters and gradients and the two moments; a step's temporaries do not outlive it
+    params = {"a": Tensor(np.ones((3, 4)), requires_grad=True), "b": Tensor(np.ones(5), requires_grad=True)}
+    opt = AdamW(params, lr=0.1, weight_decay=0.01)
+    for p in params.values():
+        p.grad[...] = 1.0
+    opt.step()
+    held = [value for value in vars(opt).values() if isinstance(value, np.ndarray)]
+    assert all(a.dtype == np.float64 for a in held)
+    assert sum(a.size for a in held) == 4 * 17
+
+
 def test_adamw_rejects_a_tensor_listed_twice():
     w = Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(ValueError, match="parameters 'layer0/W' and 'tied/W' are the same tensor"):

@@ -448,7 +448,7 @@ def _scoring_case(kind):
         db, dps, encoders = _clinic_dataset()
         net = Model(ModelConfig("ergat", hidden=4, heads=2), GraphSchema.from_database(db, encoders), seed=2)
         return net, GraphDataset(db, dps, encoders), np.arange(4)
-    features = np.random.default_rng(8).normal(size=(training.EVAL_CHUNK + 88, 3))  # two chunks
+    features = np.random.default_rng(8).normal(size=(training.EVAL_NODES + 88, 3))  # two chunks
     return MlpModel(3, seed=1), TableDataset(features, np.arange(len(features)) % 2), np.arange(len(features))
 
 
@@ -464,13 +464,60 @@ def test_scores_run_every_forward_without_a_tape(kind):
 
     net.forward = recording_forward
     scores = data.scores(net, ids)
-    assert len(outputs) == -(-len(ids) // training.EVAL_CHUNK)
+    assert len(outputs) == -(-len(ids) // training.EVAL_NODES)
     for out in outputs:
         assert not out.requires_grad and out._parents == () and out._backward is None
     # the same scores as a taped forward pass over each chunk
-    taped = [forward(data.inputs(ids[lo:lo + training.EVAL_CHUNK])) for lo in range(0, len(ids), training.EVAL_CHUNK)]
+    taped = [forward(data.inputs(ids[lo:lo + training.EVAL_NODES])) for lo in range(0, len(ids), training.EVAL_NODES)]
     assert all(out.requires_grad for out in taped)
     assert scores.tobytes() == np.concatenate([positive_scores(out.data) for out in taped]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def wide_data():
+    """40 parent_child targets of 1 to 9 nodes each, to score against small node budgets."""
+    db = remove_target_column(generate(SynthSpec(seed=5, n_targets=40, children=(0, 8))))
+    dps = batch_sample(database_to_graph(db), list(range(40)))
+    return GraphDataset(db, dps, fit_encoders(db, fold_encoder_rows(dps, range(40))))
+
+
+def _graph_net(data, variant):
+    schema = GraphSchema.from_database(data.db, data.encoders)
+    return Model(ModelConfig(variant, hidden=4, heads=2 if variant.endswith("gat") else 1), schema, seed=1)
+
+
+def test_scoring_passes_hold_at_most_the_node_budget_or_one_target(monkeypatch, wide_data):
+    budget = 6
+    sizes = np.diff(wide_data.datapoints.node_start)
+    assert sizes.max() > budget  # a target that alone holds more than the budget
+    monkeypatch.setattr(training, "EVAL_NODES", budget)
+    net = _graph_net(wide_data, "gcn")
+    passes = []  # (nodes, targets) of each forward pass
+    forward = net.forward
+
+    def recording_forward(batch, *args, **kwargs):
+        passes.append((batch.num_nodes, batch.num_graphs))
+        return forward(batch, *args, **kwargs)
+
+    net.forward = recording_forward
+    ids = np.random.default_rng(5).permutation(40)
+    assert len(wide_data.scores(net, ids)) == len(ids)
+    assert sum(targets for _, targets in passes) == len(ids)
+    assert all(nodes <= budget or targets == 1 for nodes, targets in passes)
+    assert any(nodes > budget for nodes, _ in passes)
+    # each pass takes the targets that fit: the next pass's first target would not have
+    firsts = np.cumsum([targets for _, targets in passes])[:-1]
+    assert all(nodes + sizes[ids[k]] > budget for (nodes, _), k in zip(passes, firsts))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_scores_of_one_target_passes_agree_with_one_whole_pass(monkeypatch, wide_data, variant):
+    net, ids = _graph_net(wide_data, variant), np.arange(40)
+    monkeypatch.setattr(training, "EVAL_NODES", 1)
+    alone = wide_data.scores(net, ids)
+    monkeypatch.setattr(training, "EVAL_NODES", int(wide_data.datapoints.num_nodes))
+    whole = wide_data.scores(net, ids)
+    assert np.abs(alone - whole).max() <= 1e-12
 
 
 def test_train_frees_each_batch_loss_before_the_next_batch_runs():
