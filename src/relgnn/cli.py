@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import json
 import logging
 import sys
@@ -595,5 +596,16 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The program's entry, for `python -m relgnn.cli` and the `relgnn` script: main, with Python's cyclic
+    collector off and every object built so far frozen out of it. relgnn frees by reference count and builds
+    no reference cycle, so the collector would free nothing a command needs freed: off, it runs no collection
+    during the command, and the collection at exit skips what importing built. main, called as a function,
+    leaves the collector as its caller set it."""
+    gc.disable()
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

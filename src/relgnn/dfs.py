@@ -15,7 +15,7 @@ from .encode import (
     fit_column,
     scalar_from_json,
 )
-from .graph import FORWARD, REVERSE, EdgeType, database_to_graph, edge_types, referenced_table
+from .graph import FORWARD, REVERSE, EdgeType, HeteroGraph, database_to_graph, edge_types, referenced_table
 from .rdb import Column, ColumnKind, Database, RdbError, write_csv
 
 __all__ = [
@@ -76,25 +76,29 @@ def enumerate_aggs(db: Database, max_depth: int = DFS_DEPTH) -> list[AggSpec]:
     fks = [(et.table, et.column, referenced_table(db, et))
            for et in edge_types(db, reverse_edges=False) if et.direction == FORWARD]
     specs: list[AggSpec] = []
-
-    def extend(table: int, path: tuple, direction: str) -> None:
-        if len(path) == max_depth:
-            return
-        aggregators = ("sum", "mean", "max", "min") if direction == REVERSE else (COPY,)
-        for ti, ci, ref in fks:
-            start, end = (ref, ti) if direction == REVERSE else (ti, ref)
-            if start != table:
-                continue
-            hop_path = path + ((ti, ci, direction),)
-            if direction == REVERSE:
-                specs.append(AggSpec(hop_path, "count", None))
-            specs.extend(AggSpec(hop_path, agg, c) for c, col in enumerate(db.tables[end].columns)
-                         if not col.target for agg in aggregators if col.kind.tag in _SOURCE_KINDS[agg])
-            extend(end, hop_path, direction)
-
-    extend(db.target[0], (), REVERSE)
-    extend(db.target[0], (), FORWARD)
+    _extend(db, fks, max_depth, db.target[0], (), REVERSE, specs)
+    _extend(db, fks, max_depth, db.target[0], (), FORWARD, specs)
     return specs
+
+
+def _extend(db: Database, fks: list, max_depth: int, table: int, path: tuple, direction: str,
+            specs: list[AggSpec]) -> None:
+    """Append to `specs` every spec whose path continues `path`, at `table`, by hops in `direction` over the
+    foreign keys `fks`, depth first. A module function, not a closure over `specs`: a closure that calls
+    itself is a reference cycle, which holds the database until a cyclic collection."""
+    if len(path) == max_depth:
+        return
+    aggregators = ("sum", "mean", "max", "min") if direction == REVERSE else (COPY,)
+    for ti, ci, ref in fks:
+        start, end = (ref, ti) if direction == REVERSE else (ti, ref)
+        if start != table:
+            continue
+        hop_path = path + ((ti, ci, direction),)
+        if direction == REVERSE:
+            specs.append(AggSpec(hop_path, "count", None))
+        specs.extend(AggSpec(hop_path, agg, c) for c, col in enumerate(db.tables[end].columns)
+                     if not col.target for agg in aggregators if col.kind.tag in _SOURCE_KINDS[agg])
+        _extend(db, fks, max_depth, end, hop_path, direction, specs)
 
 
 def _path_end(db: Database, path: tuple) -> int:
@@ -165,24 +169,9 @@ def compute_features(db: Database, specs: list[AggSpec], target_rows) -> RawFeat
     graph = database_to_graph(db)
     n = len(targets)
     walks = {(): (np.arange(n), targets)}
-
-    def walk(path: tuple) -> tuple[np.ndarray, np.ndarray]:
-        if path not in walks:
-            seg, rows = walk(path[:-1])
-            ti, ci, direction = path[-1]
-            if direction == REVERSE:  # the children in the hop's type from each row's in-list, in row order
-                et = EdgeType(ti, ci, FORWARD)
-                edge_ids, counts = graph.in_edges(graph.offsets[referenced_table(db, et)] + rows)
-                keep = graph.type_id[edge_ids] == graph.types.index(et)
-                walks[path] = np.repeat(seg, counts)[keep], graph.src[edge_ids[keep]] - graph.offsets[ti]
-            else:
-                parents = db.fk_rows[(ti, ci)][rows]
-                walks[path] = seg[parents >= 0], parents[parents >= 0]
-        return walks[path]
-
     columns = []
     for spec, end in zip(specs, ends):
-        seg, rows = walk(spec.path)
+        seg, rows = _walk(db, graph, walks, spec.path)
         if spec.aggregator == "count":
             counts = np.bincount(seg, minlength=n).astype(np.float64)
             columns.append(Column.from_arrays("count", ColumnKind("scalar"), counts, np.zeros(n, dtype=bool)))
@@ -200,6 +189,25 @@ def compute_features(db: Database, specs: list[AggSpec], target_rows) -> RawFeat
         values, null = _aggregate(spec.aggregator, seg[keep], source.data[rows[keep]], n)
         columns.append(Column.from_arrays(spec.aggregator, ColumnKind("scalar"), values, null))
     return RawFeatures(columns, n)
+
+
+def _walk(db: Database, graph: HeteroGraph, walks: dict, path: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The (target position, end row) pairs of `path`. Each prefix missing from `walks` is walked from the
+    one before it, shortest first, and kept there."""
+    for k in range(1, len(path) + 1):
+        if path[:k] in walks:
+            continue
+        seg, rows = walks[path[:k - 1]]
+        ti, ci, direction = path[k - 1]
+        if direction == REVERSE:  # the children in the hop's type from each row's in-list, in row order
+            et = EdgeType(ti, ci, FORWARD)
+            edge_ids, counts = graph.in_edges(graph.offsets[referenced_table(db, et)] + rows)
+            keep = graph.type_id[edge_ids] == graph.types.index(et)
+            walks[path[:k]] = np.repeat(seg, counts)[keep], graph.src[edge_ids[keep]] - graph.offsets[ti]
+        else:
+            parents = db.fk_rows[(ti, ci)][rows]
+            walks[path[:k]] = seg[parents >= 0], parents[parents >= 0]
+    return walks[path]
 
 
 def _aggregate(aggregator: str, seg: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

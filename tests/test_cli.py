@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import hashlib
 import json
 import os
@@ -688,6 +689,46 @@ def test_train_frees_each_fold_before_the_next_fold_builds(monkeypatch, synth_di
     assert alive == [0, 0, 0]
 
 
+# every command, and train with every model, in the arguments of `main`; {data}, {run} and {out} are filled in
+# with the dataset, a trained gcn run and a new output directory
+_COMMANDS = {
+    "validate": ["validate", "--dataset", "{data}"],
+    "graph-stats": ["graph-stats", "--dataset", "{data}"],
+    "sample": ["sample", "--dataset", "{data}", "--out", "{out}"],
+    "sample-edge-type-once": ["sample", "--dataset", "{data}", "--out", "{out}", "--edge-type-once"],
+    "synth": ["synth", "--out", "{out}", "--targets", "30", "--seed", "2"],
+    "dfs": ["dfs", "--dataset", "{data}", "--out", "{out}"],
+    **{f"train-{model}": ["train", "--dataset", "{data}", "--out", "{out}", "--model", model, "--folds", "2",
+                          "--max-epochs", "1"] for model in cli.MODELS},
+    "eval": ["eval", "--dataset", "{data}", "--run", "{run}"],
+    "gradcheck": ["gradcheck"],
+}
+
+
+def _relgnn_name(obj):
+    """The qualified name of a function from a relgnn module, or of an object whose type is from one; else None."""
+    origin = obj if isinstance(obj, types.FunctionType) else type(obj)
+    module = getattr(origin, "__module__", None) or ""
+    return f"{module}.{origin.__qualname__}" if module.split(".")[0] == "relgnn" else None
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_no_command_leaves_a_relgnn_object_in_a_cycle(capsys, synth_dir, gcn_run, tmp_path, command):
+    # cli.run turns the cyclic collector off, so an object in a cycle would stay until the process ends
+    argv = [arg.format(data=synth_dir, run=gcn_run, out=tmp_path / "out") for arg in _COMMANDS[command]]
+    flags = gc.get_debug()
+    with gc_disabled():
+        assert main(argv) == 0
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            names = sorted({name for name in map(_relgnn_name, gc.garbage) if name is not None})
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+    assert names == []
+
+
 def test_train_dfs_logreg_then_eval(capsys, synth_dir, tmp_path):
     run = tmp_path / "run"
     code, payload, _ = _run(capsys, ["train", "--dataset", str(synth_dir), "--model", "dfs-logreg",
@@ -1084,6 +1125,34 @@ def test_gradcheck_subcommand(capsys):
 def test_module_invocation_subprocess(fixtures_dir, cold_python):
     out = cold_python("-m", "relgnn.cli", "validate", "--dataset", str(fixtures_dir / "patients_small"))
     assert json.loads(out)["n_tables"] == 2
+
+
+def test_run_calls_main_with_the_collector_off_and_what_was_built_frozen(monkeypatch):
+    seen = []
+
+    def recording_main(argv=None):
+        seen.append((gc.isenabled(), gc.get_freeze_count()))
+        return 3
+
+    monkeypatch.setattr(cli, "main", recording_main)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    [(enabled, frozen)] = seen
+    assert (exc.value.code, enabled) == (3, False) and frozen > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_its_caller_set_it(capsys, fixtures_dir, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, payload, _ = _run(capsys, ["validate", "--dataset", str(fixtures_dir / "clinic")])
+        assert (code, payload["n_tables"], gc.isenabled(), gc.get_freeze_count()) == (0, 3, enabled, 0)
+    finally:
+        gc.enable()
 
 
 # modules that a command which draws nothing at random does not need: hashlib's `_hashlib`, which maps OpenSSL's

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from relgnn.rdb import (
     remove_target_column,
 )
 from relgnn.training import single_table_features
+from test_training import gc_disabled
 
 
 def _three_level(childless: bool = False) -> Database:
@@ -238,6 +240,27 @@ def test_determinism():
     specs = enumerate_aggs(db, 2)
     assert enumerate_aggs(db, 2) == specs
     assert list(compute_features(db, specs, [0, 1])) == list(compute_features(db, specs, [0, 1]))
+
+
+# with no cyclic collection, a database is freed once its caller drops it: neither call leaves a cycle
+# (a closure that calls itself) that holds it
+def test_enumerate_aggs_leaves_nothing_that_holds_its_database():
+    with gc_disabled():
+        db = _three_level()
+        ref = weakref.ref(db)
+        assert len(enumerate_aggs(db, 2)) == 6
+        del db
+        assert ref() is None
+
+
+def test_compute_features_leaves_nothing_that_holds_its_database():
+    specs = enumerate_aggs(_three_level(), 2)
+    with gc_disabled():
+        db = _three_level()
+        ref = weakref.ref(db)
+        assert len(compute_features(db, specs, [0, 1])) == 2
+        del db
+        assert ref() is None
 
 
 def test_unrelated_table_is_inert():
