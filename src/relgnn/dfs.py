@@ -75,30 +75,24 @@ def enumerate_aggs(db: Database, max_depth: int = DFS_DEPTH) -> list[AggSpec]:
         raise RdbError(f"max_depth must be non-negative, got {max_depth}")
     fks = [(et.table, et.column, referenced_table(db, et))
            for et in edge_types(db, reverse_edges=False) if et.direction == FORWARD]
+    # each foreign key as a hop (table, column, from table, to table) in either direction
+    hops = {REVERSE: [(ti, ci, ref, ti) for ti, ci, ref in fks], FORWARD: [(ti, ci, ti, ref) for ti, ci, ref in fks]}
     specs: list[AggSpec] = []
-    _extend(db, fks, max_depth, db.target[0], (), REVERSE, specs)
-    _extend(db, fks, max_depth, db.target[0], (), FORWARD, specs)
+    # (path, the table it ends at, its direction), depth first from a stack, so that no recursion limit
+    # bounds the depth; continuations are pushed last first, and the reverse paths above the forward ones
+    stack = [((), db.target[0], FORWARD), ((), db.target[0], REVERSE)]
+    while stack:
+        path, table, direction = stack.pop()
+        if path:
+            aggregators = ("sum", "mean", "max", "min") if direction == REVERSE else (COPY,)
+            if direction == REVERSE:
+                specs.append(AggSpec(path, "count", None))
+            specs.extend(AggSpec(path, agg, c) for c, col in enumerate(db.tables[table].columns)
+                         if not col.target for agg in aggregators if col.kind.tag in _SOURCE_KINDS[agg])
+        if len(path) < max_depth:
+            stack.extend((path + ((ti, ci, direction),), end, direction)
+                         for ti, ci, start, end in reversed(hops[direction]) if start == table)
     return specs
-
-
-def _extend(db: Database, fks: list, max_depth: int, table: int, path: tuple, direction: str,
-            specs: list[AggSpec]) -> None:
-    """Append to `specs` every spec whose path continues `path`, at `table`, by hops in `direction` over the
-    foreign keys `fks`, depth first. A module function, not a closure over `specs`: a closure that calls
-    itself is a reference cycle, which holds the database until a cyclic collection."""
-    if len(path) == max_depth:
-        return
-    aggregators = ("sum", "mean", "max", "min") if direction == REVERSE else (COPY,)
-    for ti, ci, ref in fks:
-        start, end = (ref, ti) if direction == REVERSE else (ti, ref)
-        if start != table:
-            continue
-        hop_path = path + ((ti, ci, direction),)
-        if direction == REVERSE:
-            specs.append(AggSpec(hop_path, "count", None))
-        specs.extend(AggSpec(hop_path, agg, c) for c, col in enumerate(db.tables[end].columns)
-                     if not col.target for agg in aggregators if col.kind.tag in _SOURCE_KINDS[agg])
-        _extend(db, fks, max_depth, end, hop_path, direction, specs)
 
 
 def _path_end(db: Database, path: tuple) -> int:
@@ -265,15 +259,14 @@ def apply_feature_encoders(raw: RawFeatures, encoders: list, out: np.ndarray | N
     """Numeric columns become (scaled, null flag) pairs, copied categoricals one-hot, side by side in one
     matrix. `out`, when given, is that matrix: zero-filled, possibly a view into a wider one."""
     n = len(raw)
-    rows = np.arange(n)
     widths = _widths(encoders)
     if out is None:
         out = np.zeros((n, sum(widths)))
     for col, enc, start, width in zip(raw.columns, encoders, np.cumsum([0] + widths).tolist(), widths):
         if isinstance(enc, CategoricalEncoder):
-            out[rows, start + categorical_indices(col, rows, enc)] = 1.0
+            out[np.arange(n), start + categorical_indices(col, enc)] = 1.0
         else:
-            encode_column(col, rows, enc, out[:, start:start + width])
+            encode_column(col, enc, out[:, start:start + width])
     return out
 
 

@@ -114,21 +114,20 @@ def _days(months_or_years: np.ndarray) -> np.ndarray:
     return months_or_years.astype("datetime64[D]")
 
 
-def encode_column(col: Column, rows: np.ndarray, fitted, out: np.ndarray) -> None:
-    """The encoding of the given rows of one dense column, written into a zeroed block, one row per cell.
+def encode_column(col: Column, fitted, out: np.ndarray) -> None:
+    """The encoding of every cell of one dense column, written into a zeroed block, one row per cell.
     `fitted` is what the kind needs beyond the cells: a ScalarEncoder (scalar), the year encoder
     (datetime), the word and character encoders (text), or None (latlong)."""
-    null = col.null[rows]
-    present = np.flatnonzero(~null)  # positions in the block of the non-null cells
-    rows = rows[present]  # and their rows in the column
+    null = col.null
+    present = np.flatnonzero(~null)  # the rows of the non-null cells
     tag = col.kind.tag
     if tag == "scalar":  # (scaled value, null flag); every cell is null to an all-null encoder
         out[:, 1] = 1.0 if fitted.all_null else null
         if not fitted.all_null:
-            out[present, 0] = _scaled(col.data[rows], fitted)
+            out[present, 0] = _scaled(col.data[present], fitted)
     elif tag == "latlong":  # [cos(lat)cos(long), cos(lat)sin(long), sin(lat), lat/90, long/180] + null flag
         out[null, 5] = 1.0
-        lat, long = col.data[rows, 0], col.data[rows, 1]
+        lat, long = col.data[present, 0], col.data[present, 1]
         la, lo = np.radians(lat), np.radians(long)
         out[present, 0] = np.cos(la) * np.cos(lo)
         out[present, 1] = np.cos(la) * np.sin(lo)
@@ -137,10 +136,10 @@ def encode_column(col: Column, rows: np.ndarray, fitted, out: np.ndarray) -> Non
         out[present, 4] = long / 180.0
     elif tag == "datetime":
         out[null, DATETIME_WIDTH] = 1.0
-        _encode_dates(col.data[rows].astype("datetime64[D]"), fitted, present, out)
+        _encode_dates(col.data[present].astype("datetime64[D]"), fitted, present, out)
     elif tag == "text":  # (scaled word count, scaled character count, null flag)
         out[null, 2] = 1.0
-        counts = _text_counts(col, rows)
+        counts = _text_counts(col, present)
         word_encoder, char_encoder = fitted
         out[present, 0] = _scaled(counts[:, 0], word_encoder)
         out[present, 1] = _scaled(counts[:, 1], char_encoder)
@@ -184,11 +183,11 @@ def _encode_dates(dates: np.ndarray, year_encoder: ScalarEncoder, rows: np.ndarr
         out[rows, _CYCLIC + 2 * k + 1] = np.sin(angle)
 
 
-def categorical_indices(col: Column, rows, encoder: CategoricalEncoder) -> np.ndarray:
-    """Vocabulary index of each token at the given rows; null and unseen tokens get the reserved index."""
+def categorical_indices(col: Column, encoder: CategoricalEncoder) -> np.ndarray:
+    """Vocabulary index of each token of the column; null and unseen tokens get the reserved index."""
     vocabulary, null_index = encoder.vocabulary, encoder.null_index
     index = np.array([vocabulary.get(token, null_index) for token in col.vocab] + [null_index], dtype=np.int64)
-    return index[col.data[rows]]  # code -1, null, takes the last entry
+    return index[col.data]  # code -1, null, takes the last entry
 
 
 # The one-cell forms are the column encoders applied to a one-row column.
@@ -196,7 +195,7 @@ def categorical_indices(col: Column, rows, encoder: CategoricalEncoder) -> np.nd
 
 def _one_cell(tag: str, cell, fitted) -> np.ndarray:
     out = np.zeros((1, COLUMN_DENSE_WIDTH[tag]))
-    encode_column(Column("cell", ColumnKind(tag), False, [cell]), np.arange(1), fitted, out)
+    encode_column(Column("cell", ColumnKind(tag), False, [cell]), fitted, out)
     return out[0]
 
 
@@ -268,25 +267,24 @@ def fit_encoders(db: Database, train_rows: dict[int, np.ndarray]) -> list[NodeTy
     return encoders
 
 
-def encode_node(db: Database, table: int, rows, encoder: NodeTypeEncoder,
+def encode_node(db: Database, table: int, encoder: NodeTypeEncoder,
                 dense: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The given rows of one table as (dense (n, dense width), categorical indices (n, #categorical columns)).
+    """Every row of one table as (dense (n, dense width), categorical indices (n, #categorical columns)).
 
     Each column is encoded whole, straight into its block of the dense matrix. `dense`, when given, is
     that matrix: zero-filled, possibly a view into a wider one.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    columns = db.tables[table].columns
+    columns, n = db.tables[table].columns, db.tables[table].nrows
     if dense is None:
-        dense = np.zeros((len(rows), encoder.dense_width))
+        dense = np.zeros((n, encoder.dense_width))
     offset = 0
     for ci, tag in encoder.dense_columns:
         width = COLUMN_DENSE_WIDTH[tag]
-        encode_column(columns[ci], rows, encoder.fitted[ci], dense[:, offset:offset + width])
+        encode_column(columns[ci], encoder.fitted[ci], dense[:, offset:offset + width])
         offset += width
-    cats = np.empty((len(rows), len(encoder.cat_columns)), dtype=np.int64)
+    cats = np.empty((n, len(encoder.cat_columns)), dtype=np.int64)
     for j, ci in enumerate(encoder.cat_columns):
-        cats[:, j] = categorical_indices(columns[ci], rows, encoder.fitted[ci])
+        cats[:, j] = categorical_indices(columns[ci], encoder.fitted[ci])
     return dense, cats
 
 

@@ -95,14 +95,14 @@ class GraphBatch:
 def encode_tables(db: Database, encoders: list[NodeTypeEncoder]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every row of every table encoded with one fold's encoders: the (dense, categorical) matrices
     that `build_batch` gathers from."""
-    return [encode_node(db, t, np.arange(table.nrows), encoders[t]) for t, table in enumerate(db.tables)]
+    return [encode_node(db, t, encoders[t]) for t in range(len(db.tables))]
 
 
 def build_batch(datapoints: DatapointStore | list[DatapointStore], db: Database, encoders: list[NodeTypeEncoder],
                 tables: list[tuple[np.ndarray, np.ndarray]] | None = None) -> GraphBatch:
     """The datapoints as one disjoint graph, plus each forward edge's reverse and a self loop per node.
     A list of stores is concatenated first. Node features are gathered from `tables`, the output of
-    `encode_tables`; without it, the batch's own rows are encoded, one `encode_node` per table present."""
+    `encode_tables`, which is computed here when not given."""
     if not len(datapoints):
         raise ValueError("empty batch")
     store = datapoints if isinstance(datapoints, DatapointStore) else DatapointStore.concat(datapoints)
@@ -129,14 +129,13 @@ def build_batch(datapoints: DatapointStore | list[DatapointStore], db: Database,
     for t, rows in type_rows.items():
         edges[EdgeType(t, -1, SELF_LOOP)] = (rows, rows)
 
+    if tables is None:
+        tables = encode_tables(db, encoders)
     dense: dict[int, np.ndarray] = {}
     cats: dict[int, np.ndarray] = {}
     for t, positions in type_rows.items():
         rows = node_row[positions]
-        if tables is None:
-            dense[t], cats[t] = encode_node(db, t, rows, encoders[t])
-        else:
-            dense[t], cats[t] = tables[t][0][rows], tables[t][1][rows]
+        dense[t], cats[t] = tables[t][0][rows], tables[t][1][rows]
 
     return GraphBatch(
         int(len(node_type)), len(store), node_type, graph_id, type_rows,

@@ -340,7 +340,7 @@ def single_table_features(db: Database, encoders: list[NodeTypeEncoder], extra_w
     n = db.tables[ti].nrows
     widths = [enc.fitted[ci].slots for ci in enc.cat_columns]
     out = np.zeros((n, enc.dense_width + sum(widths) + extra_width))
-    _, cats = encode_node(db, ti, np.arange(n), enc, out[:, :enc.dense_width])
+    _, cats = encode_node(db, ti, enc, out[:, :enc.dense_width])
     starts = enc.dense_width + np.cumsum([0] + widths)[:-1]
     out[np.arange(n)[:, None], starts + cats] = 1.0
     return out

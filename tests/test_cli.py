@@ -1122,6 +1122,26 @@ def test_gradcheck_subcommand(capsys):
     assert payload["checks"]["gcn"] <= 1e-4
 
 
+# sha256 of gradcheck's stdout, which gradcheck_report.json repeats: every variant on the built-in database,
+# and gcn on the clinic fixture; the errors are floats printed in full, so a batch whose features or
+# layout change in any bit moves them
+_GRADCHECK_SHA256 = {
+    "builtin": "2b8e04ee5a1490dba42295a8de0df4874aa60e6cb8c84dfd96e9f62366d41730",
+    "clinic": "a4a7f7d03d17cf0cb2611ede6e28d3e676807366a7362879753c5e27d7281e21",
+}
+
+
+@pytest.mark.parametrize("dataset", sorted(_GRADCHECK_SHA256))
+def test_gradcheck_report_bytes_are_pinned(capsys, fixtures_dir, tmp_path, dataset):
+    flags = [] if dataset == "builtin" else ["--dataset", str(fixtures_dir / dataset), "--model", "gcn",
+                                             "--hidden", "2"]
+    capsys.readouterr()
+    assert main(["gradcheck", "--out", str(tmp_path), *flags]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert printed == (tmp_path / "gradcheck_report.json").read_bytes()
+    assert hashlib.sha256(printed).hexdigest() == _GRADCHECK_SHA256[dataset]
+
+
 def test_module_invocation_subprocess(fixtures_dir, cold_python):
     out = cold_python("-m", "relgnn.cli", "validate", "--dataset", str(fixtures_dir / "patients_small"))
     assert json.loads(out)["n_tables"] == 2

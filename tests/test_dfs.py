@@ -173,6 +173,12 @@ def test_enumerate_self_reference(fixtures_dir):
     assert list(raw) == [[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
 
 
+def test_enumerate_self_reference_deeper_than_the_recursion_limit(fixtures_dir):
+    # one count per depth down the manager chain; a walk that recursed once per hop stopped at Python's limit
+    specs = enumerate_aggs(load_database(fixtures_dir / "employees"), 1500)
+    assert [(s.path, s.aggregator) for s in specs] == [(((0, 1, REVERSE),) * k, "count") for k in range(1, 1501)]
+
+
 def test_feature_names(fixtures_dir):
     db = load_database(fixtures_dir / "clinic")
     assert feature_names(db, enumerate_aggs(db, 1)) == [

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import reference_encode_row
 from relgnn.encode import fit_encoders
 from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, database_to_graph
 from relgnn.models import (
@@ -230,8 +231,8 @@ def test_build_batch_structure(clinic):
     assert b.dense[2].shape[0] == 2 and b.cats[2].shape == (2, 1)
 
 
-def test_build_batch_gathers_what_it_would_encode(clinic, random_database):
-    # a batch gathered from whole encoded tables equals one whose rows are encoded on the fly
+def test_build_batch_rows_match_the_cell_by_cell_reference(clinic, random_database):
+    # each node's features are its table row's, encoded cell by cell, whether or not the tables are given
     cases = [(clinic.db, clinic.dps, clinic.encoders)]
     for seed in range(20):
         db = remove_target_column(random_database(700 + seed, max_tables=4, max_rows=40))
@@ -242,14 +243,16 @@ def test_build_batch_gathers_what_it_would_encode(clinic, random_database):
         tables = encode_tables(db, encoders)
         assert [d.shape[0] for d, _ in tables] == [t.nrows for t in db.tables]
         for lo in range(0, len(dps), 3):
-            ids = range(len(dps))[lo:lo + 3]
-            gathered = build_batch(dps.take(ids), db, encoders, tables)
-            encoded = build_batch(dps.take(ids), db, encoders)
-            assert list(gathered.type_rows) == list(encoded.type_rows)
-            for t in encoded.type_rows:
-                for got, want in ((gathered.dense[t], encoded.dense[t]), (gathered.cats[t], encoded.cats[t])):
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
+            store = dps.take(range(len(dps))[lo:lo + 3])
+            for batch in (build_batch(store, db, encoders, tables), build_batch(store, db, encoders)):
+                assert sorted(batch.type_rows) == sorted(set(store.node_types.tolist()))
+                for t, positions in batch.type_rows.items():
+                    assert batch.dense[t].dtype == np.float64 and batch.cats[t].dtype == np.int64
+                    assert len(batch.dense[t]) == len(batch.cats[t]) == len(positions)
+                    for k, row in enumerate(store.rows[positions].tolist()):
+                        want_dense, want_cats = reference_encode_row(db, t, row, encoders[t])
+                        assert batch.dense[t][k].tobytes() == want_dense.tobytes(), (t, row)
+                        assert batch.cats[t][k].tobytes() == want_cats.tobytes(), (t, row)
 
 
 def test_build_batch_empty():
