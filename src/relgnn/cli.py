@@ -21,7 +21,6 @@ from .dfs import (
     enumerate_aggs,
     feature_encoders_from_json,
     feature_encoders_to_json,
-    feature_names,
     feature_width,
     fit_feature_encoders,
     write_features_csv,
@@ -146,8 +145,7 @@ def cmd_dfs(args) -> int:
     specs = enumerate_aggs(masked, args.depth)
     _write_manifest(args)
     rows = list(range(masked.tables[masked.target[0]].nrows))
-    write_features_csv(args.out / "features.csv", masked, specs, rows)
-    payload = {"rows": len(rows), "columns": feature_names(masked, specs)}
+    payload = {"rows": len(rows), "columns": write_features_csv(args.out / "features.csv", masked, specs, rows)}
     _emit(args, payload, "dfs_report.json")
     return 0
 

@@ -15,7 +15,7 @@ from .encode import (
     fit_column,
     scalar_from_json,
 )
-from .graph import FORWARD, REVERSE, EdgeType, HeteroGraph, database_to_graph, edge_types, referenced_table
+from .graph import FORWARD, REVERSE, EdgeType, database_to_graph, edge_types, referenced_table
 from .rdb import Column, ColumnKind, Database, RdbError, write_csv
 
 __all__ = [
@@ -95,40 +95,35 @@ def enumerate_aggs(db: Database, max_depth: int = DFS_DEPTH) -> list[AggSpec]:
     return specs
 
 
-def _path_end(db: Database, path: tuple) -> int:
-    """Validate that the hops chain from the target table; returns the table the path ends at."""
-    table, _ = db.target
-    for ti, ci, direction in path:
+def _resolve(db: Database, ends: dict, spec: AggSpec) -> int:
+    """The table `spec`'s path ends at, with its source column checked there. `ends` maps each path prefix
+    resolved so far to its end table, from `{(): target table}`: the path's longest prefix in it is found
+    first, then each later hop is checked against its parent's end and added, parents before children."""
+    path, k = spec.path, len(spec.path)
+    while (table := ends.get(path[:k])) is None:
+        k -= 1
+    for k, (ti, ci, direction) in enumerate(path[k:], k):
         if not (0 <= ti < len(db.tables) and 0 <= ci < len(db.tables[ti].columns)):
             raise RdbError(f"path hop ({ti}, {ci}) is out of range")
         col = db.tables[ti].columns[ci]
         if col.kind.tag != "foreign_key":
             raise RdbError(f"path hop {db.tables[ti].name}.{col.name} is not a foreign key")
         ref = db.table_index(col.kind.references[0])
-        if direction == REVERSE:
-            if ref != table:
-                raise RdbError(f"reverse hop {db.tables[ti].name}.{col.name} does not reference {db.tables[table].name}")
-            table = ti
-        elif direction == FORWARD:
-            if ti != table:
-                raise RdbError(f"forward hop {db.tables[ti].name}.{col.name} does not start at {db.tables[table].name}")
-            table = ref
-        else:
+        if direction not in (REVERSE, FORWARD):
             raise RdbError(f"unknown hop direction {direction!r}")
+        start, end = (ref, ti) if direction == REVERSE else (ti, ref)
+        if start != table:
+            joins = "reference" if direction == REVERSE else "start at"
+            raise RdbError(f"{direction} hop {db.tables[ti].name}.{col.name} does not {joins} {db.tables[table].name}")
+        ends[path[:k + 1]] = table = end
+    if spec.source is not None:
+        if not 0 <= spec.source < len(db.tables[table].columns):
+            raise RdbError(f"source column {spec.source} is out of range for table {db.tables[table].name}")
+        col = db.tables[table].columns[spec.source]
+        if col.kind.tag not in _SOURCE_KINDS[spec.aggregator]:
+            verb = "copy" if spec.aggregator == COPY else f"{spec.aggregator} over"
+            raise RdbError(f"cannot {verb} {col.kind.tag} column {db.tables[table].name}.{col.name}")
     return table
-
-
-def _checked_end(db: Database, spec: AggSpec) -> int:
-    end = _path_end(db, spec.path)
-    if spec.source is None:
-        return end
-    if not 0 <= spec.source < len(db.tables[end].columns):
-        raise RdbError(f"source column {spec.source} is out of range for table {db.tables[end].name}")
-    col = db.tables[end].columns[spec.source]
-    if col.kind.tag not in _SOURCE_KINDS[spec.aggregator]:
-        verb = "copy" if spec.aggregator == COPY else f"{spec.aggregator} over"
-        raise RdbError(f"cannot {verb} {col.kind.tag} column {db.tables[end].name}.{col.name}")
-    return end
 
 
 @dataclass
@@ -152,10 +147,11 @@ class RawFeatures:
 def compute_features(db: Database, specs: list[AggSpec], target_rows) -> RawFeatures:
     """Raw feature columns, one cell per requested target row, in request order.
 
-    Each distinct path is walked once for all targets through the graph's index, into (target
-    position, end row) pairs in the order that following the rows one target at a time visits them."""
+    Each distinct path prefix is walked once for all targets through the graph's index, from its parent's
+    (target position, end row) pairs, in the order that following the rows one target at a time visits."""
     target_table, _ = db.target
-    ends = [_checked_end(db, spec) for spec in specs]
+    ends = {(): target_table}
+    spec_ends = [_resolve(db, ends, spec) for spec in specs]
     targets = np.fromiter((int(t) for t in target_rows), dtype=np.int64)
     bad = (targets < 0) | (targets >= db.tables[target_table].nrows)
     if bad.any():
@@ -163,9 +159,20 @@ def compute_features(db: Database, specs: list[AggSpec], target_rows) -> RawFeat
     graph = database_to_graph(db)
     n = len(targets)
     walks = {(): (np.arange(n), targets)}
+    for prefix in list(ends)[1:]:  # every parent comes before its children
+        parent = prefix[:-1]
+        seg, rows = walks[parent]
+        ti, ci, direction = prefix[-1]
+        if direction == REVERSE:  # the children in the hop's type from each row's in-list, in row order
+            edge_ids, counts = graph.in_edges(graph.offsets[ends[parent]] + rows)
+            keep = graph.type_id[edge_ids] == graph.types.index(EdgeType(ti, ci, FORWARD))
+            walks[prefix] = np.repeat(seg, counts)[keep], graph.src[edge_ids[keep]] - graph.offsets[ti]
+        else:
+            parents = db.fk_rows[(ti, ci)][rows]
+            walks[prefix] = seg[parents >= 0], parents[parents >= 0]
     columns = []
-    for spec, end in zip(specs, ends):
-        seg, rows = _walk(db, graph, walks, spec.path)
+    for spec, end in zip(specs, spec_ends):
+        seg, rows = walks[spec.path]
         if spec.aggregator == "count":
             counts = np.bincount(seg, minlength=n).astype(np.float64)
             columns.append(Column.from_arrays("count", ColumnKind("scalar"), counts, np.zeros(n, dtype=bool)))
@@ -183,25 +190,6 @@ def compute_features(db: Database, specs: list[AggSpec], target_rows) -> RawFeat
         values, null = _aggregate(spec.aggregator, seg[keep], source.data[rows[keep]], n)
         columns.append(Column.from_arrays(spec.aggregator, ColumnKind("scalar"), values, null))
     return RawFeatures(columns, n)
-
-
-def _walk(db: Database, graph: HeteroGraph, walks: dict, path: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The (target position, end row) pairs of `path`. Each prefix missing from `walks` is walked from the
-    one before it, shortest first, and kept there."""
-    for k in range(1, len(path) + 1):
-        if path[:k] in walks:
-            continue
-        seg, rows = walks[path[:k - 1]]
-        ti, ci, direction = path[k - 1]
-        if direction == REVERSE:  # the children in the hop's type from each row's in-list, in row order
-            et = EdgeType(ti, ci, FORWARD)
-            edge_ids, counts = graph.in_edges(graph.offsets[referenced_table(db, et)] + rows)
-            keep = graph.type_id[edge_ids] == graph.types.index(et)
-            walks[path[:k]] = np.repeat(seg, counts)[keep], graph.src[edge_ids[keep]] - graph.offsets[ti]
-        else:
-            parents = db.fk_rows[(ti, ci)][rows]
-            walks[path[:k]] = seg[parents >= 0], parents[parents >= 0]
-    return walks[path]
 
 
 def _aggregate(aggregator: str, seg: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,15 +216,14 @@ def _aggregate(aggregator: str, seg: np.ndarray, values: np.ndarray, n: int) -> 
 
 def feature_names(db: Database, specs: list[AggSpec]) -> list[str]:
     """path__AGG__column labels; reverse hops end in '<', forward in '>', count uses '*'."""
+    ends = {(): db.target[0]}
     names = []
     for spec in specs:
-        hops = []
-        for ti, ci, direction in spec.path:
-            mark = "<" if direction == REVERSE else ">"
-            hops.append(f"{db.tables[ti].name}.{db.tables[ti].columns[ci].name}{mark}")
-        end = _path_end(db, spec.path)
+        end = _resolve(db, ends, spec)
+        hops = ".".join(f"{db.tables[ti].name}.{db.tables[ti].columns[ci].name}{'<' if direction == REVERSE else '>'}"
+                        for ti, ci, direction in spec.path)
         column = "*" if spec.source is None else db.tables[end].columns[spec.source].name
-        names.append(f"{'.'.join(hops)}__{spec.aggregator.upper()}__{column}")
+        names.append(f"{hops}__{spec.aggregator.upper()}__{column}")
     return names
 
 
@@ -310,26 +297,41 @@ def aggspecs_to_json(specs: list[AggSpec]) -> str:
 
 
 def aggspecs_from_json(text: str, db: Database | None = None) -> list[AggSpec]:
-    """Specs as `aggspecs_to_json` writes them; given `db`, each one is checked against it. A bad
-    entry fails naming its position."""
+    """Specs as `aggspecs_to_json` writes them: table, column and source are JSON integers, not true or
+    false, and a direction is a string. Given `db`, each spec is checked against it, each distinct path
+    prefix once. A bad entry fails naming its position."""
+    payload = json.loads(text)
+    if not isinstance(payload, list):
+        raise RdbError("not a list of aggspecs")
+    ends = None if db is None else {(): db.target[0]}
     specs = []
-    for i, item in enumerate(json.loads(text)):
+    for i, item in enumerate(payload):
         try:
-            spec = AggSpec(tuple((int(t), int(c), d) for t, c, d in item["path"]), item["aggregator"], item["source"])
-            if db is not None:
-                _checked_end(db, spec)
+            if not (isinstance(item, dict) and item.keys() >= {"path", "aggregator", "source"}):
+                raise RdbError("not an object with path, aggregator and source")
+            path, source = item["path"], item["source"]
+            for hop in path if type(path) is list else [path]:  # a path that is no list is one bad hop
+                if type(hop) is not list or list(map(type, hop)) != [int, int, str]:
+                    raise RdbError(f"path hop {json.dumps(hop)} is not [table, column, direction] (integers, string)")
+            if type(source) not in (int, type(None)):
+                raise RdbError(f"source {json.dumps(source)} is not an integer or null")
+            spec = AggSpec(tuple(map(tuple, path)), item["aggregator"], source)  # which checks the aggregator
+            if ends is not None:
+                _resolve(db, ends, spec)
         except RdbError as exc:
             raise RdbError(f"aggspecs[{i}]: {exc}") from None
         specs.append(spec)
     return specs
 
 
-def write_features_csv(path, db: Database, specs: list[AggSpec], target_rows) -> None:
+def write_features_csv(path, db: Database, specs: list[AggSpec], target_rows) -> list[str]:
     """Raw feature matrix as CSV keyed by the target table's primary key, or by a `row` column of row
-    numbers when it has none; the empty cell is null."""
+    numbers when it has none; the empty cell is null. Returns the feature columns' names."""
     rows = np.fromiter((int(row) for row in target_rows), dtype=np.int64)
     raw = compute_features(db, specs, rows)  # fails on a row out of range
     pk = next((col for col in db.tables[db.target[0]].columns if col.kind.tag == "primary_key"), None)
     key = (Column("row", ColumnKind("text"), False, list(map(str, rows.tolist()))) if pk is None
            else Column.from_arrays(pk.name, pk.kind, pk.data[rows], pk.null[rows], pk.vocab))
-    write_csv(path, [key.name] + feature_names(db, specs), [key] + raw.columns)
+    names = feature_names(db, specs)
+    write_csv(path, [key.name] + names, [key] + raw.columns)
+    return names

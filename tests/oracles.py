@@ -14,7 +14,7 @@ from datetime import datetime
 
 import numpy as np
 
-from relgnn.dfs import COPY, AggSpec, _checked_end
+from relgnn.dfs import COPY, AggSpec
 from relgnn.graph import FORWARD, REVERSE, SELF_LOOP, EdgeType, HeteroGraph, edge_types
 from relgnn.rdb import Database, RdbError
 from relgnn.sampler import SizeCapError
@@ -376,7 +376,7 @@ def reference_features(db: Database, specs: list[AggSpec], target_rows) -> list[
     """Raw feature values (None for null), one row per requested target row, in request order."""
     target_table, _ = db.target
     nrows = db.tables[target_table].nrows
-    ends = [_checked_end(db, spec) for spec in specs]
+    ends = [reference_path_end(db, spec) for spec in specs]
 
     children: dict[tuple[int, int], dict[int, list[int]]] = {}
 
@@ -406,6 +406,36 @@ def reference_features(db: Database, specs: list[AggSpec], target_rows) -> list[
             row_values.append(_evaluate(db, spec, end, frontier))
         out.append(row_values)
     return out
+
+
+def reference_path_end(db: Database, spec: AggSpec) -> int:
+    """The table `spec`'s path ends at, following it hop by hop from the target table, then its source
+    column checked there; a fault raises the library's RdbError message."""
+    table = db.target[0]
+    for ti, ci, direction in spec.path:
+        if not (0 <= ti < len(db.tables) and 0 <= ci < len(db.tables[ti].columns)):
+            raise RdbError(f"path hop ({ti}, {ci}) is out of range")
+        col = db.tables[ti].columns[ci]
+        if col.kind.tag != "foreign_key":
+            raise RdbError(f"path hop {db.tables[ti].name}.{col.name} is not a foreign key")
+        ref = db.table_index(col.kind.references[0])
+        if direction not in (REVERSE, FORWARD):
+            raise RdbError(f"unknown hop direction {direction!r}")
+        if direction == REVERSE and ref != table:
+            raise RdbError(f"reverse hop {db.tables[ti].name}.{col.name} does not reference {db.tables[table].name}")
+        if direction == FORWARD and ti != table:
+            raise RdbError(f"forward hop {db.tables[ti].name}.{col.name} does not start at {db.tables[table].name}")
+        table = ti if direction == REVERSE else ref
+    if spec.source is None:
+        return table
+    if not 0 <= spec.source < len(db.tables[table].columns):
+        raise RdbError(f"source column {spec.source} is out of range for table {db.tables[table].name}")
+    col = db.tables[table].columns[spec.source]
+    kinds = ("scalar", "categorical") if spec.aggregator == COPY else ("scalar",)
+    if col.kind.tag not in kinds:
+        verb = "copy" if spec.aggregator == COPY else f"{spec.aggregator} over"
+        raise RdbError(f"cannot {verb} {col.kind.tag} column {db.tables[table].name}.{col.name}")
+    return table
 
 
 def _evaluate(db: Database, spec: AggSpec, end_table: int, rows: list[int]):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 import weakref
 
@@ -24,7 +25,7 @@ from relgnn.dfs import (
     fit_feature_encoders,
     write_features_csv,
 )
-from relgnn.graph import FORWARD, REVERSE
+from relgnn.graph import FORWARD, REVERSE, database_to_graph
 from relgnn.encode import fit_encoders
 from relgnn.rdb import (
     Column,
@@ -450,6 +451,8 @@ def test_compute_features_equals_per_target_reference(random_database):
         rows = rng.permutation(n).tolist() + rng.integers(0, n, size=3).tolist()
         got, want = compute_features(db, specs, rows), reference_features(db, specs, rows)
         assert repr(list(got)) == repr(want), seed
+        backwards = compute_features(db, specs[::-1], rows)  # every spec order resolves the same
+        assert repr(list(backwards)) == repr([row[::-1] for row in want]), seed
         awkward_sums += sum(1 for row in want for spec, v in zip(specs, row)
                             if spec.aggregator == "sum" and v is not None and v in (0.0, 1e12, -1e12))
     assert awkward_sums > 100  # the signed-zero and large-magnitude cases did occur
@@ -539,6 +542,53 @@ def test_aggspec_json_roundtrip():
     db = _three_level()
     specs = enumerate_aggs(db, 2)
     assert aggspecs_from_json(aggspecs_to_json(specs)) == specs
+
+
+def test_aggspecs_from_json_requires_json_integers_and_strings(fixtures_dir):
+    db = load_database(fixtures_dir / "clinic")
+    count, total = json.loads(aggspecs_to_json(enumerate_aggs(db, 1)))[:2]  # Visit.patient_id< COUNT and SUM
+    (table, column, direction), = count["path"]
+    hop_error = "is not [table, column, direction] (integers, string)"
+    bad_hops = [[table + 0.5, column, direction], [str(table), column, direction], [True, column, direction],
+                [table, float(column), direction], [table, column, 1], [table, column], table, "Visit"]
+    cases = [({**count, "path": [hop]}, f"path hop {json.dumps(hop)} {hop_error}") for hop in bad_hops] + [
+        ({**count, "path": "Visit"}, f'path hop "Visit" {hop_error}'),  # a path that is no list
+        ({**count, "path": [table, column, direction]}, f"path hop {table} {hop_error}"),
+        ({**total, "source": float(total["source"])}, f"source {float(total['source'])} is not an integer or null"),
+        ({**total, "source": True}, "source true is not an integer or null"),
+        ({**count, "aggregator": 5}, "unknown aggregator 5"),
+        ({"path": count["path"], "aggregator": "count"}, "not an object with path, aggregator and source"),
+        ([count["path"], "count", None], "not an object with path, aggregator and source"),
+    ]
+    for entry, message in cases:
+        for checked in (None, db):
+            with pytest.raises(RdbError) as exc:
+                aggspecs_from_json(json.dumps([count, entry]), checked)
+            assert str(exc.value) == f"aggspecs[1]: {message}"
+    with pytest.raises(RdbError, match="^not a list of aggspecs$"):
+        aggspecs_from_json(json.dumps(count), db)
+    assert aggspecs_from_json(json.dumps([count, total]), db) == enumerate_aggs(db, 1)[:2]
+
+
+def test_each_distinct_path_prefix_is_checked_once(fixtures_dir, monkeypatch):
+    """Each hop check looks its foreign key's table up once; a map of the prefixes checked so far makes
+    that once per distinct prefix in each call, not once per hop of every spec."""
+    db = load_database(fixtures_dir / "employees")
+    specs = enumerate_aggs(db, 200)
+    prefixes = {spec.path[:k] for spec in specs for k in range(1, len(spec.path) + 1)}
+    lookups = []
+    table_index = Database.table_index
+    monkeypatch.setattr(Database, "table_index", lambda self, name: lookups.append(name) or table_index(self, name))
+
+    def count(call) -> int:
+        lookups.clear()
+        call()
+        return len(lookups)
+
+    graph_lookups = count(lambda: database_to_graph(db))
+    assert count(lambda: compute_features(db, specs, [0, 1, 2])) == len(prefixes) + graph_lookups
+    assert count(lambda: feature_names(db, specs)) == len(prefixes)
+    assert count(lambda: aggspecs_from_json(aggspecs_to_json(specs), db)) == len(prefixes)
 
 
 def test_write_features_csv(tmp_path, fixtures_dir):

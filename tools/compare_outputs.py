@@ -7,7 +7,8 @@ PYTHONPATH is that checkout's `src`, in a directory of its own. It synthesizes t
 (three_level with seed 5 and 1-3 children, parent_child with seed 7), then runs on each of them
 validate, graph-stats, sample (plain and --edge-type-once), dfs, and train with all ten models
 (--folds 2 --max-epochs 3 --patience 3, GNNs at --hidden 8) followed by eval --fold 1. It also runs
-the built-in gradcheck and gradcheck on tests/fixtures/clinic at --hidden 2. Every path a command
+the built-in gradcheck, gradcheck on tests/fixtures/clinic at --hidden 2, and dfs --depth 6 on
+tests/fixtures/employees, whose foreign key references its own table. Every path a command
 reads or writes is relative to its run directory, so outputs that name a path read the same on both
 sides.
 
@@ -31,7 +32,7 @@ DATASETS = {
     "parent_child": ["--template", "parent_child", "--seed", "7"],
 }
 SKIPPED = {"manifest.json", "log.txt"}
-CLINIC = "data/clinic"  # each side's copy of its own tests/fixtures/clinic
+FIXTURES = ("clinic", "employees")  # each side runs on its copy of its own tests/fixtures/<name> under data/
 
 
 def command_matrix() -> list[tuple[str, list[str]]]:
@@ -57,7 +58,9 @@ def command_matrix() -> list[tuple[str, list[str]]]:
             ]
     commands += [
         ("gradcheck", ["gradcheck", "--out", "out/gradcheck"]),
-        ("gradcheck_clinic", ["gradcheck", "--dataset", CLINIC, "--hidden", "2", "--out", "out/gradcheck_clinic"]),
+        ("gradcheck_clinic", ["gradcheck", "--dataset", "data/clinic", "--hidden", "2",
+                              "--out", "out/gradcheck_clinic"]),
+        ("dfs_employees", ["dfs", "--dataset", "data/employees", "--depth", "6", "--out", "out/employees/dfs"]),
     ]
     return commands
 
@@ -66,7 +69,8 @@ def run_matrix(checkout: Path, workdir: Path) -> None:
     """Every command of the matrix with `checkout`'s relgnn, its outputs under `workdir`."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     (workdir / "stdout").mkdir(parents=True)
-    shutil.copytree(checkout / "tests" / "fixtures" / "clinic", workdir / CLINIC)
+    for name in FIXTURES:
+        shutil.copytree(checkout / "tests" / "fixtures" / name, workdir / "data" / name)
     for name, argv in command_matrix():
         proc = subprocess.run([sys.executable, "-m", "relgnn.cli", *argv], cwd=workdir, env=env,
                               capture_output=True)
