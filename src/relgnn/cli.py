@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import gc
+import importlib
 import json
 import logging
 import sys
@@ -12,41 +14,58 @@ from pathlib import Path
 
 import numpy as np
 
-from .dfs import (
-    DFS_DEPTH,
-    aggspecs_from_json,
-    aggspecs_to_json,
-    apply_feature_encoders,
-    compute_features,
-    enumerate_aggs,
-    feature_encoders_from_json,
-    feature_encoders_to_json,
-    feature_width,
-    fit_feature_encoders,
-    write_features_csv,
-)
-from .encode import encoded_columns, encoders_from_json, encoders_to_json, fit_encoders
 from .graph import database_to_graph, graph_stats
-from .models import DEFAULT_ROUNDS, VARIANTS, GraphSchema, Model, ModelConfig, build_batch
 from .rdb import RdbError, load_database, remove_target_column, target_labels, validate_schema
 from .sampler import DEFAULT_SIZE_CAP, DatapointStore, SizeCapError, batch_sample, write_datapoints_jsonl
-from .synth import SIGNALS, TEMPLATES, SynthSpec, generate
-from .tensor import dropout_in_range, load_checkpoint, save_checkpoint, gradcheck as run_gradcheck
-from .training import (
-    MLP_DROPOUT,
-    GraphDataset,
-    LinearModel,
-    MlpModel,
-    TableDataset,
-    TrainConfig,
-    evaluate,
-    fold_encoder_rows,
-    make_cv_plan,
-    single_table_features,
-    train,
-)
 
-MODELS = VARIANTS + ("logreg", "mlp", "dfs-logreg")
+# the names of other relgnn modules that the commands call, by the module that defines them. validate,
+# graph-stats and sample need none of them, so none is imported until it is read: `cli.<name>` imports its
+# module (__getattr__), and every function here that reads one as a global binds the whole table first
+# (_needs_lazy). The table can go once perfbench/tracer.py wraps these names in their own modules
+_LAZY = {
+    "dfs": ("DFS_DEPTH", "aggspecs_from_json", "aggspecs_to_json", "apply_feature_encoders", "compute_features",
+            "enumerate_aggs", "feature_encoders_from_json", "feature_encoders_to_json", "feature_width",
+            "fit_feature_encoders", "write_features_csv"),
+    "encode": ("encoded_columns", "encoders_from_json", "encoders_to_json", "fit_encoders"),
+    "models": ("DEFAULT_ROUNDS", "VARIANTS", "GraphSchema", "Model", "ModelConfig", "build_batch"),
+    "synth": ("SIGNALS", "TEMPLATES", "SynthSpec", "generate"),
+    "tensor": ("dropout_in_range", "gradcheck", "load_checkpoint", "save_checkpoint"),
+    "training": ("MLP_DROPOUT", "MODELS", "GraphDataset", "LinearModel", "MlpModel", "TableDataset", "TrainConfig",
+                 "evaluate", "fold_encoder_rows", "make_cv_plan", "single_table_features", "train"),
+}
+_lazy_bound = False
+
+
+def __getattr__(name: str):
+    """`cli.<name>` for a name of _LAZY that is not bound yet: imports the module that defines it and binds it
+    as a global of this module, the one that runs (under `python -m relgnn.cli` that is __main__)."""
+    for owner, names in _LAZY.items():
+        if name in names:
+            value = globals()[name] = getattr(importlib.import_module(f".{owner}", __package__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _bind_lazy() -> None:
+    """Bind every name of _LAZY as a global, once; a name bound already, as one that a caller replaced, is kept."""
+    global _lazy_bound
+    if not _lazy_bound:
+        for owner, names in _LAZY.items():
+            module = importlib.import_module(f".{owner}", __package__)
+            for name in names:
+                globals().setdefault(name, getattr(module, name))
+        _lazy_bound = True
+
+
+def _needs_lazy(func):
+    """`func`, which reads names of _LAZY as globals, binding them before it runs: a global read does not
+    reach __getattr__."""
+    @functools.wraps(func)
+    def bound(*args, **kwargs):
+        _bind_lazy()
+        return func(*args, **kwargs)
+    return bound
+
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -101,17 +120,15 @@ def cmd_graph_stats(args) -> int:
     return 0
 
 
-def _check_flags(args) -> None:
-    """Reject a flag that can never be honoured, before anything is written."""
+def _check_size_cap(args) -> None:
+    """Reject a --size-cap that can never be honoured, before anything is written."""
     size_cap = getattr(args, "size_cap", DEFAULT_SIZE_CAP)
     if size_cap < 1:
         raise ValueError(f"--size-cap must be at least 1, got {size_cap}: every subgraph holds its target")
-    if getattr(args, "dropout", None) is not None and not dropout_in_range(args.dropout):
-        raise ValueError(f"--dropout must be in [0, 1), got {args.dropout}: it is the probability of dropping a unit")
 
 
 def cmd_sample(args) -> int:
-    _check_flags(args)
+    _check_size_cap(args)
     masked = remove_target_column(load_database(args.dataset))
     graph, datapoints = _sample(masked, edge_type_once=args.edge_type_once, size_cap=args.size_cap)
     _write_manifest(args)
@@ -127,6 +144,7 @@ def cmd_sample(args) -> int:
     return 0
 
 
+@_needs_lazy
 def cmd_synth(args) -> int:
     spec = SynthSpec(seed=args.seed, n_targets=args.targets, template=args.template,
                      signal=args.signal, noise=args.noise, children=tuple(args.children))
@@ -140,6 +158,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@_needs_lazy
 def cmd_dfs(args) -> int:
     masked = remove_target_column(load_database(args.dataset))
     specs = enumerate_aggs(masked, args.depth)
@@ -177,6 +196,7 @@ _MODEL_FLAGS = {"hidden": "--hidden", "rounds": "--rounds", "dropout": "--dropou
                 "edge_type_once": "--edge-type-once", "reverse_edges": "--no-reverse-edges", "size_cap": "--size-cap"}
 
 
+@_needs_lazy
 def _run_keys(model: str) -> tuple[str, ...]:
     """The keys of model.json after "model", in the order `_describe` reads them: what it writes for the
     model, and what `eval` requires."""
@@ -185,6 +205,7 @@ def _run_keys(model: str) -> tuple[str, ...]:
     return ("dropout", "depth", "aggspecs") if model == "dfs-logreg" else ("dropout",)
 
 
+@_needs_lazy
 def _describe(args, masked) -> dict:
     """The run description that model.json holds: with a fold's artifacts, all that rebuilds its network.
     Each model flag is read as given or at its family default; a given flag that the model does not read
@@ -219,6 +240,7 @@ def _describe(args, masked) -> dict:
     return desc
 
 
+@_needs_lazy
 def _description(text: str, masked) -> dict:
     """model.json as `_describe` writes it, checked against the masked database."""
     desc = json.loads(text)
@@ -249,6 +271,7 @@ def _read_run_file(path: Path, reader, *context):
         raise RdbError(f"{path}: {exc}") from None
 
 
+@_needs_lazy
 def _shared_inputs(desc: dict, masked):
     """What every fold reads alike: the sampled datapoints (GNNs), the raw DFS features (dfs-logreg), or
     None (logreg, mlp)."""
@@ -260,6 +283,7 @@ def _shared_inputs(desc: dict, masked):
     return compute_features(masked, specs, range(masked.tables[masked.target[0]].nrows))
 
 
+@_needs_lazy
 def _build(desc: dict, masked, labels, shared, encoders, dfs_encoders=None, seed: int = 0):
     """A fold's untrained network and its dataset, from the run description, the fold's encoders
     and the shared inputs."""
@@ -305,8 +329,11 @@ def _check_scorable(db, labels: np.ndarray, plan) -> None:
                 raise RdbError(f"fold {fi}'s {split} rows hold one class only: {message}")
 
 
+@_needs_lazy
 def cmd_train(args) -> int:
-    _check_flags(args)
+    _check_size_cap(args)
+    if getattr(args, "dropout", None) is not None and not dropout_in_range(args.dropout):
+        raise ValueError(f"--dropout must be in [0, 1), got {args.dropout}: it is the probability of dropping a unit")
     db = load_database(args.dataset)
     labels = target_labels(db)
     masked = remove_target_column(db)
@@ -392,12 +419,14 @@ def _load_params(net, arrays: dict[str, np.ndarray], checkpoint: Path, built_fro
         tensor.data = arrays[name]
 
 
+@_needs_lazy
 def _plan(report_text: str) -> list:
     """The run's own CV plan, rebuilt from the seed, the fold count and the rows scored in its report.json."""
     report = json.loads(report_text)
     return make_cv_plan(sum(f["test_n"] for f in report["folds"]), report["seed"], report["n_folds"])
 
 
+@_needs_lazy
 def cmd_eval(args) -> int:
     plan = _read_run_file(args.run / "report.json", _plan)
     if not 0 <= args.fold < len(plan):
@@ -445,6 +474,7 @@ def _gradcheck_db():
     return db
 
 
+@_needs_lazy
 def cmd_gradcheck(args) -> int:
     db = load_database(args.dataset) if args.dataset is not None else _gradcheck_db()
     masked = remove_target_column(db)
@@ -463,7 +493,7 @@ def cmd_gradcheck(args) -> int:
             # move zero-initialized parameters off relu kinks so central differences are clean
             if not tensor.data.any():
                 tensor.data = nudge.normal(0.0, 0.1, size=tensor.shape)
-        err = run_gradcheck(lambda _: net.loss(batch), params)
+        err = gradcheck(lambda _: net.loss(batch), params)
         results[variant] = float(err)
         log.info("gradcheck %s: max rel err %.3g", variant, err)
     payload = {
@@ -475,97 +505,96 @@ def cmd_gradcheck(args) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {  # each subcommand's function and help, in the order `relgnn --help` lists them
+    "validate": (cmd_validate, "load a dataset and report schema health"),
+    "graph-stats": (cmd_graph_stats, "node/edge counts of the database graph"),
+    "sample": (cmd_sample, "extract one subgraph datapoint per target row"),
+    "synth": (cmd_synth, "generate a synthetic dataset"),
+    "dfs": (cmd_dfs, "write flat aggregate features as CSV"),
+    "train": (cmd_train, "cross-validated training with test metrics"),
+    "eval": (cmd_eval, "score a trained fold on a dataset"),
+    "gradcheck": (cmd_gradcheck, "finite-difference check of model gradients"),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """relgnn's parser: every subcommand, and the flags of `command` alone, so no other command's flags are
+    built or its modules imported."""
     parser = argparse.ArgumentParser(prog="relgnn",
                                      description="supervised learning on relational databases")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        return p
-
-    def dataset_flag(p, required=True):
-        p.add_argument("--dataset", type=Path, required=required)
-
-    def out_flag(p, required=False):
-        p.add_argument("--out", type=Path, required=required)
-
-    def sampling_flags(p, train=False):
-        who = "GNNs only; " if train else ""
-        p.add_argument("--edge-type-once", action="store_true", default=argparse.SUPPRESS if train else False,
-                       help=f"{who}follow each edge type in at most one round of a subgraph's closure (default off)")
-        p.add_argument("--no-reverse-edges", dest="reverse_edges", action="store_false",
-                       default=argparse.SUPPRESS if train else True,
-                       help=f"{who}leave out the reverse edges from a referenced row to its referrers")
-        p.add_argument("--size-cap", type=int, default=argparse.SUPPRESS if train else DEFAULT_SIZE_CAP,
-                       help=f"{who}fail when a subgraph would exceed this many nodes (default {DEFAULT_SIZE_CAP})")
-
-    p = add("validate", cmd_validate, help="load a dataset and report schema health")
-    dataset_flag(p)
-    out_flag(p)
-
-    p = add("graph-stats", cmd_graph_stats, help="node/edge counts of the database graph")
-    dataset_flag(p)
-    out_flag(p)
-    p.add_argument("--no-reverse-edges", dest="reverse_edges", action="store_false")
-
-    p = add("sample", cmd_sample, help="extract one subgraph datapoint per target row")
-    dataset_flag(p)
-    out_flag(p, required=True)
-    sampling_flags(p)
-
-    p = add("synth", cmd_synth, help="generate a synthetic dataset")
-    out_flag(p, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--targets", type=int, required=True)
-    p.add_argument("--template", choices=TEMPLATES, default="parent_child")
-    p.add_argument("--signal", choices=SIGNALS, default="child_aggregate")
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--children", type=int, nargs=2, default=[1, 6], metavar=("LO", "HI"))
-
-    p = add("dfs", cmd_dfs, help="write flat aggregate features as CSV")
-    dataset_flag(p)
-    out_flag(p, required=True)
-    p.add_argument("--depth", type=int, default=DFS_DEPTH)
-
-    p = add("train", cmd_train, help="cross-validated training with test metrics")
-    dataset_flag(p)
-    out_flag(p, required=True)
-    p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    unset = argparse.SUPPRESS  # see _MODEL_FLAGS
-    p.add_argument("--hidden", type=int, default=unset, help=f"GNNs only; hidden width (default {ModelConfig.hidden})")
-    rounds = ", ".join(f"{variant} {r}" for variant, r in DEFAULT_ROUNDS.items())
-    p.add_argument("--rounds", type=int, default=unset, help=f"GNNs only; message-passing rounds (default {rounds})")
-    p.add_argument("--dropout", type=float, default=unset, help=f"GNNs and mlp only; dropout probability "
-                   f"(default {ModelConfig.dropout} for GNNs, {MLP_DROPOUT} for mlp)")
-    p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--weight-decay", type=float, default=None, help=f"AdamW weight decay (default {GNN_WEIGHT_DECAY} "
-                   f"for GNNs, {BASELINE_WEIGHT_DECAY} for logreg, mlp and dfs-logreg)")
-    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--patience", type=int, default=TrainConfig.patience)
-    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--depth", type=int, default=unset,
-                   help=f"dfs-logreg only; longest foreign-key path of a DFS feature (default {DFS_DEPTH})")
-    p.add_argument("--oversample", action="store_true")
-    sampling_flags(p, train=True)
-
-    p = add("eval", cmd_eval, help="score a trained fold on a dataset")
-    dataset_flag(p)
-    out_flag(p)
-    p.add_argument("--run", type=Path, required=True)
-    p.add_argument("--fold", type=int, default=0)
-
-    p = add("gradcheck", cmd_gradcheck, help="finite-difference check of model gradients")
-    dataset_flag(p, required=False)
-    out_flag(p)
-    p.add_argument("--model", choices=VARIANTS, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", type=int, default=4)
-
+    for name, (func, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, add_help=name == command)  # the others never parse
+        if name == command:
+            p.set_defaults(func=func)
+            _add_flags(p, name)
     return parser
+
+
+def _sampling_flags(p, train=False) -> None:
+    who = "GNNs only; " if train else ""
+    p.add_argument("--edge-type-once", action="store_true", default=argparse.SUPPRESS if train else False,
+                   help=f"{who}follow each edge type in at most one round of a subgraph's closure (default off)")
+    p.add_argument("--no-reverse-edges", dest="reverse_edges", action="store_false",
+                   default=argparse.SUPPRESS if train else True,
+                   help=f"{who}leave out the reverse edges from a referenced row to its referrers")
+    p.add_argument("--size-cap", type=int, default=argparse.SUPPRESS if train else DEFAULT_SIZE_CAP,
+                   help=f"{who}fail when a subgraph would exceed this many nodes (default {DEFAULT_SIZE_CAP})")
+
+
+def _add_flags(p, command: str) -> None:
+    if command != "synth":
+        p.add_argument("--dataset", type=Path, required=command != "gradcheck")
+    p.add_argument("--out", type=Path, required=command in ("sample", "synth", "dfs", "train"))
+    if command == "graph-stats":
+        p.add_argument("--no-reverse-edges", dest="reverse_edges", action="store_false")
+    elif command == "sample":
+        _sampling_flags(p)
+    elif command != "validate":
+        _module_flags(p, command)
+
+
+@_needs_lazy
+def _module_flags(p, command: str) -> None:
+    """The flags of synth, dfs, train, eval and gradcheck: their choices and defaults are the modules'."""
+    if command == "synth":
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--targets", type=int, required=True)
+        p.add_argument("--template", choices=TEMPLATES, default="parent_child")
+        p.add_argument("--signal", choices=SIGNALS, default="child_aggregate")
+        p.add_argument("--noise", type=float, default=0.0)
+        p.add_argument("--children", type=int, nargs=2, default=[1, 6], metavar=("LO", "HI"))
+    elif command == "dfs":
+        p.add_argument("--depth", type=int, default=DFS_DEPTH)
+    elif command == "train":
+        p.add_argument("--model", choices=MODELS, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        unset = argparse.SUPPRESS  # see _MODEL_FLAGS
+        p.add_argument("--hidden", type=int, default=unset,
+                       help=f"GNNs only; hidden width (default {ModelConfig.hidden})")
+        rounds = ", ".join(f"{variant} {r}" for variant, r in DEFAULT_ROUNDS.items())
+        p.add_argument("--rounds", type=int, default=unset,
+                       help=f"GNNs only; message-passing rounds (default {rounds})")
+        p.add_argument("--dropout", type=float, default=unset, help=f"GNNs and mlp only; dropout probability "
+                       f"(default {ModelConfig.dropout} for GNNs, {MLP_DROPOUT} for mlp)")
+        p.add_argument("--lr", type=float, default=TrainConfig.lr)
+        p.add_argument("--weight-decay", type=float, default=None, help=f"AdamW weight decay (default "
+                       f"{GNN_WEIGHT_DECAY} for GNNs, {BASELINE_WEIGHT_DECAY} for logreg, mlp and dfs-logreg)")
+        p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+        p.add_argument("--patience", type=int, default=TrainConfig.patience)
+        p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+        p.add_argument("--folds", type=int, default=5)
+        p.add_argument("--depth", type=int, default=unset,
+                       help=f"dfs-logreg only; longest foreign-key path of a DFS feature (default {DFS_DEPTH})")
+        p.add_argument("--oversample", action="store_true")
+        _sampling_flags(p, train=True)
+    elif command == "eval":
+        p.add_argument("--run", type=Path, required=True)
+        p.add_argument("--fold", type=int, default=0)
+    elif command == "gradcheck":
+        p.add_argument("--model", choices=VARIANTS, default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--hidden", type=int, default=4)
 
 
 def _keep_freed_heap() -> None:
@@ -584,7 +613,9 @@ def _keep_freed_heap() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse reads the first argument that is no flag as the subcommand
+    args = _build_parser(next((arg for arg in argv if not arg.startswith("-")), None)).parse_args(argv)
     if not logging.getLogger().handlers:
         _setup_logging()
     try:

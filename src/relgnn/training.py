@@ -8,7 +8,7 @@ import numpy as np
 
 from .encode import NodeTypeEncoder, encode_node
 from .graph import ranges, runs
-from .models import build_batch, encode_tables
+from .models import VARIANTS, build_batch, encode_tables
 from .optim import AdamW
 from .rdb import Database
 from .sampler import DatapointStore
@@ -47,6 +47,10 @@ __all__ = [
 EVAL_NODES = 512  # nodes a scoring forward pass holds, or one target that alone holds more; a table row is one node
 
 MLP_DROPOUT = 0.3
+
+# what `relgnn train --model` trains: the GNNs, then the baselines. It lives here, by the baselines' models,
+# because relgnn.cli reads it through its lazy table: cli's module scope imports no model code
+MODELS = VARIANTS + ("logreg", "mlp", "dfs-logreg")
 
 
 @dataclass

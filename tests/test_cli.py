@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dis
 import gc
 import hashlib
 import json
@@ -70,6 +71,40 @@ def test_seed_is_rejected_where_nothing_reads_it(capsys, fixtures_dir, tmp_path,
     assert exc.value.code == 2
     assert "error: unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# three malformed command lines, with what relgnn decides of argparse's report on each: the program named in
+# the usage and in the error line, the flags that the usage lists in their order, and the error's subject,
+# value and choices. argparse's own wording, quoting and wrapping vary across Python versions
+_COMMAND_ORDER = ["validate", "graph-stats", "sample", "synth", "dfs", "train", "eval", "gradcheck"]
+_MODEL_ORDER = ["gcn", "gin", "gat", "ergcn", "ergin", "ergat", "poolmlp", "logreg", "mlp", "dfs-logreg"]
+_TRAIN_USAGE = ["-h", "--dataset", "--out", "--model", "--seed", "--hidden", "--rounds", "--dropout", "--lr",
+                "--weight-decay", "--batch", "--patience", "--max-epochs", "--folds", "--depth", "--oversample",
+                "--edge-type-once", "--no-reverse-edges", "--size-cap"]
+_USAGE_ERRORS = {
+    "unknown-command": (["frobnicate"], "relgnn", ["-h"], ["argument command", "frobnicate"], _COMMAND_ORDER),
+    "unknown-model": (["train", "--model", "nope"], "relgnn train", _TRAIN_USAGE, ["argument --model", "nope"],
+                      _MODEL_ORDER),
+    "sample-without-out": (["sample", "--dataset", "d"], "relgnn sample",
+                           ["-h", "--dataset", "--out", "--edge-type-once", "--no-reverse-edges", "--size-cap"],
+                           ["required", "--out"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_ERRORS))
+def test_usage_errors_name_the_command_its_flags_and_the_fault(capsys, case):
+    argv, prog, usage_flags, words, choices = _USAGE_ERRORS[case]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    *usage, error = capsys.readouterr().err.splitlines()
+    assert exc.value.code == 2
+    assert usage[0].startswith(f"usage: {prog} ")
+    assert re.findall(r"(?<![\w-])--?[a-z][\w-]*", " ".join(usage)) == usage_flags
+    assert error.startswith(f"{prog}: error: ") and all(word in error for word in words), error
+    if choices is not None:
+        listed = re.search(r"\(choose from (.*)\)$", error).group(1)
+        assert [choice.strip("'") for choice in listed.split(", ")] == choices
 
 
 def test_validate_lists_two_tables(capsys, fixtures_dir):
@@ -1075,11 +1110,18 @@ _TRAIN_SPANS = {"training.train", "encode.fit_encoders", "training.evaluate", "t
                 "optim.step", "optim.zero_grad", "tensor.backward"}
 
 
+# every case sees the load and the masking; together the cases see each of the twelve names that the tracer
+# wraps in relgnn.cli, whose modules cli imports only when a command needs them
+_LOAD_SPANS = {"rdb.load_database", "rdb.remove_target_column"}
+
+
 @pytest.mark.parametrize("command, spans", [
-    ("gcn", _TRAIN_SPANS | {"sampler.batch_sample", "models.build_batch", "encode.encode_node"}),
-    ("dfs-logreg", _TRAIN_SPANS | {"dfs.compute_features", "encode.single_table_features",
-                                   "encode.encode_node.single_table"}),
-    ("sample", {"sampler.batch_sample", "sampler.write_datapoints_jsonl"}),
+    ("gcn", _TRAIN_SPANS | _LOAD_SPANS | {"graph.database_to_graph", "sampler.batch_sample", "models.build_batch",
+                                          "encode.encode_node"}),
+    ("dfs-logreg", _TRAIN_SPANS | _LOAD_SPANS | {"dfs.compute_features", "dfs.fit_feature_encoders",
+                                                 "dfs.apply_feature_encoders", "encode.single_table_features",
+                                                 "encode.encode_node.single_table"}),
+    ("sample", _LOAD_SPANS | {"graph.database_to_graph", "sampler.batch_sample", "sampler.write_datapoints_jsonl"}),
 ])
 def test_benchmark_tracer_sees_every_layer_call(synth_dir, tmp_path, command, spans):
     # perfbench/tracer.py times each layer by wrapping the names that relgnn.cli, relgnn.models,
@@ -1201,6 +1243,56 @@ def test_commands_that_draw_nothing_load_no_lazy_module(cold_python, fixtures_di
     assert set(json.loads(cold_python("-c", _COLD_COMMAND, *argv))) <= with_numpy
 
 
+# with arguments, relgnn run as `python -m relgnn.cli` runs it, and its exit code checked; without, relgnn.cli
+# imported; then the relgnn modules loaded
+_COLD_MAIN = """
+import contextlib, io, json, runpy, sys
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("relgnn.cli", run_name="__main__")
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+else:
+    import relgnn.cli
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("relgnn."))))
+"""
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["validate", "--dataset", "{data}"],
+                                  ["graph-stats", "--dataset", "{data}"],
+                                  ["sample", "--dataset", "{data}", "--out", "{out}"]],
+                         ids=["import", "help", "validate", "graph-stats", "sample"])
+def test_commands_that_read_and_sample_load_only_rdb_graph_and_sampler(cold_python, fixtures_dir, tmp_path, argv):
+    # relgnn.cli imports dfs, encode, models, synth, tensor and training (and so optim) only for the commands
+    # that run them
+    argv = [arg.format(data=fixtures_dir / "clinic", out=tmp_path) for arg in argv]
+    loaded = set(json.loads(cold_python("-c", _COLD_MAIN, *argv)))
+    assert sorted(loaded - {"relgnn.cli", "relgnn.graph", "relgnn.rdb", "relgnn.sampler"}) == []
+
+
+def _globals_read(code) -> set[str]:
+    """The global names that `code`, and the functions and lambdas defined in it, read."""
+    names = {ins.argval for ins in dis.get_instructions(code) if ins.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _globals_read(const)
+    return names
+
+
+def test_every_function_that_reads_a_lazy_name_binds_the_table_first():
+    # a function of relgnn.cli reads a name of cli._LAZY as a global, and a global read never reaches the
+    # module's __getattr__; so each such function, and no other, is wrapped by cli._needs_lazy, which binds the
+    # table, and can be called before main, as tests/test_dfs.py calls cli._build
+    lazy = {name for names in cli._LAZY.values() for name in names}
+    functions = {name: value for name, value in vars(cli).items()
+                 if isinstance(value, types.FunctionType) and value.__module__ == cli.__name__}
+    readers = {name for name, func in functions.items()
+               if _globals_read(getattr(func, "__wrapped__", func).__code__) & lazy}
+    assert readers == {name for name, func in functions.items() if hasattr(func, "__wrapped__")}
+    assert {"cmd_validate", "cmd_graph_stats", "cmd_sample", "_add_flags", "_build_parser", "main"}.isdisjoint(readers)
+
+
 # each subcommand's argument lists, which together give every flag it takes; {data}, {run}, {out} and
 # {fixtures} are filled in with the dataset, a trained run, a new output directory and the fixtures
 # (gradcheck takes tens of seconds on the synth dataset, whose wide datetime encoding it differences
@@ -1241,7 +1333,7 @@ def _recording_namespace():
 
 @pytest.mark.parametrize("command", sorted(_EVERY_FLAG))
 def test_every_flag_given_is_read(capsys, fixtures_dir, synth_dir, gcn_run, tmp_path, command):
-    parser = _build_parser()
+    parser = _build_parser(command)
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     dest = {option: action.dest for action in commands[command]._actions if action.dest != "help"
             for option in action.option_strings}

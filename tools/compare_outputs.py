@@ -7,10 +7,10 @@ PYTHONPATH is that checkout's `src`, in a directory of its own. It synthesizes t
 (three_level with seed 5 and 1-3 children, parent_child with seed 7), then runs on each of them
 validate, graph-stats, sample (plain and --edge-type-once), dfs, and train with all ten models
 (--folds 2 --max-epochs 3 --patience 3, GNNs at --hidden 8) followed by eval --fold 1. It also runs
-the built-in gradcheck, gradcheck on tests/fixtures/clinic at --hidden 2, and dfs --depth 6 on
-tests/fixtures/employees, whose foreign key references its own table. Every path a command
-reads or writes is relative to its run directory, so outputs that name a path read the same on both
-sides.
+the built-in gradcheck, gradcheck on tests/fixtures/clinic at --hidden 2, dfs --depth 6 on
+tests/fixtures/employees, whose foreign key references its own table, and `relgnn --help` and each
+subcommand's --help, 80 columns wide. Every path a command reads or writes is relative to its run
+directory, so outputs that name a path read the same on both sides.
 
 It then compares the two output trees, each command's stdout included, leaving out manifest.json
 and log.txt, which record paths and times. It prints each file that differs or exists on one side
@@ -33,6 +33,7 @@ DATASETS = {
 }
 SKIPPED = {"manifest.json", "log.txt"}
 FIXTURES = ("clinic", "employees")  # each side runs on its copy of its own tests/fixtures/<name> under data/
+COMMANDS = ("validate", "graph-stats", "sample", "synth", "dfs", "train", "eval", "gradcheck")
 
 
 def command_matrix() -> list[tuple[str, list[str]]]:
@@ -61,13 +62,14 @@ def command_matrix() -> list[tuple[str, list[str]]]:
         ("gradcheck_clinic", ["gradcheck", "--dataset", "data/clinic", "--hidden", "2",
                               "--out", "out/gradcheck_clinic"]),
         ("dfs_employees", ["dfs", "--dataset", "data/employees", "--depth", "6", "--out", "out/employees/dfs"]),
+        ("help", ["--help"]),
     ]
-    return commands
+    return commands + [(f"help_{command}", [command, "--help"]) for command in COMMANDS]
 
 
 def run_matrix(checkout: Path, workdir: Path) -> None:
     """Every command of the matrix with `checkout`'s relgnn, its outputs under `workdir`."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "COLUMNS": "80"}  # argparse wraps help to COLUMNS
     (workdir / "stdout").mkdir(parents=True)
     for name in FIXTURES:
         shutil.copytree(checkout / "tests" / "fixtures" / name, workdir / "data" / name)
