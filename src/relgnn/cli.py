@@ -7,9 +7,7 @@ import functools
 import gc
 import importlib
 import json
-import logging
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,14 +77,6 @@ ERRORS = (RdbError, SizeCapError, OSError, ValueError, KeyError, RuntimeError)  
 M_TRIM_THRESHOLD, M_TOP_PAD, M_MMAP_THRESHOLD = -1, -2, -3
 KEPT_HEAP = 16 << 20  # bytes, for the pad and the mmap threshold: what fits in the kept heap is served from it
 TRIM_THRESHOLD = 256 << 20  # bytes: free heap at the top stays in the process until it grows past this
-
-log = logging.getLogger("relgnn")
-
-
-def _setup_logging(*handlers: logging.Handler) -> None:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s",
-                        handlers=[logging.StreamHandler(sys.stderr), *handlers], force=True)
-
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -217,6 +207,7 @@ def _describe(args, masked) -> dict:
         return getattr(args, name, default)
 
     def config() -> dict:
+        from dataclasses import asdict  # not at module scope: validate, graph-stats and sample load no dataclasses
         return asdict(ModelConfig(variant=args.model, hidden=flag("hidden", ModelConfig.hidden),
                                   rounds=flag("rounds", ModelConfig.rounds),
                                   dropout=flag("dropout", ModelConfig.dropout)))
@@ -348,11 +339,11 @@ def cmd_train(args) -> int:
     weight_decay = args.weight_decay
     if weight_decay is None:
         weight_decay = GNN_WEIGHT_DECAY if gnn else BASELINE_WEIGHT_DECAY
+    from dataclasses import replace  # not at module scope, as in _describe
     config = TrainConfig(lr=args.lr, weight_decay=weight_decay, batch_size=args.batch,
                          max_epochs=args.max_epochs, patience=args.patience, oversample=args.oversample)
     args.out.mkdir(parents=True, exist_ok=True)
-    log_file = logging.FileHandler(args.out / "log.txt", mode="w", encoding="utf-8")
-    _setup_logging(log_file)
+    log = open(args.out / "log.txt", "w", encoding="utf-8")
     try:
         _write_manifest(args)
         (args.out / "model.json").write_text(_json_text(desc), encoding="utf-8")
@@ -376,8 +367,10 @@ def cmd_train(args) -> int:
             if dfs_encoders is not None:
                 (fold_dir / "dfs_encoders.json").write_text(feature_encoders_to_json(dfs_encoders), encoding="utf-8")
             folds.append(_fold_report(fi, result, metrics))
-            log.info("fold %d: val auroc %.4f (epoch %d), test auroc %.4f",
-                     fi, result.best_val_auroc, result.best_epoch, metrics["auroc"])
+            line = "INFO fold %d: val auroc %.4f (epoch %d), test auroc %.4f\n" % (
+                fi, result.best_val_auroc, result.best_epoch, metrics["auroc"])
+            sys.stderr.write(line)
+            log.write(line)
             del net, data  # before the next fold's _build
         aurocs = [f["test_auroc"] for f in folds]
         payload = {
@@ -395,11 +388,10 @@ def cmd_train(args) -> int:
         _emit(args, payload, "report.json")
         return 0
     except ERRORS as exc:  # the line that main prints ends the run's log too
-        log_file.stream.write(f"error: {exc}\n")
+        log.write(f"error: {exc}\n")
         raise
     finally:  # the log is the run's alone: a later command in this process does not write to it
-        logging.getLogger().removeHandler(log_file)
-        log_file.close()
+        log.close()
 
 
 def _load_params(net, arrays: dict[str, np.ndarray], checkpoint: Path, built_from: list[Path]) -> None:
@@ -495,7 +487,7 @@ def cmd_gradcheck(args) -> int:
                 tensor.data = nudge.normal(0.0, 0.1, size=tensor.shape)
         err = gradcheck(lambda _: net.loss(batch), params)
         results[variant] = float(err)
-        log.info("gradcheck %s: max rel err %.3g", variant, err)
+        sys.stderr.write("INFO gradcheck %s: max rel err %.3g\n" % (variant, err))
     payload = {
         "checks": results,
         "tolerance": GRADCHECK_TOLERANCE,
@@ -616,8 +608,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # argparse reads the first argument that is no flag as the subcommand
     args = _build_parser(next((arg for arg in argv if not arg.startswith("-")), None)).parse_args(argv)
-    if not logging.getLogger().handlers:
-        _setup_logging()
     try:
         return args.func(args)
     except ERRORS as exc:

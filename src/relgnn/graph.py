@@ -2,7 +2,7 @@
 and graph-stats read: rows become nodes, FK cells become edges."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ REVERSE = "reverse"
 SELF_LOOP = "self_loop"
 
 
-@dataclass(frozen=True, order=True)
-class EdgeType:
+class EdgeType(NamedTuple):
     table: int  # table owning the FK column; node type for self loops
     column: int  # FK column index; -1 for self loops
     direction: str
@@ -75,7 +74,6 @@ def _csr_lists(start: np.ndarray, order: np.ndarray, nodes: np.ndarray) -> tuple
     return order[positions], counts
 
 
-@dataclass
 class HeteroGraph:
     """Rows as nodes with global ids (table offset + row); the forward edges as one flat list, one block
     per type in `types` order and each block in row order, with CSR out- and in-lists over it.
@@ -83,16 +81,17 @@ class HeteroGraph:
     Immutable after `database_to_graph` builds it. Reverse edges are the in-lists and self loops one
     per node, so neither is stored."""
 
-    db: Database
-    offsets: np.ndarray  # first global id of each table, then the node count
-    types: list[EdgeType]  # forward edge types, sorted; `type_id` indexes this list
-    src: np.ndarray  # global id of each forward edge's referencing row
-    dst: np.ndarray  # global id of each forward edge's referenced row
-    type_id: np.ndarray
-    out_sorted: np.ndarray  # edge ids ordered by src, stable
-    out_start: np.ndarray  # node -> first position of its out-list in `out_sorted`; one past the end last
-    in_sorted: np.ndarray  # edge ids ordered by dst, stable
-    in_start: np.ndarray
+    def __init__(self, db: Database, offsets, types, src, dst, type_id, out_sorted, out_start, in_sorted, in_start):
+        self.db = db
+        self.offsets = offsets  # first global id of each table, then the node count
+        self.types: list[EdgeType] = types  # forward edge types, sorted; `type_id` indexes this list
+        self.src = src  # global id of each forward edge's referencing row
+        self.dst = dst  # global id of each forward edge's referenced row
+        self.type_id = type_id
+        self.out_sorted = out_sorted  # edge ids ordered by src, stable
+        self.out_start = out_start  # node -> first position of its out-list in `out_sorted`; one past the end last
+        self.in_sorted = in_sorted  # edge ids ordered by dst, stable
+        self.in_start = in_start
 
     @property
     def num_nodes(self) -> int:

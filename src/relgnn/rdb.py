@@ -6,10 +6,10 @@ import io
 import json
 import operator
 import warnings
-from dataclasses import dataclass, replace
 from datetime import datetime
 from itertools import chain, islice, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class RdbError(ValueError):
     """Schema or data problem detected while loading or validating a database."""
 
 
-@dataclass(frozen=True)
-class ColumnKind:
+class ColumnKind(NamedTuple):
     tag: str
     references: tuple[str, str] | None = None  # (table, column), foreign_key only
 
@@ -125,10 +124,9 @@ def _datetime64(stamps: list[datetime]) -> np.ndarray:
     return (np.array(seconds, dtype=np.int64) - _EPOCH_SECONDS).astype("datetime64[s]")
 
 
-@dataclass
 class Table:
-    name: str
-    columns: list[Column]
+    def __init__(self, name: str, columns: list[Column]):
+        self.name, self.columns = name, columns
 
     @property
     def nrows(self) -> int:
@@ -141,15 +139,16 @@ class Table:
         raise RdbError(f"table {self.name} has no column {name!r}")
 
 
-@dataclass
 class Database:
-    tables: list[Table]
-    # row index each non-null FK cell resolves to, -1 for null or dangling;
-    # keyed by (table index, column index) of the FK column
-    fk_rows: dict[tuple[int, int], np.ndarray]
-    dangling: list[tuple[str, int, str, str]]  # (table, row, column, token)
-    target_flags: list[tuple[int, int]]
-    _labels: Column | None = None  # the target column a masked view hides; None unless masked
+    def __init__(self, tables: list[Table], fk_rows: dict[tuple[int, int], np.ndarray],
+                 dangling: list[tuple[str, int, str, str]], target_flags: list[tuple[int, int]], _labels=None):
+        self.tables = tables
+        # row index each non-null FK cell resolves to, -1 for null or dangling;
+        # keyed by (table index, column index) of the FK column
+        self.fk_rows = fk_rows
+        self.dangling = dangling  # (table, row, column, token)
+        self.target_flags = target_flags
+        self._labels: Column | None = _labels  # the target column a masked view hides; None unless masked
 
     @property
     def target(self) -> tuple[int, int]:
@@ -460,20 +459,27 @@ def _resolve_foreign_keys(db: Database, strict: bool, files: list[Path] | None =
     def where(ti: int) -> str:
         return f"{files[ti]}: " if files else ""
 
+    rows_of = {}  # each key column's row map, by (table, column), from its first check
+
+    def rows_of_key(ti: int, ci: int) -> np.ndarray:
+        if (ti, ci) not in rows_of:
+            rows_of[ti, ci] = _key_rows(db.tables[ti].columns[ci], db.tables[ti].name, where(ti))
+        return rows_of[ti, ci]
+
     for ti, table in enumerate(db.tables):
         for ci, col in enumerate(table.columns):
             if col.kind.tag == "primary_key":  # unique whether or not a foreign key references it
-                _key_rows(col, table.name, where(ti))
+                rows_of_key(ti, ci)
             if col.kind.tag != "foreign_key":
                 continue
             ref_table_name, ref_col_name = col.kind.references
             try:
                 rt = db.table_index(ref_table_name)
-                key = db.tables[rt].columns[db.tables[rt].column_index(ref_col_name)]
+                rc = db.tables[rt].column_index(ref_col_name)
             except RdbError as exc:  # in memory only: `_read_schema` checks a loaded file's references
                 raise RdbError(f"{where(ti)}table {table.name} column {col.name} references "
                                f"{ref_table_name}.{ref_col_name}: {exc}") from None
-            key_rows = _key_rows(key, ref_table_name, where(rt))
+            key, key_rows = db.tables[rt].columns[rc], rows_of_key(rt, rc)
             key_code = dict(zip(key.vocab, range(len(key.vocab))))
             # each token's code in the key column, then -1 for code -1
             codes = np.array(list(map(key_code.get, col.vocab, repeat(-1))) + [-1], dtype=np.int64)
@@ -486,6 +492,7 @@ def _resolve_foreign_keys(db: Database, strict: bool, files: list[Path] | None =
                                for ri, code in zip(dangling.tolist(), col.data[dangling].tolist()))
             col.data, col.vocab = codes[col.data], key.vocab
             col.data[dangling], col.null[dangling] = -1, True
+            rows_of.pop((ti, ci), None)  # a foreign key that another references reads its new codes from now on
             db.fk_rows[(ti, ci)] = key_rows[col.data]
     if db.dangling:
         warnings.warn(f"{len(db.dangling)} dangling foreign-key cell(s) kept as Null", stacklevel=3)
@@ -532,7 +539,7 @@ def remove_target_column(db: Database) -> Database:
     tables = list(db.tables)
     columns = list(tables[kt].columns)
     columns[kc] = Column(labels.name, labels.kind, labels.target, [None] * len(labels))
-    tables[kt] = replace(tables[kt], columns=columns)
+    tables[kt] = Table(tables[kt].name, columns)
     return Database(tables, db.fk_rows, db.dangling, db.target_flags, _labels=labels)
 
 

@@ -3,7 +3,6 @@ lockstep, then the induced subgraphs of all targets in one pass, held in one `Da
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ class SizeCapError(RuntimeError):
         super().__init__(f"selected subgraph exceeds size cap: {selected} > {cap}{at}")
 
 
-@dataclass
 class DatapointStore:
     """The subgraphs of one or more targets in flat arrays: the one type of sampled subgraph. Target i's
     nodes are `node_types`/`rows` from `node_start[i]` to `node_start[i + 1]`, its forward edges
@@ -39,16 +37,17 @@ class DatapointStore:
     within its nodes. Reverse edges and self loops are functions of these, derived where they are read
     (`models.build_batch`, `write_datapoints_jsonl`). `store[i]` is target i's one-target store, a `take`."""
 
-    node_types: np.ndarray  # table index per node, int64; each target's nodes in (table, row) order
-    rows: np.ndarray  # row within its table per node, int64
-    node_start: np.ndarray  # (targets + 1,)
-    src: np.ndarray  # local id of each forward edge's referencing row; each target's in ascending graph edge id
-    dst: np.ndarray  # local id of each forward edge's referenced row
-    edge_type: np.ndarray  # index of each forward edge's type in `types`
-    edge_start: np.ndarray  # (targets + 1,)
-    labels: np.ndarray  # (targets,) int64; -1 for a target outside the target table, which has no label
-    targets: np.ndarray  # (targets, 2): each target's (table, row)
-    types: list[EdgeType]  # the graph's forward edge types, one list shared by all its stores
+    def __init__(self, node_types, rows, node_start, src, dst, edge_type, edge_start, labels, targets, types):
+        self.node_types = node_types  # table index per node, int64; each target's nodes in (table, row) order
+        self.rows = rows  # row within its table per node, int64
+        self.node_start = node_start  # (targets + 1,)
+        self.src = src  # local id of each forward edge's referencing row; each target's in ascending graph edge id
+        self.dst = dst  # local id of each forward edge's referenced row
+        self.edge_type = edge_type  # index of each forward edge's type in `types`
+        self.edge_start = edge_start  # (targets + 1,)
+        self.labels = labels  # (targets,) int64; -1 for a target outside the target table, which has no label
+        self.targets = targets  # (targets, 2): each target's (table, row)
+        self.types: list[EdgeType] = types  # the graph's forward edge types, one list shared by all its stores
 
     @classmethod
     def concat(cls, stores: list["DatapointStore"]) -> "DatapointStore":

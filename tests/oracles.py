@@ -9,7 +9,7 @@ import calendar
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -205,7 +205,7 @@ def reference_write_datapoints_jsonl(path, datapoints, graph, reverse_edges):
     byte for byte."""
     names = [table.name for table in graph.db.tables]
     kinds = [(graph.edge_type_name(et), et.direction,  # a self loop's table, else its forward type's index
-              et.table if et.direction == SELF_LOOP else graph.types.index(replace(et, direction=FORWARD)))
+              et.table if et.direction == SELF_LOOP else graph.types.index(et._replace(direction=FORWARD)))
              for et in edge_types(graph.db, reverse_edges)]
     with open(path, "w", encoding="utf-8") as handle:
         for dp in datapoints:

@@ -7,6 +7,7 @@ import dis
 import gc
 import hashlib
 import json
+import logging
 import os
 import platform
 import re
@@ -1244,7 +1245,7 @@ def test_commands_that_draw_nothing_load_no_lazy_module(cold_python, fixtures_di
 
 
 # with arguments, relgnn run as `python -m relgnn.cli` runs it, and its exit code checked; without, relgnn.cli
-# imported; then the relgnn modules loaded
+# imported; then every module loaded
 _COLD_MAIN = """
 import contextlib, io, json, runpy, sys
 if sys.argv[1:]:
@@ -1255,7 +1256,7 @@ if sys.argv[1:]:
             assert exc.code == 0, exc.code
 else:
     import relgnn.cli
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("relgnn."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
@@ -1267,8 +1268,75 @@ def test_commands_that_read_and_sample_load_only_rdb_graph_and_sampler(cold_pyth
     # relgnn.cli imports dfs, encode, models, synth, tensor and training (and so optim) only for the commands
     # that run them
     argv = [arg.format(data=fixtures_dir / "clinic", out=tmp_path) for arg in argv]
-    loaded = set(json.loads(cold_python("-c", _COLD_MAIN, *argv)))
+    loaded = {name for name in json.loads(cold_python("-c", _COLD_MAIN, *argv)) if name.startswith("relgnn.")}
     assert sorted(loaded - {"relgnn.cli", "relgnn.graph", "relgnn.rdb", "relgnn.sampler"}) == []
+
+
+# two standard-library packages that relgnn keeps off the path every command shares: `logging`, which no
+# command loads (train writes its log itself), and `dataclasses`, which only the modules imported lazily use
+_SET_UP_STDLIB = ("dataclasses", "logging")
+
+
+def test_a_bare_numpy_import_loads_neither_logging_nor_dataclasses(cold_python):
+    # else the two checks below would test numpy, not relgnn
+    assert set(json.loads(cold_python("-c", "import json, sys, numpy; print(json.dumps(sorted(sys.modules)))"))
+               ).isdisjoint(_SET_UP_STDLIB)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["validate", "--dataset", "{data}"],
+                                  ["graph-stats", "--dataset", "{data}"],
+                                  ["sample", "--dataset", "{data}", "--out", "{out}"]],
+                         ids=["import", "help", "validate", "graph-stats", "sample"])
+def test_commands_that_read_and_sample_load_no_dataclasses(cold_python, fixtures_dir, tmp_path, argv):
+    # rdb, graph and sampler hold their records in NamedTuples and plain classes, and cli imports dataclasses
+    # where train reads it
+    argv = [arg.format(data=fixtures_dir / "clinic", out=tmp_path) for arg in argv]
+    assert "dataclasses" not in json.loads(cold_python("-c", _COLD_MAIN, *argv))
+
+
+# relgnn.cli imported, then every command of _COMMANDS run in turn through main, in one new process; then what
+# of _SET_UP_STDLIB the import loaded, and what each command loaded first
+_COLD_EVERY_COMMAND = """
+import contextlib, io, json, sys
+from relgnn.cli import main
+watched = set(json.loads(sys.argv[1]))
+first = {"import": sorted(watched & set(sys.modules))}
+for name, argv in json.loads(sys.argv[2]).items():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, name
+    first[name] = sorted(watched & set(sys.modules) - {m for loaded in first.values() for m in loaded})
+print(json.dumps(first))
+"""
+
+
+def test_no_command_loads_logging(cold_python, synth_dir, gcn_run, tmp_path):
+    commands = {command: [arg.format(data=synth_dir, run=gcn_run, out=tmp_path / command) for arg in argv]
+                for command, argv in _COMMANDS.items()}
+    first = json.loads(cold_python("-c", _COLD_EVERY_COMMAND, json.dumps(_SET_UP_STDLIB), json.dumps(commands)))
+    assert list(first) == ["import", *_COMMANDS]
+    assert [command for command, loaded in first.items() if "logging" in loaded] == []
+
+
+@pytest.mark.parametrize("argv", [["train", "--dataset", "{data}", "--out", "{out}", "--model", "gcn", "--folds", "2",
+                                   "--max-epochs", "1"], ["gradcheck", "--model", "gcn"]],
+                         ids=lambda argv: argv[0])
+def test_train_and_gradcheck_leave_the_root_logger_as_they_found_it(capsys, synth_dir, tmp_path, argv):
+    # each writes its INFO lines to stderr itself, and train the same fold lines to its log.txt
+    root = logging.getLogger()
+    handler, level = logging.NullHandler(), root.level
+    root.addHandler(handler)
+    root.setLevel(logging.ERROR)
+    try:
+        before = list(root.handlers)
+        code, _, err = _run(capsys, [arg.format(data=synth_dir, out=tmp_path / "run") for arg in argv])
+        assert (code, root.handlers, root.level) == (0, before, logging.ERROR)
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
+    prefix = "INFO gradcheck " if argv[0] == "gradcheck" else "INFO fold "
+    assert err and all(line.startswith(prefix) for line in err.splitlines())
+    if argv[0] == "train":
+        assert (tmp_path / "run" / "log.txt").read_text(encoding="utf-8") == err
 
 
 def _globals_read(code) -> set[str]:

@@ -7,6 +7,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+from relgnn import rdb
 from relgnn.cli import main
 from relgnn.rdb import (
     Column,
@@ -279,6 +280,32 @@ def test_token_of_a_referenced_foreign_key_on_no_row_dangles():
         _resolve_foreign_keys(db, strict=False)
     _assert_one_code_space(db)
     assert db.dangling == [("C", 1, "b", "a1")] and c.columns[0].values == ["a0", None]
+
+
+def test_each_key_columns_row_map_is_built_once(monkeypatch, fixtures_dir):
+    # clinic: three primary keys, two of them referenced by Visit's foreign keys, Doctor's from before its table
+    built = []
+    key_rows = rdb._key_rows
+
+    def recording(col, table, where):
+        built.append((table, col.name))
+        return key_rows(col, table, where)
+
+    monkeypatch.setattr(rdb, "_key_rows", recording)
+    load_database(fixtures_dir / "clinic")
+    assert built == [("Patient", "patient_id"), ("Visit", "visit_id"), ("Doctor", "doctor_id")]
+
+
+def test_foreign_key_referenced_before_and_after_its_recoding():
+    """C.b reads B.a's row map while B.a holds its own tokens' codes, D.b after B.a was recoded into
+    A.id's; both find the row of a0."""
+    c = Table("C", [Column("b", ColumnKind("foreign_key", ("B", "a")), False, ["a0"])])
+    b = Table("B", [Column("a", ColumnKind("foreign_key", ("A", "id")), False, ["a1", "a0"])])
+    d = Table("D", [Column("b", ColumnKind("foreign_key", ("B", "a")), False, ["a0"])])
+    a = Table("A", [Column("id", ColumnKind("primary_key"), False, ["a0", "a1"])])
+    db = Database([c, b, d, a], {}, [], [])
+    _resolve_foreign_keys(db, strict=True)
+    assert {key: rows.tolist() for key, rows in db.fk_rows.items()} == {(0, 0): [1], (1, 0): [1, 0], (2, 0): [1]}
 
 
 def test_duplicate_primary_key_rejected(tmp_path):

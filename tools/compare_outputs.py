@@ -12,9 +12,10 @@ tests/fixtures/employees, whose foreign key references its own table, and `relgn
 subcommand's --help, 80 columns wide. Every path a command reads or writes is relative to its run
 directory, so outputs that name a path read the same on both sides.
 
-It then compares the two output trees, each command's stdout included, leaving out manifest.json
-and log.txt, which record paths and times. It prints each file that differs or exists on one side
-only, and exits 1 if there is one, 0 otherwise. A command that fails stops the run with exit 2.
+It then compares the two output trees, each command's stdout and each train run's log.txt (its
+`INFO fold` lines) included, leaving out manifest.json, the record of a command's arguments. It
+prints each file that differs or exists on one side only, and exits 1 if there is one, 0 otherwise.
+A command that fails stops the run with exit 2.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ DATASETS = {
     "three_level": ["--template", "three_level", "--seed", "5", "--children", "1", "3"],
     "parent_child": ["--template", "parent_child", "--seed", "7"],
 }
-SKIPPED = {"manifest.json", "log.txt"}
+SKIPPED = {"manifest.json"}
 FIXTURES = ("clinic", "employees")  # each side runs on its copy of its own tests/fixtures/<name> under data/
 COMMANDS = ("validate", "graph-stats", "sample", "synth", "dfs", "train", "eval", "gradcheck")
 
