@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import functools
 import gc
 import importlib
 import json
@@ -15,55 +14,6 @@ import numpy as np
 from .graph import database_to_graph, graph_stats
 from .rdb import RdbError, load_database, remove_target_column, target_labels, validate_schema
 from .sampler import DEFAULT_SIZE_CAP, DatapointStore, SizeCapError, batch_sample, write_datapoints_jsonl
-
-# the names of other relgnn modules that the commands call, by the module that defines them. validate,
-# graph-stats and sample need none of them, so none is imported until it is read: `cli.<name>` imports its
-# module (__getattr__), and every function here that reads one as a global binds the whole table first
-# (_needs_lazy). The table can go once perfbench/tracer.py wraps these names in their own modules
-_LAZY = {
-    "dfs": ("DFS_DEPTH", "aggspecs_from_json", "aggspecs_to_json", "apply_feature_encoders", "compute_features",
-            "enumerate_aggs", "feature_encoders_from_json", "feature_encoders_to_json", "feature_width",
-            "fit_feature_encoders", "write_features_csv"),
-    "encode": ("encoded_columns", "encoders_from_json", "encoders_to_json", "fit_encoders"),
-    "models": ("DEFAULT_ROUNDS", "VARIANTS", "GraphSchema", "Model", "ModelConfig", "build_batch"),
-    "synth": ("SIGNALS", "TEMPLATES", "SynthSpec", "generate"),
-    "tensor": ("dropout_in_range", "gradcheck", "load_checkpoint", "save_checkpoint"),
-    "training": ("MLP_DROPOUT", "MODELS", "GraphDataset", "LinearModel", "MlpModel", "TableDataset", "TrainConfig",
-                 "evaluate", "fold_encoder_rows", "make_cv_plan", "single_table_features", "train"),
-}
-_lazy_bound = False
-
-
-def __getattr__(name: str):
-    """`cli.<name>` for a name of _LAZY that is not bound yet: imports the module that defines it and binds it
-    as a global of this module, the one that runs (under `python -m relgnn.cli` that is __main__)."""
-    for owner, names in _LAZY.items():
-        if name in names:
-            value = globals()[name] = getattr(importlib.import_module(f".{owner}", __package__), name)
-            return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _bind_lazy() -> None:
-    """Bind every name of _LAZY as a global, once; a name bound already, as one that a caller replaced, is kept."""
-    global _lazy_bound
-    if not _lazy_bound:
-        for owner, names in _LAZY.items():
-            module = importlib.import_module(f".{owner}", __package__)
-            for name in names:
-                globals().setdefault(name, getattr(module, name))
-        _lazy_bound = True
-
-
-def _needs_lazy(func):
-    """`func`, which reads names of _LAZY as globals, binding them before it runs: a global read does not
-    reach __getattr__."""
-    @functools.wraps(func)
-    def bound(*args, **kwargs):
-        _bind_lazy()
-        return func(*args, **kwargs)
-    return bound
-
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -77,6 +27,27 @@ ERRORS = (RdbError, SizeCapError, OSError, ValueError, KeyError, RuntimeError)  
 M_TRIM_THRESHOLD, M_TOP_PAD, M_MMAP_THRESHOLD = -1, -2, -3
 KEPT_HEAP = 16 << 20  # bytes, for the pad and the mmap threshold: what fits in the kept heap is served from it
 TRIM_THRESHOLD = 256 << 20  # bytes: free heap at the top stays in the process until it grows past this
+
+
+def _traced(module: str, name: str):
+    """A `cli` function that calls `relgnn.<module>.<name>`, importing the module when first called.
+    perfbench/tracer.py wraps these seven names as globals of `cli`, so the commands call them by these
+    names; every other name from a module that `cli` does not import at module scope is imported in the
+    function that reads it. They go once the tracer wraps each name in its own module (ROADMAP item 11)."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+fit_encoders = _traced("encode", "fit_encoders")
+single_table_features = _traced("training", "single_table_features")
+train = _traced("training", "train")
+evaluate = _traced("training", "evaluate")
+compute_features = _traced("dfs", "compute_features")
+fit_feature_encoders = _traced("dfs", "fit_feature_encoders")
+apply_feature_encoders = _traced("dfs", "apply_feature_encoders")
+
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -134,8 +105,8 @@ def cmd_sample(args) -> int:
     return 0
 
 
-@_needs_lazy
 def cmd_synth(args) -> int:
+    from .synth import SynthSpec, generate
     spec = SynthSpec(seed=args.seed, n_targets=args.targets, template=args.template,
                      signal=args.signal, noise=args.noise, children=tuple(args.children))
     _write_manifest(args)
@@ -148,8 +119,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-@_needs_lazy
 def cmd_dfs(args) -> int:
+    from .dfs import enumerate_aggs, write_features_csv
     masked = remove_target_column(load_database(args.dataset))
     specs = enumerate_aggs(masked, args.depth)
     _write_manifest(args)
@@ -186,20 +157,22 @@ _MODEL_FLAGS = {"hidden": "--hidden", "rounds": "--rounds", "dropout": "--dropou
                 "edge_type_once": "--edge-type-once", "reverse_edges": "--no-reverse-edges", "size_cap": "--size-cap"}
 
 
-@_needs_lazy
 def _run_keys(model: str) -> tuple[str, ...]:
     """The keys of model.json after "model", in the order `_describe` reads them: what it writes for the
     model, and what `eval` requires."""
+    from .models import VARIANTS
     if model in VARIANTS:
         return ("config", "reverse_edges", "edge_type_once", "size_cap")
     return ("dropout", "depth", "aggspecs") if model == "dfs-logreg" else ("dropout",)
 
 
-@_needs_lazy
 def _describe(args, masked) -> dict:
     """The run description that model.json holds: with a fold's artifacts, all that rebuilds its network.
     Each model flag is read as given or at its family default; a given flag that the model does not read
     fails naming it."""
+    from .dfs import DFS_DEPTH, aggspecs_to_json, enumerate_aggs
+    from .models import ModelConfig
+    from .training import MLP_DROPOUT
     read = set()
 
     def flag(name: str, default):
@@ -231,9 +204,12 @@ def _describe(args, masked) -> dict:
     return desc
 
 
-@_needs_lazy
 def _description(text: str, masked) -> dict:
     """model.json as `_describe` writes it, checked against the masked database."""
+    from .dfs import aggspecs_from_json
+    from .models import VARIANTS, ModelConfig
+    from .tensor import dropout_in_range
+    from .training import MODELS
     desc = json.loads(text)
     model = desc["model"]
     if model not in MODELS:
@@ -262,10 +238,11 @@ def _read_run_file(path: Path, reader, *context):
         raise RdbError(f"{path}: {exc}") from None
 
 
-@_needs_lazy
 def _shared_inputs(desc: dict, masked):
     """What every fold reads alike: the sampled datapoints (GNNs), the raw DFS features (dfs-logreg), or
     None (logreg, mlp)."""
+    from .dfs import aggspecs_from_json
+    from .models import VARIANTS
     if desc["model"] in VARIANTS:
         return _sample(masked, edge_type_once=desc["edge_type_once"], size_cap=desc["size_cap"])[1]
     if "aggspecs" not in desc:
@@ -274,10 +251,12 @@ def _shared_inputs(desc: dict, masked):
     return compute_features(masked, specs, range(masked.tables[masked.target[0]].nrows))
 
 
-@_needs_lazy
 def _build(desc: dict, masked, labels, shared, encoders, dfs_encoders=None, seed: int = 0):
     """A fold's untrained network and its dataset, from the run description, the fold's encoders
     and the shared inputs."""
+    from .dfs import feature_width
+    from .models import VARIANTS, GraphSchema, Model, ModelConfig
+    from .training import GraphDataset, LinearModel, MlpModel, TableDataset
     if desc["model"] in VARIANTS:
         schema = GraphSchema.from_database(masked, encoders, reverse_edges=desc["reverse_edges"])
         return Model(ModelConfig(**desc["config"]), schema, seed=seed), GraphDataset(masked, shared, encoders)
@@ -320,8 +299,12 @@ def _check_scorable(db, labels: np.ndarray, plan) -> None:
                 raise RdbError(f"fold {fi}'s {split} rows hold one class only: {message}")
 
 
-@_needs_lazy
 def cmd_train(args) -> int:
+    from .dfs import feature_encoders_to_json
+    from .encode import encoded_columns, encoders_to_json
+    from .models import VARIANTS
+    from .tensor import dropout_in_range, save_checkpoint
+    from .training import TrainConfig, fold_encoder_rows, make_cv_plan
     _check_size_cap(args)
     if getattr(args, "dropout", None) is not None and not dropout_in_range(args.dropout):
         raise ValueError(f"--dropout must be in [0, 1), got {args.dropout}: it is the probability of dropping a unit")
@@ -411,15 +394,17 @@ def _load_params(net, arrays: dict[str, np.ndarray], checkpoint: Path, built_fro
         tensor.data = arrays[name]
 
 
-@_needs_lazy
 def _plan(report_text: str) -> list:
     """The run's own CV plan, rebuilt from the seed, the fold count and the rows scored in its report.json."""
+    from .training import make_cv_plan
     report = json.loads(report_text)
     return make_cv_plan(sum(f["test_n"] for f in report["folds"]), report["seed"], report["n_folds"])
 
 
-@_needs_lazy
 def cmd_eval(args) -> int:
+    from .dfs import feature_encoders_from_json
+    from .encode import encoders_from_json
+    from .tensor import load_checkpoint
     plan = _read_run_file(args.run / "report.json", _plan)
     if not 0 <= args.fold < len(plan):
         raise RdbError(f"--fold {args.fold} is out of range: the run {args.run} has {len(plan)} folds, "
@@ -466,8 +451,10 @@ def _gradcheck_db():
     return db
 
 
-@_needs_lazy
 def cmd_gradcheck(args) -> int:
+    from .models import VARIANTS, GraphSchema, Model, ModelConfig, build_batch
+    from .tensor import gradcheck
+    from .training import fold_encoder_rows
     db = load_database(args.dataset) if args.dataset is not None else _gradcheck_db()
     masked = remove_target_column(db)
     _, datapoints = _sample(masked, [0])
@@ -535,6 +522,7 @@ def _sampling_flags(p, train=False) -> None:
 
 
 def _add_flags(p, command: str) -> None:
+    """The flags of `command`; the choices and defaults that a branch reads are its modules'."""
     if command != "synth":
         p.add_argument("--dataset", type=Path, required=command != "gradcheck")
     p.add_argument("--out", type=Path, required=command in ("sample", "synth", "dfs", "train"))
@@ -542,14 +530,8 @@ def _add_flags(p, command: str) -> None:
         p.add_argument("--no-reverse-edges", dest="reverse_edges", action="store_false")
     elif command == "sample":
         _sampling_flags(p)
-    elif command != "validate":
-        _module_flags(p, command)
-
-
-@_needs_lazy
-def _module_flags(p, command: str) -> None:
-    """The flags of synth, dfs, train, eval and gradcheck: their choices and defaults are the modules'."""
-    if command == "synth":
+    elif command == "synth":
+        from .synth import SIGNALS, TEMPLATES
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--targets", type=int, required=True)
         p.add_argument("--template", choices=TEMPLATES, default="parent_child")
@@ -557,8 +539,12 @@ def _module_flags(p, command: str) -> None:
         p.add_argument("--noise", type=float, default=0.0)
         p.add_argument("--children", type=int, nargs=2, default=[1, 6], metavar=("LO", "HI"))
     elif command == "dfs":
+        from .dfs import DFS_DEPTH
         p.add_argument("--depth", type=int, default=DFS_DEPTH)
     elif command == "train":
+        from .dfs import DFS_DEPTH
+        from .models import DEFAULT_ROUNDS, ModelConfig
+        from .training import MLP_DROPOUT, MODELS, TrainConfig
         p.add_argument("--model", choices=MODELS, required=True)
         p.add_argument("--seed", type=int, default=0)
         unset = argparse.SUPPRESS  # see _MODEL_FLAGS
@@ -584,6 +570,7 @@ def _module_flags(p, command: str) -> None:
         p.add_argument("--run", type=Path, required=True)
         p.add_argument("--fold", type=int, default=0)
     elif command == "gradcheck":
+        from .models import VARIANTS
         p.add_argument("--model", choices=VARIANTS, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--hidden", type=int, default=4)

@@ -48,8 +48,7 @@ EVAL_NODES = 512  # nodes a scoring forward pass holds, or one target that alone
 
 MLP_DROPOUT = 0.3
 
-# what `relgnn train --model` trains: the GNNs, then the baselines. It lives here, by the baselines' models,
-# because relgnn.cli reads it through its lazy table: cli's module scope imports no model code
+# what `relgnn train --model` trains: the GNNs, then the baselines, whose models live here
 MODELS = VARIANTS + ("logreg", "mlp", "dfs-logreg")
 
 

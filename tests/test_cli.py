@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import argparse
+import builtins
 import ctypes
 import dis
 import gc
 import hashlib
+import importlib.util
+import inspect
 import json
 import logging
 import os
@@ -25,6 +28,7 @@ import relgnn
 from relgnn import cli
 from relgnn.cli import _build_parser, main
 from relgnn.tensor import Tensor, load_checkpoint, save_checkpoint
+from relgnn.training import MODELS
 from test_training import gc_disabled
 
 
@@ -735,7 +739,7 @@ _COMMANDS = {
     "synth": ["synth", "--out", "{out}", "--targets", "30", "--seed", "2"],
     "dfs": ["dfs", "--dataset", "{data}", "--out", "{out}"],
     **{f"train-{model}": ["train", "--dataset", "{data}", "--out", "{out}", "--model", model, "--folds", "2",
-                          "--max-epochs", "1"] for model in cli.MODELS},
+                          "--max-epochs", "1"] for model in MODELS},
     "eval": ["eval", "--dataset", "{data}", "--run", "{run}"],
     "gradcheck": ["gradcheck"],
 }
@@ -1260,6 +1264,9 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
+_SHARED_MODULES = {"relgnn.cli", "relgnn.graph", "relgnn.rdb", "relgnn.sampler"}  # what every command loads
+
+
 @pytest.mark.parametrize("argv", [[], ["--help"], ["validate", "--dataset", "{data}"],
                                   ["graph-stats", "--dataset", "{data}"],
                                   ["sample", "--dataset", "{data}", "--out", "{out}"]],
@@ -1269,7 +1276,29 @@ def test_commands_that_read_and_sample_load_only_rdb_graph_and_sampler(cold_pyth
     # that run them
     argv = [arg.format(data=fixtures_dir / "clinic", out=tmp_path) for arg in argv]
     loaded = {name for name in json.loads(cold_python("-c", _COLD_MAIN, *argv)) if name.startswith("relgnn.")}
-    assert sorted(loaded - {"relgnn.cli", "relgnn.graph", "relgnn.rdb", "relgnn.sampler"}) == []
+    assert sorted(loaded - _SHARED_MODULES) == []
+
+
+@pytest.mark.parametrize("argv, added", [
+    (["synth", "--out", "{out}", "--targets", "30"], ["relgnn.synth"]),
+    (["dfs", "--dataset", "{fixtures}/clinic", "--out", "{out}"], ["relgnn.dfs", "relgnn.encode"]),
+    (["eval", "--help"], []),
+], ids=["synth", "dfs", "eval-help"])
+def test_synth_dfs_and_eval_help_load_only_the_modules_they_run(cold_python, fixtures_dir, tmp_path, argv, added):
+    argv = [arg.format(fixtures=fixtures_dir, out=tmp_path) for arg in argv]
+    loaded = {name for name in json.loads(cold_python("-c", _COLD_MAIN, *argv)) if name.startswith("relgnn.")}
+    assert sorted(loaded - _SHARED_MODULES) == added
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--dataset", "{data}", "--out", "{out}", "--model", "logreg", "--folds", "2", "--max-epochs", "1"],
+    ["eval", "--dataset", "{data}", "--run", "{run}"],
+    ["gradcheck", "--model", "gcn"],
+], ids=lambda argv: argv[0])
+def test_train_eval_and_gradcheck_load_no_synth(cold_python, synth_dir, gcn_run, tmp_path, argv):
+    argv = [arg.format(data=synth_dir, run=gcn_run, out=tmp_path / "run") for arg in argv]
+    loaded = set(json.loads(cold_python("-c", _COLD_MAIN, *argv)))
+    assert "relgnn.models" in loaded and "relgnn.synth" not in loaded
 
 
 # two standard-library packages that relgnn keeps off the path every command shares: `logging`, which no
@@ -1348,17 +1377,17 @@ def _globals_read(code) -> set[str]:
     return names
 
 
-def test_every_function_that_reads_a_lazy_name_binds_the_table_first():
-    # a function of relgnn.cli reads a name of cli._LAZY as a global, and a global read never reaches the
-    # module's __getattr__; so each such function, and no other, is wrapped by cli._needs_lazy, which binds the
-    # table, and can be called before main, as tests/test_dfs.py calls cli._build
-    lazy = {name for names in cli._LAZY.values() for name in names}
-    functions = {name: value for name, value in vars(cli).items()
+def test_every_function_of_cli_reads_as_globals_only_builtins_and_what_its_module_code_binds(cold_python):
+    # a name from another relgnn module is imported in the function that reads it, so a branch that no test
+    # runs cannot read one that importing relgnn.cli leaves unbound; the names are taken from a new process,
+    # which no earlier test has run a command in
+    bound = set(json.loads(cold_python("-c", "import json, relgnn.cli; print(json.dumps(sorted(vars(relgnn.cli))))")))
+    functions = {name: inspect.unwrap(value) for name, value in vars(cli).items()
                  if isinstance(value, types.FunctionType) and value.__module__ == cli.__name__}
-    readers = {name for name, func in functions.items()
-               if _globals_read(getattr(func, "__wrapped__", func).__code__) & lazy}
-    assert readers == {name for name, func in functions.items() if hasattr(func, "__wrapped__")}
-    assert {"cmd_validate", "cmd_graph_stats", "cmd_sample", "_add_flags", "_build_parser", "main"}.isdisjoint(readers)
+    unbound = {name: sorted(_globals_read(func.__code__) - bound - set(dir(builtins)))
+               for name, func in functions.items()}
+    assert {name: names for name, names in unbound.items() if names} == {}
+    assert {"cmd_synth", "cmd_dfs", "cmd_train", "_add_flags", "train"} <= set(functions)
 
 
 # each subcommand's argument lists, which together give every flag it takes; {data}, {run}, {out} and
@@ -1385,6 +1414,27 @@ _EVERY_FLAG = {
 }
 
 
+def _flag_dests(command: str) -> dict[str, str]:
+    """Each option string of `command`'s flags, --help left out, and the name it sets in `args`."""
+    commands = next(a for a in _build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {option: action.dest for action in commands[command]._actions if action.dest != "help"
+            for option in action.option_strings}
+
+
+def test_the_output_comparison_gives_every_flag():
+    # tools/compare_outputs.py shows that a flag still reaches what reads it only where its matrix gives it
+    path = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    given = {command: set() for command in _EVERY_FLAG}
+    for _, argv in compare.command_matrix():
+        if argv[0] in given:
+            given[argv[0]].update(argv)
+    missing = {command: sorted(set(_flag_dests(command)) - given[command]) for command in _EVERY_FLAG}
+    assert {command: flags for command, flags in missing.items() if flags} == {}
+
+
 def _recording_namespace():
     """A namespace that adds the name of each attribute read from it to the returned set. `vars(args)`,
     which `_write_manifest` reads, reads `__dict__` and so no flag."""
@@ -1402,9 +1452,7 @@ def _recording_namespace():
 @pytest.mark.parametrize("command", sorted(_EVERY_FLAG))
 def test_every_flag_given_is_read(capsys, fixtures_dir, synth_dir, gcn_run, tmp_path, command):
     parser = _build_parser(command)
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-    dest = {option: action.dest for action in commands[command]._actions if action.dest != "help"
-            for option in action.option_strings}
+    dest = _flag_dests(command)
     given = set()
     for k, case in enumerate(_EVERY_FLAG[command]):
         argv = [arg.format(data=synth_dir, run=gcn_run, out=tmp_path / f"out{k}", fixtures=fixtures_dir)

@@ -6,16 +6,20 @@ Runs one command matrix once per checkout, each command a fresh `python -m relgn
 PYTHONPATH is that checkout's `src`, in a directory of its own. It synthesizes two 300-target datasets
 (three_level with seed 5 and 1-3 children, parent_child with seed 7), then runs on each of them
 validate, graph-stats, sample (plain and --edge-type-once), dfs, and train with all ten models
-(--folds 2 --max-epochs 3 --patience 3, GNNs at --hidden 8) followed by eval --fold 1. It also runs
-the built-in gradcheck, gradcheck on tests/fixtures/clinic at --hidden 2, dfs --depth 6 on
-tests/fixtures/employees, whose foreign key references its own table, and `relgnn --help` and each
-subcommand's --help, 80 columns wide. Every path a command reads or writes is relative to its run
-directory, so outputs that name a path read the same on both sides.
+(--folds 2 --max-epochs 3 --patience 3, GNNs at --hidden 8) followed by eval --fold 1. So that every
+flag of every subcommand is given at least once (FLAG_RUNS), it also synthesizes a 300-target flat
+dataset with --signal single_table --noise 0.1 and trains logreg and mlp on it, and runs graph-stats
+and sample with --no-reverse-edges (sample with --size-cap too), gcn with every GNN and training
+flag, and dfs-logreg at --depth 1, each train followed by eval. It also runs the built-in gradcheck,
+gradcheck on tests/fixtures/clinic at --hidden 2 (once more with --model gcn --seed 1), dfs --depth 6
+on tests/fixtures/employees, whose foreign key references its own table, and `relgnn --help` and
+each subcommand's --help, 80 columns wide. Every path a command reads or writes is relative to its
+run directory, so outputs that name a path read the same on both sides.
 
-It then compares the two output trees, each command's stdout and each train run's log.txt (its
-`INFO fold` lines) included, leaving out manifest.json, the record of a command's arguments. It
-prints each file that differs or exists on one side only, and exits 1 if there is one, 0 otherwise.
-A command that fails stops the run with exit 2.
+It then compares the two output trees, each command's stdout, each train run's log.txt (its
+`INFO fold` lines) and each command's manifest.json (the record of its arguments, defaults
+included) among them. It prints each file that differs or exists on one side only, and exits 1 if
+there is one, 0 otherwise. A command that fails stops the run with exit 2.
 """
 from __future__ import annotations
 
@@ -32,9 +36,36 @@ DATASETS = {
     "three_level": ["--template", "three_level", "--seed", "5", "--children", "1", "3"],
     "parent_child": ["--template", "parent_child", "--seed", "7"],
 }
-SKIPPED = {"manifest.json"}
 FIXTURES = ("clinic", "employees")  # each side runs on its copy of its own tests/fixtures/<name> under data/
 COMMANDS = ("validate", "graph-stats", "sample", "synth", "dfs", "train", "eval", "gradcheck")
+
+
+def _train_and_eval(name: str, data: str, flags: list[str]) -> list[tuple[str, list[str]]]:
+    run = f"out/flags/{name}"
+    return [(f"train_{name}", ["train", "--dataset", data, "--out", run, "--folds", "2", *flags]),
+            (f"eval_{name}", ["eval", "--dataset", data, "--run", run, "--fold", "1", "--out", f"{run}_eval"])]
+
+
+# runs that give, each at least once, the flags that the rest of the matrix leaves at their defaults
+FLAG_RUNS = [
+    ("synth_flat", ["synth", "--out", "data/flat", "--targets", "300", "--template", "flat",
+                    "--signal", "single_table", "--noise", "0.1", "--seed", "9"]),
+    *_train_and_eval("logreg_flat", "data/flat", ["--model", "logreg", "--max-epochs", "3"]),
+    *_train_and_eval("mlp_flat", "data/flat", ["--model", "mlp", "--dropout", "0.4", "--max-epochs", "3"]),
+    ("graph_stats_no_reverse", ["graph-stats", "--dataset", "data/three_level", "--no-reverse-edges",
+                                "--out", "out/flags/graph_stats"]),
+    ("sample_flags", ["sample", "--dataset", "data/three_level", "--no-reverse-edges", "--size-cap", "500",
+                      "--out", "out/flags/sample"]),
+    *_train_and_eval("gcn_flags", "data/three_level",
+                     ["--model", "gcn", "--seed", "1", "--hidden", "8", "--rounds", "1", "--dropout", "0.2",
+                      "--lr", "0.01", "--weight-decay", "0.001", "--batch", "16", "--patience", "2",
+                      "--max-epochs", "3", "--oversample", "--edge-type-once", "--no-reverse-edges",
+                      "--size-cap", "500"]),
+    *_train_and_eval("dfs_logreg_depth", "data/parent_child", ["--model", "dfs-logreg", "--depth", "1",
+                                                               "--max-epochs", "3"]),
+    ("gradcheck_gcn", ["gradcheck", "--dataset", "data/clinic", "--model", "gcn", "--seed", "1", "--hidden", "2",
+                       "--out", "out/flags/gradcheck"]),
+]
 
 
 def command_matrix() -> list[tuple[str, list[str]]]:
@@ -58,7 +89,7 @@ def command_matrix() -> list[tuple[str, list[str]]]:
                                            "--max-epochs", "3", "--patience", "3", *hidden]),
                 (f"eval_{model}_{name}", ["eval", *data, "--run", run, "--fold", "1", "--out", f"{run}_eval"]),
             ]
-    commands += [
+    commands += FLAG_RUNS + [
         ("gradcheck", ["gradcheck", "--out", "out/gradcheck"]),
         ("gradcheck_clinic", ["gradcheck", "--dataset", "data/clinic", "--hidden", "2",
                               "--out", "out/gradcheck_clinic"]),
@@ -85,7 +116,7 @@ def run_matrix(checkout: Path, workdir: Path) -> None:
 
 
 def tree_files(root: Path) -> dict[str, Path]:
-    return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file() and p.name not in SKIPPED}
+    return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def main(argv: list[str]) -> int:
