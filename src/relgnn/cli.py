@@ -17,6 +17,8 @@ from .sampler import DEFAULT_SIZE_CAP, DatapointStore, SizeCapError, batch_sampl
 
 GRADCHECK_TOLERANCE = 1e-4
 
+DFS_DEPTH = 2  # the longest foreign-key path of a DFS feature when no --depth is given
+
 GNN_WEIGHT_DECAY, BASELINE_WEIGHT_DECAY = 0.0, 0.01  # AdamW's, per model family, when --weight-decay is unset
 
 ERRORS = (RdbError, SizeCapError, OSError, ValueError, KeyError, RuntimeError)  # main reports each as one line
@@ -45,8 +47,8 @@ single_table_features = _traced("training", "single_table_features")
 train = _traced("training", "train")
 evaluate = _traced("training", "evaluate")
 compute_features = _traced("dfs", "compute_features")
-fit_feature_encoders = _traced("dfs", "fit_feature_encoders")
-apply_feature_encoders = _traced("dfs", "apply_feature_encoders")
+fit_feature_encoders = _traced("encode", "fit_feature_encoders")
+apply_feature_encoders = _traced("encode", "apply_feature_encoders")
 
 
 def _json_text(payload: dict) -> str:
@@ -170,7 +172,6 @@ def _describe(args, masked) -> dict:
     """The run description that model.json holds: with a fold's artifacts, all that rebuilds its network.
     Each model flag is read as given or at its family default; a given flag that the model does not read
     fails naming it."""
-    from .dfs import DFS_DEPTH, aggspecs_to_json, enumerate_aggs
     from .models import ModelConfig
     from .training import MLP_DROPOUT
     read = set()
@@ -185,6 +186,10 @@ def _describe(args, masked) -> dict:
                                   rounds=flag("rounds", ModelConfig.rounds),
                                   dropout=flag("dropout", ModelConfig.dropout)))
 
+    def aggspecs() -> list:
+        from .dfs import aggspecs_to_json, enumerate_aggs  # not at the top: only dfs-logreg runs DFS
+        return json.loads(aggspecs_to_json(enumerate_aggs(masked, desc["depth"])))
+
     fields = {  # how each key is read, when the model's keys hold it
         "config": config,
         "reverse_edges": lambda: flag("reverse_edges", True),
@@ -193,7 +198,7 @@ def _describe(args, masked) -> dict:
         # logreg and dfs-logreg read no dropout, but model.json records the mlp's default for them too
         "dropout": lambda: flag("dropout", MLP_DROPOUT) if args.model == "mlp" else MLP_DROPOUT,
         "depth": lambda: flag("depth", DFS_DEPTH),
-        "aggspecs": lambda: json.loads(aggspecs_to_json(enumerate_aggs(masked, desc["depth"]))),
+        "aggspecs": aggspecs,
     }
     desc = {"model": args.model}
     for key in _run_keys(args.model):
@@ -206,7 +211,6 @@ def _describe(args, masked) -> dict:
 
 def _description(text: str, masked) -> dict:
     """model.json as `_describe` writes it, checked against the masked database."""
-    from .dfs import aggspecs_from_json
     from .models import VARIANTS, ModelConfig
     from .tensor import dropout_in_range
     from .training import MODELS
@@ -221,6 +225,7 @@ def _description(text: str, masked) -> dict:
     if not (isinstance(dropout, (int, float)) and dropout_in_range(dropout)):
         raise ValueError(f"dropout must be in [0, 1), got {dropout!r}")
     if model == "dfs-logreg":
+        from .dfs import aggspecs_from_json
         aggspecs_from_json(json.dumps(desc["aggspecs"]), masked)
     return desc
 
@@ -241,12 +246,12 @@ def _read_run_file(path: Path, reader, *context):
 def _shared_inputs(desc: dict, masked):
     """What every fold reads alike: the sampled datapoints (GNNs), the raw DFS features (dfs-logreg), or
     None (logreg, mlp)."""
-    from .dfs import aggspecs_from_json
     from .models import VARIANTS
     if desc["model"] in VARIANTS:
         return _sample(masked, edge_type_once=desc["edge_type_once"], size_cap=desc["size_cap"])[1]
     if "aggspecs" not in desc:
         return None
+    from .dfs import aggspecs_from_json
     specs = aggspecs_from_json(json.dumps(desc["aggspecs"]))
     return compute_features(masked, specs, range(masked.tables[masked.target[0]].nrows))
 
@@ -254,7 +259,7 @@ def _shared_inputs(desc: dict, masked):
 def _build(desc: dict, masked, labels, shared, encoders, dfs_encoders=None, seed: int = 0):
     """A fold's untrained network and its dataset, from the run description, the fold's encoders
     and the shared inputs."""
-    from .dfs import feature_width
+    from .encode import feature_width
     from .models import VARIANTS, GraphSchema, Model, ModelConfig
     from .training import GraphDataset, LinearModel, MlpModel, TableDataset
     if desc["model"] in VARIANTS:
@@ -300,11 +305,10 @@ def _check_scorable(db, labels: np.ndarray, plan) -> None:
 
 
 def cmd_train(args) -> int:
-    from .dfs import feature_encoders_to_json
-    from .encode import encoded_columns, encoders_to_json
+    from .encode import encoded_columns, encoders_to_json, feature_encoders_to_json
     from .models import VARIANTS
     from .tensor import dropout_in_range, save_checkpoint
-    from .training import TrainConfig, fold_encoder_rows, make_cv_plan
+    from .training import TrainConfig, make_cv_plan
     _check_size_cap(args)
     if getattr(args, "dropout", None) is not None and not dropout_in_range(args.dropout):
         raise ValueError(f"--dropout must be in [0, 1), got {args.dropout}: it is the probability of dropping a unit")
@@ -334,7 +338,7 @@ def cmd_train(args) -> int:
         folds = []
         for fi, fold in enumerate(plan):
             # encoders see only the fold's fit rows: for a GNN, every row that their subgraphs reach
-            fit_rows = fold_encoder_rows(shared, fold.fit_ids) if gnn else {masked.target[0]: list(fold.fit_ids)}
+            fit_rows = shared.table_rows(fold.fit_ids) if gnn else {masked.target[0]: list(fold.fit_ids)}
             encoders = fit_encoders(masked, fit_rows)
             dfs_encoders = fit_feature_encoders(shared, fold.fit_ids) if "aggspecs" in desc else None
             net, data = _build(desc, masked, labels, shared, encoders, dfs_encoders, seed=args.seed + fi)
@@ -402,8 +406,7 @@ def _plan(report_text: str) -> list:
 
 
 def cmd_eval(args) -> int:
-    from .dfs import feature_encoders_from_json
-    from .encode import encoders_from_json
+    from .encode import encoders_from_json, feature_encoders_from_json
     from .tensor import load_checkpoint
     plan = _read_run_file(args.run / "report.json", _plan)
     if not 0 <= args.fold < len(plan):
@@ -454,11 +457,10 @@ def _gradcheck_db():
 def cmd_gradcheck(args) -> int:
     from .models import VARIANTS, GraphSchema, Model, ModelConfig, build_batch
     from .tensor import gradcheck
-    from .training import fold_encoder_rows
     db = load_database(args.dataset) if args.dataset is not None else _gradcheck_db()
     masked = remove_target_column(db)
     _, datapoints = _sample(masked, [0])
-    encoders = fit_encoders(masked, fold_encoder_rows(datapoints, [0]))
+    encoders = fit_encoders(masked, datapoints.table_rows([0]))
     schema = GraphSchema.from_database(masked, encoders)
     batch = build_batch(datapoints, masked, encoders)
     variants = [args.model] if args.model else list(VARIANTS)
@@ -539,10 +541,8 @@ def _add_flags(p, command: str) -> None:
         p.add_argument("--noise", type=float, default=0.0)
         p.add_argument("--children", type=int, nargs=2, default=[1, 6], metavar=("LO", "HI"))
     elif command == "dfs":
-        from .dfs import DFS_DEPTH
         p.add_argument("--depth", type=int, default=DFS_DEPTH)
     elif command == "train":
-        from .dfs import DFS_DEPTH
         from .models import DEFAULT_ROUNDS, ModelConfig
         from .training import MLP_DROPOUT, MODELS, TrainConfig
         p.add_argument("--model", choices=MODELS, required=True)

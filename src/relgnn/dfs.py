@@ -6,15 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import (
-    COLUMN_DENSE_WIDTH,
-    CategoricalEncoder,
-    categorical_from_json,
-    categorical_indices,
-    encode_column,
-    fit_column,
-    scalar_from_json,
-)
 from .graph import FORWARD, REVERSE, EdgeType, database_to_graph, edge_types, referenced_table
 from .rdb import Column, ColumnKind, Database, RdbError, write_csv
 
@@ -26,11 +17,6 @@ __all__ = [
     "enumerate_aggs",
     "compute_features",
     "feature_names",
-    "fit_feature_encoders",
-    "apply_feature_encoders",
-    "feature_width",
-    "feature_encoders_to_json",
-    "feature_encoders_from_json",
     "aggspecs_to_json",
     "aggspecs_from_json",
     "write_features_csv",
@@ -39,8 +25,6 @@ __all__ = [
 AGGREGATORS = ("count", "sum", "mean", "max", "min")
 
 COPY = "copy"  # forward paths copy one parent cell instead of aggregating a child set
-
-DFS_DEPTH = 2  # the longest foreign-key path of a feature when no depth is given
 
 
 @dataclass(frozen=True)
@@ -68,7 +52,7 @@ _SOURCE_KINDS = {COPY: ("scalar", "categorical"), "sum": ("scalar",), "mean": ("
                  "min": ("scalar",)}
 
 
-def enumerate_aggs(db: Database, max_depth: int = DFS_DEPTH) -> list[AggSpec]:
+def enumerate_aggs(db: Database, max_depth: int) -> list[AggSpec]:
     """Pure reverse-key paths get COUNT plus one spec per scalar column and aggregator; pure forward paths
     copy parent cells. Every reverse path comes first, depth first, then every forward path."""
     if max_depth < 0:
@@ -225,69 +209,6 @@ def feature_names(db: Database, specs: list[AggSpec]) -> list[str]:
         column = "*" if spec.source is None else db.tables[end].columns[spec.source].name
         names.append(f"{hops}__{spec.aggregator.upper()}__{column}")
     return names
-
-
-def fit_feature_encoders(raw: RawFeatures, fit_rows) -> list:
-    """One scalar or categorical encoder per spec column, fit on its fit_rows cells only."""
-    rows = np.asarray(fit_rows, dtype=np.int64)
-    return [fit_column(col, rows) for col in raw.columns]
-
-
-def _widths(encoders: list) -> list[int]:
-    return [enc.slots if isinstance(enc, CategoricalEncoder) else COLUMN_DENSE_WIDTH["scalar"] for enc in encoders]
-
-
-def feature_width(encoders: list) -> int:
-    """The width of the matrix that `apply_feature_encoders` fills with these encoders."""
-    return sum(_widths(encoders))
-
-
-def apply_feature_encoders(raw: RawFeatures, encoders: list, out: np.ndarray | None = None) -> np.ndarray:
-    """Numeric columns become (scaled, null flag) pairs, copied categoricals one-hot, side by side in one
-    matrix. `out`, when given, is that matrix: zero-filled, possibly a view into a wider one."""
-    n = len(raw)
-    widths = _widths(encoders)
-    if out is None:
-        out = np.zeros((n, sum(widths)))
-    for col, enc, start, width in zip(raw.columns, encoders, np.cumsum([0] + widths).tolist(), widths):
-        if isinstance(enc, CategoricalEncoder):
-            out[np.arange(n), start + categorical_indices(col, enc)] = 1.0
-        else:
-            encode_column(col, enc, out[:, start:start + width])
-    return out
-
-
-def feature_encoders_to_json(encoders: list) -> str:
-    out = []
-    for enc in encoders:
-        if isinstance(enc, CategoricalEncoder):
-            out.append({"kind": "categorical", "vocabulary": enc.vocabulary})
-        else:
-            out.append({"kind": "scalar", "median": enc.median, "iqr": enc.iqr, "all_null": enc.all_null})
-    return json.dumps(out, sort_keys=True)
-
-
-def feature_encoders_from_json(text: str, raw: RawFeatures) -> list:
-    """Encoders as `feature_encoders_to_json` writes them, checked against the raw features: one per spec
-    column, of the kind that `fit_feature_encoders` fits on it. A fault raises ValueError naming the entry."""
-    payload = json.loads(text)
-    if not isinstance(payload, list):
-        raise RdbError("not a list of feature encoders")
-    if len(payload) != len(raw.columns):
-        raise RdbError(f"{len(payload)} feature encoders for {len(raw.columns)} aggspecs")
-    out = []
-    for j, (col, item) in enumerate(zip(raw.columns, payload)):
-        kind = col.kind.tag
-        try:
-            if not isinstance(item, dict) or item.get("kind") != kind:
-                raise ValueError(f"is not a {kind} encoder")
-            if kind == "categorical":
-                out.append(categorical_from_json(item.get("vocabulary")))
-            else:
-                out.append(scalar_from_json([item.get("median"), item.get("iqr"), item.get("all_null")]))
-        except ValueError as exc:
-            raise RdbError(f"entry {j} {exc}") from None
-    return out
 
 
 def aggspecs_to_json(specs: list[AggSpec]) -> str:

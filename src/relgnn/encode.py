@@ -1,4 +1,4 @@
-"""Per-column feature vectorizers; stateful encoders are fit on training-fold cells only."""
+"""Per-column feature vectorizers of tables and DFS features; stateful encoders are fit on training-fold cells only."""
 from __future__ import annotations
 
 import json
@@ -28,6 +28,11 @@ __all__ = [
     "encode_node",
     "encoders_to_json",
     "encoders_from_json",
+    "fit_feature_encoders",
+    "apply_feature_encoders",
+    "feature_width",
+    "feature_encoders_to_json",
+    "feature_encoders_from_json",
 ]
 
 IQR_FLOOR = 1e-9
@@ -393,3 +398,70 @@ def _check_listed(table: Table, field: str, listed, expected: list) -> None:
         raise RdbError(f"{where}: {field}[{k}] is {found}, but the table has no further encoded column")
     ci = expected[k][0] if field == "dense_columns" else expected[k]
     raise RdbError(f"{where}: {field}[{k}] is {found}, not {json.dumps(expected[k])} (column {table.columns[ci].name})")
+
+
+# The DFS feature encoders: one per column of the raw features that `dfs.compute_features` returns.
+
+
+def fit_feature_encoders(raw, fit_rows) -> list:
+    """One scalar or categorical encoder per spec column of `raw`, a `dfs.RawFeatures`, fit on its fit_rows
+    cells only."""
+    rows = np.asarray(fit_rows, dtype=np.int64)
+    return [fit_column(col, rows) for col in raw.columns]
+
+
+def _widths(encoders: list) -> list[int]:
+    return [enc.slots if isinstance(enc, CategoricalEncoder) else COLUMN_DENSE_WIDTH["scalar"] for enc in encoders]
+
+
+def feature_width(encoders: list) -> int:
+    """The width of the matrix that `apply_feature_encoders` fills with these encoders."""
+    return sum(_widths(encoders))
+
+
+def apply_feature_encoders(raw, encoders: list, out: np.ndarray | None = None) -> np.ndarray:
+    """Numeric columns become (scaled, null flag) pairs, copied categoricals one-hot, side by side in one
+    matrix. `out`, when given, is that matrix: zero-filled, possibly a view into a wider one."""
+    n = len(raw)
+    widths = _widths(encoders)
+    if out is None:
+        out = np.zeros((n, sum(widths)))
+    for col, enc, start, width in zip(raw.columns, encoders, np.cumsum([0] + widths).tolist(), widths):
+        if isinstance(enc, CategoricalEncoder):
+            out[np.arange(n), start + categorical_indices(col, enc)] = 1.0
+        else:
+            encode_column(col, enc, out[:, start:start + width])
+    return out
+
+
+def feature_encoders_to_json(encoders: list) -> str:
+    out = []
+    for enc in encoders:
+        if isinstance(enc, CategoricalEncoder):
+            out.append({"kind": "categorical", "vocabulary": enc.vocabulary})
+        else:
+            out.append({"kind": "scalar", "median": enc.median, "iqr": enc.iqr, "all_null": enc.all_null})
+    return json.dumps(out, sort_keys=True)
+
+
+def feature_encoders_from_json(text: str, raw) -> list:
+    """Encoders as `feature_encoders_to_json` writes them, checked against the raw features: one per spec
+    column, of the kind that `fit_feature_encoders` fits on it. A fault raises ValueError naming the entry."""
+    payload = json.loads(text)
+    if not isinstance(payload, list):
+        raise RdbError("not a list of feature encoders")
+    if len(payload) != len(raw.columns):
+        raise RdbError(f"{len(payload)} feature encoders for {len(raw.columns)} aggspecs")
+    out = []
+    for j, (col, item) in enumerate(zip(raw.columns, payload)):
+        kind = col.kind.tag
+        try:
+            if not isinstance(item, dict) or item.get("kind") != kind:
+                raise ValueError(f"is not a {kind} encoder")
+            if kind == "categorical":
+                out.append(categorical_from_json(item.get("vocabulary")))
+            else:
+                out.append(scalar_from_json([item.get("median"), item.get("iqr"), item.get("all_null")]))
+        except ValueError as exc:
+            raise RdbError(f"entry {j} {exc}") from None
+    return out

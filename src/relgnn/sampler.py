@@ -85,6 +85,13 @@ class DatapointStore:
             self.src[edges], self.dst[edges], self.edge_type[edges], np.concatenate(([0], np.cumsum(edge_counts))),
             self.labels[ids], self.targets[ids], self.types)
 
+    def table_rows(self, ids) -> dict[int, np.ndarray]:
+        """The rows of each table that the subgraphs of the targets `ids` hold, ascending, keyed by table
+        index in ascending order: what a fold's encoders are fit on."""
+        nodes, _ = ranges(self.node_start, np.asarray(ids, dtype=np.int64))
+        node_types, rows = self.node_types[nodes], self.rows[nodes]
+        return {t: np.flatnonzero(np.bincount(rows[node_types == t])) for t in np.unique(node_types).tolist()}
+
 
 _CHUNK = 4096  # targets whose closures run in lockstep; it bounds the round arrays and so the peak memory
 _NARROW = 32  # a frontier of fewer keys expands in plain Python: an array round costs tens of µs, however narrow

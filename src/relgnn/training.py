@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encode import NodeTypeEncoder, encode_node
-from .graph import ranges, runs
+from .graph import runs
 from .models import VARIANTS, build_batch, encode_tables
 from .optim import AdamW
 from .rdb import Database
@@ -36,7 +36,6 @@ __all__ = [
     "accuracy",
     "positive_scores",
     "oversample_ids",
-    "fold_encoder_rows",
     "GraphDataset",
     "TableDataset",
     "LinearModel",
@@ -226,13 +225,6 @@ def oversample_ids(ids: np.ndarray, labels: np.ndarray) -> np.ndarray:
         return ids.copy()
     minority, majority = (pos, neg) if len(pos) < len(neg) else (neg, pos)
     return np.concatenate([majority, np.resize(minority, len(majority))])
-
-
-def fold_encoder_rows(datapoints: DatapointStore, ids) -> dict[int, np.ndarray]:
-    """Rows reachable from the given datapoints, grouped by table, ascending: the encoder fitting scope."""
-    nodes, _ = ranges(datapoints.node_start, np.asarray(ids, dtype=np.int64))
-    node_types, rows = datapoints.node_types[nodes], datapoints.rows[nodes]
-    return {t: np.flatnonzero(np.bincount(rows[node_types == t])) for t in np.unique(node_types).tolist()}
 
 
 # ---------------------------------------------------------------------------

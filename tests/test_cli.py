@@ -1281,7 +1281,7 @@ def test_commands_that_read_and_sample_load_only_rdb_graph_and_sampler(cold_pyth
 
 @pytest.mark.parametrize("argv, added", [
     (["synth", "--out", "{out}", "--targets", "30"], ["relgnn.synth"]),
-    (["dfs", "--dataset", "{fixtures}/clinic", "--out", "{out}"], ["relgnn.dfs", "relgnn.encode"]),
+    (["dfs", "--dataset", "{fixtures}/clinic", "--out", "{out}"], ["relgnn.dfs"]),
     (["eval", "--help"], []),
 ], ids=["synth", "dfs", "eval-help"])
 def test_synth_dfs_and_eval_help_load_only_the_modules_they_run(cold_python, fixtures_dir, tmp_path, argv, added):
@@ -1290,15 +1290,30 @@ def test_synth_dfs_and_eval_help_load_only_the_modules_they_run(cold_python, fix
     assert sorted(loaded - _SHARED_MODULES) == added
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--dataset", "{data}", "--out", "{out}", "--model", "logreg", "--folds", "2", "--max-epochs", "1"],
-    ["eval", "--dataset", "{data}", "--run", "{run}"],
-    ["gradcheck", "--model", "gcn"],
-], ids=lambda argv: argv[0])
-def test_train_eval_and_gradcheck_load_no_synth(cold_python, synth_dir, gcn_run, tmp_path, argv):
-    argv = [arg.format(data=synth_dir, run=gcn_run, out=tmp_path / "run") for arg in argv]
-    loaded = set(json.loads(cold_python("-c", _COLD_MAIN, *argv)))
-    assert "relgnn.models" in loaded and "relgnn.synth" not in loaded
+# the relgnn modules that train, eval, gradcheck and `dfs --help` load beyond _SHARED_MODULES: a GNN or a plain
+# baseline loads no dfs, and gradcheck neither the training loop nor the optimizer; {data}, {gcn_run},
+# {dfs_run} and {out} are the dataset, a trained gcn and dfs-logreg run on it and a new output directory
+_TRAINING = ["relgnn.encode", "relgnn.models", "relgnn.optim", "relgnn.tensor", "relgnn.training"]
+_DFS_TRAINING = sorted(_TRAINING + ["relgnn.dfs"])
+_TRAIN = ["train", "--dataset", "{data}", "--out", "{out}", "--folds", "2", "--max-epochs", "1", "--model"]
+_MODULES_ADDED = {
+    "train-help": (["train", "--help"], _TRAINING),
+    **{f"train-{model}": ([*_TRAIN, model], _TRAINING) for model in ("gcn", "ergat", "logreg", "mlp")},
+    "train-dfs-logreg": ([*_TRAIN, "dfs-logreg"], _DFS_TRAINING),
+    "eval-gcn": (["eval", "--dataset", "{data}", "--run", "{gcn_run}"], _TRAINING),
+    "eval-dfs-logreg": (["eval", "--dataset", "{data}", "--run", "{dfs_run}"], _DFS_TRAINING),
+    "dfs-help": (["dfs", "--help"], []),
+    "gradcheck": (["gradcheck", "--model", "gcn"], ["relgnn.encode", "relgnn.models", "relgnn.tensor"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_MODULES_ADDED))
+def test_each_command_loads_exactly_the_relgnn_modules_it_runs(cold_python, synth_dir, gcn_run, dfs_run, tmp_path,
+                                                               command):
+    argv, added = _MODULES_ADDED[command]
+    argv = [arg.format(data=synth_dir, gcn_run=gcn_run, dfs_run=dfs_run, out=tmp_path / "run") for arg in argv]
+    loaded = {name for name in json.loads(cold_python("-c", _COLD_MAIN, *argv)) if name.startswith("relgnn.")}
+    assert sorted(loaded - _SHARED_MODULES) == added
 
 
 # two standard-library packages that relgnn keeps off the path every command shares: `logging`, which no

@@ -16,17 +16,19 @@ from relgnn.dfs import (
     AggSpec,
     aggspecs_from_json,
     aggspecs_to_json,
-    apply_feature_encoders,
     compute_features,
     enumerate_aggs,
-    feature_encoders_from_json,
-    feature_encoders_to_json,
     feature_names,
-    fit_feature_encoders,
     write_features_csv,
 )
 from relgnn.graph import FORWARD, REVERSE, database_to_graph
-from relgnn.encode import fit_encoders
+from relgnn.encode import (
+    apply_feature_encoders,
+    feature_encoders_from_json,
+    feature_encoders_to_json,
+    fit_encoders,
+    fit_feature_encoders,
+)
 from relgnn.rdb import (
     Column,
     ColumnKind,

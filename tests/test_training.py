@@ -26,7 +26,6 @@ from relgnn.training import (
     accuracy,
     auroc,
     evaluate,
-    fold_encoder_rows,
     make_cv_plan,
     oversample_ids,
     positive_scores,
@@ -343,19 +342,19 @@ def _clinic_dataset():
     db = remove_target_column(load_database(FIXTURES / "clinic"))
     graph = database_to_graph(db)
     dps = batch_sample(graph, [0, 1, 0, 1])  # four datapoints, two per class
-    encoders = fit_encoders(db, fold_encoder_rows(dps, range(len(dps))))
+    encoders = fit_encoders(db, dps.table_rows(range(len(dps))))
     return db, dps, encoders
 
 
-def test_fold_encoder_rows_scope():
+def test_table_rows_scope():
     db = remove_target_column(load_database(FIXTURES / "clinic"))
     graph = database_to_graph(db)
     dps = batch_sample(graph, [0, 1])
     def as_lists(rows):
         return {t: r.tolist() for t, r in rows.items()}
 
-    assert as_lists(fold_encoder_rows(dps, [0])) == {0: [0], 1: [0, 1], 2: [0]}
-    assert as_lists(fold_encoder_rows(dps, [0, 1])) == {0: [0, 1], 1: [0, 1, 2], 2: [0]}
+    assert as_lists(dps.table_rows([0])) == {0: [0], 1: [0, 1], 2: [0]}
+    assert as_lists(dps.table_rows([0, 1])) == {0: [0, 1], 1: [0, 1, 2], 2: [0]}
 
 
 def test_gnn_training_runs_and_is_deterministic():
@@ -405,7 +404,7 @@ def tape_data():
     spec = SynthSpec(seed=11, n_targets=64, template="three_level", signal="grandchild_aggregate", children=(1, 4))
     db = remove_target_column(generate(spec))
     dps = batch_sample(database_to_graph(db), list(range(64)))
-    encoders = fit_encoders(db, fold_encoder_rows(dps, range(64)))
+    encoders = fit_encoders(db, dps.table_rows(range(64)))
     return GraphDataset(db, dps, encoders), TableDataset(single_table_features(db, encoders), dps.labels)
 
 
@@ -478,7 +477,7 @@ def wide_data():
     """40 parent_child targets of 1 to 9 nodes each, to score against small node budgets."""
     db = remove_target_column(generate(SynthSpec(seed=5, n_targets=40, children=(0, 8))))
     dps = batch_sample(database_to_graph(db), list(range(40)))
-    return GraphDataset(db, dps, fit_encoders(db, fold_encoder_rows(dps, range(40))))
+    return GraphDataset(db, dps, fit_encoders(db, dps.table_rows(range(40))))
 
 
 def _graph_net(data, variant):
